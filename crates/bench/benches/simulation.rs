@@ -14,27 +14,13 @@ fn short() -> Criterion {
         .warm_up_time(StdDuration::from_millis(300))
         .measurement_time(StdDuration::from_secs(2))
 }
-use desim::{Duration, EventQueue, FifoResource, ServerPool, SimTime};
+use desim::{Duration, FifoResource, ServerPool, SimTime};
 use myriad2::{Myriad2, Myriad2Config};
 use ncsw::multivpu::{MultiVpu, MultiVpuConfig};
 use ncsw::ModelBundle;
 use vpu_nn::cost::NetworkCost;
 use vpu_nn::googlenet::Variant;
 use vpu_num::f16;
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event-queue/schedule+pop-1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1000u64 {
-                q.schedule(SimTime(i * 7 % 997), i);
-            }
-            while let Some(ev) = q.pop() {
-                black_box(ev);
-            }
-        });
-    });
-}
 
 fn bench_resources(c: &mut Criterion) {
     c.bench_function("fifo-resource/acquire-1k", |b| {
@@ -88,6 +74,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_event_queue, bench_resources, bench_chip, bench_pipeline
+    targets = bench_resources, bench_chip, bench_pipeline
 }
 criterion_main!(benches);

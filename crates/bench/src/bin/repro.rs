@@ -81,10 +81,24 @@ impl EnergyJson {
     }
 }
 
-/// Comma-separated positive floats (`0.9,0.75,0.5`).
+/// Largest `--factors` value `whatif` accepts; factors far above it
+/// overflow the virtual clock.
+const MAX_WHATIF_FACTOR: f64 = 100.0;
+
+/// A finite, strictly positive float.
+fn parse_positive(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0)
+}
+
+/// Comma-separated finite positive floats (`0.9,0.75,0.5`).
 fn parse_f64_list(s: &str) -> Option<Vec<f64>> {
-    let vals: Vec<f64> = s.split(',').map(|v| v.parse::<f64>()).collect::<Result<_, _>>().ok()?;
-    (!vals.is_empty() && vals.iter().all(|&v| v > 0.0)).then_some(vals)
+    s.split(',').map(parse_positive).collect()
+}
+
+/// The one-line error for a flag value out of range; exit 2.
+fn bad_value(flag: &str, value: &str, expected: &str) -> ExitCode {
+    eprintln!("bad {flag} '{value}': expected {expected}");
+    ExitCode::from(2)
 }
 
 fn usage() -> ExitCode {
@@ -190,9 +204,8 @@ fn main() -> ExitCode {
             }
             "--slo-ms" => {
                 let Some(v) = it.next() else { return usage() };
-                let Ok(ms) = v.parse::<f64>() else {
-                    eprintln!("bad --slo-ms '{v}'");
-                    return usage();
+                let Some(ms) = parse_positive(v) else {
+                    return bad_value("--slo-ms", v, "a positive number of milliseconds");
                 };
                 slo_ms = ms;
             }
@@ -214,9 +227,8 @@ fn main() -> ExitCode {
             }
             "--sample-ms" => {
                 let Some(v) = it.next() else { return usage() };
-                let Ok(ms) = v.parse::<f64>() else {
-                    eprintln!("bad --sample-ms '{v}'");
-                    return usage();
+                let Some(ms) = parse_positive(v) else {
+                    return bad_value("--sample-ms", v, "a positive number of milliseconds");
                 };
                 sample_ms = ms;
             }
@@ -267,22 +279,22 @@ fn main() -> ExitCode {
             "--factors" => {
                 let Some(v) = it.next() else { return usage() };
                 match parse_f64_list(v) {
-                    Some(l) => whatif_factors = Some(l),
-                    None => {
-                        eprintln!("bad --factors '{v}' (comma-separated positive numbers)");
-                        return usage();
+                    Some(l) if l.iter().all(|&f| f <= MAX_WHATIF_FACTOR) => {
+                        whatif_factors = Some(l)
+                    }
+                    _ => {
+                        let expected =
+                            format!("comma-separated positive numbers up to {MAX_WHATIF_FACTOR}");
+                        return bad_value("--factors", v, &expected);
                     }
                 }
             }
             "--loads" => {
                 let Some(v) = it.next() else { return usage() };
-                match parse_f64_list(v) {
-                    Some(l) => whatif_loads = Some(l),
-                    None => {
-                        eprintln!("bad --loads '{v}' (comma-separated positive numbers)");
-                        return usage();
-                    }
-                }
+                let Some(l) = parse_f64_list(v) else {
+                    return bad_value("--loads", v, "comma-separated positive numbers");
+                };
+                whatif_loads = Some(l);
             }
             "--prof" => prof_on = true,
             "--gray" => gray_on = true,

@@ -1,0 +1,30 @@
+//! Bad numeric flags fail cleanly: one stderr line naming the token,
+//! exit code 2, no panic.
+
+use std::process::Command;
+
+fn assert_rejected(args: &[&str], token: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: want one line, got {stderr}");
+    assert!(stderr.contains(token), "{args:?}: error does not name '{token}': {stderr}");
+}
+
+#[test]
+fn non_finite_or_non_positive_slo_is_rejected() {
+    assert_rejected(&["serve", "--slo-ms", "nan"], "nan");
+    assert_rejected(&["serve", "--slo-ms", "-5"], "-5");
+}
+
+#[test]
+fn non_positive_sample_interval_is_rejected() {
+    assert_rejected(&["serve", "--sample-ms", "0"], "0");
+}
+
+#[test]
+fn whatif_factor_beyond_the_cap_is_rejected() {
+    assert_rejected(&["whatif", "--factors", "1e308"], "1e308");
+    assert_rejected(&["whatif", "--factors", "0.5,inf"], "0.5,inf");
+}

@@ -8,10 +8,10 @@
 //! scheduling resolves competing USB submissions in the real framework.
 
 use crate::model::ModelBundle;
-use desim::{Duration, SimTime, TraceLog};
+use desim::{Duration, SimTime};
 use ncs_platform::usb::UsbConfig;
-use ncs_platform::{Fleet, GraphHandle, Ncapi, NcsConfig, Topology};
-use ncsw_obs::{BatchObs, Ctx, Event, GanttRecorder, Lane, Phase, Recorder};
+use ncs_platform::{Fleet, GraphHandle, Ncapi, NcsConfig, Topology, UsbBus};
+use ncsw_obs::{BatchObs, Ctx, Event, Lane, Phase};
 use rand::Rng;
 use vpu_num::{f16, rng};
 use vpu_tensor::Tensor;
@@ -62,8 +62,6 @@ pub struct PipelineReport {
     pub outputs: Vec<Option<Tensor<f16>>>,
     /// Joules consumed across all chips.
     pub energy_j: f64,
-    /// Host + device execution spans for the Fig. 4 timeline.
-    pub trace: TraceLog,
 }
 
 impl PipelineReport {
@@ -140,13 +138,6 @@ impl MultiVpu {
         self.run_pipeline_with(count, |_| None)
     }
 
-    /// Timing-only run whose host threads start no earlier than
-    /// `not_before` — the incremental entry point an online batcher uses
-    /// to submit a formed batch at its (virtual) dispatch instant.
-    pub fn run_pipeline_at(&mut self, count: usize, not_before: SimTime) -> PipelineReport {
-        self.run_pipeline_with_at(count, not_before, |_| None)
-    }
-
     /// Run `count` inferences; `numerics(i)` may supply the real FP16
     /// output of image `i` (computed by `vpu-nn` — bit-exact device
     /// arithmetic), which rides through the device queue.
@@ -155,26 +146,18 @@ impl MultiVpu {
         count: usize,
         numerics: impl FnMut(usize) -> Option<Tensor<f16>>,
     ) -> PipelineReport {
-        self.run_pipeline_with_at(count, SimTime::ZERO, numerics)
-    }
-
-    /// The general form: numerics plus an earliest-start bound.
-    pub fn run_pipeline_with_at(
-        &mut self,
-        count: usize,
-        not_before: SimTime,
-        numerics: impl FnMut(usize) -> Option<Tensor<f16>>,
-    ) -> PipelineReport {
         let mut null = ncsw_obs::NullRecorder;
-        self.run_pipeline_obs(count, not_before, numerics, &mut BatchObs::disabled(&mut null))
+        self.run_pipeline_obs(count, SimTime::ZERO, numerics, &mut BatchObs::disabled(&mut null))
     }
 
-    /// Instrumented form: identical timing, but every host `load`/`read`
-    /// span, on-chip `exec` span and USB-fabric leg is also emitted as a
-    /// structured [`Event`] (with `obs`'s request context) through
-    /// `obs.rec`. With a disabled recorder this path does no extra work
-    /// beyond the legacy trace it always built, so timing and RNG
-    /// consumption are bit-identical.
+    /// The general form: numerics, an earliest-start bound (an online
+    /// batcher submits a formed batch at its virtual dispatch instant)
+    /// and an observability context. With an enabled recorder every host
+    /// `load`/`read` span (on `Lane::Host`), on-chip `exec` span (on
+    /// `Lane::Vpu`) and USB-fabric leg is emitted as a structured
+    /// [`Event`] with `obs`'s request context; with a disabled one no
+    /// event is built. Timing and RNG consumption are identical either
+    /// way.
     pub fn run_pipeline_obs(
         &mut self,
         count: usize,
@@ -218,16 +201,18 @@ impl MultiVpu {
         let start = threads.iter().map(|t| t.cursor).min().unwrap();
         let mut result_times = vec![SimTime::ZERO; count];
         let mut outputs: Vec<Option<Tensor<f16>>> = (0..count).map(|_| None).collect();
-        // The legacy Fig. 4 trace is now rebuilt from the same events the
-        // recorder sees, via the Gantt adapter.
-        let mut gantt = GanttRecorder::new();
         let depth = self.cfg.ncs.fifo_depth;
         let mut energy = 0.0f64;
 
-        fn usb_lane(worker: u32, hub: Option<usize>) -> Lane {
-            match hub {
-                None => Lane::UsbRoot { worker },
-                Some(h) => Lane::UsbHub { worker, hub: h as u32 },
+        /// Records the USB-fabric legs the bus tapped since the last drain.
+        fn record_usb(obs: &mut BatchObs<'_>, bus: &mut UsbBus, phase: Phase, ctx: Ctx) {
+            let worker = obs.worker;
+            for s in bus.take_tap() {
+                let lane = match s.hub {
+                    None => Lane::UsbRoot { worker },
+                    Some(h) => Lane::UsbHub { worker, hub: h as u32 },
+                };
+                obs.rec.record(Event::span(phase, lane, s.start, s.end, ctx));
             }
         }
 
@@ -252,26 +237,11 @@ impl MultiVpu {
                 let call_at = t.cursor + j;
                 let returned =
                     self.api.load_tensor(h, call_at, numerics(img)).expect("load_tensor");
-                let ctx = if recording { obs.ctx(img) } else { Ctx::NONE };
-                let load = Event::span(
-                    Phase::UsbWrite,
-                    Lane::Host { worker, dev },
-                    call_at,
-                    returned,
-                    ctx,
-                );
-                gantt.record(load);
                 if recording {
-                    obs.rec.record(load);
-                    for s in self.api.fleet_mut().bus.take_tap() {
-                        obs.rec.record(Event::span(
-                            Phase::UsbWrite,
-                            usb_lane(worker, s.hub),
-                            s.start,
-                            s.end,
-                            ctx,
-                        ));
-                    }
+                    let ctx = obs.ctx(img);
+                    let host = Lane::Host { worker, dev };
+                    obs.rec.record(Event::span(Phase::UsbWrite, host, call_at, returned, ctx));
+                    record_usb(obs, &mut self.api.fleet_mut().bus, Phase::UsbWrite, ctx);
                 }
                 t.cursor = returned;
                 t.next_load += 1;
@@ -281,35 +251,13 @@ impl MultiVpu {
                 let j = Duration::from_nanos(jitter.gen_range(0..=self.cfg.host_jitter.nanos()));
                 let call_at = t.cursor + j;
                 let res = self.api.get_result(h, call_at).expect("get_result");
-                let ctx = if recording { obs.ctx(img) } else { Ctx::NONE };
-                let read = Event::span(
-                    Phase::UsbRead,
-                    Lane::Host { worker, dev },
-                    res.completion,
-                    res.returned_at,
-                    ctx,
-                );
-                let exec = Event::span(
-                    Phase::Exec,
-                    Lane::Vpu { worker, dev },
-                    res.run.start,
-                    res.run.end,
-                    ctx,
-                );
-                gantt.record(read);
-                gantt.record(exec);
                 if recording {
-                    obs.rec.record(read);
-                    obs.rec.record(exec);
-                    for s in self.api.fleet_mut().bus.take_tap() {
-                        obs.rec.record(Event::span(
-                            Phase::UsbRead,
-                            usb_lane(worker, s.hub),
-                            s.start,
-                            s.end,
-                            ctx,
-                        ));
-                    }
+                    let ctx = obs.ctx(img);
+                    let (host, vpu) = (Lane::Host { worker, dev }, Lane::Vpu { worker, dev });
+                    let (done, back) = (res.completion, res.returned_at);
+                    obs.rec.record(Event::span(Phase::UsbRead, host, done, back, ctx));
+                    obs.rec.record(Event::span(Phase::Exec, vpu, res.run.start, res.run.end, ctx));
+                    record_usb(obs, &mut self.api.fleet_mut().bus, Phase::UsbRead, ctx);
                 }
                 energy += res.run.energy_j;
                 result_times[img] = res.returned_at;
@@ -322,7 +270,6 @@ impl MultiVpu {
         if recording {
             self.api.fleet_mut().bus.set_tap(false);
         }
-        let trace = gantt.into_log();
         let end = *result_times.iter().max().unwrap();
         self.last_end = end;
         PipelineReport {
@@ -333,7 +280,6 @@ impl MultiVpu {
             result_times,
             outputs,
             energy_j: energy,
-            trace,
         }
     }
 }
@@ -399,19 +345,21 @@ mod tests {
     }
 
     #[test]
-    fn trace_shows_overlap_between_devices() {
+    fn recorded_execs_overlap_between_devices() {
         let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(4), &model());
-        let r = mv.run_pipeline(8);
-        let lanes = r.trace.lanes();
-        assert!(lanes.iter().filter(|l| l.starts_with("vpu")).count() == 4);
+        let mut log = ncsw_obs::EventLog::new();
+        let mut obs = BatchObs { rec: &mut log, batch_id: 0, worker: 0, ids: &[] };
+        mv.run_pipeline_obs(8, SimTime::ZERO, |_| None, &mut obs);
+        let vpus = log.lanes().into_iter().filter(|l| matches!(l, Lane::Vpu { .. })).count();
+        assert_eq!(vpus, 4);
         // Execs on different devices must overlap in time.
-        let v0 = r.trace.lane_spans("vpu0");
-        let v3 = r.trace.lane_spans("vpu3");
-        assert!(!v0.is_empty() && !v3.is_empty());
-        assert!(
-            v0[0].start < v3[0].end && v3[0].start < v0[0].end,
-            "no overlap between vpu0 and vpu3 first execs"
-        );
+        let first_exec = |dev: u32| {
+            let lane = Lane::Vpu { worker: 0, dev };
+            let e = log.events().iter().find(|e| e.lane == lane).expect("exec span");
+            (e.start, e.finish())
+        };
+        let (v0, v3) = (first_exec(0), first_exec(3));
+        assert!(v0.0 < v3.1 && v3.0 < v0.1, "no overlap between vpu0 and vpu3 first execs");
     }
 
     #[test]
@@ -453,7 +401,7 @@ mod tests {
             &mut obs,
         );
         assert_eq!(plain.result_times, observed.result_times, "instrumentation changed timing");
-        assert_eq!(plain.trace, observed.trace, "legacy Fig. 4 trace must be preserved");
+        assert_eq!(plain.energy_j, observed.energy_j, "instrumentation changed energy");
         // Every image gets a write/exec/read triple tagged with its id.
         for id in 100..108u64 {
             let evs = log.for_request(id);

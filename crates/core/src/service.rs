@@ -21,7 +21,7 @@
 use crate::target::{IntelCpu, IntelVpu, NvGpu};
 use desim::{Duration, SimTime};
 use myriad2::power::PowerModel;
-use ncsw_obs::{BatchObs, Ctx, EnergyProfile, Event, Lane, Phase};
+use ncsw_obs::{BatchObs, Ctx, EnergyProfile, Event, Lane, NullRecorder, Phase};
 
 /// Watts to the integer milliwatts the energy meter integrates with.
 fn mw(watts: f64) -> u64 {
@@ -249,8 +249,7 @@ impl ServiceHook for IntelVpu {
     }
 
     fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
-        let report = self.pipeline_mut().run_pipeline_at(batch, ready);
-        BatchRun { start: report.start, end: report.end, done: report.result_times, wire: None }
+        self.serve_obs(batch, ready, &mut BatchObs::disabled(&mut NullRecorder))
     }
 
     fn serve_obs(&mut self, batch: usize, ready: SimTime, obs: &mut BatchObs<'_>) -> BatchRun {

@@ -10,15 +10,11 @@
 //! elements are serial FIFO resources ([`FifoResource`]: a USB bus, a RISC
 //! command queue) and `k`-parallel server pools ([`ServerPool`]: the 12
 //! SHAVE processors), which jobs acquire at a ready time for a service
-//! duration. Acquisition returns the busy [`Span`]; spans are collected in
-//! a [`TraceLog`] that renders the paper's Fig.-4-style execution timeline.
+//! duration. Acquisition returns the busy interval; the layers above turn
+//! those into observability events.
 
-pub mod queue;
 pub mod resource;
 pub mod time;
-pub mod trace;
 
-pub use queue::{EventQueue, QueueStats};
 pub use resource::{FifoResource, ServerPool};
 pub use time::{Duration, SimTime};
-pub use trace::{Span, TraceLog};

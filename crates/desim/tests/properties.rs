@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation kernel's invariants.
 
-use desim::{Duration, EventQueue, FifoResource, ServerPool, SimTime};
+use desim::{Duration, FifoResource, ServerPool, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -59,29 +59,5 @@ proptest! {
         let rounds = (parts as u64).div_ceil(servers as u64);
         prop_assert_eq!(wall, per_part * rounds, "wall {} per_part {} rounds {}", wall, per_part, rounds);
         prop_assert!(wall >= work / servers as u64, "beat the ideal bound");
-    }
-
-    /// The event queue pops every scheduled event exactly once, in
-    /// nondecreasing time order.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..1_000, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime(t), i);
-        }
-        let popped = q.drain_ordered();
-        prop_assert_eq!(popped.len(), times.len());
-        // Time order.
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            // FIFO among equals.
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
-            }
-        }
-        // Every payload exactly once.
-        let mut seen: Vec<usize> = popped.iter().map(|&(_, p)| p).collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..times.len()).collect::<Vec<_>>());
     }
 }

@@ -27,7 +27,7 @@ pub struct MdkContext {
 
 impl MdkContext {
     pub fn new(cfg: Myriad2Config) -> Self {
-        MdkContext { chip: Myriad2::with_lane(cfg, "mdk"), submitted: 0 }
+        MdkContext { chip: Myriad2::new(cfg), submitted: 0 }
     }
 
     pub fn chip(&self) -> &Myriad2 {

@@ -21,7 +21,7 @@ use crate::ddr::DdrChannel;
 use crate::power::{ActivitySummary, PowerModel};
 use crate::shave;
 use crate::sipp::{SippKernel, SippPipeline};
-use desim::{Duration, ServerPool, SimTime, TraceLog};
+use desim::{Duration, ServerPool, SimTime};
 use serde::{Deserialize, Serialize};
 use vpu_nn::cost::NetworkCost;
 use vpu_nn::graph::CompiledNetwork;
@@ -115,17 +115,10 @@ pub struct Myriad2 {
     sipp: SippPipeline,
     power: PowerModel,
     now: SimTime,
-    trace: TraceLog,
-    lane: String,
 }
 
 impl Myriad2 {
     pub fn new(cfg: Myriad2Config) -> Self {
-        Myriad2::with_lane(cfg, "vpu")
-    }
-
-    /// `lane` names this chip in trace output (e.g. `"vpu3"`).
-    pub fn with_lane(cfg: Myriad2Config, lane: impl Into<String>) -> Self {
         Myriad2 {
             shaves: ServerPool::new("shaves", cfg.shaves),
             cmx: Cmx::new(&cfg),
@@ -134,8 +127,6 @@ impl Myriad2 {
             power: PowerModel { shave_islands: cfg.shaves, ..PowerModel::default() },
             cfg,
             now: SimTime::ZERO,
-            trace: TraceLog::new(),
-            lane: lane.into(),
         }
     }
 
@@ -149,14 +140,6 @@ impl Myriad2 {
 
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
-    pub fn take_trace(&mut self) -> TraceLog {
-        std::mem::take(&mut self.trace)
     }
 
     /// Aggregate busy time since simulation start — the power-integration
@@ -205,7 +188,6 @@ impl Myriad2 {
             span: t - start,
         };
         let energy_j = self.power.energy(&activity);
-        self.trace.push(&self.lane, "exec", start, t);
         NetworkRun { network: cost.network.clone(), start, end: t, layers, activity, energy_j }
     }
 
@@ -257,7 +239,6 @@ impl Myriad2 {
             span: t - start,
         };
         let energy_j = self.power.energy(&activity);
-        self.trace.push(&self.lane, "kernel", start, t);
         NetworkRun { network: "mdk".into(), start, end: t, layers, activity, energy_j }
     }
 
@@ -472,15 +453,6 @@ mod tests {
         let plain = net.forward(&input);
         assert_eq!(out, plain, "device numerics must equal plain fp16 forward");
         assert!(run.duration() > Duration::ZERO);
-    }
-
-    #[test]
-    fn trace_records_runs() {
-        let mut vpu = Myriad2::with_lane(Myriad2Config::default(), "vpu7");
-        vpu.run_cost(&full_cost(), SimTime::ZERO);
-        let trace = vpu.trace();
-        assert_eq!(trace.lanes(), vec!["vpu7".to_string()]);
-        assert_eq!(trace.len(), 1);
     }
 
     #[test]

@@ -334,14 +334,24 @@ mod tests {
 
     #[test]
     fn fifo_depth_gates_burst_loads() {
-        let mut api = api(1);
-        let (handles, ready) = setup(&mut api);
-        let h = handles[0];
-        let t1 = api.load_tensor(h, ready, None).unwrap();
-        let t2 = api.load_tensor(h, t1, None).unwrap();
-        // Third load must wait for the first completion (depth 2).
-        let t3 = api.load_tensor(h, t2, None).unwrap();
-        assert!((t3 - ready).as_millis() > 90.0, "third load returned too early");
+        // Depth 1 serializes fully, 2 is the NCSDK v1 default, and a
+        // deeper FIFO admits a longer burst.
+        for depth in [1, 2, 4] {
+            let cfg = NcsConfig { fifo_depth: depth, ..NcsConfig::default() };
+            let mut api = Ncapi::new(Fleet::new(1, Topology::PaperTestbed, cfg));
+            let (handles, ready) = setup(&mut api);
+            let h = handles[0];
+            // The first `depth` loads go through without waiting on a
+            // completion...
+            let mut t = ready;
+            for _ in 0..depth {
+                t = api.load_tensor(h, t, None).unwrap();
+            }
+            assert!((t - ready).as_millis() < 20.0, "depth {depth}: burst blocked");
+            // ...the next one waits for the first inference to finish.
+            let blocked = api.load_tensor(h, t, None).unwrap();
+            assert!((blocked - ready).as_millis() > 90.0, "depth {depth}: load returned too early");
+        }
     }
 
     #[test]

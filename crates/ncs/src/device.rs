@@ -95,7 +95,7 @@ pub struct NcsDevice {
 impl NcsDevice {
     pub fn new(index: usize, port: UsbPort, cfg: NcsConfig) -> Self {
         NcsDevice {
-            chip: Myriad2::with_lane(cfg.chip.time_scaled(cfg.exec_scale), format!("vpu{index}")),
+            chip: Myriad2::new(cfg.chip.time_scaled(cfg.exec_scale)),
             risc: FifoResource::new(format!("risc{index}")),
             cfg,
             port,
@@ -210,13 +210,6 @@ impl NcsDevice {
     /// `mvncGetGraphOption(..., TIME_TAKEN)`.
     pub fn last_run(&self) -> Option<&NetworkRun> {
         self.pending.back().map(|p| &p.run)
-    }
-
-    /// Resize the inference FIFO (NCSDK v2 allows configurable depths;
-    /// v1 fixed it at 2). Applies to subsequent loads.
-    pub fn set_fifo_depth(&mut self, depth: usize) {
-        assert!(depth >= 1, "FIFO depth must be positive");
-        self.cfg.fifo_depth = depth;
     }
 
     /// Steady-state junction temperature at the chip's lifetime-average

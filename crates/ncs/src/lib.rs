@@ -19,7 +19,6 @@
 //! * [`fleet`] — enumeration and construction of multi-stick testbeds.
 
 pub mod api;
-pub mod api2;
 pub mod device;
 pub mod fleet;
 pub mod graphfile;

@@ -12,9 +12,9 @@
 //!   followed arrival→admission→batch→USB→SHAVE→completion.
 //! - [`Recorder`] — the sink trait; [`NullRecorder`] keeps
 //!   uninstrumented hot paths allocation-free, [`EventLog`] collects
-//!   for export, [`GanttRecorder`] adapts device events back into the
-//!   legacy [`desim::TraceLog`] shape the Fig. 4 ASCII Gantt renders,
-//!   [`Tee`] fans out to two sinks at once.
+//!   for export (and for the Fig. 4 Gantt chart the bench layer draws
+//!   from its host and VPU spans), [`Tee`] fans out to two sinks at
+//!   once.
 //! - [`Registry`] — named counters, gauges and log-bucketed
 //!   [`LogHistogram`]s with typed handles.
 //! - [`TimeSeriesBuilder`]/[`TimeSeries`] — periodic samples of queue
@@ -65,7 +65,7 @@ pub use histogram::LogHistogram;
 pub use prof::{
     CountingWrite, OverheadLedger, ProfReport, ProfiledRecorder, Throughput, WriteStats,
 };
-pub use recorder::{BatchObs, EventLog, GanttRecorder, NullRecorder, Recorder, Tee};
+pub use recorder::{BatchObs, EventLog, NullRecorder, Recorder, Tee};
 pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use sample::{SamplePolicy, SampleStats, SamplingRecorder};
 pub use series::{Sample, TimeSeries, TimeSeriesBuilder};

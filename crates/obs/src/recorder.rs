@@ -1,11 +1,9 @@
 //! The [`Recorder`] sink every instrumented layer writes to, plus the
 //! standard implementations: a no-op recorder for uninstrumented hot
-//! paths, an in-memory event log, and the Fig. 4 Gantt adapter that
-//! keeps [`desim::TraceLog`] rendering working on top of the new
-//! event stream.
+//! paths and an in-memory event log.
 
 use crate::event::{Ctx, Event, Lane, Phase};
-use desim::{SimTime, TraceLog};
+use desim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -157,8 +155,8 @@ impl EventLog {
     }
 }
 
-/// Forwards each event to two recorders (e.g. the Fig. 4 adapter plus
-/// an external event log).
+/// Forwards each event to two recorders (e.g. the run's recorder plus
+/// the flight recorder).
 pub struct Tee<'a> {
     pub a: &'a mut dyn Recorder,
     pub b: &'a mut dyn Recorder,
@@ -176,38 +174,6 @@ impl Recorder for Tee<'_> {
         if self.b.enabled() {
             self.b.record(ev);
         }
-    }
-}
-
-/// Adapter: renders device-lane events into the [`TraceLog`] span shape
-/// the Fig. 4 ASCII Gantt (and its tests) consume — `host{d}` lanes with
-/// `load`/`read` spans, `vpu{d}` lanes with `exec` spans. Non-device
-/// lanes and instant events are ignored.
-#[derive(Debug, Default)]
-pub struct GanttRecorder {
-    log: TraceLog,
-}
-
-impl GanttRecorder {
-    pub fn new() -> Self {
-        GanttRecorder::default()
-    }
-
-    pub fn into_log(self) -> TraceLog {
-        self.log
-    }
-}
-
-impl Recorder for GanttRecorder {
-    fn record(&mut self, ev: Event) {
-        let Some(end) = ev.end else { return };
-        let (lane, label) = match (ev.lane, ev.phase) {
-            (Lane::Host { dev, .. }, Phase::UsbWrite) => (format!("host{dev}"), "load"),
-            (Lane::Host { dev, .. }, Phase::UsbRead) => (format!("host{dev}"), "read"),
-            (Lane::Vpu { dev, .. }, Phase::Exec) => (format!("vpu{dev}"), "exec"),
-            _ => return,
-        };
-        self.log.push(lane, label, ev.start, end);
     }
 }
 
@@ -304,40 +270,5 @@ mod tests {
         let clone = log.clone();
         assert_eq!(clone, log);
         assert_eq!(clone.for_request(1).len(), 2);
-    }
-
-    #[test]
-    fn gantt_adapter_matches_legacy_tracelog_shape() {
-        let mut g = GanttRecorder::new();
-        let w = 0;
-        g.record(Event::span(
-            Phase::UsbWrite,
-            Lane::Host { worker: w, dev: 1 },
-            SimTime(0),
-            SimTime(10),
-            Ctx::NONE,
-        ));
-        g.record(Event::span(
-            Phase::Exec,
-            Lane::Vpu { worker: w, dev: 1 },
-            SimTime(10),
-            SimTime(90),
-            Ctx::NONE,
-        ));
-        g.record(Event::span(
-            Phase::UsbRead,
-            Lane::Host { worker: w, dev: 1 },
-            SimTime(90),
-            SimTime(95),
-            Ctx::NONE,
-        ));
-        // Queue events are not device lanes: ignored.
-        g.record(Event::instant(Phase::Arrive, Lane::Server, SimTime(0), Ctx::NONE));
-        let log = g.into_log();
-        let mut expect = TraceLog::new();
-        expect.push("host1", "load", SimTime(0), SimTime(10));
-        expect.push("vpu1", "exec", SimTime(10), SimTime(90));
-        expect.push("host1", "read", SimTime(90), SimTime(95));
-        assert_eq!(log, expect);
     }
 }

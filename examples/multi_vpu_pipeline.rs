@@ -5,7 +5,7 @@
 //! cargo run --release --example multi_vpu_pipeline
 //! ```
 
-use vpu_coprocessor::framework::multivpu::{MultiVpu, MultiVpuConfig};
+use vpu_coprocessor::experiments::timeline::timeline_with;
 use vpu_coprocessor::framework::{IntelCpu, IntelVpu, ModelBundle, NvGpu, TargetDevice};
 use vpu_coprocessor::nn::googlenet::Variant;
 
@@ -43,13 +43,7 @@ fn main() {
     );
 
     // ---- Fig. 4 timeline on four sticks --------------------------------
-    let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(4), &model);
-    let run = mv.run_pipeline(8);
-    println!(
-        "\nFig. 4 timeline — 4 sticks, 8 images ({} per stick), makespan {:.1} ms:",
-        2,
-        run.makespan().as_millis()
-    );
-    println!("  l = load (USB in), r = read result, e = on-chip execution\n");
-    print!("{}", run.trace.shifted(run.start).render_gantt(90));
+    println!();
+    timeline_with(4, 8).print();
+    println!("  l = load (USB in), r = read result, e = on-chip execution");
 }

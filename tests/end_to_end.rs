@@ -10,6 +10,7 @@ use vpu_coprocessor::framework::runner::{
 };
 use vpu_coprocessor::framework::{ImageFolder, ModelBundle, SourceImage};
 use vpu_coprocessor::nn::googlenet::Variant;
+use vpu_coprocessor::obs::{BatchObs, EventLog, Lane};
 use vpu_coprocessor::platform::{Fleet, Ncapi, NcsConfig, Topology};
 use vpu_coprocessor::sim::SimTime;
 
@@ -86,13 +87,17 @@ fn ncapi_round_trip_with_real_output_payload() {
 fn eight_device_fleet_reaches_paper_envelope_end_to_end() {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 9);
     let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(8), &model);
-    let run = mv.run_pipeline(64);
+    let mut log = EventLog::new();
+    let mut obs = BatchObs { rec: &mut log, batch_id: 0, worker: 0, ids: &[] };
+    let run = mv.run_pipeline_obs(64, SimTime::ZERO, |_| None, &mut obs);
     let ips = run.images_per_sec();
     assert!((70.0..85.0).contains(&ips), "8-stick fleet at {ips} img/s");
     // Energy: 64 inferences at ~65-70 mJ each.
     assert!((2.0..8.0).contains(&run.energy_j), "fleet energy {}", run.energy_j);
-    // The trace must show all 8 chips and their hosts.
-    assert_eq!(run.trace.lanes().iter().filter(|l| l.starts_with("vpu")).count(), 8);
+    // The recorded events must show all 8 chips and their hosts.
+    let lanes = log.lanes();
+    assert_eq!(lanes.iter().filter(|l| matches!(l, Lane::Vpu { .. })).count(), 8);
+    assert_eq!(lanes.iter().filter(|l| matches!(l, Lane::Host { .. })).count(), 8);
 }
 
 #[test]
