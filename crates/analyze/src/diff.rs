@@ -71,7 +71,9 @@ impl MetricDelta {
         let delta = b - a;
         let denom = a.abs().max(b.abs());
         let rel_pct = if denom == 0.0 { 0.0 } else { delta / denom * 100.0 };
-        let significant = delta.abs() >= cfg.abs_floor && rel_pct.abs() >= cfg.rel_pct;
+        // An unchanged metric is neutral even at zero thresholds.
+        let significant =
+            delta != 0.0 && delta.abs() >= cfg.abs_floor && rel_pct.abs() >= cfg.rel_pct;
         let verdict = if !significant {
             Verdict::Neutral
         } else if (delta < 0.0) == lower_is_better {
@@ -273,6 +275,12 @@ mod tests {
         assert_eq!(md(100.0, 110.0).verdict, Verdict::Regressed);
         assert_eq!(md(110.0, 100.0).verdict, Verdict::Improved);
         assert_eq!(md(0.0, 0.0).verdict, Verdict::Neutral);
+        let zero = DiffConfig { abs_floor: 0.0, rel_pct: 0.0 };
+        assert_eq!(MetricDelta::of("m", 100.0, 100.0, true, true, &zero).verdict, Verdict::Neutral);
+        assert_eq!(
+            MetricDelta::of("m", 100.0, 100.1, true, true, &zero).verdict,
+            Verdict::Regressed
+        );
         // Higher-is-better flips direction.
         let m = MetricDelta::of("c", 100.0, 110.0, false, true, &DiffConfig::default());
         assert_eq!(m.verdict, Verdict::Improved);

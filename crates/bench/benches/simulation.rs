@@ -39,6 +39,17 @@ fn bench_resources(c: &mut Criterion) {
             }
         });
     });
+    // The chip's case: each layer's fork-join starts once the previous
+    // one has drained the pool.
+    c.bench_function("server-pool/fork-join-idle-12x100", |b| {
+        b.iter(|| {
+            let mut p = ServerPool::new("shaves", 12);
+            let mut ready = SimTime::ZERO;
+            for _ in 0..100 {
+                ready = black_box(p.acquire_parallel(ready, Duration(1200), 12)).end;
+            }
+        });
+    });
 }
 
 fn bench_chip(c: &mut Criterion) {

@@ -90,6 +90,11 @@ fn parse_positive(s: &str) -> Option<f64> {
     s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0)
 }
 
+/// A finite float `>= 0` (a threshold or tolerance).
+fn parse_non_negative(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v >= 0.0)
+}
+
 /// Comma-separated finite positive floats (`0.9,0.75,0.5`).
 fn parse_f64_list(s: &str) -> Option<Vec<f64>> {
     s.split(',').map(parse_positive).collect()
@@ -242,25 +247,22 @@ fn main() -> ExitCode {
             }
             "--abs-ms" => {
                 let Some(v) = it.next() else { return usage() };
-                let Ok(ms) = v.parse::<f64>() else {
-                    eprintln!("bad --abs-ms '{v}'");
-                    return usage();
+                let Some(ms) = parse_non_negative(v) else {
+                    return bad_value("--abs-ms", v, "a non-negative number of milliseconds");
                 };
                 abs_ms = ms;
             }
             "--rel-pct" => {
                 let Some(v) = it.next() else { return usage() };
-                let Ok(p) = v.parse::<f64>() else {
-                    eprintln!("bad --rel-pct '{v}'");
-                    return usage();
+                let Some(p) = parse_non_negative(v) else {
+                    return bad_value("--rel-pct", v, "a non-negative percentage");
                 };
                 rel_pct = p;
             }
             "--tol-pct" => {
                 let Some(v) = it.next() else { return usage() };
-                let Ok(p) = v.parse::<f64>() else {
-                    eprintln!("bad --tol-pct '{v}'");
-                    return usage();
+                let Some(p) = parse_non_negative(v) else {
+                    return bad_value("--tol-pct", v, "a non-negative percentage");
                 };
                 tol_pct = Some(p);
             }

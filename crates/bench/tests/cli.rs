@@ -28,3 +28,16 @@ fn whatif_factor_beyond_the_cap_is_rejected() {
     assert_rejected(&["whatif", "--factors", "1e308"], "1e308");
     assert_rejected(&["whatif", "--factors", "0.5,inf"], "0.5,inf");
 }
+
+#[test]
+fn non_finite_or_negative_gate_thresholds_are_rejected() {
+    // The files need not exist: flags are checked before any is read.
+    assert_rejected(&["diff", "b.json", "a.json", "--abs-ms", "nan"], "nan");
+    assert_rejected(&["diff", "b.json", "a.json", "--abs-ms", "inf"], "inf");
+    assert_rejected(&["diff", "b.json", "a.json", "--abs-ms", "-1"], "-1");
+    assert_rejected(&["diff", "b.json", "a.json", "--rel-pct", "nan"], "nan");
+    assert_rejected(&["diff", "b.json", "a.json", "--rel-pct", "-inf"], "-inf");
+    assert_rejected(&["bench-diff", "base.json", "cand.json", "--tol-pct", "nan"], "nan");
+    assert_rejected(&["bench-diff", "base.json", "cand.json", "--tol-pct", "-5"], "-5");
+    assert_rejected(&["whatif", "--tol-pct", "inf"], "inf");
+}

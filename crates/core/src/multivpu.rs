@@ -13,6 +13,7 @@ use ncs_platform::usb::UsbConfig;
 use ncs_platform::{Fleet, GraphHandle, Ncapi, NcsConfig, Topology, UsbBus};
 use ncsw_obs::{BatchObs, Ctx, Event, Lane, Phase};
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use vpu_num::{f16, rng};
 use vpu_tensor::Tensor;
 
@@ -88,7 +89,10 @@ pub struct MultiVpu {
     /// Completion instant of the previous pipeline run (host threads of a
     /// later run cannot start before it).
     last_end: SimTime,
-    images_issued: u64,
+    /// Host scheduling jitter, one stream for the pipeline's lifetime:
+    /// back-to-back runs continue it, so each sees fresh but
+    /// deterministic jitter.
+    jitter: ChaCha8Rng,
 }
 
 impl MultiVpu {
@@ -107,7 +111,8 @@ impl MultiVpu {
             handles.push(h);
             ready = SimTime::max_of(ready, t);
         }
-        MultiVpu { api, handles, cfg, ready, last_end: ready, images_issued: 0 }
+        let jitter = rng::stream(cfg.seed, "host-jitter");
+        MultiVpu { api, handles, cfg, ready, last_end: ready, jitter }
     }
 
     pub fn devices(&self) -> usize {
@@ -172,12 +177,6 @@ impl MultiVpu {
         }
         let worker = obs.worker;
         let n = self.cfg.devices;
-        let mut jitter = rng::stream(self.cfg.seed, "host-jitter");
-        // Skip jitter state consumed by earlier runs on this pipeline so
-        // back-to-back subsets see fresh but deterministic jitter.
-        for _ in 0..self.images_issued * 2 {
-            let _: u64 = jitter.gen();
-        }
 
         // Per-thread state.
         struct Thread {
@@ -202,6 +201,7 @@ impl MultiVpu {
         let mut result_times = vec![SimTime::ZERO; count];
         let mut outputs: Vec<Option<Tensor<f16>>> = (0..count).map(|_| None).collect();
         let depth = self.cfg.ncs.fifo_depth;
+        let max_jitter = self.cfg.host_jitter.nanos();
         let mut energy = 0.0f64;
 
         /// Records the USB-fabric legs the bus tapped since the last drain.
@@ -233,7 +233,7 @@ impl MultiVpu {
             let dev = t.device as u32;
             if want_load {
                 let img = t.images[t.next_load];
-                let j = Duration::from_nanos(jitter.gen_range(0..=self.cfg.host_jitter.nanos()));
+                let j = Duration::from_nanos(self.jitter.gen_range(0..=max_jitter));
                 let call_at = t.cursor + j;
                 let returned =
                     self.api.load_tensor(h, call_at, numerics(img)).expect("load_tensor");
@@ -245,10 +245,9 @@ impl MultiVpu {
                 }
                 t.cursor = returned;
                 t.next_load += 1;
-                self.images_issued += 1;
             } else {
                 let img = t.images[t.next_get];
-                let j = Duration::from_nanos(jitter.gen_range(0..=self.cfg.host_jitter.nanos()));
+                let j = Duration::from_nanos(self.jitter.gen_range(0..=max_jitter));
                 let call_at = t.cursor + j;
                 let res = self.api.get_result(h, call_at).expect("get_result");
                 if recording {
@@ -427,5 +426,31 @@ mod tests {
         cfg.seed = 999;
         let r3 = MultiVpu::new(cfg, &m).run_pipeline(8);
         assert_ne!(r1.result_times, r3.result_times, "different seed must differ");
+    }
+
+    #[test]
+    fn back_to_back_runs_continue_the_jitter_stream() {
+        // Three runs on one pipeline, the middle one recorded: each picks
+        // up the jitter stream where the previous one left it. The
+        // literals pin which draws each run takes; re-seeding the stream
+        // per run fails here.
+        let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(4), &model());
+        let nanos =
+            |r: PipelineReport| r.result_times.iter().map(|t| t.nanos()).collect::<Vec<_>>();
+        let first = nanos(mv.run_pipeline(5));
+        let mut log = ncsw_obs::EventLog::new();
+        let ids: Vec<u64> = (0..3).collect();
+        let mut obs = BatchObs { rec: &mut log, batch_id: 1, worker: 0, ids: &ids };
+        let second = nanos(mv.run_pipeline_obs(3, SimTime::ZERO, |_| None, &mut obs));
+        let third = nanos(mv.run_pipeline(8));
+        assert_eq!(first, [1115366906, 1113669988, 1114493447, 1115262461, 1213537464]);
+        assert_eq!(second, [1315675707, 1316444721, 1317268180]);
+        assert_eq!(
+            third,
+            [
+                1419351476, 1420120490, 1420943949, 1421712963, 1519987966, 1520756980, 1521580439,
+                1522349453
+            ]
+        );
     }
 }

@@ -134,10 +134,25 @@ impl ServerPool {
     }
 
     /// Run a job split into `parts` equal chunks across the pool,
-    /// returning when the last chunk finishes (fork-join).
+    /// returning when the last chunk finishes (fork-join). Each chunk is
+    /// one [`Self::acquire`] of `ceil(total_work / parts)`.
+    ///
+    /// When the pool is idle (every server free by `ready`) and there is
+    /// one chunk per server, the result has a closed form: every chunk
+    /// runs `[ready, ready + per_part)`, so that is the returned span and
+    /// every server's free instant. A chip's SHAVE pool is always in this
+    /// state when a layer starts, so the per-chunk loop only runs for
+    /// contended pools.
     pub fn acquire_parallel(&mut self, ready: SimTime, total_work: Duration, parts: usize) -> Busy {
         assert!(parts > 0, "parts must be positive");
         let per_part = Duration::from_nanos(total_work.nanos().div_ceil(parts as u64));
+        if parts == self.free_at.len() && self.free_at.iter().all(|&f| f <= ready) {
+            let end = ready + per_part;
+            self.free_at.fill(end);
+            self.busy_total += per_part * parts as u64;
+            self.requests += parts as u64;
+            return Busy { start: ready, end };
+        }
         let mut start = SimTime(u64::MAX);
         let mut end = SimTime::ZERO;
         for _ in 0..parts {

@@ -1,5 +1,6 @@
 //! Property-based tests of the simulation kernel's invariants.
 
+use desim::resource::Busy;
 use desim::{Duration, FifoResource, ServerPool, SimTime};
 use proptest::prelude::*;
 
@@ -59,5 +60,50 @@ proptest! {
         let rounds = (parts as u64).div_ceil(servers as u64);
         prop_assert_eq!(wall, per_part * rounds, "wall {} per_part {} rounds {}", wall, per_part, rounds);
         prop_assert!(wall >= work / servers as u64, "beat the ideal bound");
+    }
+
+    /// `acquire_parallel` is exactly `parts` single acquires, whatever
+    /// the pool's history: the idle closed form and the contended loop
+    /// both match the written-out reference, in the returned span and in
+    /// the pool's full state.
+    #[test]
+    fn fork_join_equals_per_part_acquires(
+        servers in 1usize..14,
+        history in proptest::collection::vec(
+            (0u64..5_000, 0u64..2_000, any::<bool>(), 0usize..100),
+            0..12,
+        ),
+        idle in any::<bool>(),
+        offset in 0u64..3_000,
+        work in 0u64..100_000,
+        one_per_server in any::<bool>(),
+        parts_pick in 0usize..100,
+    ) {
+        let mut p = ServerPool::new("pool", servers);
+        for &(ready, service, single, pick) in &history {
+            if single {
+                p.acquire(SimTime(ready), Duration(service));
+            } else {
+                p.acquire_parallel(SimTime(ready), Duration(service), pick % (2 * servers) + 1);
+            }
+        }
+        // Half the cases start at or after the pool drains, half at an
+        // arbitrary instant; half split the work once per server (the
+        // chip's case), half into any of 1..=2*servers parts.
+        let ready = if idle { p.all_free() + Duration(offset) } else { SimTime(offset) };
+        let parts = if one_per_server { servers } else { parts_pick % (2 * servers) + 1 };
+
+        let mut reference = p.clone();
+        let per_part = Duration(work.div_ceil(parts as u64));
+        let (mut start, mut end) = (SimTime(u64::MAX), SimTime::ZERO);
+        for _ in 0..parts {
+            let (_, b) = reference.acquire(ready, per_part);
+            start = start.min(b.start);
+            end = end.max(b.end);
+        }
+
+        let busy = p.acquire_parallel(ready, Duration(work), parts);
+        prop_assert_eq!(busy, Busy { start, end });
+        prop_assert_eq!(format!("{:?}", p), format!("{:?}", reference));
     }
 }
