@@ -14,7 +14,7 @@ use crate::scale::Scale;
 use crate::serve_bench::{traced_serve, TRACED_FLEET};
 use desim::Duration;
 use ncsw_analyze::{diff, Analysis, AttributionTable, DiffConfig, TraceDiff};
-use ncsw_serve::DispatchPolicy;
+use ncsw_serve::{DispatchPolicy, GrayConfig};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,8 +49,8 @@ pub fn ab_exp_with(
     candidate: DispatchPolicy,
 ) -> AbExp {
     let sample = Duration::from_millis(10.0);
-    let a = traced_serve(scale, slo, baseline, sample);
-    let b = traced_serve(scale, slo, candidate, sample);
+    let run = |policy| traced_serve(scale, slo, policy, sample, None, GrayConfig::default(), None);
+    let (a, b) = (run(baseline), run(candidate));
     // Analyze through the exported JSON, not the in-memory log, so the
     // experiment also covers the parser round trip end to end.
     let an_a = Analysis::from_chrome(&a.chrome_json).expect("baseline trace parses");

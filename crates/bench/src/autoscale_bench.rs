@@ -257,14 +257,10 @@ impl AutoscaleExp {
 /// `Drain` / `ScaleDown` / `ScaleUp` events and power lanes that go
 /// dark while a stick is gated), the time series CSV with the
 /// `live_sticks` / `scale_events` columns, and the metric summary.
-pub fn traced_autoscale(scale: Scale, policy_name: &str, sample_every: Duration) -> TracedServe {
-    traced_autoscale_sampled(scale, policy_name, sample_every, None)
-}
-
-/// [`traced_autoscale`] with tail-based trace sampling (the
-/// `repro autoscale --sample SPEC` path); sampling is passive, so the
-/// autoscaled outcome and series are identical to the unsampled run.
-pub fn traced_autoscale_sampled(
+/// `sample` enables tail-based trace sampling (the `repro autoscale
+/// --sample SPEC` path); sampling is passive, so the autoscaled outcome
+/// and series are identical to the unsampled run.
+pub fn traced_autoscale(
     scale: Scale,
     policy_name: &str,
     sample_every: Duration,
@@ -273,16 +269,14 @@ pub fn traced_autoscale_sampled(
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let n = requests_per_point(scale);
     let spec = FleetSpec::parse(AUTOSCALE_FLEET).expect("valid fleet spec");
-    let probe = spec.build(&model);
-    let capacity_rps = spec.capacity_rps(&probe);
-    let max_batch = spec.preferred_batch(&probe);
-    drop(probe);
+    let mut workers = spec.build(&model);
+    let capacity_rps = spec.capacity_rps(&workers);
+    let max_batch = spec.preferred_batch(&workers);
     let cfg = ServeConfig { max_batch, ..ServeConfig::default() };
     let scaling = ScalingConfig { elastic: spec.elastic_workers(), ..ScalingConfig::default() };
     let mut policy = ncsw_ctrl::policy(policy_name)
         .unwrap_or_else(|| panic!("unknown scaling policy '{policy_name}'"));
 
-    let mut workers = spec.build(&model);
     let rate = capacity_rps * AUTOSCALE_LOADS[0];
     let load = ArrivalProcess::Poisson { rate_per_sec: rate };
     let ocfg = ObsConfig { sample_every, sample: sample.clone(), ..ObsConfig::default() };
@@ -340,7 +334,7 @@ mod tests {
 
     #[test]
     fn traced_autoscale_exports_scaling_columns_and_events() {
-        let t = traced_autoscale(Scale::Tiny, "reactive", Duration::from_millis(10.0));
+        let t = traced_autoscale(Scale::Tiny, "reactive", Duration::from_millis(10.0), None);
         let header = t.series_csv.lines().next().unwrap();
         assert!(
             header.ends_with(",live_sticks,scale_events"),
@@ -366,14 +360,13 @@ mod tests {
         // enough for the breaker to stay open across controller ticks.
         let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
         let spec = FleetSpec::parse(AUTOSCALE_FLEET).unwrap();
-        let probe = spec.build(&model);
-        let capacity_rps = spec.capacity_rps(&probe);
-        let max_batch = spec.preferred_batch(&probe);
-        drop(probe);
+        let workers = spec.build(&model);
+        let capacity_rps = spec.capacity_rps(&workers);
+        let max_batch = spec.preferred_batch(&workers);
         let cfg = ServeConfig { max_batch, ..ServeConfig::default() };
         let scaling = ScalingConfig { elastic: spec.elastic_workers(), ..Default::default() };
         let plan = ncsw_faults::FaultPlan::parse("w0:unplug@2s:reconnect@6s").unwrap();
-        let mut workers = plan.apply(spec.build(&model), cfg.seed);
+        let mut workers = plan.apply(workers, cfg.seed);
         let load = ArrivalProcess::Poisson { rate_per_sec: capacity_rps * 0.3 };
         let mut policy = ncsw_ctrl::policy("reactive").unwrap();
         let outcome = serve_autoscaled(&mut workers, &cfg, &load, 300, &scaling, policy.as_mut());

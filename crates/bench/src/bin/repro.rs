@@ -85,6 +85,10 @@ impl EnergyJson {
 /// overflow the virtual clock.
 const MAX_WHATIF_FACTOR: f64 = 100.0;
 
+/// Smallest `--sample-ms` accepted: finer intervals round toward a zero
+/// nanosecond step or emit millions of rows per virtual second.
+const MIN_SAMPLE_MS: f64 = 0.001;
+
 /// A finite, strictly positive float.
 fn parse_positive(s: &str) -> Option<f64> {
     s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0)
@@ -232,8 +236,8 @@ fn main() -> ExitCode {
             }
             "--sample-ms" => {
                 let Some(v) = it.next() else { return usage() };
-                let Some(ms) = parse_positive(v) else {
-                    return bad_value("--sample-ms", v, "a positive number of milliseconds");
+                let Some(ms) = parse_positive(v).filter(|&ms| ms >= MIN_SAMPLE_MS) else {
+                    return bad_value("--sample-ms", v, "a number of milliseconds >= 0.001");
                 };
                 sample_ms = ms;
             }
@@ -508,7 +512,7 @@ fn main() -> ExitCode {
                 } else {
                     ncsw_serve::GrayConfig::default()
                 };
-                let r = profiled!(serve_bench::traced_serve_sampled(
+                let r = profiled!(serve_bench::traced_serve(
                     scale,
                     desim::Duration::from_millis(slo_ms),
                     policy,
@@ -529,7 +533,7 @@ fn main() -> ExitCode {
                     || incidents_dir.is_some()
                     || prof_on =>
             {
-                let r = profiled!(vpu_bench::autoscale_bench::traced_autoscale_sampled(
+                let r = profiled!(vpu_bench::autoscale_bench::traced_autoscale(
                     scale,
                     &ctrl_policy,
                     desim::Duration::from_millis(sample_ms),

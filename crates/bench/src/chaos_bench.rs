@@ -167,10 +167,9 @@ struct CampaignRun {
 
 fn execute(spec: &CampaignSpec, plan: &FaultPlan, model: &ModelBundle) -> CampaignRun {
     let fleet = FleetSpec::parse(&spec.fleet).expect("valid fleet spec");
-    let probe = fleet.build(model);
-    let capacity_rps = fleet.capacity_rps(&probe);
-    let max_batch = fleet.preferred_batch(&probe);
-    drop(probe);
+    let workers = fleet.build(model);
+    let capacity_rps = fleet.capacity_rps(&workers);
+    let max_batch = fleet.preferred_batch(&workers);
     let cfg = ServeConfig {
         max_batch,
         shed: ShedPolicy::parse(&spec.shed).expect("round-trip shed policy"),
@@ -179,8 +178,7 @@ fn execute(spec: &CampaignSpec, plan: &FaultPlan, model: &ModelBundle) -> Campai
         gray: GrayConfig::defended(),
         ..ServeConfig::default()
     };
-    let mut workers = fleet.build(model);
-    workers = plan.apply(workers, cfg.seed);
+    let mut workers = plan.apply(workers, cfg.seed);
     let load = ArrivalProcess::Poisson { rate_per_sec: capacity_rps * spec.load_frac };
     let ocfg = ObsConfig { sample_every: Duration::from_millis(10.0), ..ObsConfig::default() };
     let (outcome, obs) = serve_observed(&mut workers, &cfg, &load, spec.requests, &ocfg);

@@ -278,51 +278,15 @@ pub(crate) fn observed_artifacts(obs: &mut ncsw_serve::ServeObservation) -> Obse
     }
 }
 
-/// One observed serving run on the heterogeneous fleet. Deterministic:
-/// the same scale/slo/policy/sample settings produce byte-identical
-/// `chrome_json` and `series_csv` on every machine.
+/// One observed serving run on the heterogeneous fleet (the `repro
+/// serve --trace` path), with an optional fault plan injected into the
+/// fleet, the gray-failure defenses configured, and optional tail-based
+/// trace sampling. Deterministic: the same arguments produce
+/// byte-identical `chrome_json` and `series_csv` on every machine. No
+/// plan (or the empty one), the all-off `gray` default and no `sample`
+/// (or `all`) each leave the run byte-identical to the plain one;
+/// sampling only shrinks the exported trace.
 pub fn traced_serve(
-    scale: Scale,
-    slo: Duration,
-    policy: DispatchPolicy,
-    sample_every: Duration,
-) -> TracedServe {
-    traced_serve_with_faults(scale, slo, policy, sample_every, None)
-}
-
-/// [`traced_serve`] with a fault plan injected into the fleet (the
-/// `repro serve --faults SPEC` path). `None` — or the empty plan — is
-/// byte-identical to the un-faulted run.
-pub fn traced_serve_with_faults(
-    scale: Scale,
-    slo: Duration,
-    policy: DispatchPolicy,
-    sample_every: Duration,
-    faults: Option<&ncsw_faults::FaultPlan>,
-) -> TracedServe {
-    traced_serve_gray(scale, slo, policy, sample_every, faults, ncsw_serve::GrayConfig::default())
-}
-
-/// [`traced_serve_with_faults`] with the gray-failure defenses
-/// configured (the `repro serve --gray` path). The all-off default is
-/// byte-identical to [`traced_serve_with_faults`].
-pub fn traced_serve_gray(
-    scale: Scale,
-    slo: Duration,
-    policy: DispatchPolicy,
-    sample_every: Duration,
-    faults: Option<&ncsw_faults::FaultPlan>,
-    gray: ncsw_serve::GrayConfig,
-) -> TracedServe {
-    traced_serve_sampled(scale, slo, policy, sample_every, faults, gray, None)
-}
-
-/// [`traced_serve_gray`] with tail-based trace sampling (the
-/// `repro serve --sample SPEC` path). `None` records full fidelity;
-/// `Some(all)` is byte-identical to `None`. Sampling is passive: the
-/// served outcome, time series and registry are identical either way —
-/// only the exported trace shrinks.
-pub fn traced_serve_sampled(
     scale: Scale,
     slo: Duration,
     policy: DispatchPolicy,
@@ -334,13 +298,10 @@ pub fn traced_serve_sampled(
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let n = requests_per_point(scale);
     let spec = FleetSpec::parse(TRACED_FLEET).expect("valid fleet spec");
-    let probe = spec.build(&model);
-    let capacity_rps = spec.capacity_rps(&probe);
-    let max_batch = spec.preferred_batch(&probe);
-    drop(probe);
-
-    let cfg = ServeConfig { max_batch, slo, policy, gray, ..ServeConfig::default() };
     let mut workers = spec.build(&model);
+    let capacity_rps = spec.capacity_rps(&workers);
+    let max_batch = spec.preferred_batch(&workers);
+    let cfg = ServeConfig { max_batch, slo, policy, gray, ..ServeConfig::default() };
     if let Some(plan) = faults {
         workers = plan.apply(workers, cfg.seed);
     }

@@ -434,6 +434,9 @@ mod tests {
             Duration::from_millis(500.0),
             DispatchPolicy::CostAware,
             Duration::from_millis(10.0),
+            None,
+            ncsw_serve::GrayConfig::default(),
+            None,
         )
         .chrome_json
     }
@@ -458,19 +461,21 @@ mod tests {
         // Unplug the VPU worker early enough that the tiny horizon
         // (~1 s) sees the outage, the circuit opening, and a probe.
         let plan = ncsw_faults::FaultPlan::parse("unplug@100ms:reconnect@400ms").unwrap();
-        crate::serve_bench::traced_serve_with_faults(
+        traced_serve(
             Scale::Tiny,
             Duration::from_millis(500.0),
             DispatchPolicy::CostAware,
             Duration::from_millis(10.0),
             Some(&plan),
+            ncsw_serve::GrayConfig::default(),
+            None,
         )
         .chrome_json
     }
 
     #[test]
     fn sampled_trace_validates_and_carries_the_sampling_ledger() {
-        let t = crate::serve_bench::traced_serve_sampled(
+        let t = traced_serve(
             Scale::Tiny,
             Duration::from_millis(500.0),
             DispatchPolicy::CostAware,
@@ -583,6 +588,7 @@ mod tests {
             Scale::Tiny,
             "reactive",
             Duration::from_millis(10.0),
+            None,
         )
         .chrome_json;
         let check = validate(&json).expect("autoscaled trace must validate");

@@ -21,6 +21,11 @@ fn non_finite_or_non_positive_slo_is_rejected() {
 #[test]
 fn non_positive_sample_interval_is_rejected() {
     assert_rejected(&["serve", "--sample-ms", "0"], "0");
+    // Below 1 us the interval rounds to a zero-ns step (1e-7) or
+    // emits millions of rows per virtual second (1e-6).
+    assert_rejected(&["serve", "--sample-ms", "1e-7"], "1e-7");
+    assert_rejected(&["serve", "--sample-ms", "1e-6"], "1e-6");
+    assert_rejected(&["serve", "--sample-ms", "0.0009"], "0.0009");
 }
 
 #[test]

@@ -18,15 +18,13 @@ use vpu_nn::googlenet::Variant;
 fn defended_failslow_run() -> (ncsw_serve::ServeOutcome, trace_check::TraceCheck) {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let spec = FleetSpec::parse(GRAY_FLEET).unwrap();
-    let probe = spec.build(&model);
-    let rate = spec.capacity_rps(&probe) * GRAY_LOAD_FRACTION;
-    let max_batch = spec.preferred_batch(&probe);
-    drop(probe);
+    let workers = spec.build(&model);
+    let rate = spec.capacity_rps(&workers) * GRAY_LOAD_FRACTION;
+    let max_batch = spec.preferred_batch(&workers);
     let n = 200;
     let horizon_secs = n as f64 / rate;
     let cfg = ServeConfig { max_batch, gray: GrayConfig::defended(), ..ServeConfig::default() };
-    let mut workers = spec.build(&model);
-    workers = failslow_plan(6.0, horizon_secs).apply(workers, cfg.seed);
+    let mut workers = failslow_plan(6.0, horizon_secs).apply(workers, cfg.seed);
     let load = ArrivalProcess::Poisson { rate_per_sec: rate };
     let ocfg = ObsConfig { sample_every: Duration::from_millis(10.0), ..ObsConfig::default() };
     let (outcome, obs) = serve_observed(&mut workers, &cfg, &load, n, &ocfg);
@@ -61,10 +59,9 @@ fn heterogeneous_traced_fleet_engages_defenses() {
     // within a tiny run and hedge the stick's stretched batches.
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let spec = FleetSpec::parse("cpu+gpu+8xvpu").unwrap();
-    let probe = spec.build(&model);
-    let rate = spec.capacity_rps(&probe) * 0.7;
-    let max_batch = spec.preferred_batch(&probe);
-    drop(probe);
+    let workers = spec.build(&model);
+    let rate = spec.capacity_rps(&workers) * 0.7;
+    let max_batch = spec.preferred_batch(&workers);
     let n = 200;
     let horizon_secs = n as f64 / rate;
     let mut plan = FaultPlan::empty();
@@ -77,8 +74,7 @@ fn heterogeneous_traced_fleet_engages_defenses() {
         },
     );
     let cfg = ServeConfig { max_batch, gray: GrayConfig::defended(), ..ServeConfig::default() };
-    let mut workers = spec.build(&model);
-    workers = plan.apply(workers, cfg.seed);
+    let mut workers = plan.apply(workers, cfg.seed);
     let load = ArrivalProcess::Poisson { rate_per_sec: rate };
     let ocfg = ObsConfig { sample_every: Duration::from_millis(10.0), ..ObsConfig::default() };
     let (outcome, obs) = serve_observed(&mut workers, &cfg, &load, n, &ocfg);
@@ -101,17 +97,15 @@ fn defended_corruption_run_rejects_and_validates() {
     // the trace must carry resolved IntegrityFail events.
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let spec = FleetSpec::parse(GRAY_FLEET).unwrap();
-    let probe = spec.build(&model);
-    let rate = spec.capacity_rps(&probe) * GRAY_LOAD_FRACTION;
-    let max_batch = spec.preferred_batch(&probe);
-    drop(probe);
+    let workers = spec.build(&model);
+    let rate = spec.capacity_rps(&workers) * GRAY_LOAD_FRACTION;
+    let max_batch = spec.preferred_batch(&workers);
     let cfg = ServeConfig { max_batch, gray: GrayConfig::defended(), ..ServeConfig::default() };
     let mut plan = FaultPlan::empty();
     plan.push(Some(0), FaultEvent::ResultCorrupt { per_image_prob: 0.08 });
     plan.push(Some(0), FaultEvent::DuplicateCompletion { per_image_prob: 0.05 });
     plan.push(Some(0), FaultEvent::DroppedCompletion { per_image_prob: 0.05 });
-    let mut workers = spec.build(&model);
-    workers = plan.apply(workers, cfg.seed);
+    let mut workers = plan.apply(workers, cfg.seed);
     let load = ArrivalProcess::Poisson { rate_per_sec: rate };
     let ocfg = ObsConfig { sample_every: Duration::from_millis(10.0), ..ObsConfig::default() };
     let (outcome, obs) = serve_observed(&mut workers, &cfg, &load, 200, &ocfg);

@@ -229,12 +229,7 @@ impl ServiceHook for NvGpu {
     }
 
     fn max_batch(&self) -> Option<usize> {
-        let cost = &self.model().cost32;
-        let mut b = 1;
-        while b < 4096 && self.device().batch_fits(cost, b + 1) {
-            b += 1;
-        }
-        Some(b)
+        Some(self.device().max_batch(&self.model().cost32))
     }
 
     fn energy_profile(&self) -> EnergyProfile {

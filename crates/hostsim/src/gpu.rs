@@ -7,6 +7,15 @@ use vpu_nn::cost::NetworkCost;
 use vpu_nn::graph::CompiledNetwork;
 use vpu_tensor::Tensor;
 
+/// Upper bound on [`GpuDevice::max_batch`].
+const MAX_BATCH: usize = 4096;
+
+/// GDDR5 one image of a batch occupies: blob + workspace, ~3× its
+/// activation footprint.
+fn per_image_bytes(cost: &NetworkCost) -> u64 {
+    3 * cost.total_activation_bytes()
+}
+
 /// Parameters of the GPU implementation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpuConfig {
@@ -104,8 +113,18 @@ impl GpuDevice {
     /// Does a batch of this size fit GDDR5? (Blob + workspace ~ 3× the
     /// activation footprint per image.)
     pub fn batch_fits(&self, cost: &NetworkCost, batch: usize) -> bool {
-        let per_image = 3 * cost.total_activation_bytes();
-        cost.total_weight_bytes() + per_image * batch as u64 <= self.cfg.memory_bytes
+        cost.total_weight_bytes() + per_image_bytes(cost) * batch as u64 <= self.cfg.memory_bytes
+    }
+
+    /// Largest batch that [`GpuDevice::batch_fits`], clamped to
+    /// `1..=MAX_BATCH`: weights that alone overflow memory still get 1,
+    /// a network without activations gets the cap.
+    pub fn max_batch(&self, cost: &NetworkCost) -> usize {
+        let room = self.cfg.memory_bytes.checked_sub(cost.total_weight_bytes());
+        room.map_or(1, |room| {
+            room.checked_div(per_image_bytes(cost))
+                .map_or(MAX_BATCH, |k| k.clamp(1, MAX_BATCH as u64) as usize)
+        })
     }
 
     /// Predicted duration of one batched forward call.
@@ -193,6 +212,41 @@ mod tests {
         let c = cost();
         assert!(dev.batch_fits(&c, 16));
         assert!(!dev.batch_fits(&c, 4000), "3 GB cannot hold thousands of 224x224 blobs");
+    }
+
+    #[test]
+    fn max_batch_is_the_closed_form_of_stepping_batch_fits() {
+        // The stepping loop `max_batch` replaces, kept as the reference.
+        fn stepped(dev: &GpuDevice, c: &NetworkCost) -> usize {
+            let mut b = 1;
+            while b < MAX_BATCH && dev.batch_fits(c, b + 1) {
+                b += 1;
+            }
+            b
+        }
+        let c = cost();
+        let no_activations = NetworkCost { layers: Vec::new(), ..c.clone() };
+        let (w, p) = (c.total_weight_bytes(), per_image_bytes(&c));
+        let memories = [
+            0,
+            w - 1, // weights alone overflow
+            w,
+            w + p - 1,
+            w + p,
+            w + 2 * p,
+            w + 17 * p + 5,
+            GpuConfig::default().memory_bytes,
+            w + 4095 * p,
+            w + 4096 * p,
+            w + 4097 * p,
+            u64::MAX / 2,
+        ];
+        for memory_bytes in memories {
+            let dev = GpuDevice::new(GpuConfig { memory_bytes, ..GpuConfig::default() });
+            for net in [&c, &no_activations] {
+                assert_eq!(dev.max_batch(net), stepped(&dev, net), "memory {memory_bytes}");
+            }
+        }
     }
 
     #[test]

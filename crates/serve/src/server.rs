@@ -15,6 +15,25 @@
 //! and is handed to a worker no earlier than the policy allows, so under
 //! overload the bounded queue fills and the admission controller sheds.
 //!
+//! ## Stages
+//!
+//! All four entry points drive one private `Run`, which owns the
+//! per-run state (queue, failover and energy books, the optional
+//! observers and controller). Each pass of `Run::serve` calls `plan`
+//! and then exactly one event method:
+//!
+//! - `tick` — the autoscaling controller (`scale_down` / `scale_up`);
+//! - `arrive` — admission control;
+//! - `dispatch` — close a batch and serve it. `readmit` turns a
+//!   breaker or quarantine probe back on, `defend` runs the gray-failure
+//!   defenses (`hedge`, `score_fail_slow`), and the batch then ends in
+//!   `complete` or `fail` (`trip_breaker`).
+//!
+//! Every request ends through one method per outcome: `deliver`,
+//! `retry_or_shed` or `shed`. Busy energy is booked through `charge`.
+//! Recorder, time series and metrics are fed through `record` and
+//! `observe`, which do nothing on an unobserved run.
+//!
 //! ## Fault tolerance
 //!
 //! Dispatch goes through the fallible [`ServiceHook::try_serve_obs`], so
@@ -41,14 +60,14 @@
 use crate::fleet::{live_capacity_rps, live_preferred_batch, worker_rps};
 use crate::workload::ArrivalProcess;
 use desim::{Duration, SimTime};
-use ncsw::service::{FailureKind, ServeError, ServiceHook};
+use ncsw::service::{BatchRun, FailureKind, ServeError, ServiceHook};
 use ncsw_ctrl::{PrimeContext, ScaleDecision, ScaleSignals, ScalingPolicy};
 use ncsw_obs::{
     prof, BatchObs, CounterId, Ctx, EnergyMeter, Event, EventLog, FlightConfig, FlightRecorder,
     GaugeId, HistogramId, Lane, NullRecorder, Phase, ProfiledRecorder, Recorder, Registry,
     SamplePolicy, SampleStats, SamplingRecorder, Tee, TimeSeries, TimeSeriesBuilder,
 };
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -646,7 +665,7 @@ impl SamplerDrive {
     }
 }
 
-/// Live observability state threaded through [`serve_core`].
+/// Live observability state of an observed [`Run`].
 struct ObsAccum {
     sampler: SamplerDrive,
     meters: Meters,
@@ -737,8 +756,8 @@ const OUTCOME_GOOD: u8 = 0;
 const OUTCOME_MISS: u8 = 1;
 const OUTCOME_SHED: u8 = 2;
 
-/// Controller state threaded through [`serve_core`] on autoscaled runs.
-/// `None` everywhere else — the static-fleet paths never construct one,
+/// Controller state of an autoscaled [`Run`]. `None` everywhere
+/// else — the static-fleet paths never construct one,
 /// which is what keeps them bit-identical to pre-controller behavior.
 struct CtrlState<'a> {
     cfg: ScalingConfig,
@@ -825,6 +844,30 @@ impl<'a> CtrlState<'a> {
         self.outcomes.push(Reverse((at.nanos(), kind)));
     }
 
+    /// Bin every outcome at or before `tk` into the current bucket and
+    /// close it.
+    fn close_bucket(&mut self, tk: SimTime) {
+        while let Some(&Reverse((at, kind))) = self.outcomes.peek() {
+            if at > tk.nanos() {
+                break;
+            }
+            self.outcomes.pop();
+            match kind {
+                OUTCOME_SHED => self.cur.shed += 1,
+                OUTCOME_MISS => {
+                    self.cur.completed += 1;
+                    self.cur.missed += 1;
+                }
+                _ => self.cur.completed += 1,
+            }
+        }
+        self.hist.push_back(self.cur);
+        if self.hist.len() > SLOW_WINDOW {
+            self.hist.pop_front();
+        }
+        self.cur = TickBucket::default();
+    }
+
     /// Sum a field over the trailing `window` closed buckets.
     fn window_sum(&self, window: usize, f: impl Fn(&TickBucket) -> u64) -> (u64, usize) {
         let k = self.hist.len().min(window);
@@ -872,158 +915,6 @@ impl<'a> CtrlState<'a> {
             quarantined,
             stick_rps: self.stick_rps,
             base_rps: self.base_rps,
-        }
-    }
-}
-
-/// Process one controller tick: flip provisioned sticks live, close the
-/// outcome bucket, ask the policy, and actuate its decision. Dispatch
-/// is synchronous, so at drain time every worker's `busy_until` is
-/// final — the power-gate instant is computable eagerly.
-#[allow(clippy::too_many_arguments)]
-fn ctrl_tick(
-    ctrl: &mut CtrlState,
-    workers: &mut [Box<dyn ServiceHook>],
-    cfg: &ServeConfig,
-    fo: &mut FailoverState,
-    meter: &mut EnergyMeter,
-    queue_depth: usize,
-    rec: &mut dyn Recorder,
-    obs: &mut Option<&mut ObsAccum>,
-) {
-    let tk = ctrl.next_tick;
-    ctrl.next_tick = tk + ctrl.cfg.tick;
-    ctrl.stats.ticks += 1;
-
-    // Provisioning sticks whose delay elapsed become dispatchable.
-    let mut changed = false;
-    for &w in &ctrl.cfg.elastic {
-        if let ScaleState::Provisioning { ready_at } = ctrl.state[w] {
-            if ready_at <= tk {
-                ctrl.state[w] = ScaleState::Live;
-                fo.not_ready[w] = None;
-                changed = true;
-            }
-        }
-    }
-    if changed {
-        fo.recompute_degradation(workers, cfg);
-    }
-
-    // Close the tick's outcome bucket.
-    while let Some(&Reverse((at, kind))) = ctrl.outcomes.peek() {
-        if at > tk.nanos() {
-            break;
-        }
-        ctrl.outcomes.pop();
-        match kind {
-            OUTCOME_SHED => ctrl.cur.shed += 1,
-            OUTCOME_MISS => {
-                ctrl.cur.completed += 1;
-                ctrl.cur.missed += 1;
-            }
-            _ => ctrl.cur.completed += 1,
-        }
-    }
-    ctrl.hist.push_back(ctrl.cur);
-    if ctrl.hist.len() > SLOW_WINDOW {
-        ctrl.hist.pop_front();
-    }
-    ctrl.cur = TickBucket::default();
-
-    let signals = ctrl.signals(tk, queue_depth, fo);
-    let wctx = |w: usize| Ctx { request_id: None, batch_id: None, worker: Some(w as u32) };
-    match ctrl.policy.decide(&signals) {
-        ScaleDecision::Hold => {}
-        ScaleDecision::Down(k) => {
-            // Drain the highest-index live sticks, never below the
-            // floor. Dispatches stop now; the gate lands when the
-            // stick's (already final) backlog does.
-            let committed = signals.live + signals.provisioning;
-            let allowed = committed.saturating_sub(ctrl.cfg.min_live).min(k);
-            let victims: Vec<usize> = ctrl
-                .cfg
-                .elastic
-                .iter()
-                .rev()
-                .copied()
-                .filter(|&w| ctrl.state[w] == ScaleState::Live)
-                .take(allowed)
-                .collect();
-            for &w in &victims {
-                let gate_at = SimTime::max_of(tk, workers[w].busy_until());
-                ctrl.state[w] = ScaleState::Gated { since: gate_at };
-                fo.gated[w] = true;
-                meter.power_off(w as u32, gate_at);
-                ctrl.stats.scale_downs += 1;
-                if rec.enabled() {
-                    rec.record(Event::instant(Phase::Drain, Lane::Worker(w as u32), tk, wctx(w)));
-                    rec.record(Event::instant(
-                        Phase::ScaleDown,
-                        Lane::Worker(w as u32),
-                        gate_at,
-                        wctx(w),
-                    ));
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    o.sampler.b.power_event(w, gate_at, false);
-                }
-            }
-            if !victims.is_empty() {
-                if let Some(o) = obs.as_deref_mut() {
-                    o.sampler.b.scale_event(tk, -(victims.len() as i64), 1);
-                }
-                fo.recompute_degradation(workers, cfg);
-            }
-        }
-        ScaleDecision::Up(k) => {
-            // Power the lowest-index gated sticks back on. Sticks still
-            // draining (gate instant ahead of this tick) are skipped —
-            // re-upping one inside its own drain window would be flap,
-            // and skipping keeps every power window strictly ordered.
-            let picks: Vec<(usize, SimTime)> = ctrl
-                .cfg
-                .elastic
-                .iter()
-                .copied()
-                .filter_map(|w| match ctrl.state[w] {
-                    ScaleState::Gated { since } if since < tk => Some((w, since)),
-                    _ => None,
-                })
-                .take(k)
-                .collect();
-            for &(w, _) in &picks {
-                let ready_at = tk + ctrl.cfg.provision_delay;
-                ctrl.state[w] = ScaleState::Provisioning { ready_at };
-                fo.gated[w] = false;
-                fo.not_ready[w] = Some(ready_at);
-                fo.ready_floor[w] = ready_at;
-                // Provisioning draws idle power from the decision on.
-                meter.power_on(w as u32, tk);
-                ctrl.stats.scale_ups += 1;
-                if signals.open_circuits > 0 {
-                    ctrl.stats.replacements += 1;
-                }
-                if rec.enabled() {
-                    rec.record(Event::span(
-                        Phase::ScaleUp,
-                        Lane::Worker(w as u32),
-                        tk,
-                        ready_at,
-                        wctx(w),
-                    ));
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    o.sampler.b.power_event(w, tk, true);
-                    o.sampler.b.scale_event(ready_at, 1, 0);
-                }
-            }
-            if !picks.is_empty() {
-                if let Some(o) = obs.as_deref_mut() {
-                    o.sampler.b.scale_event(tk, 0, 1);
-                }
-                fo.recompute_degradation(workers, cfg);
-            }
         }
     }
 }
@@ -1117,7 +1008,7 @@ impl RatioHist {
     }
 }
 
-/// Mutable failover state of one run, kept out of `serve_core`'s way.
+/// Mutable failover state of one run.
 struct FailoverState {
     health: Vec<Health>,
     /// Power-gated by the autoscaler: never routable until a `ScaleUp`
@@ -1201,21 +1092,11 @@ impl FailoverState {
     /// floor): breaker cooldown, provisioning delay and quarantine
     /// window all gate it.
     fn floor_of(&self, i: usize) -> Option<SimTime> {
-        match (
-            self.health[i].open_until(),
-            self.not_ready[i],
-            self.quarantined[i],
-            self.ready_floor[i],
-        ) {
-            (None, None, None, SimTime::ZERO) => None,
-            (a, b, q, f) => Some(SimTime::max_of(
-                SimTime::max_of(
-                    SimTime::max_of(a.unwrap_or(SimTime::ZERO), b.unwrap_or(SimTime::ZERO)),
-                    q.unwrap_or(SimTime::ZERO),
-                ),
-                f,
-            )),
+        let floors = [self.health[i].open_until(), self.not_ready[i], self.quarantined[i]];
+        if floors.iter().all(Option::is_none) && self.ready_floor[i] == SimTime::ZERO {
+            return None;
         }
+        Some(floors.into_iter().flatten().fold(self.ready_floor[i], SimTime::max_of))
     }
 
     /// Worker `i` may be handed a batch at `at` (gates never clear on
@@ -1343,8 +1224,7 @@ pub fn serve(
     process: &ArrivalProcess,
     n: usize,
 ) -> ServeOutcome {
-    let mut null = NullRecorder;
-    serve_core(workers, cfg, process, n, &mut null, None, None)
+    Run::new(workers, cfg, &mut NullRecorder, None, None).serve(process, n)
 }
 
 /// [`serve`] with a closed-loop autoscaler: every `scaling.tick` of
@@ -1361,9 +1241,8 @@ pub fn serve_autoscaled(
     scaling: &ScalingConfig,
     policy: &mut dyn ScalingPolicy,
 ) -> ServeOutcome {
-    let mut null = NullRecorder;
-    let mut ctrl = CtrlState::new(scaling, workers, policy);
-    serve_core(workers, cfg, process, n, &mut null, None, Some(&mut ctrl))
+    let ctrl = CtrlState::new(scaling, workers, policy);
+    Run::new(workers, cfg, &mut NullRecorder, None, Some(ctrl)).serve(process, n)
 }
 
 /// [`serve`] with observability: identical outcome (the recorder never
@@ -1393,8 +1272,7 @@ pub fn serve_autoscaled_observed(
     policy: &mut dyn ScalingPolicy,
     ocfg: &ObsConfig,
 ) -> (ServeOutcome, ServeObservation) {
-    let mut ctrl = CtrlState::new(scaling, workers, policy);
-    observed_core(workers, cfg, process, n, ocfg, Some(&mut ctrl))
+    observed_core(workers, cfg, process, n, ocfg, Some((scaling, policy)))
 }
 
 fn observed_core(
@@ -1403,21 +1281,15 @@ fn observed_core(
     process: &ArrivalProcess,
     n: usize,
     ocfg: &ObsConfig,
-    ctrl: Option<&mut CtrlState>,
+    scaling: Option<(&ScalingConfig, &mut dyn ScalingPolicy)>,
 ) -> (ServeOutcome, ServeObservation) {
     assert!(!workers.is_empty(), "need at least one worker");
-    let epoch = workers.iter().map(|w| w.busy_until()).max().unwrap();
+    let epoch = workers.iter().map(|w| w.busy_until()).max().expect("fleet is non-empty");
     let labels = workers.iter().map(|w| w.label()).collect();
     let mut builder = TimeSeriesBuilder::new(labels, epoch, ocfg.sample_every, cfg.slo);
-    builder.set_power(
-        workers
-            .iter()
-            .map(|w| {
-                let p = w.energy_profile();
-                (p.busy_mw, p.idle_mw)
-            })
-            .collect(),
-    );
+    let profiles = workers.iter().map(|w| w.energy_profile());
+    builder.set_power(profiles.map(|p| (p.busy_mw, p.idle_mw)).collect());
+    let ctrl = scaling.map(|(s, policy)| CtrlState::new(s, workers, policy));
     if ctrl.is_some() {
         // Every worker starts live; scale events adjust from there.
         builder.enable_scaling(workers.len());
@@ -1445,9 +1317,9 @@ fn observed_core(
         let mut tee = Tee { a: base, b: &mut flight };
         if prof::enabled() {
             let mut profiled = ProfiledRecorder::new(&mut tee);
-            serve_core(workers, cfg, process, n, &mut profiled, Some(&mut obs), ctrl)
+            Run::new(workers, cfg, &mut profiled, Some(&mut obs), ctrl).serve(process, n)
         } else {
-            serve_core(workers, cfg, process, n, &mut tee, Some(&mut obs), ctrl)
+            Run::new(workers, cfg, &mut tee, Some(&mut obs), ctrl).serve(process, n)
         }
     };
     let (mut events, sample) = match sampler {
@@ -1468,786 +1340,784 @@ fn observed_core(
     (outcome, ServeObservation { events, series, registry, sample, flight })
 }
 
-fn serve_core(
-    workers: &mut [Box<dyn ServiceHook>],
-    cfg: &ServeConfig,
-    process: &ArrivalProcess,
-    n: usize,
-    rec: &mut dyn Recorder,
-    mut obs: Option<&mut ObsAccum>,
-    mut ctrl: Option<&mut CtrlState>,
-) -> ServeOutcome {
-    assert!(!workers.is_empty(), "need at least one worker");
-    assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
-    assert!(cfg.max_batch > 0, "max_batch must be positive");
-    assert!(cfg.robust.max_attempts > 0, "max_attempts must be positive");
+/// `Ctx` of a worker-lane event, optionally tied to a batch.
+fn worker_ctx(w: usize, batch: Option<u64>) -> Ctx {
+    Ctx { batch_id: batch, worker: Some(w as u32), ..Ctx::NONE }
+}
 
-    let epoch = workers.iter().map(|w| w.busy_until()).max().unwrap();
-    let arrivals = process.arrivals(n, epoch, cfg.seed);
-    if let Some(c) = ctrl.as_deref_mut() {
-        c.prime(&arrivals, epoch);
+/// One serving run: the fleet, its observers and all per-run state.
+/// [`Run::serve`] handles one event per pass; each event, and each way
+/// a request can end, has exactly one method.
+struct Run<'a> {
+    workers: &'a mut [Box<dyn ServiceHook>],
+    cfg: &'a ServeConfig,
+    rec: &'a mut dyn Recorder,
+    /// Time series and metrics (observed runs only).
+    obs: Option<&'a mut ObsAccum>,
+    /// The autoscaling controller (autoscaled runs only).
+    ctrl: Option<CtrlState<'a>>,
+    /// Fleet-ready instant the arrival clock starts from.
+    epoch: SimTime,
+    fo: FailoverState,
+    /// Passive energy ledger: one power profile per worker, charged for
+    /// every span a device actually burns (served batches, timed-out
+    /// work, fail-fast probes). Charges are clipped, so a probe span
+    /// overlapping the next dispatch never double-counts.
+    meter: EnergyMeter,
+    stats: Vec<WorkerStats>,
+    queue: VecDeque<Pending>,
+    completed: Vec<RequestRecord>,
+    shed: Vec<ShedRecord>,
+    /// Backoff jitter stream: created eagerly (pure), drawn from only on
+    /// failure, so a fault-free run's RNG state is untouched. Boxed so
+    /// the struct need not name the stream's type.
+    jitter_rng: Box<dyn RngCore>,
+    rr_cursor: usize,
+    batch_seq: u64,
+    /// Host-side self-observability: every pass of the loop handles
+    /// exactly one event (arrival, dispatch or controller tick), so the
+    /// pass count *is* the sim-event count — deterministic, and the
+    /// numerator of the events/sec throughput meter. The prof scopes
+    /// are wall-clock only and cost one thread-local boolean when
+    /// disabled.
+    sim_events: u64,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        workers: &'a mut [Box<dyn ServiceHook>],
+        cfg: &'a ServeConfig,
+        rec: &'a mut dyn Recorder,
+        obs: Option<&'a mut ObsAccum>,
+        ctrl: Option<CtrlState<'a>>,
+    ) -> Run<'a> {
+        assert!(!workers.is_empty(), "need at least one worker");
+        assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
+        assert!(cfg.max_batch > 0, "max_batch must be positive");
+        assert!(cfg.robust.max_attempts > 0, "max_attempts must be positive");
+        let epoch = workers.iter().map(|w| w.busy_until()).max().expect("fleet is non-empty");
+        let stats = workers
+            .iter()
+            .map(|w| WorkerStats {
+                label: w.label(),
+                batches: 0,
+                images: 0,
+                busy: Duration::ZERO,
+                ready_at: w.busy_until(),
+                failures: 0,
+            })
+            .collect();
+        let meter = EnergyMeter::new(workers.iter().map(|w| w.energy_profile()).collect(), epoch);
+        let fo = FailoverState::new(workers, cfg);
+        Run {
+            workers,
+            cfg,
+            rec,
+            obs,
+            ctrl,
+            epoch,
+            fo,
+            meter,
+            stats,
+            queue: VecDeque::new(),
+            completed: Vec::new(),
+            shed: Vec::new(),
+            jitter_rng: Box::new(vpu_num::rng::stream(cfg.seed, "serve-backoff")),
+            rr_cursor: 0,
+            batch_seq: 0,
+            sim_events: 0,
+        }
     }
 
-    let mut stats: Vec<WorkerStats> = workers
-        .iter()
-        .map(|w| WorkerStats {
-            label: w.label(),
-            batches: 0,
-            images: 0,
-            busy: Duration::ZERO,
-            ready_at: w.busy_until(),
-            failures: 0,
-        })
-        .collect();
-
-    // Passive energy ledger: one power profile per worker, charged for
-    // every span a device actually burns (served batches, timed-out
-    // work, fail-fast probes). Charges are clipped, so a probe span
-    // overlapping the next dispatch never double-counts.
-    let mut meter = EnergyMeter::new(workers.iter().map(|w| w.energy_profile()).collect(), epoch);
-
-    let mut fo = FailoverState::new(workers, cfg);
-    // Jitter stream: created eagerly (pure), drawn from only on failure,
-    // so a fault-free run's RNG state is untouched.
-    let mut jitter_rng = vpu_num::rng::stream(cfg.seed, "serve-backoff");
-
-    let mut queue: VecDeque<Pending> = VecDeque::new();
-    let mut completed: Vec<RequestRecord> = Vec::with_capacity(n);
-    let mut shed: Vec<ShedRecord> = Vec::new();
-    let mut next = 0usize; // next arrival index
-    let mut rr_cursor = 0usize;
-    let mut batch_seq = 0u64;
-
-    let record_shed = |r: ShedRecord,
-                       obs: &mut Option<&mut ObsAccum>,
-                       ctrl: &mut Option<&mut CtrlState>,
-                       shed: &mut Vec<ShedRecord>| {
-        if let Some(o) = obs.as_deref_mut() {
-            o.sampler.b.on_shed();
-            o.meters.shed(r.cause, r.wait());
+    /// Serve `n` arrivals from `process`. Each pass plans the next
+    /// dispatch, then handles the earliest event: a controller tick, an
+    /// arrival (arrivals win ties with a dispatch, so a request landing
+    /// exactly at a dispatch instant still joins the batch) or the
+    /// dispatch itself, until arrivals and queue are both exhausted.
+    fn serve(mut self, process: &ArrivalProcess, n: usize) -> ServeOutcome {
+        let arrivals = process.arrivals(n, self.epoch, self.cfg.seed);
+        if let Some(c) = &mut self.ctrl {
+            c.prime(&arrivals, self.epoch);
         }
-        if let Some(c) = ctrl.as_deref_mut() {
-            c.outcome(r.shed_at, OUTCOME_SHED);
-        }
-        shed.push(r);
-    };
-
-    // Host-side self-observability: every loop iteration handles
-    // exactly one event (arrival, dispatch or controller tick), so the
-    // iteration count *is* the sim-event count — deterministic, and the
-    // numerator of the events/sec throughput meter. The prof scopes are
-    // wall-clock only and cost one thread-local boolean when disabled.
-    let mut sim_events = 0u64;
-    let _prof_loop = prof::scope("serve.loop");
-
-    loop {
-        // Earliest instant the current queue head could be dispatched:
-        // batch-full close (the arrival that filled it) or the oldest
-        // member's deadline, whichever fires first — floored by the
-        // head's retry backoff.
-        let plan = {
-            let _sp = prof::scope("serve.plan");
-            if queue.is_empty() {
-                None
-            } else {
-                let front = queue.front().unwrap();
-                let deadline = front.arrival + cfg.max_wait;
-                // Full-close fires at the arrival that filled the batch.
-                let ready = if queue.len() >= fo.fill_limit {
-                    queue[fo.fill_limit - 1].arrival.min(deadline)
-                } else {
-                    deadline
-                };
-                let ready = SimTime::max_of(ready, front.earliest);
-                let hint = queue.len().min(fo.fill_limit);
-                Some(choose_worker(cfg.policy, ready, hint, workers, rr_cursor, &fo))
-            }
-        };
-
-        // Controller tick: fires before any arrival or dispatch at or
-        // after it (ties go to the tick), then the plan is recomputed
-        // against the post-tick fleet. Once the run is out of work the
-        // controller stops with it.
-        if let Some(c) = ctrl.as_deref_mut() {
-            let next_event = match (arrivals.get(next), plan) {
-                (Some(&at), Some((_, t))) => Some(at.min(t)),
-                (Some(&at), None) => Some(at),
-                (None, Some((_, t))) => Some(t),
-                (None, None) => None,
-            };
-            if next_event.is_some_and(|e| c.next_tick <= e) {
-                let _sc = prof::scope("serve.ctrl_tick");
-                sim_events += 1;
-                ctrl_tick(c, workers, cfg, &mut fo, &mut meter, queue.len(), rec, &mut obs);
+        self.completed.reserve(n);
+        let _prof_loop = prof::scope("serve.loop");
+        let mut next = 0usize; // next arrival index
+        loop {
+            let plan = self.plan();
+            let arrival = arrivals.get(next).copied();
+            // Controller tick: fires before any arrival or dispatch at or
+            // after it (ties go to the tick), then the plan is recomputed
+            // against the post-tick fleet. Once the run is out of work the
+            // controller stops with it.
+            let next_event = arrival.into_iter().chain(plan.map(|(_, t)| t)).min();
+            if next_event.is_some_and(|e| self.ctrl.as_ref().is_some_and(|c| c.next_tick <= e)) {
+                self.tick();
                 continue;
             }
+            match (arrival, plan) {
+                (Some(at), p) if p.is_none_or(|(_, t)| at <= t) => {
+                    self.arrive(next as u64, at);
+                    next += 1;
+                }
+                (_, Some((w, t))) => self.dispatch(w, t),
+                _ => break,
+            }
         }
-
-        match (arrivals.get(next), plan) {
-            // Admit the next arrival when it precedes (or ties) the
-            // planned dispatch.
-            (Some(&at), p) if p.is_none() || at <= p.unwrap().1 => {
-                let _sa = prof::scope("serve.arrival");
-                sim_events += 1;
-                let id = next as u64;
-                next += 1;
-                if let Some(o) = obs.as_deref_mut() {
-                    o.sampler.advance(at, queue.len());
-                    o.sampler.b.on_arrival();
-                    o.meters.reg.inc(o.meters.arrived);
-                }
-                if let Some(c) = ctrl.as_deref_mut() {
-                    c.cur.arrived += 1;
-                }
-                if rec.enabled() {
-                    rec.record(Event::instant(Phase::Arrive, Lane::Server, at, Ctx::request(id)));
-                }
-                if queue.len() >= fo.eff_capacity {
-                    match cfg.shed {
-                        ShedPolicy::Reject | ShedPolicy::DeadlineAware => {
-                            let r = ShedRecord {
-                                id,
-                                arrival: at,
-                                shed_at: at,
-                                cause: ShedCause::Rejected,
-                            };
-                            record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                            if rec.enabled() {
-                                rec.record(
-                                    Event::instant(Phase::Shed, Lane::Server, at, Ctx::request(id))
-                                        .with_cause(ShedCause::Rejected),
-                                );
-                            }
-                            continue;
-                        }
-                        ShedPolicy::DropOldest => {
-                            let old = queue.pop_front().unwrap();
-                            let r = ShedRecord {
-                                id: old.id,
-                                arrival: old.arrival,
-                                shed_at: at,
-                                cause: ShedCause::Evicted,
-                            };
-                            record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                            if rec.enabled() {
-                                // Span length = queue wait burned before
-                                // the eviction.
-                                rec.record(
-                                    Event::span(
-                                        Phase::Shed,
-                                        Lane::Queue,
-                                        old.arrival,
-                                        at,
-                                        Ctx::request(old.id),
-                                    )
-                                    .with_cause(ShedCause::Evicted),
-                                );
-                            }
-                        }
-                    }
-                }
-                // Deadline-aware admission: don't accept work that is
-                // already hopeless given backlog + surviving capacity.
-                if cfg.shed == ShedPolicy::DeadlineAware {
-                    let hopeless = match fo.deadline_estimate(at, queue.len(), workers) {
-                        Some(est) => est > at + cfg.slo,
-                        None => true,
-                    };
-                    if hopeless {
-                        let r =
-                            ShedRecord { id, arrival: at, shed_at: at, cause: ShedCause::Deadline };
-                        record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                        if rec.enabled() {
-                            rec.record(
-                                Event::instant(Phase::Shed, Lane::Server, at, Ctx::request(id))
-                                    .with_cause(ShedCause::Deadline),
-                            );
-                        }
-                        continue;
-                    }
-                }
-                queue.push_back(Pending { id, arrival: at, attempts: 0, earliest: at });
-                if let Some(o) = obs.as_deref_mut() {
-                    o.meters.peak = o.meters.peak.max(queue.len());
-                }
-                if rec.enabled() {
-                    rec.record(Event::instant(Phase::Admit, Lane::Server, at, Ctx::request(id)));
-                    rec.record(Event::instant(Phase::Enqueue, Lane::Queue, at, Ctx::request(id)));
-                }
-            }
-            (_, Some((w, t))) => {
-                let _sd = prof::scope("serve.dispatch");
-                sim_events += 1;
-                if cfg.policy == DispatchPolicy::RoundRobin {
-                    rr_cursor += 1;
-                }
-                // Half-open transition: the cooldown elapsed and this
-                // dispatch is the probe. The circuit counts as closed
-                // from here — a failed probe reopens it.
-                if fo.health[w].is_open() {
-                    fo.health[w].circuit = Circuit::HalfOpen;
-                    if let Some(o) = fo
-                        .stats
-                        .outages
-                        .iter_mut()
-                        .rev()
-                        .find(|o| o.worker == w && o.until.is_none())
-                    {
-                        o.until = Some(t);
-                    }
-                    fo.recompute_degradation(workers, cfg);
-                    if let Some(o) = obs.as_deref_mut() {
-                        o.sampler.b.circuit_event(w, 0.0, t);
-                    }
-                    if rec.enabled() {
-                        rec.record(Event::instant(
-                            Phase::CircuitClose,
-                            Lane::Worker(w as u32),
-                            t,
-                            Ctx { request_id: None, batch_id: None, worker: Some(w as u32) },
-                        ));
-                    }
-                }
-                // Quarantine expiry: this dispatch is the probation
-                // probe. The worker re-enters the pool; its next
-                // latency outlier re-quarantines it immediately with an
-                // escalated window, while a clean batch clears
-                // probation and resets the window.
-                if fo.quarantined[w].is_some() {
-                    fo.quarantined[w] = None;
-                    fo.probation[w] = true;
-                    fo.gray.probations += 1;
-                    fo.recompute_degradation(workers, cfg);
-                    if rec.enabled() {
-                        rec.record(Event::instant(
-                            Phase::Probation,
-                            Lane::Worker(w as u32),
-                            t,
-                            Ctx { request_id: None, batch_id: None, worker: Some(w as u32) },
-                        ));
-                    }
-                }
-                // Replanning can move the dispatch instant *earlier* than a
-                // previously admitted arrival (e.g. cost-aware estimates
-                // shift as the queue grows), so a batch closing at `t` may
-                // only take members that had arrived by `t`. The front
-                // always qualifies: every close instant is >= its arrival
-                // and >= its backoff floor.
-                let mut eligible = 0;
-                while eligible < queue.len().min(fo.fill_limit)
-                    && queue[eligible].arrival <= t
-                    && queue[eligible].earliest <= t
-                {
-                    eligible += 1;
-                }
-                debug_assert!(eligible >= 1, "batch closed before its oldest member was ready");
-                let size = clamp_batch(eligible, workers[w].as_ref());
-                if let Some(o) = obs.as_deref_mut() {
-                    o.sampler.advance(t, queue.len());
-                }
-                let members: Vec<Pending> = queue.drain(..size).collect();
-                let bid = batch_seq;
-                batch_seq += 1;
-                let ids: Vec<u64> =
-                    if rec.enabled() { members.iter().map(|m| m.id).collect() } else { Vec::new() };
-                if rec.enabled() {
-                    for m in &members {
-                        let ctx = Ctx::request(m.id).with_batch(bid).with_worker(w as u32);
-                        rec.record(Event::instant(Phase::BatchClose, Lane::Queue, t, ctx));
-                        rec.record(Event::instant(Phase::Dispatch, Lane::Worker(w as u32), t, ctx));
-                    }
-                }
-                let timeout_at = saturating_add(t, cfg.robust.dispatch_timeout);
-                let run = workers[w].try_serve_obs(
-                    size,
-                    t,
-                    &mut BatchObs { rec: &mut *rec, batch_id: bid, worker: w as u32, ids: &ids },
-                );
-                // Gray-failure defenses on a successful primary: hedge
-                // a span that blew past the learned quantile delay onto
-                // a second worker (first completion wins, the loser's
-                // span is charged as wasted energy), then score the
-                // primary's span for the fail-slow quarantine. Both are
-                // off — and this block is a no-op — without `cfg.gray`.
-                let (w, run) = if cfg.gray.hedge.is_some() || cfg.gray.quarantine.is_some() {
-                    let mut w = w;
-                    let mut run = run;
-                    if let Some((pstart, pend)) = run.as_ref().ok().map(|r| (r.start, r.end)) {
-                        let pw = w; // the primary, even if the hedge wins
-                        let est = workers[pw].estimate(size);
-                        // The hedge decision may only use ratios from
-                        // *earlier* batches; this span is recorded after.
-                        let hedge_at = cfg.gray.hedge.and_then(|h| {
-                            let fp = fo.hist.quantile_fp(h.quantile, h.min_samples)?;
-                            let delay_ns = (fp.saturating_mul(est.nanos()) / RATIO_FP)
-                                .max(h.min_delay.nanos());
-                            let fire = pstart + Duration::from_nanos(delay_ns);
-                            (pend > fire).then_some(fire)
-                        });
-                        // Only a fully healthy worker may serve the
-                        // duplicate: an open-circuit or quarantined
-                        // worker past its cooldown is `routable_at` as
-                        // a half-open/probation *probe*, but that
-                        // transition is the primary dispatch path's job
-                        // — a hedge must beat the primary's tail, not
-                        // gamble it on an unproven device.
-                        let pick = hedge_at.and_then(|at| {
-                            (0..workers.len())
-                                .filter(|&i| i != pw && !fo.blocked(i) && fo.routable_at(i, at))
-                                .min_by_key(|&i| (workers[i].busy_until(), i))
-                        });
-                        if let (Some(hat), Some(h)) = (hedge_at, pick) {
-                            fo.gray.hedges += 1;
-                            let hctx = Ctx {
-                                request_id: None,
-                                batch_id: Some(bid),
-                                worker: Some(h as u32),
-                            };
-                            let hres = workers[h].try_serve_obs(
-                                size,
-                                hat,
-                                &mut BatchObs {
-                                    rec: &mut *rec,
-                                    batch_id: bid,
-                                    worker: h as u32,
-                                    ids: &ids,
-                                },
-                            );
-                            // Either copy's span really ran on a device:
-                            // busy time and energy are charged for both,
-                            // the loser's as wasted.
-                            let mut waste = |wk: usize, from: SimTime, to: SimTime| {
-                                stats[wk].busy += to - from;
-                                if let Some(sp) = meter.charge(wk as u32, from, to, bid, true) {
-                                    let span_ns = sp.end.nanos() - sp.start.nanos();
-                                    fo.gray.hedge_wasted_pj +=
-                                        meter.profiles()[wk].energy_pj(span_ns, 0);
-                                    if let Some(o) = obs.as_deref_mut() {
-                                        o.sampler.b.on_energy_span(wk, sp.start, sp.end);
-                                    }
-                                }
-                            };
-                            match hres {
-                                Ok(hrun) => {
-                                    if rec.enabled() {
-                                        rec.record(Event::span(
-                                            Phase::Hedge,
-                                            Lane::Worker(h as u32),
-                                            hat,
-                                            hrun.end,
-                                            hctx,
-                                        ));
-                                    }
-                                    if hrun.end < pend {
-                                        // The duplicate wins: take its
-                                        // results (and its wire faults),
-                                        // waste the primary's span.
-                                        fo.gray.hedge_wins += 1;
-                                        if rec.enabled() {
-                                            rec.record(Event::instant(
-                                                Phase::HedgeWin,
-                                                Lane::Worker(h as u32),
-                                                hrun.end,
-                                                hctx,
-                                            ));
-                                        }
-                                        waste(pw, pstart, pend);
-                                        w = h;
-                                        run = Ok(hrun);
-                                    } else {
-                                        fo.gray.hedge_cancels += 1;
-                                        if rec.enabled() {
-                                            rec.record(Event::instant(
-                                                Phase::HedgeCancel,
-                                                Lane::Worker(h as u32),
-                                                pend,
-                                                hctx,
-                                            ));
-                                        }
-                                        waste(h, hrun.start, hrun.end);
-                                    }
-                                }
-                                Err(e) => {
-                                    // A failed hedge never hurts the
-                                    // primary (its result is in hand) and
-                                    // never feeds the breaker; the probe's
-                                    // detection span is wasted energy.
-                                    fo.gray.hedge_cancels += 1;
-                                    let det = SimTime::max_of(hat, e.at);
-                                    waste(h, hat, det);
-                                    if rec.enabled() {
-                                        rec.record(Event::span(
-                                            Phase::Hedge,
-                                            Lane::Worker(h as u32),
-                                            hat,
-                                            det,
-                                            hctx,
-                                        ));
-                                        rec.record(Event::instant(
-                                            Phase::HedgeCancel,
-                                            Lane::Worker(h as u32),
-                                            det,
-                                            hctx,
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        fo.hist.record((pend - pstart).nanos(), est.nanos());
-                        // Fail-slow scoring on the *primary*: enough
-                        // consecutive outliers (or one while on
-                        // probation) quarantine it from `pend`, which is
-                        // causally safe — its backlog already extends to
-                        // `pend`, so no earlier dispatch can exist.
-                        if let Some(qc) = cfg.gray.quarantine {
-                            if est > Duration::ZERO && pend - pstart > est * qc.outlier_factor {
-                                fo.outlier_run[pw] += 1;
-                                if fo.probation[pw] || fo.outlier_run[pw] >= qc.threshold {
-                                    let window = fo.quar_window[pw];
-                                    fo.quarantined[pw] = Some(pend + window);
-                                    fo.quar_window[pw] = (window * qc.backoff).min(qc.window_max);
-                                    fo.probation[pw] = false;
-                                    fo.outlier_run[pw] = 0;
-                                    fo.gray.quarantines += 1;
-                                    fo.recompute_degradation(workers, cfg);
-                                    if rec.enabled() {
-                                        rec.record(Event::instant(
-                                            Phase::Quarantine,
-                                            Lane::Worker(pw as u32),
-                                            pend,
-                                            Ctx {
-                                                request_id: None,
-                                                batch_id: Some(bid),
-                                                worker: Some(pw as u32),
-                                            },
-                                        ));
-                                    }
-                                }
-                            } else {
-                                fo.outlier_run[pw] = 0;
-                                if fo.probation[pw] {
-                                    fo.probation[pw] = false;
-                                    fo.quar_window[pw] = qc.window;
-                                }
-                            }
-                        }
-                    }
-                    (w, run)
-                } else {
-                    (w, run)
-                };
-                // Per-batch dispatch timeout: a batch whose results land
-                // too late is declared failed (the work — and its
-                // energy — is wasted; the device really ran the span).
-                let run = match run {
-                    Ok(r) if r.end > timeout_at => {
-                        stats[w].busy += r.end - r.start;
-                        if let Some(sp) = meter.charge(w as u32, r.start, r.end, bid, true) {
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.sampler.b.on_energy_span(w, sp.start, sp.end);
-                            }
-                        }
-                        Err(ServeError { at: timeout_at, kind: FailureKind::Timeout })
-                    }
-                    other => other,
-                };
-                match run {
-                    Ok(run) => {
-                        debug_assert!(run.start >= t && run.done.len() == size);
-                        stats[w].batches += 1;
-                        stats[w].images += size as u64;
-                        stats[w].busy += run.end - run.start;
-                        let probe = fo.health[w].circuit == Circuit::HalfOpen;
-                        fo.health[w].consecutive_failures = 0;
-                        fo.health[w].circuit = Circuit::Closed;
-                        if probe {
-                            fo.health[w].cooldown = cfg.robust.breaker_cooldown;
-                        }
-                        if let Some(sp) = meter.charge(w as u32, run.start, run.end, bid, false) {
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.sampler.b.on_energy_span(w, sp.start, sp.end);
-                            }
-                        }
-                        if let Some(o) = obs.as_deref_mut() {
-                            o.meters.reg.inc(o.meters.batches);
-                            o.sampler.b.on_batch(w, run.start, run.end);
-                        }
-                        // Wire-integrity processing: the device may have
-                        // corrupted, duplicated or dropped individual
-                        // result slots ([`ncsw::service::WireReport`]).
-                        // With verification on, per-request sequence
-                        // tags + checksums reject bad completions — the
-                        // request retries (or sheds once out of
-                        // attempts) instead of surfacing garbage. With
-                        // it off, corrupt results reach the client and
-                        // dropped slots surface at the batch horizon.
-                        // Duplicates are idempotent either way: the
-                        // host keys results by sequence tag, so the
-                        // second copy lands on the first.
-                        let wire = run.wire.clone().unwrap_or_default();
-                        let mut requeue: Vec<Pending> = Vec::new();
-                        for (slot, (m, &done)) in members.iter().zip(&run.done).enumerate() {
-                            let corrupted = wire.corrupted.contains(&slot);
-                            let dropped = wire.dropped.contains(&slot);
-                            if corrupted {
-                                fo.gray.corrupted_wire += 1;
-                            }
-                            if wire.duplicated.contains(&slot) {
-                                fo.gray.dups_suppressed += 1;
-                            }
-                            if cfg.gray.verify && (corrupted || dropped) {
-                                // A drop is only detectable once the
-                                // whole batch lands and the tag gap
-                                // shows; a bad checksum fails on its
-                                // own completion.
-                                let at = if dropped { run.end } else { done };
-                                fo.gray.integrity_fails += 1;
-                                if dropped {
-                                    fo.gray.drops_detected += 1;
-                                }
-                                if rec.enabled() {
-                                    rec.record(Event::instant(
-                                        Phase::IntegrityFail,
-                                        Lane::Worker(w as u32),
-                                        at,
-                                        Ctx::request(m.id).with_batch(bid).with_worker(w as u32),
-                                    ));
-                                }
-                                let attempts = m.attempts + 1;
-                                if attempts >= cfg.robust.max_attempts {
-                                    fo.stats.exhausted += 1;
-                                    let r = ShedRecord {
-                                        id: m.id,
-                                        arrival: m.arrival,
-                                        shed_at: at,
-                                        cause: ShedCause::RetriesExhausted,
-                                    };
-                                    record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                                    if rec.enabled() {
-                                        rec.record(
-                                            Event::span(
-                                                Phase::Shed,
-                                                Lane::Queue,
-                                                m.arrival,
-                                                at,
-                                                Ctx::request(m.id).with_batch(bid),
-                                            )
-                                            .with_cause(ShedCause::RetriesExhausted),
-                                        );
-                                    }
-                                } else {
-                                    fo.stats.retries += 1;
-                                    if let Some(o) = obs.as_deref_mut() {
-                                        o.meters.reg.inc(o.meters.retries);
-                                    }
-                                    if rec.enabled() {
-                                        rec.record(Event::instant(
-                                            Phase::RetryAttempt,
-                                            Lane::Server,
-                                            at,
-                                            Ctx::request(m.id).with_batch(bid),
-                                        ));
-                                    }
-                                    requeue.push(Pending {
-                                        id: m.id,
-                                        arrival: m.arrival,
-                                        attempts,
-                                        earliest: at,
-                                    });
-                                }
-                                continue;
-                            }
-                            let done = if dropped {
-                                // Unverified drop: the client only sees
-                                // this result when the batch-horizon
-                                // flush resends it.
-                                fo.gray.drops_surfaced += 1;
-                                run.end
-                            } else {
-                                done
-                            };
-                            if corrupted {
-                                fo.gray.corrupt_surfaced += 1;
-                            }
-                            let record = RequestRecord {
-                                id: m.id,
-                                arrival: m.arrival,
-                                dispatched: t,
-                                service_start: run.start,
-                                completed: done,
-                                worker: w,
-                                batch: size,
-                                attempts: m.attempts + 1,
-                            };
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.meters.complete(&record);
-                                o.sampler.complete_later(done, record.latency());
-                            }
-                            if let Some(c) = ctrl.as_deref_mut() {
-                                let kind = if record.latency() > cfg.slo {
-                                    OUTCOME_MISS
-                                } else {
-                                    OUTCOME_GOOD
-                                };
-                                c.outcome(done, kind);
-                            }
-                            if rec.enabled() {
-                                rec.record(Event::instant(
-                                    Phase::Complete,
-                                    Lane::Server,
-                                    done,
-                                    Ctx::request(m.id).with_batch(bid).with_worker(w as u32),
-                                ));
-                            }
-                            completed.push(record);
-                        }
-                        // Integrity-rejected members re-enter at the
-                        // queue head, oldest first — the same contract
-                        // as batch failover.
-                        for p in requeue.into_iter().rev() {
-                            queue.push_front(p);
-                        }
-                    }
-                    Err(err) => {
-                        let detect = SimTime::max_of(t, err.at.min(timeout_at));
-                        // Device-originated failures (unplug probes,
-                        // mid-execution deaths) burn the host-visible
-                        // detection span at busy power. Timeouts were
-                        // already charged for the span the device ran.
-                        if err.kind != FailureKind::Timeout {
-                            if let Some(sp) = meter.charge(w as u32, t, detect, bid, true) {
-                                if let Some(o) = obs.as_deref_mut() {
-                                    o.sampler.b.on_energy_span(w, sp.start, sp.end);
-                                }
-                            }
-                        }
-                        let wctx =
-                            Ctx { request_id: None, batch_id: Some(bid), worker: Some(w as u32) };
-                        fo.stats.injected += 1;
-                        stats[w].failures += 1;
-                        if let Some(o) = obs.as_deref_mut() {
-                            o.meters.reg.inc(o.meters.faults);
-                        }
-                        if rec.enabled() {
-                            rec.record(Event::instant(
-                                Phase::Failover,
-                                Lane::Worker(w as u32),
-                                detect,
-                                wctx,
-                            ));
-                        }
-                        // Health: a failed probe reopens immediately with
-                        // an escalated cooldown; otherwise consecutive
-                        // failures trip the breaker — one failure earlier
-                        // when the queue is under pressure (the same
-                        // depth signal the obs sampler exports).
-                        let was_probe = fo.health[w].circuit == Circuit::HalfOpen;
-                        fo.health[w].consecutive_failures += 1;
-                        let threshold = if queue.len() * 2 >= cfg.queue_capacity {
-                            cfg.robust.breaker_threshold.saturating_sub(1).max(1)
-                        } else {
-                            cfg.robust.breaker_threshold
-                        };
-                        let trip = was_probe
-                            || (fo.health[w].circuit == Circuit::Closed
-                                && fo.health[w].consecutive_failures >= threshold);
-                        if trip {
-                            let cooldown = fo.health[w].cooldown;
-                            fo.health[w].circuit = Circuit::Open { until: detect + cooldown };
-                            fo.health[w].cooldown = (cooldown * cfg.robust.breaker_backoff)
-                                .min(cfg.robust.breaker_cooldown_max);
-                            fo.stats.outages.push(OutageRecord {
-                                worker: w,
-                                from: detect,
-                                until: None,
-                            });
-                            fo.recompute_degradation(workers, cfg);
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.meters.reg.inc(o.meters.circuit_opens);
-                                o.sampler.b.circuit_event(w, 1.0, detect);
-                            }
-                            if rec.enabled() {
-                                rec.record(Event::instant(
-                                    Phase::CircuitOpen,
-                                    Lane::Worker(w as u32),
-                                    detect,
-                                    wctx,
-                                ));
-                            }
-                        }
-                        // Failover: re-enqueue the members at the queue
-                        // head (they are the oldest admitted requests, so
-                        // arrival order is preserved) behind a seeded
-                        // exponential backoff with jitter; requests out
-                        // of attempts are shed with a recorded cause.
-                        let max_attempt = members.iter().map(|m| m.attempts).max().unwrap_or(0) + 1;
-                        let exp = cfg.robust.backoff_factor.powi(max_attempt as i32 - 1);
-                        let backoff = (cfg.robust.backoff_base * exp).min(cfg.robust.backoff_max);
-                        let jitter = backoff * (cfg.robust.jitter_frac * jitter_rng.gen::<f64>());
-                        let earliest = detect + backoff + jitter;
-                        for m in members.into_iter().rev() {
-                            let attempts = m.attempts + 1;
-                            if attempts >= cfg.robust.max_attempts {
-                                fo.stats.exhausted += 1;
-                                let r = ShedRecord {
-                                    id: m.id,
-                                    arrival: m.arrival,
-                                    shed_at: detect,
-                                    cause: ShedCause::RetriesExhausted,
-                                };
-                                record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                                if rec.enabled() {
-                                    rec.record(
-                                        Event::span(
-                                            Phase::Shed,
-                                            Lane::Queue,
-                                            m.arrival,
-                                            detect,
-                                            Ctx::request(m.id).with_batch(bid),
-                                        )
-                                        .with_cause(ShedCause::RetriesExhausted),
-                                    );
-                                }
-                            } else {
-                                fo.stats.retries += 1;
-                                if let Some(o) = obs.as_deref_mut() {
-                                    o.meters.reg.inc(o.meters.retries);
-                                }
-                                if rec.enabled() {
-                                    rec.record(Event::instant(
-                                        Phase::RetryAttempt,
-                                        Lane::Server,
-                                        detect,
-                                        Ctx::request(m.id).with_batch(bid),
-                                    ));
-                                }
-                                queue.push_front(Pending {
-                                    id: m.id,
-                                    arrival: m.arrival,
-                                    attempts,
-                                    earliest,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            (None, None) => break,
-            // The first arm's guard always accepts (Some, None).
-            (Some(_), None) => unreachable!(),
+        ServeOutcome {
+            epoch: self.epoch,
+            generated: n,
+            completed: self.completed,
+            shed: self.shed,
+            workers: self.stats,
+            faults: self.fo.stats,
+            gray: self.fo.gray,
+            energy: self.meter,
+            scaling: self.ctrl.map(|c| c.stats),
+            sim_events: self.sim_events,
         }
     }
 
-    ServeOutcome {
-        epoch,
-        generated: n,
-        completed,
-        shed,
-        workers: stats,
-        faults: fo.stats,
-        gray: fo.gray,
-        energy: meter,
-        scaling: ctrl.map(|c| c.stats.clone()),
-        sim_events,
+    /// Record `ev` when the recorder is on.
+    fn record(&mut self, ev: Event) {
+        if self.rec.enabled() {
+            self.rec.record(ev);
+        }
+    }
+
+    /// Record an instant on worker `w`'s lane, optionally tied to a
+    /// batch.
+    fn record_on_worker(&mut self, phase: Phase, w: usize, at: SimTime, batch: Option<u64>) {
+        self.record(Event::instant(phase, Lane::Worker(w as u32), at, worker_ctx(w, batch)));
+    }
+
+    /// Feed the time series and metrics of an observed run.
+    fn observe(&mut self, f: impl FnOnce(&mut ObsAccum)) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            f(o);
+        }
+    }
+
+    fn recompute_degradation(&mut self) {
+        self.fo.recompute_degradation(self.workers, self.cfg);
+    }
+
+    /// Charge worker `w` busy energy over `[from, to)` and feed the
+    /// power series. Returns the charged (clipped) span in ns, if any.
+    fn charge(
+        &mut self,
+        w: usize,
+        from: SimTime,
+        to: SimTime,
+        batch: u64,
+        wasted: bool,
+    ) -> Option<u64> {
+        let sp = self.meter.charge(w as u32, from, to, batch, wasted)?;
+        self.observe(|o| o.sampler.b.on_energy_span(w, sp.start, sp.end));
+        Some(sp.end.nanos() - sp.start.nanos())
+    }
+
+    /// Earliest instant the queue head could be dispatched, and to
+    /// whom: batch-full close (the arrival that filled it) or the
+    /// oldest member's deadline, whichever fires first — floored by the
+    /// head's retry backoff.
+    fn plan(&self) -> Option<(usize, SimTime)> {
+        let _sp = prof::scope("serve.plan");
+        let front = self.queue.front()?;
+        let fill = self.fo.fill_limit;
+        let deadline = front.arrival + self.cfg.max_wait;
+        let ready = if self.queue.len() >= fill {
+            self.queue[fill - 1].arrival.min(deadline)
+        } else {
+            deadline
+        };
+        let ready = SimTime::max_of(ready, front.earliest);
+        let hint = self.queue.len().min(fill);
+        Some(choose_worker(self.cfg.policy, ready, hint, self.workers, self.rr_cursor, &self.fo))
+    }
+
+    /// Controller tick: flip provisioned sticks live, close the outcome
+    /// bucket, ask the policy, and actuate its decision.
+    fn tick(&mut self) {
+        let _sc = prof::scope("serve.ctrl_tick");
+        self.sim_events += 1;
+        let mut ctrl = self.ctrl.take().expect("ticks fire on autoscaled runs only");
+        let tk = ctrl.next_tick;
+        ctrl.next_tick = tk + ctrl.cfg.tick;
+        ctrl.stats.ticks += 1;
+        // Provisioning sticks whose delay elapsed become dispatchable.
+        let mut changed = false;
+        for &w in &ctrl.cfg.elastic {
+            if let ScaleState::Provisioning { ready_at } = ctrl.state[w] {
+                if ready_at <= tk {
+                    ctrl.state[w] = ScaleState::Live;
+                    self.fo.not_ready[w] = None;
+                    changed = true;
+                }
+            }
+        }
+        if changed {
+            self.recompute_degradation();
+        }
+        ctrl.close_bucket(tk);
+        let signals = ctrl.signals(tk, self.queue.len(), &self.fo);
+        match ctrl.policy.decide(&signals) {
+            ScaleDecision::Hold => {}
+            ScaleDecision::Down(k) => self.scale_down(&mut ctrl, tk, &signals, k),
+            ScaleDecision::Up(k) => self.scale_up(&mut ctrl, tk, &signals, k),
+        }
+        self.ctrl = Some(ctrl);
+    }
+
+    /// Drain the highest-index live sticks, never below the floor.
+    /// Dispatches stop now; the gate lands when the stick's backlog
+    /// does — dispatch is synchronous, so every worker's `busy_until`
+    /// is already final.
+    fn scale_down(&mut self, ctrl: &mut CtrlState, tk: SimTime, signals: &ScaleSignals, k: usize) {
+        let committed = signals.live + signals.provisioning;
+        let allowed = committed.saturating_sub(ctrl.cfg.min_live).min(k);
+        let victims: Vec<usize> = ctrl
+            .cfg
+            .elastic
+            .iter()
+            .rev()
+            .copied()
+            .filter(|&w| ctrl.state[w] == ScaleState::Live)
+            .take(allowed)
+            .collect();
+        for &w in &victims {
+            let gate_at = SimTime::max_of(tk, self.workers[w].busy_until());
+            ctrl.state[w] = ScaleState::Gated { since: gate_at };
+            self.fo.gated[w] = true;
+            self.meter.power_off(w as u32, gate_at);
+            ctrl.stats.scale_downs += 1;
+            self.record_on_worker(Phase::Drain, w, tk, None);
+            self.record_on_worker(Phase::ScaleDown, w, gate_at, None);
+            self.observe(|o| o.sampler.b.power_event(w, gate_at, false));
+        }
+        if !victims.is_empty() {
+            self.observe(|o| o.sampler.b.scale_event(tk, -(victims.len() as i64), 1));
+            self.recompute_degradation();
+        }
+    }
+
+    /// Power the lowest-index gated sticks back on. Sticks still
+    /// draining (gate instant ahead of this tick) are skipped —
+    /// re-upping one inside its own drain window would be flap, and
+    /// skipping keeps every power window strictly ordered.
+    fn scale_up(&mut self, ctrl: &mut CtrlState, tk: SimTime, signals: &ScaleSignals, k: usize) {
+        let picks: Vec<usize> = ctrl
+            .cfg
+            .elastic
+            .iter()
+            .copied()
+            .filter(|&w| matches!(ctrl.state[w], ScaleState::Gated { since } if since < tk))
+            .take(k)
+            .collect();
+        for &w in &picks {
+            let ready_at = tk + ctrl.cfg.provision_delay;
+            ctrl.state[w] = ScaleState::Provisioning { ready_at };
+            self.fo.gated[w] = false;
+            self.fo.not_ready[w] = Some(ready_at);
+            self.fo.ready_floor[w] = ready_at;
+            // Provisioning draws idle power from the decision on.
+            self.meter.power_on(w as u32, tk);
+            ctrl.stats.scale_ups += 1;
+            if signals.open_circuits > 0 {
+                ctrl.stats.replacements += 1;
+            }
+            self.record(Event::span(
+                Phase::ScaleUp,
+                Lane::Worker(w as u32),
+                tk,
+                ready_at,
+                worker_ctx(w, None),
+            ));
+            self.observe(|o| {
+                o.sampler.b.power_event(w, tk, true);
+                o.sampler.b.scale_event(ready_at, 1, 0);
+            });
+        }
+        if !picks.is_empty() {
+            self.observe(|o| o.sampler.b.scale_event(tk, 0, 1));
+            self.recompute_degradation();
+        }
+    }
+
+    /// Request `id` arrives at `at`: admit it, or shed it — or, under
+    /// [`ShedPolicy::DropOldest`], evict the queue head to make room.
+    fn arrive(&mut self, id: u64, at: SimTime) {
+        let _sa = prof::scope("serve.arrival");
+        self.sim_events += 1;
+        let depth = self.queue.len();
+        self.observe(|o| {
+            o.sampler.advance(at, depth);
+            o.sampler.b.on_arrival();
+            o.meters.reg.inc(o.meters.arrived);
+        });
+        if let Some(c) = &mut self.ctrl {
+            c.cur.arrived += 1;
+        }
+        self.record(Event::instant(Phase::Arrive, Lane::Server, at, Ctx::request(id)));
+        let refuse = |cause| ShedRecord { id, arrival: at, shed_at: at, cause };
+        if self.queue.len() >= self.fo.eff_capacity {
+            if self.cfg.shed != ShedPolicy::DropOldest {
+                self.shed(refuse(ShedCause::Rejected), None);
+                return;
+            }
+            let old = self.queue.pop_front().expect("a full queue has a head");
+            let evicted = ShedRecord {
+                id: old.id,
+                arrival: old.arrival,
+                shed_at: at,
+                cause: ShedCause::Evicted,
+            };
+            self.shed(evicted, None);
+        }
+        // Deadline-aware admission: don't accept work that is already
+        // hopeless given backlog + surviving capacity.
+        if self.cfg.shed == ShedPolicy::DeadlineAware
+            && self
+                .fo
+                .deadline_estimate(at, self.queue.len(), self.workers)
+                .is_none_or(|est| est > at + self.cfg.slo)
+        {
+            self.shed(refuse(ShedCause::Deadline), None);
+            return;
+        }
+        self.queue.push_back(Pending { id, arrival: at, attempts: 0, earliest: at });
+        let depth = self.queue.len();
+        self.observe(|o| o.meters.peak = o.meters.peak.max(depth));
+        self.record(Event::instant(Phase::Admit, Lane::Server, at, Ctx::request(id)));
+        self.record(Event::instant(Phase::Enqueue, Lane::Queue, at, Ctx::request(id)));
+    }
+
+    /// Close a batch at `t` and hand it to worker `w`; every member
+    /// then completes, retries or is shed.
+    fn dispatch(&mut self, w: usize, t: SimTime) {
+        let _sd = prof::scope("serve.dispatch");
+        self.sim_events += 1;
+        if self.cfg.policy == DispatchPolicy::RoundRobin {
+            self.rr_cursor += 1;
+        }
+        self.readmit(w, t);
+        // Replanning can move the dispatch instant *earlier* than a
+        // previously admitted arrival (e.g. cost-aware estimates shift
+        // as the queue grows), so a batch closing at `t` may only take
+        // members that had arrived by `t`. The front always qualifies:
+        // every close instant is >= its arrival and >= its backoff floor.
+        let eligible = self
+            .queue
+            .iter()
+            .take(self.fo.fill_limit)
+            .take_while(|p| p.arrival <= t && p.earliest <= t)
+            .count();
+        debug_assert!(eligible >= 1, "batch closed before its oldest member was ready");
+        let size = clamp_batch(eligible, self.workers[w].as_ref());
+        let depth = self.queue.len();
+        self.observe(|o| o.sampler.advance(t, depth));
+        let members: Vec<Pending> = self.queue.drain(..size).collect();
+        let bid = self.batch_seq;
+        self.batch_seq += 1;
+        let ids: Vec<u64> =
+            if self.rec.enabled() { members.iter().map(|m| m.id).collect() } else { Vec::new() };
+        for &id in &ids {
+            let ctx = Ctx::request(id).with_batch(bid).with_worker(w as u32);
+            self.record(Event::instant(Phase::BatchClose, Lane::Queue, t, ctx));
+            self.record(Event::instant(Phase::Dispatch, Lane::Worker(w as u32), t, ctx));
+        }
+        let timeout_at = saturating_add(t, self.cfg.robust.dispatch_timeout);
+        let obs = &mut BatchObs { rec: &mut *self.rec, batch_id: bid, worker: w as u32, ids: &ids };
+        let run = self.workers[w].try_serve_obs(size, t, obs);
+        let gray = &self.cfg.gray;
+        let (w, run) = match run {
+            Ok(primary) if gray.hedge.is_some() || gray.quarantine.is_some() => {
+                let (w, run) = self.defend(w, size, bid, &ids, primary);
+                (w, Ok(run))
+            }
+            other => (w, other),
+        };
+        // Per-batch dispatch timeout: a batch whose results land too
+        // late is declared failed (the work — and its energy — is
+        // wasted; the device really ran the span).
+        let run = match run {
+            Ok(r) if r.end > timeout_at => {
+                self.stats[w].busy += r.end - r.start;
+                self.charge(w, r.start, r.end, bid, true);
+                Err(ServeError { at: timeout_at, kind: FailureKind::Timeout })
+            }
+            other => other,
+        };
+        match run {
+            Ok(run) => self.complete(w, t, bid, members, run),
+            Err(e) => {
+                let detect = SimTime::max_of(t, e.at.min(timeout_at));
+                self.fail(w, t, bid, members, ServeError { at: detect, ..e });
+            }
+        }
+    }
+
+    /// A dispatch to a worker whose breaker cooldown or quarantine
+    /// window elapsed is its probe.
+    fn readmit(&mut self, w: usize, t: SimTime) {
+        // Half-open transition: the circuit counts as closed from here —
+        // a failed probe reopens it.
+        if self.fo.health[w].is_open() {
+            self.fo.health[w].circuit = Circuit::HalfOpen;
+            let mut outages = self.fo.stats.outages.iter_mut().rev();
+            if let Some(o) = outages.find(|o| o.worker == w && o.until.is_none()) {
+                o.until = Some(t);
+            }
+            self.recompute_degradation();
+            self.observe(|o| o.sampler.b.circuit_event(w, 0.0, t));
+            self.record_on_worker(Phase::CircuitClose, w, t, None);
+        }
+        // Quarantine expiry: this dispatch is the probation probe. The
+        // worker re-enters the pool; its next latency outlier
+        // re-quarantines it immediately with an escalated window, while
+        // a clean batch clears probation and resets the window.
+        if self.fo.quarantined[w].is_some() {
+            self.fo.quarantined[w] = None;
+            self.fo.probation[w] = true;
+            self.fo.gray.probations += 1;
+            self.recompute_degradation();
+            self.record_on_worker(Phase::Probation, w, t, None);
+        }
+    }
+
+    /// Gray-failure defenses on a successful primary run on `pw`: hedge
+    /// a span that blew past the learned quantile delay, then score the
+    /// primary's span for the fail-slow quarantine. Returns the worker
+    /// and run whose results the batch takes.
+    fn defend(
+        &mut self,
+        pw: usize,
+        size: usize,
+        bid: u64,
+        ids: &[u64],
+        primary: BatchRun,
+    ) -> (usize, BatchRun) {
+        let est = self.workers[pw].estimate(size);
+        let hedged = self.hedge(pw, size, bid, ids, &primary, est);
+        let span = primary.end - primary.start;
+        self.fo.hist.record(span.nanos(), est.nanos());
+        self.score_fail_slow(pw, bid, primary.end, span, est);
+        hedged.unwrap_or((pw, primary))
+    }
+
+    /// Hedge the batch onto a second worker once the primary's span
+    /// passes the hedge delay. Whichever copy completes first wins; the
+    /// loser's span is charged as wasted energy. Returns the duplicate
+    /// when it wins.
+    fn hedge(
+        &mut self,
+        pw: usize,
+        size: usize,
+        bid: u64,
+        ids: &[u64],
+        primary: &BatchRun,
+        est: Duration,
+    ) -> Option<(usize, BatchRun)> {
+        let hc = self.cfg.gray.hedge?;
+        // The hedge decision may only use ratios from *earlier*
+        // batches; this span is recorded after.
+        let fp = self.fo.hist.quantile_fp(hc.quantile, hc.min_samples)?;
+        let delay_ns = (fp.saturating_mul(est.nanos()) / RATIO_FP).max(hc.min_delay.nanos());
+        let hat = primary.start + Duration::from_nanos(delay_ns);
+        if primary.end <= hat {
+            return None;
+        }
+        // Only a fully healthy worker may serve the duplicate: an
+        // open-circuit or quarantined worker past its cooldown is
+        // `routable_at` as a half-open/probation *probe*, but that
+        // transition is the primary dispatch path's job — a hedge must
+        // beat the primary's tail, not gamble it on an unproven device.
+        let h = (0..self.workers.len())
+            .filter(|&i| i != pw && !self.fo.blocked(i) && self.fo.routable_at(i, hat))
+            .min_by_key(|&i| (self.workers[i].busy_until(), i))?;
+        self.fo.gray.hedges += 1;
+        let hctx = worker_ctx(h, Some(bid));
+        let lane = Lane::Worker(h as u32);
+        let obs = &mut BatchObs { rec: &mut *self.rec, batch_id: bid, worker: h as u32, ids };
+        match self.workers[h].try_serve_obs(size, hat, obs) {
+            Ok(hrun) => {
+                self.record(Event::span(Phase::Hedge, lane, hat, hrun.end, hctx));
+                if hrun.end < primary.end {
+                    // The duplicate wins: take its results (and its wire
+                    // faults), waste the primary's span.
+                    self.fo.gray.hedge_wins += 1;
+                    self.record(Event::instant(Phase::HedgeWin, lane, hrun.end, hctx));
+                    self.waste(pw, primary.start, primary.end, bid);
+                    return Some((h, hrun));
+                }
+                self.fo.gray.hedge_cancels += 1;
+                self.record(Event::instant(Phase::HedgeCancel, lane, primary.end, hctx));
+                self.waste(h, hrun.start, hrun.end, bid);
+            }
+            Err(e) => {
+                // A failed hedge never hurts the primary (its result is
+                // in hand) and never feeds the breaker; the probe's
+                // detection span is wasted energy.
+                self.fo.gray.hedge_cancels += 1;
+                let det = SimTime::max_of(hat, e.at);
+                self.waste(h, hat, det, bid);
+                self.record(Event::span(Phase::Hedge, lane, hat, det, hctx));
+                self.record(Event::instant(Phase::HedgeCancel, lane, det, hctx));
+            }
+        }
+        None
+    }
+
+    /// A losing hedge copy really ran on a device: charge its busy time
+    /// and its energy, as wasted.
+    fn waste(&mut self, w: usize, from: SimTime, to: SimTime, bid: u64) {
+        self.stats[w].busy += to - from;
+        if let Some(span_ns) = self.charge(w, from, to, bid, true) {
+            self.fo.gray.hedge_wasted_pj += self.meter.profiles()[w].energy_pj(span_ns, 0);
+        }
+    }
+
+    /// Fail-slow scoring of the primary worker `pw`, whose batch ended
+    /// at `pend` after `span`: enough consecutive outliers (or one while
+    /// on probation) quarantine it from `pend`, which is causally safe —
+    /// its backlog already extends to `pend`, so no earlier dispatch can
+    /// exist.
+    fn score_fail_slow(
+        &mut self,
+        pw: usize,
+        bid: u64,
+        pend: SimTime,
+        span: Duration,
+        est: Duration,
+    ) {
+        let Some(qc) = self.cfg.gray.quarantine else { return };
+        let fo = &mut self.fo;
+        if est == Duration::ZERO || span <= est * qc.outlier_factor {
+            fo.outlier_run[pw] = 0;
+            if fo.probation[pw] {
+                fo.probation[pw] = false;
+                fo.quar_window[pw] = qc.window;
+            }
+            return;
+        }
+        fo.outlier_run[pw] += 1;
+        if !fo.probation[pw] && fo.outlier_run[pw] < qc.threshold {
+            return;
+        }
+        let window = fo.quar_window[pw];
+        fo.quarantined[pw] = Some(pend + window);
+        fo.quar_window[pw] = (window * qc.backoff).min(qc.window_max);
+        fo.probation[pw] = false;
+        fo.outlier_run[pw] = 0;
+        fo.gray.quarantines += 1;
+        self.recompute_degradation();
+        self.record_on_worker(Phase::Quarantine, pw, pend, Some(bid));
+    }
+
+    /// A batch dispatched at `t` landed on worker `w`: close its
+    /// circuit, book the span, then deliver each result — or, when
+    /// verification rejects it, retry or shed its request.
+    fn complete(
+        &mut self,
+        w: usize,
+        t: SimTime,
+        bid: u64,
+        members: Vec<Pending>,
+        mut run: BatchRun,
+    ) {
+        let size = members.len();
+        debug_assert!(run.start >= t && run.done.len() == size);
+        self.stats[w].batches += 1;
+        self.stats[w].images += size as u64;
+        self.stats[w].busy += run.end - run.start;
+        let health = &mut self.fo.health[w];
+        if health.circuit == Circuit::HalfOpen {
+            health.cooldown = self.cfg.robust.breaker_cooldown;
+        }
+        health.consecutive_failures = 0;
+        health.circuit = Circuit::Closed;
+        self.charge(w, run.start, run.end, bid, false);
+        self.observe(|o| {
+            o.meters.reg.inc(o.meters.batches);
+            o.sampler.b.on_batch(w, run.start, run.end);
+        });
+        // Wire-integrity processing: the device may have corrupted,
+        // duplicated or dropped individual result slots
+        // ([`ncsw::service::WireReport`]). With verification on,
+        // per-request sequence tags + checksums reject bad completions —
+        // the request retries (or sheds once out of attempts) instead of
+        // surfacing garbage. With it off, corrupt results reach the
+        // client and dropped slots surface at the batch horizon.
+        // Duplicates are idempotent either way: the host keys results by
+        // sequence tag, so the second copy lands on the first.
+        let wire = run.wire.take().unwrap_or_default();
+        let mut requeue: Vec<Pending> = Vec::new();
+        for (slot, (m, &done)) in members.iter().zip(&run.done).enumerate() {
+            let corrupted = wire.corrupted.contains(&slot);
+            let dropped = wire.dropped.contains(&slot);
+            let gray = &mut self.fo.gray;
+            gray.corrupted_wire += corrupted as u64;
+            gray.dups_suppressed += wire.duplicated.contains(&slot) as u64;
+            if self.cfg.gray.verify && (corrupted || dropped) {
+                // A drop is only detectable once the whole batch lands
+                // and the tag gap shows; a bad checksum fails on its own
+                // completion.
+                let at = if dropped { run.end } else { done };
+                gray.integrity_fails += 1;
+                gray.drops_detected += dropped as u64;
+                let ctx = Ctx::request(m.id).with_batch(bid).with_worker(w as u32);
+                self.record(Event::instant(Phase::IntegrityFail, Lane::Worker(w as u32), at, ctx));
+                requeue.extend(self.retry_or_shed(m, at, at, bid));
+                continue;
+            }
+            // Unverified drop: the client only sees this result when the
+            // batch-horizon flush resends it.
+            gray.drops_surfaced += dropped as u64;
+            gray.corrupt_surfaced += corrupted as u64;
+            self.deliver(
+                RequestRecord {
+                    id: m.id,
+                    arrival: m.arrival,
+                    dispatched: t,
+                    service_start: run.start,
+                    completed: if dropped { run.end } else { done },
+                    worker: w,
+                    batch: size,
+                    attempts: m.attempts + 1,
+                },
+                bid,
+            );
+        }
+        // Integrity-rejected members re-enter at the queue head, oldest
+        // first — the same contract as batch failover.
+        for p in requeue.into_iter().rev() {
+            self.queue.push_front(p);
+        }
+    }
+
+    /// One result reaches its client.
+    fn deliver(&mut self, r: RequestRecord, bid: u64) {
+        self.observe(|o| {
+            o.meters.complete(&r);
+            o.sampler.complete_later(r.completed, r.latency());
+        });
+        if let Some(c) = &mut self.ctrl {
+            let kind = if r.latency() > self.cfg.slo { OUTCOME_MISS } else { OUTCOME_GOOD };
+            c.outcome(r.completed, kind);
+        }
+        let ctx = Ctx::request(r.id).with_batch(bid).with_worker(r.worker as u32);
+        self.record(Event::instant(Phase::Complete, Lane::Server, r.completed, ctx));
+        self.completed.push(r);
+    }
+
+    /// A batch dispatched at `t` to worker `w` failed, detected at
+    /// `err.at`: feed the breaker, then fail the members over — back to
+    /// the queue head (they are the oldest admitted requests, so arrival
+    /// order is preserved) behind a seeded exponential backoff with
+    /// jitter, or shed once out of attempts.
+    fn fail(&mut self, w: usize, t: SimTime, bid: u64, members: Vec<Pending>, err: ServeError) {
+        let detect = err.at;
+        // Device-originated failures (unplug probes, mid-execution
+        // deaths) burn the host-visible detection span at busy power.
+        // Timeouts were already charged for the span the device ran.
+        if err.kind != FailureKind::Timeout {
+            self.charge(w, t, detect, bid, true);
+        }
+        self.fo.stats.injected += 1;
+        self.stats[w].failures += 1;
+        self.observe(|o| o.meters.reg.inc(o.meters.faults));
+        self.record_on_worker(Phase::Failover, w, detect, Some(bid));
+        self.trip_breaker(w, detect, bid);
+        let robust = &self.cfg.robust;
+        let max_attempt = members.iter().map(|m| m.attempts).max().unwrap_or(0) + 1;
+        let exp = robust.backoff_factor.powi(max_attempt as i32 - 1);
+        let backoff = (robust.backoff_base * exp).min(robust.backoff_max);
+        let draw: f64 = Rng::r#gen(&mut &mut *self.jitter_rng);
+        let earliest = detect + backoff + backoff * (robust.jitter_frac * draw);
+        for m in members.iter().rev() {
+            if let Some(p) = self.retry_or_shed(m, detect, earliest, bid) {
+                self.queue.push_front(p);
+            }
+        }
+    }
+
+    /// Breaker bookkeeping after a failure on `w`: a failed probe
+    /// reopens immediately with an escalated cooldown; otherwise
+    /// consecutive failures trip the breaker — one failure earlier when
+    /// the queue is under pressure (the same depth signal the obs
+    /// sampler exports).
+    fn trip_breaker(&mut self, w: usize, detect: SimTime, bid: u64) {
+        let robust = &self.cfg.robust;
+        let threshold = if self.queue.len() * 2 >= self.cfg.queue_capacity {
+            robust.breaker_threshold.saturating_sub(1).max(1)
+        } else {
+            robust.breaker_threshold
+        };
+        let health = &mut self.fo.health[w];
+        health.consecutive_failures += 1;
+        let trip = health.circuit == Circuit::HalfOpen
+            || (health.circuit == Circuit::Closed && health.consecutive_failures >= threshold);
+        if !trip {
+            return;
+        }
+        let cooldown = health.cooldown;
+        health.circuit = Circuit::Open { until: detect + cooldown };
+        health.cooldown = (cooldown * robust.breaker_backoff).min(robust.breaker_cooldown_max);
+        self.fo.stats.outages.push(OutageRecord { worker: w, from: detect, until: None });
+        self.recompute_degradation();
+        self.observe(|o| {
+            o.meters.reg.inc(o.meters.circuit_opens);
+            o.sampler.b.circuit_event(w, 1.0, detect);
+        });
+        self.record_on_worker(Phase::CircuitOpen, w, detect, Some(bid));
+    }
+
+    /// A dispatch attempt of `m` in batch `bid` failed at `at`: shed the
+    /// request once it is out of attempts, else count the retry and
+    /// return it for requeueing, dispatchable from `earliest`.
+    fn retry_or_shed(
+        &mut self,
+        m: &Pending,
+        at: SimTime,
+        earliest: SimTime,
+        bid: u64,
+    ) -> Option<Pending> {
+        let attempts = m.attempts + 1;
+        if attempts >= self.cfg.robust.max_attempts {
+            self.fo.stats.exhausted += 1;
+            let cause = ShedCause::RetriesExhausted;
+            self.shed(ShedRecord { id: m.id, arrival: m.arrival, shed_at: at, cause }, Some(bid));
+            return None;
+        }
+        self.fo.stats.retries += 1;
+        self.observe(|o| o.meters.reg.inc(o.meters.retries));
+        let ctx = Ctx::request(m.id).with_batch(bid);
+        self.record(Event::instant(Phase::RetryAttempt, Lane::Server, at, ctx));
+        Some(Pending { id: m.id, arrival: m.arrival, attempts, earliest })
+    }
+
+    /// Shed one request: record the `Shed` event, feed the sampler,
+    /// meters and controller, and keep the record. Admission refusals
+    /// (`Rejected`, `Deadline`) are an instant on the server lane;
+    /// evictions and exhausted retries are a queue span from arrival,
+    /// its length the wait burned before the decision.
+    fn shed(&mut self, r: ShedRecord, batch: Option<u64>) {
+        self.observe(|o| {
+            o.sampler.b.on_shed();
+            o.meters.shed(r.cause, r.wait());
+        });
+        if let Some(c) = &mut self.ctrl {
+            c.outcome(r.shed_at, OUTCOME_SHED);
+        }
+        let ctx = Ctx { request_id: Some(r.id), batch_id: batch, worker: None };
+        let ev = match r.cause {
+            ShedCause::Rejected | ShedCause::Deadline => {
+                Event::instant(Phase::Shed, Lane::Server, r.shed_at, ctx)
+            }
+            ShedCause::Evicted | ShedCause::RetriesExhausted => {
+                Event::span(Phase::Shed, Lane::Queue, r.arrival, r.shed_at, ctx)
+            }
+        };
+        self.record(ev.with_cause(r.cause));
+        self.shed.push(r);
     }
 }

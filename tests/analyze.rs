@@ -6,12 +6,12 @@
 use vpu_coprocessor::analyze::{diff, Analysis, DiffConfig, Verdict};
 use vpu_coprocessor::experiments::serve_bench::traced_serve;
 use vpu_coprocessor::experiments::Scale;
-use vpu_coprocessor::serving::DispatchPolicy;
+use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
 use vpu_coprocessor::sim::Duration;
 
 fn tiny_run(policy: DispatchPolicy) -> String {
-    traced_serve(Scale::Tiny, Duration::from_millis(500.0), policy, Duration::from_millis(10.0))
-        .chrome_json
+    let (slo, sample) = (Duration::from_millis(500.0), Duration::from_millis(10.0));
+    traced_serve(Scale::Tiny, slo, policy, sample, None, GrayConfig::default(), None).chrome_json
 }
 
 #[test]
@@ -21,6 +21,9 @@ fn attribution_of_a_real_run_is_exact_and_accounts_for_every_request() {
         Duration::from_millis(500.0),
         DispatchPolicy::CostAware,
         Duration::from_millis(10.0),
+        None,
+        GrayConfig::default(),
+        None,
     );
     let analysis = Analysis::from_chrome(&run.chrome_json).expect("exported trace parses");
     // Every request the server reported is in the trace, with the same

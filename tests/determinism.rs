@@ -129,7 +129,7 @@ fn observed_serve_trace_is_byte_identical_across_runs() {
     // reproducible down to the byte: the Chrome JSON, the sampled CSV
     // and the metric summary must all match exactly across runs.
     use vpu_coprocessor::experiments::{serve_bench::traced_serve, Scale};
-    use vpu_coprocessor::serving::DispatchPolicy;
+    use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
     use vpu_coprocessor::sim::Duration;
     let run = || {
         let t = traced_serve(
@@ -137,6 +137,9 @@ fn observed_serve_trace_is_byte_identical_across_runs() {
             Duration::from_millis(500.0),
             DispatchPolicy::CostAware,
             Duration::from_millis(10.0),
+            None,
+            GrayConfig::default(),
+            None,
         );
         (t.chrome_json, t.series_csv, t.summary)
     };
@@ -165,7 +168,7 @@ fn profiler_is_passive_bit_identical_outputs() {
     // proves the dispatcher scopes and the recorder meter were live.
     use vpu_coprocessor::experiments::{serve_bench::traced_serve, Scale};
     use vpu_coprocessor::obs::prof;
-    use vpu_coprocessor::serving::DispatchPolicy;
+    use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
     use vpu_coprocessor::sim::Duration;
     let run = || {
         traced_serve(
@@ -173,6 +176,9 @@ fn profiler_is_passive_bit_identical_outputs() {
             Duration::from_millis(500.0),
             DispatchPolicy::CostAware,
             Duration::from_millis(10.0),
+            None,
+            GrayConfig::default(),
+            None,
         )
     };
     let plain = run();
@@ -207,7 +213,7 @@ fn gray_defended_artifacts_are_byte_identical_across_runs() {
     // time and seeded streams — a defended run under injected gray
     // faults must reproduce every artifact byte-for-byte, including
     // the wasted-energy picojoule counters.
-    use vpu_coprocessor::experiments::{serve_bench::traced_serve_gray, Scale};
+    use vpu_coprocessor::experiments::{serve_bench::traced_serve, Scale};
     use vpu_coprocessor::faults::{FaultEvent, FaultPlan};
     use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
     use vpu_coprocessor::sim::Duration;
@@ -222,13 +228,14 @@ fn gray_defended_artifacts_are_byte_identical_across_runs() {
             },
         );
         plan.push(Some(0), FaultEvent::ResultCorrupt { per_image_prob: 0.05 });
-        let t = traced_serve_gray(
+        let t = traced_serve(
             Scale::Tiny,
             Duration::from_millis(500.0),
             DispatchPolicy::LeastOutstanding,
             Duration::from_millis(10.0),
             Some(&plan),
             GrayConfig::defended(),
+            None,
         );
         let report = serde_json::to_string(&t.report).expect("serialize");
         (t.chrome_json, t.series_csv, t.summary, report)
@@ -246,8 +253,9 @@ fn gray_defenses_off_are_passive_byte_identical_to_plain_run() {
     // With every defense off and an empty fault plan, the gray code
     // path must not perturb the simulation at all: the artifacts must
     // match the plain traced run byte-for-byte.
-    use vpu_coprocessor::experiments::serve_bench::{traced_serve, traced_serve_gray};
+    use vpu_coprocessor::experiments::serve_bench::traced_serve;
     use vpu_coprocessor::experiments::Scale;
+    use vpu_coprocessor::faults::FaultPlan;
     use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
     use vpu_coprocessor::sim::Duration;
     let plain = traced_serve(
@@ -255,14 +263,18 @@ fn gray_defenses_off_are_passive_byte_identical_to_plain_run() {
         Duration::from_millis(500.0),
         DispatchPolicy::CostAware,
         Duration::from_millis(10.0),
+        None,
+        GrayConfig::default(),
+        None,
     );
-    let off = traced_serve_gray(
+    let off = traced_serve(
         Scale::Tiny,
         Duration::from_millis(500.0),
         DispatchPolicy::CostAware,
         Duration::from_millis(10.0),
-        None,
+        Some(&FaultPlan::empty()),
         GrayConfig::default(),
+        None,
     );
     assert_eq!(plain.chrome_json, off.chrome_json, "gray-off trace must match plain run");
     assert_eq!(plain.series_csv, off.series_csv, "gray-off series must match plain run");
@@ -280,13 +292,13 @@ fn sampled_trace_is_byte_identical_and_all_keep_matches_plain() {
     // keep/drop after the run, so a sampled trace must reproduce
     // byte-for-byte — and the all-keep policy must be a pure
     // pass-through, byte-identical to running with no policy at all.
-    use vpu_coprocessor::experiments::serve_bench::{traced_serve, traced_serve_sampled};
+    use vpu_coprocessor::experiments::serve_bench::traced_serve;
     use vpu_coprocessor::experiments::Scale;
     use vpu_coprocessor::obs::SamplePolicy;
     use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
     use vpu_coprocessor::sim::Duration;
     let sampled = |spec: &str| {
-        traced_serve_sampled(
+        traced_serve(
             Scale::Tiny,
             Duration::from_millis(500.0),
             DispatchPolicy::CostAware,
@@ -309,6 +321,9 @@ fn sampled_trace_is_byte_identical_and_all_keep_matches_plain() {
         Duration::from_millis(500.0),
         DispatchPolicy::CostAware,
         Duration::from_millis(10.0),
+        None,
+        GrayConfig::default(),
+        None,
     );
     let all = sampled("all");
     assert_eq!(plain.chrome_json, all.chrome_json, "all-keep trace must match the unsampled run");
@@ -323,14 +338,14 @@ fn incident_bundles_are_byte_identical_across_runs() {
     // scheduler runs on, so a faulted run must produce the same
     // incident bundles — trigger, window and replay command — every
     // time.
-    use vpu_coprocessor::experiments::serve_bench::traced_serve_sampled;
+    use vpu_coprocessor::experiments::serve_bench::traced_serve;
     use vpu_coprocessor::experiments::Scale;
     use vpu_coprocessor::faults::FaultPlan;
     use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
     use vpu_coprocessor::sim::Duration;
     let run = || {
         let plan = FaultPlan::parse("unplug@100ms:reconnect@400ms").expect("plan");
-        let t = traced_serve_sampled(
+        let t = traced_serve(
             Scale::Tiny,
             Duration::from_millis(500.0),
             DispatchPolicy::CostAware,
@@ -394,7 +409,7 @@ fn autoscaled_artifacts_are_byte_identical_per_policy() {
     use vpu_coprocessor::sim::Duration;
     for policy in vpu_coprocessor::ctrl::POLICY_NAMES {
         let run = || {
-            let t = traced_autoscale(Scale::Tiny, policy, Duration::from_millis(10.0));
+            let t = traced_autoscale(Scale::Tiny, policy, Duration::from_millis(10.0), None);
             let scaling = serde_json::to_string(&t.report.scaling).expect("serialize");
             (t.chrome_json, t.series_csv, scaling)
         };
@@ -410,4 +425,214 @@ fn autoscaled_artifacts_are_byte_identical_per_policy() {
         );
         assert!(json_a.contains(r#""name":"Drain""#), "{policy}: trace must carry Drain events");
     }
+}
+
+/// 64-bit FNV-1a over a sequence of byte strings (each followed by a
+/// separator byte so concatenation boundaries count).
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in parts {
+        for &b in part.iter().chain(&[0xffu8]) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One pinned serving scenario on the Tiny model: the fleet, the fault
+/// plan wrapped around it, the serve configuration, the load, the
+/// counter the case exists for, and the digest of its outputs.
+struct PinnedCase {
+    name: &'static str,
+    fleet: &'static str,
+    faults: Option<&'static str>,
+    load_frac: f64,
+    /// The serve configuration, given the fleet's preferred batch.
+    cfg: fn(usize) -> vpu_coprocessor::serving::ServeConfig,
+    /// `Some(policy)` runs through `serve_autoscaled_observed`.
+    autoscale: Option<&'static str>,
+    /// The counter that must be non-zero for the case to cover its path.
+    covers: fn(&vpu_coprocessor::serving::ServeOutcome) -> u64,
+    digest: u64,
+}
+
+/// Requests per pinned case.
+const PINNED_REQUESTS: usize = 300;
+
+/// FNV-1a of one case's Chrome trace, series CSV and the `{:?}` of its
+/// outcome, plus the outcome itself. Also checks that the unobserved
+/// entry point returns the same outcome.
+fn pinned_run(c: &PinnedCase) -> (u64, vpu_coprocessor::serving::ServeOutcome) {
+    use vpu_coprocessor::faults::FaultPlan;
+    use vpu_coprocessor::obs::chrome_trace;
+    use vpu_coprocessor::serving::{
+        serve, serve_autoscaled, serve_autoscaled_observed, serve_observed, ArrivalProcess,
+        FleetSpec, ObsConfig, ScalingConfig,
+    };
+    let model = ModelBundle::googlenet_untrained(Variant::Tiny, 1);
+    let spec = FleetSpec::parse(c.fleet).expect("fleet");
+    let build = || {
+        let workers = spec.build(&model);
+        let cfg = (c.cfg)(spec.preferred_batch(&workers));
+        let rate = spec.capacity_rps(&workers) * c.load_frac;
+        let workers = match c.faults {
+            Some(f) => FaultPlan::parse(f).expect("plan").apply(workers, cfg.seed),
+            None => workers,
+        };
+        (workers, cfg, ArrivalProcess::Poisson { rate_per_sec: rate })
+    };
+    let n = PINNED_REQUESTS;
+    let ocfg = ObsConfig::default();
+    let scaling = ScalingConfig { elastic: spec.elastic_workers(), ..ScalingConfig::default() };
+    let policy = |name| vpu_coprocessor::ctrl::policy(name).expect("policy");
+    let (mut workers, cfg, load) = build();
+    let (outcome, obs) = match c.autoscale {
+        Some(name) => serve_autoscaled_observed(
+            &mut workers,
+            &cfg,
+            &load,
+            n,
+            &scaling,
+            policy(name).as_mut(),
+            &ocfg,
+        ),
+        None => serve_observed(&mut workers, &cfg, &load, n, &ocfg),
+    };
+    let (mut workers, cfg, load) = build();
+    let plain = match c.autoscale {
+        Some(name) => {
+            serve_autoscaled(&mut workers, &cfg, &load, n, &scaling, policy(name).as_mut())
+        }
+        None => serve(&mut workers, &cfg, &load, n),
+    };
+    let debug = format!("{outcome:?}");
+    assert_eq!(debug, format!("{plain:?}"), "{}: observation must not perturb the run", c.name);
+    let digest = fnv1a(&[
+        chrome_trace(&obs.events).as_bytes(),
+        obs.series.csv().as_bytes(),
+        debug.as_bytes(),
+    ]);
+    (digest, outcome)
+}
+
+#[test]
+fn serving_loop_outputs_match_pinned_digests() {
+    // Literal digests of the serving loop's three outputs on seven
+    // scenarios, one per loop path: eviction, deadline shedding,
+    // verified and unverified wire faults, retry exhaustion, hedging
+    // with quarantine, and autoscaling. A change to any event, its
+    // order, a series sample or an outcome field moves a digest.
+    use vpu_coprocessor::serving::server::ShedCause;
+    use vpu_coprocessor::serving::{
+        GrayConfig, RobustConfig, ServeConfig, ServeOutcome, ShedPolicy,
+    };
+    use vpu_coprocessor::sim::Duration;
+    const WIRE: &str = "corrupt@0.05,dup@0.05,drop@0.05,execerr@0.1";
+    fn sheds(o: &ServeOutcome, cause: ShedCause) -> u64 {
+        o.shed.iter().filter(|s| s.cause == cause).count() as u64
+    }
+    let cases = [
+        PinnedCase {
+            name: "drop-oldest",
+            fleet: "cpu+gpu+2*vpu",
+            faults: None,
+            load_frac: 2.0,
+            cfg: |b| ServeConfig {
+                max_batch: b,
+                queue_capacity: 16,
+                shed: ShedPolicy::DropOldest,
+                ..ServeConfig::default()
+            },
+            autoscale: None,
+            covers: |o| sheds(o, ShedCause::Evicted),
+            digest: 0x0faf_93b6_5aea_d0b4,
+        },
+        PinnedCase {
+            name: "deadline-unplug",
+            fleet: "cpu+gpu+2*vpu",
+            faults: Some("unplug@50ms:reconnect@150ms"),
+            load_frac: 1.2,
+            cfg: |b| ServeConfig {
+                max_batch: b,
+                shed: ShedPolicy::DeadlineAware,
+                slo: Duration::from_millis(8.0),
+                ..ServeConfig::default()
+            },
+            autoscale: None,
+            covers: |o| sheds(o, ShedCause::Deadline),
+            digest: 0x796f_a9be_5674_ec6b,
+        },
+        PinnedCase {
+            name: "wire-verified",
+            fleet: "cpu+gpu+8xvpu",
+            faults: Some(WIRE),
+            load_frac: 0.8,
+            cfg: |b| ServeConfig {
+                max_batch: b,
+                gray: GrayConfig { verify: true, ..GrayConfig::default() },
+                ..ServeConfig::default()
+            },
+            autoscale: None,
+            covers: |o| o.gray.integrity_fails,
+            digest: 0xf73f_31b6_f51c_7f04,
+        },
+        PinnedCase {
+            name: "wire-unverified",
+            fleet: "cpu+gpu+8xvpu",
+            faults: Some(WIRE),
+            load_frac: 0.8,
+            cfg: |b| ServeConfig { max_batch: b, ..ServeConfig::default() },
+            autoscale: None,
+            covers: |o| o.gray.corrupt_surfaced,
+            digest: 0x67ff_790d_8479_3f35,
+        },
+        PinnedCase {
+            name: "unplug-exhausted",
+            fleet: "2*vpu",
+            faults: Some("unplug@30ms"),
+            load_frac: 0.8,
+            cfg: |b| ServeConfig {
+                max_batch: b,
+                robust: RobustConfig { max_attempts: 2, ..RobustConfig::default() },
+                ..ServeConfig::default()
+            },
+            autoscale: None,
+            covers: |o| o.faults.exhausted,
+            digest: 0x3611_77c9_cda3_3d4a,
+        },
+        PinnedCase {
+            name: "failslow-defended",
+            fleet: "cpu+gpu+2*vpu",
+            faults: Some("failslow@60ms:for@400ms:slow@6"),
+            load_frac: 0.7,
+            cfg: |b| ServeConfig {
+                max_batch: b,
+                gray: GrayConfig::defended(),
+                ..ServeConfig::default()
+            },
+            autoscale: None,
+            covers: |o| o.gray.hedges.min(o.gray.quarantines),
+            digest: 0x6bd0_10dc_76ac_3725,
+        },
+        PinnedCase {
+            name: "reactive-autoscale",
+            fleet: "4*vpu",
+            faults: None,
+            load_frac: 0.2,
+            cfg: |b| ServeConfig { max_batch: b, ..ServeConfig::default() },
+            autoscale: Some("reactive"),
+            covers: |o| o.scaling.as_ref().map_or(0, |s| s.scale_downs),
+            digest: 0xd755_a4ba_98db_2462,
+        },
+    ];
+    let mut moved = Vec::new();
+    for c in &cases {
+        let (digest, outcome) = pinned_run(c);
+        assert!((c.covers)(&outcome) > 0, "{}: the case must exercise the path it pins", c.name);
+        if digest != c.digest {
+            moved.push(format!("{}: {digest:#018x}", c.name));
+        }
+    }
+    assert!(moved.is_empty(), "serving-loop digests moved: {moved:?}");
 }

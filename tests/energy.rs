@@ -11,19 +11,21 @@
 //! segment splits vs the request's share.
 
 use vpu_coprocessor::analyze::Analysis;
-use vpu_coprocessor::experiments::serve_bench::{traced_serve_with_faults, TracedServe};
+use vpu_coprocessor::experiments::serve_bench::{traced_serve, TracedServe};
 use vpu_coprocessor::experiments::Scale;
 use vpu_coprocessor::faults::FaultPlan;
-use vpu_coprocessor::serving::DispatchPolicy;
+use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
 use vpu_coprocessor::sim::Duration;
 
 fn tiny_run(faults: Option<&FaultPlan>) -> TracedServe {
-    traced_serve_with_faults(
+    traced_serve(
         Scale::Tiny,
         Duration::from_millis(500.0),
         DispatchPolicy::CostAware,
         Duration::from_millis(10.0),
         faults,
+        GrayConfig::default(),
+        None,
     )
 }
 
@@ -124,7 +126,7 @@ fn energy_books_balance_exactly_on_a_dynamic_fleet() {
     // additionally proves the gating reclaimed real idle energy.
     use vpu_coprocessor::experiments::autoscale_bench::traced_autoscale;
     for policy in ["reactive", "oracle"] {
-        let run = traced_autoscale(Scale::Tiny, policy, Duration::from_millis(10.0));
+        let run = traced_autoscale(Scale::Tiny, policy, Duration::from_millis(10.0), None);
         assert_books_balance(&run);
         let s = run.report.scaling.as_ref().expect("autoscaled runs report a scaling block");
         assert!(s.scale_downs > 0, "{policy}: low load must trigger drains: {s:?}");

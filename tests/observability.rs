@@ -196,12 +196,15 @@ fn overhead_ledger_is_conserved_on_disk() {
     use std::io::Write;
     use vpu_coprocessor::experiments::{serve_bench::traced_serve, Scale};
     use vpu_coprocessor::obs::CountingWrite;
-    use vpu_coprocessor::serving::DispatchPolicy;
+    use vpu_coprocessor::serving::{DispatchPolicy, GrayConfig};
     let t = traced_serve(
         Scale::Tiny,
         Duration::from_millis(500.0),
         DispatchPolicy::CostAware,
         Duration::from_millis(10.0),
+        None,
+        GrayConfig::default(),
+        None,
     );
     assert!(t.overhead.events_recorded > 0, "a traced run records events");
     assert_eq!(t.overhead.trace_bytes, t.chrome_json.len() as u64);
