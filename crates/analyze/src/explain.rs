@@ -82,7 +82,7 @@ pub struct Explanation {
 
 /// Build the structured explanation of `id` from a parsed event log.
 pub fn explain(log: &EventLog, id: u64) -> Result<Explanation, String> {
-    let evs = log.for_request(id);
+    let evs: Vec<&Event> = log.events().iter().filter(|e| e.ctx.request_id == Some(id)).collect();
     if evs.is_empty() {
         return Err(format!(
             "request {id} not in trace (wrong id, or dropped by tail sampling — \

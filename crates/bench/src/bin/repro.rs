@@ -89,6 +89,10 @@ const MAX_WHATIF_FACTOR: f64 = 100.0;
 /// nanosecond step or emit millions of rows per virtual second.
 const MIN_SAMPLE_MS: f64 = 0.001;
 
+/// Smallest `--loads` fraction `whatif` accepts: run time grows as
+/// 1/load, and a load of 1e-9 never finishes.
+const MIN_WHATIF_LOAD: f64 = 0.001;
+
 /// A finite, strictly positive float.
 fn parse_positive(s: &str) -> Option<f64> {
     s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0)
@@ -297,10 +301,13 @@ fn main() -> ExitCode {
             }
             "--loads" => {
                 let Some(v) = it.next() else { return usage() };
-                let Some(l) = parse_f64_list(v) else {
-                    return bad_value("--loads", v, "comma-separated positive numbers");
-                };
-                whatif_loads = Some(l);
+                match parse_f64_list(v) {
+                    Some(l) if l.iter().all(|&f| f >= MIN_WHATIF_LOAD) => whatif_loads = Some(l),
+                    _ => {
+                        let expected = format!("comma-separated numbers >= {MIN_WHATIF_LOAD}");
+                        return bad_value("--loads", v, &expected);
+                    }
+                }
             }
             "--prof" => prof_on = true,
             "--gray" => gray_on = true,

@@ -176,6 +176,7 @@ pub fn sample_exp(scale: Scale) -> SampleExp {
     let anomalies = anomaly_ids(&full_forest, slo);
     let full_p99 = p99_from_forest(&full_forest, completed).unwrap_or(f64::NAN);
     let full_bytes = full.overhead.trace_bytes;
+    let full_chains = full.log.group_by(|e| e.ctx.request_id);
 
     let mut points = Vec::new();
     for s in &specs {
@@ -186,12 +187,9 @@ pub fn sample_exp(scale: Scale) -> SampleExp {
             anomalies.iter().copied().filter(|id| forest.requests.contains_key(id)).collect();
         // Intact = the anomalous request's event chain is exactly the
         // full run's, not merely present.
+        let kept_chains = arm.log.group_by(|e| e.ctx.request_id);
         let intact = kept_anoms.len() == anomalies.len()
-            && anomalies.iter().all(|&id| {
-                let a: Vec<_> = full.log.for_request(id).into_iter().copied().collect();
-                let b: Vec<_> = arm.log.for_request(id).into_iter().copied().collect();
-                a == b
-            });
+            && anomalies.iter().all(|id| kept_chains.get(id) == full_chains.get(id));
         let p99 = p99_from_forest(&forest, completed).unwrap_or(f64::NAN);
         points.push(SamplePoint {
             spec: s.as_ref().map_or("full".to_string(), |p| p.spec()),

@@ -1,36 +1,25 @@
 //! Structural validation of exported Chrome trace-event JSON.
 //!
 //! CI runs a tiny observed serving run, exports the trace, and feeds it
-//! back through [`validate`]: the document must parse, carry every
-//! expected phase at least once, name its tracks, and contain at least
-//! one request whose full Arrive→…→Complete chain appears with
-//! non-decreasing timestamps. This closes the loop on the exporter — a
-//! trace that renders in Perfetto but silently lost a phase fails here.
+//! back through [`validate`]: the document must parse with the
+//! analyzer's strict reader ([`parse_chrome_trace_sampled`]), carry
+//! every phase of [`Phase::REQUEST_CHAIN`] at least once, and contain at
+//! least one request whose full Arrive→…→Complete chain appears with
+//! non-decreasing timestamps; the failover, scaling and gray-failure
+//! grammars are then checked on the typed events. This closes the loop
+//! on the exporter — a trace that renders in Perfetto but silently lost
+//! a phase fails here.
 
-use ncsw_obs::{Phase, SampleStats, ShedCause};
-use serde::Deserialize as _;
-use serde_json::Value;
-use std::collections::BTreeMap;
-
-/// Phases every serving trace must contain at least once — derived from
-/// [`Phase::REQUEST_CHAIN`] so the checker can never drift from the
-/// names the exporter actually writes.
-pub const REQUIRED_PHASES: [&str; Phase::REQUEST_CHAIN.len()] = {
-    let mut out = [""; Phase::REQUEST_CHAIN.len()];
-    let mut i = 0;
-    while i < out.len() {
-        out[i] = Phase::REQUEST_CHAIN[i].name();
-        i += 1;
-    }
-    out
-};
+use desim::SimTime;
+use ncsw_analyze::parse_chrome_trace_sampled;
+use ncsw_obs::{request_chain, Event, Phase, SampleStats};
 
 /// What [`validate`] measured about a trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceCheck {
     /// Trace events excluding metadata records.
     pub events: usize,
-    /// Named tracks (thread_name metadata records).
+    /// Distinct lanes carrying at least one event.
     pub tracks: usize,
     /// Distinct request ids seen in event args.
     pub requests: usize,
@@ -74,350 +63,209 @@ pub struct TraceCheck {
     pub sampling: Option<SampleStats>,
 }
 
-fn number(v: &Value) -> Option<f64> {
-    match v {
-        Value::U64(u) => Some(*u as f64),
-        Value::I64(i) => Some(*i as f64),
-        Value::F64(f) => Some(*f),
-        _ => None,
-    }
+/// Start instants of the `phase` events among `evs`, in log order.
+fn starts<'a>(evs: &'a [&Event], phase: Phase) -> impl Iterator<Item = SimTime> + 'a {
+    evs.iter().filter(move |e| e.phase == phase).map(|e| e.start)
+}
+
+/// A window end for error messages; `None` never closes.
+fn or_inf(t: Option<SimTime>) -> String {
+    t.map_or("inf".to_string(), |t| t.to_string())
 }
 
 /// Validate `json` as a serving trace. Returns what was found, or a
 /// description of the first structural problem.
 pub fn validate(json: &str) -> Result<TraceCheck, String> {
-    let doc: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e:?}"))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_seq)
-        .ok_or("missing traceEvents array".to_string())?;
+    let (log, sampling) = parse_chrome_trace_sampled(json)?;
+    let events = log.events();
+    // A Shed must say why: the cause is what every downstream consumer
+    // (analyzer, flamegraph, post-mortems) keys on.
+    if let Some(e) = events.iter().find(|e| e.phase == Phase::Shed && e.cause.is_none()) {
+        return Err(format!("Shed at {} without a cause arg", e.start));
+    }
+    if let Some(p) = Phase::REQUEST_CHAIN.iter().find(|&&p| !events.iter().any(|e| e.phase == p)) {
+        return Err(format!("phase {} never appears in the trace", p.name()));
+    }
+    let by_request = log.group_by(|e| e.ctx.request_id);
+    let mut check = TraceCheck {
+        events: log.len(),
+        tracks: log.lanes().len(),
+        requests: by_request.len(),
+        power_samples: events.iter().filter(|e| e.phase == Phase::PowerSample).count(),
+        sampling,
+        ..TraceCheck::default()
+    };
+    for (w, evs) in &log.group_by(|e| e.ctx.worker) {
+        check_worker(*w, evs, &mut check)?;
+    }
+    for (b, evs) in &log.group_by(|e| e.ctx.batch_id) {
+        check_batch(*b, evs, &mut check)?;
+    }
+    for (id, evs) in &by_request {
+        check_request(*id, evs, &mut check)?;
+    }
+    if check.chained == 0 {
+        return Err("no request exposes the full time-ordered phase chain".to_string());
+    }
+    Ok(check)
+}
 
-    let mut tracks = 0usize;
-    let mut count = 0usize;
-    let mut phase_seen: BTreeMap<&str, usize> = BTreeMap::new();
-    // request id -> (phase name -> first ts)
-    let mut per_request: BTreeMap<u64, BTreeMap<String, f64>> = BTreeMap::new();
-    // Failover structure: worker -> event timestamps, in log order.
-    let mut dispatches: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    let mut execs: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    let mut failovers: Vec<(u64, f64)> = Vec::new();
-    // worker -> (ts, is_open) circuit transitions.
-    let mut circuit: BTreeMap<u64, Vec<(f64, bool)>> = BTreeMap::new();
-    // Autoscaling structure, per worker in log order.
-    let mut exec_spans: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
-    let mut drains: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    let mut scale_downs: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    // ScaleUp spans end when the stick is provisioned and re-admitted.
-    let mut scale_up_ends: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    // request id -> Shed timestamp; request id -> latest event (ts, name).
-    let mut shed_at: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut latest: BTreeMap<u64, (f64, String)> = BTreeMap::new();
-    let mut power_samples = 0usize;
-    // Gray-failure structure: hedge spans per batch, win/cancel marks,
-    // quarantine/probation instants per worker, integrity rejections
-    // and retries per request.
-    let mut hedge_starts: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    let mut hedge_marks: Vec<(u64, f64, bool)> = Vec::new(); // (batch, ts, is_win)
-    let mut quarantine_at: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    let mut probation_at: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    let mut integrity: Vec<(u64, f64)> = Vec::new(); // (request, ts)
-    let mut retry_at: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    let mut sampling: Option<SampleStats> = None;
+/// The failover, circuit, scaling and quarantine grammar of one
+/// worker's events.
+fn check_worker(w: u32, evs: &[&Event], check: &mut TraceCheck) -> Result<(), String> {
+    let dispatches: Vec<SimTime> = starts(evs, Phase::Dispatch).collect();
+    let execs: Vec<(SimTime, SimTime)> =
+        evs.iter().filter(|e| e.phase == Phase::Exec).map(|e| (e.start, e.finish())).collect();
 
-    for (i, ev) in events.iter().enumerate() {
-        let ph = ev.get("ph").and_then(Value::as_str).ok_or(format!("event {i}: missing ph"))?;
-        if ph == "M" {
-            match ev.get("name").and_then(Value::as_str) {
-                Some("thread_name") => tracks += 1,
-                Some("sampling") => {
-                    let args =
-                        ev.get("args").ok_or(format!("event {i}: sampling row without args"))?;
-                    sampling = Some(SampleStats::from_value(args).map_err(|e| {
-                        format!("event {i}: malformed sampling metadata row: {e:?}")
-                    })?);
-                }
-                _ => {}
-            }
-            continue;
+    // A Failover must follow a Dispatch on the same worker — the batch
+    // it re-plans must actually have been routed.
+    for f in starts(evs, Phase::Failover) {
+        if !dispatches.iter().any(|&d| d <= f) {
+            return Err(format!("Failover on worker {w} at {f} without a prior Dispatch"));
         }
-        if ph == "C" {
-            // A power counter without a reading is unrenderable and
-            // breaks the analyzer's exact re-integration.
-            ev.get("args")
-                .and_then(|a| a.get("mw"))
-                .and_then(number)
-                .ok_or(format!("event {i}: counter without a numeric mw arg"))?;
-            power_samples += 1;
-            count += 1;
-            continue;
-        }
-        if ph != "X" && ph != "i" {
-            return Err(format!("event {i}: unexpected ph {ph:?}"));
-        }
-        count += 1;
-        let name =
-            ev.get("name").and_then(Value::as_str).ok_or(format!("event {i}: missing name"))?;
-        let ts = ev.get("ts").and_then(number).ok_or(format!("event {i}: missing numeric ts"))?;
-        let mut dur = 0.0;
-        if ph == "X" {
-            dur = ev.get("dur").and_then(number).ok_or(format!("event {i}: span without dur"))?;
-            if dur < 0.0 {
-                return Err(format!("event {i}: negative dur"));
-            }
-        }
-        if let Some(&p) = REQUIRED_PHASES.iter().find(|&&p| p == name) {
-            *phase_seen.entry(p).or_insert(0) += 1;
-        }
-        // A Shed must say why: the cause arg is what every downstream
-        // consumer (analyzer, flamegraph, post-mortems) keys on.
-        if name == "Shed" {
-            let cause = ev
-                .get("args")
-                .and_then(|a| a.get("cause"))
-                .and_then(Value::as_str)
-                .ok_or(format!("event {i}: Shed without a cause arg"))?;
-            if ShedCause::parse(cause).is_none() {
-                return Err(format!("event {i}: Shed with unknown cause {cause:?}"));
-            }
-        }
-        if let Some(id) = ev.get("args").and_then(|a| a.get("request_id")).and_then(number) {
-            let id = id as u64;
-            let slot = per_request.entry(id).or_default();
-            let entry = slot.entry(name.to_string()).or_insert(ts);
-            if ts < *entry {
-                *entry = ts;
-            }
-            if name == "Shed" {
-                // Retry-exhaustion sheds are spans covering the
-                // request's whole queued life (arrival -> decision);
-                // the *end* is the shed instant the finality and
-                // integrity-resolution checks compare against.
-                shed_at.entry(id).or_insert(ts + dur);
-            }
-            let last = latest.entry(id).or_insert((ts, name.to_string()));
-            if ts > last.0 {
-                *last = (ts, name.to_string());
-            }
-            if name == "IntegrityFail" {
-                integrity.push((id, ts));
-            }
-            if name == "RetryAttempt" {
-                retry_at.entry(id).or_default().push(ts);
-            }
-        }
-        if let Some(w) = ev.get("args").and_then(|a| a.get("worker")).and_then(number) {
-            let w = w as u64;
-            match name {
-                "Dispatch" => dispatches.entry(w).or_default().push(ts),
-                "Exec" => {
-                    execs.entry(w).or_default().push(ts);
-                    exec_spans.entry(w).or_default().push((ts, ts + dur));
-                }
-                "Failover" => failovers.push((w, ts)),
-                "CircuitOpen" => circuit.entry(w).or_default().push((ts, true)),
-                "CircuitClose" => circuit.entry(w).or_default().push((ts, false)),
-                "Drain" => drains.entry(w).or_default().push(ts),
-                "ScaleDown" => scale_downs.entry(w).or_default().push(ts),
-                "ScaleUp" => scale_up_ends.entry(w).or_default().push(ts + dur),
-                "Quarantine" => quarantine_at.entry(w).or_default().push(ts),
-                "Probation" => probation_at.entry(w).or_default().push(ts),
-                _ => {}
-            }
-        }
-        if let Some(b) = ev.get("args").and_then(|a| a.get("batch_id")).and_then(number) {
-            let b = b as u64;
-            match name {
-                "Hedge" => hedge_starts.entry(b).or_default().push(ts),
-                "HedgeWin" => hedge_marks.push((b, ts, true)),
-                "HedgeCancel" => hedge_marks.push((b, ts, false)),
-                _ => {}
-            }
-        }
+        check.failovers += 1;
     }
 
-    for p in REQUIRED_PHASES {
-        if !phase_seen.contains_key(p) {
-            return Err(format!("phase {p} never appears in the trace"));
-        }
-    }
-    if tracks == 0 {
-        return Err("no thread_name metadata (unnamed tracks)".to_string());
-    }
-
-    // Failover structure: a Failover must follow a Dispatch on the same
-    // worker — the batch it re-plans must actually have been routed.
-    for &(w, ts) in &failovers {
-        let dispatched_before = dispatches.get(&w).is_some_and(|d| d.iter().any(|&dt| dt <= ts));
-        if !dispatched_before {
-            return Err(format!("Failover on worker {w} at {ts} without a prior Dispatch"));
-        }
-    }
     // Circuit windows: transitions alternate open/close in time order,
-    // and no Exec starts while a worker's circuit is open (the probe's
-    // Exec lands at/after the CircuitClose that re-admitted it).
-    let mut outage_windows = 0usize;
-    for (w, evs) in &circuit {
-        let mut last = f64::MIN;
-        for (i, &(ts, is_open)) in evs.iter().enumerate() {
-            let expect_open = i % 2 == 0;
-            if is_open != expect_open {
-                return Err(format!("worker {w}: circuit transitions do not alternate"));
-            }
-            if ts < last {
-                return Err(format!("worker {w}: circuit transitions go backwards"));
-            }
-            last = ts;
+    // and no Exec starts while the circuit is open (the probe's Exec
+    // lands at/after the CircuitClose that re-admitted it).
+    let circuit: Vec<(SimTime, bool)> = evs
+        .iter()
+        .filter(|e| matches!(e.phase, Phase::CircuitOpen | Phase::CircuitClose))
+        .map(|e| (e.start, e.phase == Phase::CircuitOpen))
+        .collect();
+    let mut last = SimTime::ZERO;
+    for (i, &(ts, is_open)) in circuit.iter().enumerate() {
+        if is_open != (i % 2 == 0) {
+            return Err(format!("worker {w}: circuit transitions do not alternate"));
         }
-        for pair in evs.chunks(2) {
-            let open = pair[0].0;
-            let close = if pair.len() == 2 { pair[1].0 } else { f64::INFINITY };
-            outage_windows += 1;
-            if let Some(xs) = execs.get(w) {
-                if let Some(x) = xs.iter().find(|&&x| x >= open && x < close) {
-                    return Err(format!(
-                        "worker {w}: Exec at {x} inside open-circuit window [{open}, {close})"
-                    ));
-                }
-            }
+        if ts < last {
+            return Err(format!("worker {w}: circuit transitions go backwards"));
         }
+        last = ts;
     }
-
-    // Autoscaling structure. A Drain closes the dispatch window: no
-    // Dispatch may target the worker strictly between the Drain and the
-    // end of the ScaleUp span that re-provisions it (or ever, if it was
-    // never scaled back up).
-    for (w, ds) in &drains {
-        for &d in ds {
-            let readmit = scale_up_ends
-                .get(w)
-                .into_iter()
-                .flatten()
-                .copied()
-                .filter(|&e| e > d)
-                .fold(f64::INFINITY, f64::min);
-            if let Some(ts) =
-                dispatches.get(w).into_iter().flatten().find(|&&ts| ts > d && ts < readmit)
-            {
-                return Err(format!(
-                    "worker {w}: Dispatch at {ts} inside gated window ({d}, {readmit})"
-                ));
-            }
-        }
-        // Every Drain must gate: its ScaleDown lands at/after it.
-        let sds = scale_downs.get(w).map(Vec::as_slice).unwrap_or_default();
-        if sds.len() != ds.len() {
+    for pair in circuit.chunks(2) {
+        let (open, close) = (pair[0].0, pair.get(1).map(|c| c.0));
+        check.outage_windows += 1;
+        if let Some((x, _)) = execs.iter().find(|&&(x, _)| x >= open && close.is_none_or(|c| x < c))
+        {
             return Err(format!(
-                "worker {w}: {} Drain(s) but {} ScaleDown(s)",
-                ds.len(),
-                sds.len()
+                "worker {w}: Exec at {x} inside open-circuit window [{open}, {})",
+                or_inf(close)
             ));
         }
-        if let Some((d, sd)) = ds.iter().zip(sds).find(|(d, sd)| sd < d) {
-            return Err(format!("worker {w}: ScaleDown at {sd} before its Drain at {d}"));
+    }
+
+    // Autoscaling. A Drain closes the dispatch window: no Dispatch may
+    // target the worker strictly between the Drain and the end of the
+    // ScaleUp span that re-provisions it (or ever, if it was never
+    // scaled back up). Every Drain gates: its ScaleDown lands at/after
+    // it.
+    let drains: Vec<SimTime> = starts(evs, Phase::Drain).collect();
+    let scale_downs: Vec<SimTime> = starts(evs, Phase::ScaleDown).collect();
+    let scale_up_ends: Vec<SimTime> =
+        evs.iter().filter(|e| e.phase == Phase::ScaleUp).map(|e| e.finish()).collect();
+    for &d in &drains {
+        let readmit = scale_up_ends.iter().copied().filter(|&e| e > d).min();
+        if let Some(ts) = dispatches.iter().find(|&&ts| ts > d && readmit.is_none_or(|r| ts < r)) {
+            return Err(format!(
+                "worker {w}: Dispatch at {ts} inside gated window ({d}, {})",
+                or_inf(readmit)
+            ));
         }
+    }
+    if !drains.is_empty() && scale_downs.len() != drains.len() {
+        return Err(format!(
+            "worker {w}: {} Drain(s) but {} ScaleDown(s)",
+            drains.len(),
+            scale_downs.len()
+        ));
+    }
+    if let Some((d, sd)) = drains.iter().zip(&scale_downs).find(|(d, sd)| sd < d) {
+        return Err(format!("worker {w}: ScaleDown at {sd} before its Drain at {d}"));
     }
     // A ScaleDown may only land once in-flight work is done: never
     // strictly inside an Exec span on the same worker.
-    for (w, sds) in &scale_downs {
-        for &sd in sds {
-            if let Some((s, e)) =
-                exec_spans.get(w).into_iter().flatten().find(|&&(s, e)| sd > s && sd < e)
-            {
-                return Err(format!(
-                    "worker {w}: ScaleDown at {sd} inside in-flight Exec span [{s}, {e})"
-                ));
-            }
+    for &sd in &scale_downs {
+        if let Some((s, e)) = execs.iter().find(|&&(s, e)| sd > s && sd < e) {
+            return Err(format!(
+                "worker {w}: ScaleDown at {sd} inside in-flight Exec span [{s}, {e})"
+            ));
         }
     }
+    check.drains += drains.len();
+    check.scale_downs += scale_downs.len();
+    check.scale_ups += scale_up_ends.len();
 
-    // Hedge pairing: a win or cancel only makes sense against a hedge
-    // that actually started on the same batch, at or before the mark.
-    for &(b, ts, is_win) in &hedge_marks {
-        let kind = if is_win { "HedgeWin" } else { "HedgeCancel" };
-        let started = hedge_starts.get(&b).is_some_and(|hs| hs.iter().any(|&h| h <= ts));
-        if !started {
+    // Quarantine windows: from the Quarantine instant until the next
+    // Probation on the worker the dispatcher must route around it — no
+    // Exec may start inside the window.
+    let probations: Vec<SimTime> = starts(evs, Phase::Probation).collect();
+    for q in starts(evs, Phase::Quarantine) {
+        let release = probations.iter().copied().filter(|&p| p >= q).min();
+        if let Some((x, _)) = execs.iter().find(|&&(x, _)| x >= q && release.is_none_or(|r| x < r))
+        {
+            return Err(format!(
+                "worker {w}: Exec at {x} inside quarantine window [{q}, {})",
+                or_inf(release)
+            ));
+        }
+        check.quarantines += 1;
+    }
+    check.probations += probations.len();
+    Ok(())
+}
+
+/// Hedge pairing on one batch: a win or cancel only makes sense against
+/// a hedge that actually started on the same batch, at or before the
+/// mark.
+fn check_batch(b: u64, evs: &[&Event], check: &mut TraceCheck) -> Result<(), String> {
+    let hedges: Vec<SimTime> = starts(evs, Phase::Hedge).collect();
+    for e in evs.iter().filter(|e| matches!(e.phase, Phase::HedgeWin | Phase::HedgeCancel)) {
+        if !hedges.iter().any(|&h| h <= e.start) {
+            let (kind, ts) = (e.phase.name(), e.start);
             return Err(format!("{kind} on batch {b} at {ts} without a prior Hedge"));
         }
-    }
-    // Quarantine windows: from the Quarantine instant until the next
-    // Probation on the same worker the dispatcher must route around it
-    // — no Exec may start inside the window.
-    let mut quarantine_count = 0usize;
-    for (w, qs) in &quarantine_at {
-        let ps = probation_at.get(w).map(Vec::as_slice).unwrap_or_default();
-        for &q in qs {
-            quarantine_count += 1;
-            let release = ps.iter().copied().filter(|&p| p >= q).fold(f64::INFINITY, f64::min);
-            if let Some(x) = execs.get(w).into_iter().flatten().find(|&&x| x >= q && x < release) {
-                return Err(format!(
-                    "worker {w}: Exec at {x} inside quarantine window [{q}, {release})"
-                ));
-            }
+        match e.phase {
+            Phase::HedgeWin => check.hedge_wins += 1,
+            _ => check.hedge_cancels += 1,
         }
     }
+    check.hedges += hedges.len();
+    Ok(())
+}
+
+/// One request's lifecycle: integrity rejections resolve, nothing
+/// follows a Shed, and whether the full phase chain is present.
+fn check_request(id: u64, evs: &[&Event], check: &mut TraceCheck) -> Result<(), String> {
+    // Retry-exhaustion sheds are spans covering the request's whole
+    // queued life (arrival -> decision); the *end* is the shed instant.
+    let shed_at = evs.iter().find(|e| e.phase == Phase::Shed).map(|e| e.finish());
     // Every integrity rejection must resolve: a retry attempt or a shed
-    // of the same request at/after the rejection — corrupt results may
-    // never silently surface as completions.
-    for &(id, ts) in &integrity {
-        let retried = retry_at.get(&id).is_some_and(|rs| rs.iter().any(|&r| r >= ts));
-        let is_shed = shed_at.get(&id).is_some_and(|&s| s >= ts);
-        if !retried && !is_shed {
+    // at/after the rejection — corrupt results may never silently
+    // surface as completions.
+    for ts in starts(evs, Phase::IntegrityFail) {
+        let resolved =
+            starts(evs, Phase::RetryAttempt).any(|r| r >= ts) || shed_at.is_some_and(|s| s >= ts);
+        if !resolved {
             return Err(format!(
                 "request {id}: IntegrityFail at {ts} with no retry or shed after it"
             ));
         }
+        check.integrity_fails += 1;
     }
-
     // A shed request is dead: nothing of it may start after the Shed.
-    for (id, &sts) in &shed_at {
-        if let Some((t, n)) = latest.get(id) {
-            if *t > sts {
-                return Err(format!("request {id}: {n} at {t} after its Shed at {sts}"));
-            }
+    if let Some(sts) = shed_at {
+        if let Some(late) = evs.iter().find(|e| e.start > sts) {
+            let (n, t) = (late.phase.name(), late.start);
+            return Err(format!("request {id}: {n} at {t} after its Shed at {sts}"));
         }
+        check.sheds += 1;
     }
-
-    let mut chained = 0usize;
-    for stamps in per_request.values() {
-        let mut last = f64::MIN;
-        let mut ok = true;
-        for p in REQUIRED_PHASES {
-            match stamps.get(p) {
-                Some(&ts) if ts >= last => last = ts,
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            chained += 1;
-        }
+    if request_chain(evs).is_some() {
+        check.chained += 1;
     }
-    if chained == 0 {
-        return Err("no request exposes the full time-ordered phase chain".to_string());
-    }
-
-    Ok(TraceCheck {
-        events: count,
-        tracks,
-        requests: per_request.len(),
-        chained,
-        failovers: failovers.len(),
-        outage_windows,
-        sheds: shed_at.len(),
-        power_samples,
-        drains: drains.values().map(Vec::len).sum(),
-        scale_ups: scale_up_ends.values().map(Vec::len).sum(),
-        scale_downs: scale_downs.values().map(Vec::len).sum(),
-        hedges: hedge_starts.values().map(Vec::len).sum(),
-        hedge_wins: hedge_marks.iter().filter(|m| m.2).count(),
-        hedge_cancels: hedge_marks.iter().filter(|m| !m.2).count(),
-        integrity_fails: integrity.len(),
-        quarantines: quarantine_count,
-        probations: probation_at.values().map(Vec::len).sum(),
-        sampling,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -426,7 +274,16 @@ mod tests {
     use crate::scale::Scale;
     use crate::serve_bench::traced_serve;
     use desim::Duration;
+    use ncsw_obs::ShedCause;
     use ncsw_serve::DispatchPolicy;
+
+    /// `json` without the event rows `drop` selects. Every row but the
+    /// last ends in a comma, so dropping any other keeps valid JSON.
+    fn drop_rows(json: &str, drop: impl Fn(&str) -> bool) -> String {
+        let kept: Vec<&str> = json.lines().filter(|l| !drop(l)).collect();
+        assert!(kept.len() < json.lines().count(), "no rows to drop");
+        kept.join("\n")
+    }
 
     fn tiny_trace() -> String {
         traced_serve(
@@ -518,18 +375,8 @@ mod tests {
         assert!(err.contains("alternate"), "{err}");
         // A Failover with no prior Dispatch on that worker must be
         // caught: strip every Dispatch aimed at the faulted worker (2).
-        let bad: String = json
-            .lines()
-            .map(|l| {
-                if l.contains("\"name\":\"Dispatch\"") && l.contains("\"worker\":2") {
-                    l.replace("\"name\":\"Dispatch\"", "\"name\":\"Xdispatch\"")
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_ne!(bad, json);
+        let bad =
+            drop_rows(&json, |l| l.contains("\"name\":\"Dispatch\"") && l.contains("\"worker\":2"));
         let err = validate(&bad).unwrap_err();
         assert!(err.contains("without a prior Dispatch"), "{err}");
     }
@@ -597,8 +444,7 @@ mod tests {
         assert!(check.scale_ups > 0, "{check:?}");
         assert_eq!(check.drains, check.scale_downs, "{check:?}");
         // Stripping the ScaleDowns breaks the Drain pairing.
-        let bad = json.replace("\"name\":\"ScaleDown\"", "\"name\":\"XcaleDown\"");
-        assert_ne!(bad, json);
+        let bad = drop_rows(&json, |l| l.contains("\"name\":\"ScaleDown\""));
         let err = validate(&bad).unwrap_err();
         assert!(err.contains("ScaleDown"), "{err}");
     }
@@ -721,16 +567,150 @@ mod tests {
         assert!(err.contains("no retry or shed"), "{err}");
     }
 
+    /// Byte ranges of the edit sites in `json`: every number that is an
+    /// object value, or every `"name"` string value.
+    fn value_sites(json: &str, numbers: bool) -> Vec<std::ops::Range<usize>> {
+        let (key, is_value): (&str, fn(u8) -> bool) = if numbers {
+            (":", |c| c.is_ascii_digit() || b"-+.eE".contains(&c))
+        } else {
+            ("\"name\":\"", |c| c != b'"')
+        };
+        json.match_indices(key)
+            .map(|(i, _)| i + key.len())
+            .map(|at| at..at + json.as_bytes()[at..].iter().take_while(|&&c| is_value(c)).count())
+            .filter(|r| !r.is_empty())
+            .collect()
+    }
+
+    /// One property-test edit of an exported trace: `kind` 0 replaces a
+    /// number with `with`, 1 truncates the document, 2 swaps two names;
+    /// `at` picks the site.
+    fn mutate(json: &str, kind: u8, at: u64, with: &str) -> String {
+        let sites = value_sites(json, kind == 0);
+        let pick = |k: u64| sites[(k % sites.len() as u64) as usize].clone();
+        match kind {
+            0 => {
+                let r = pick(at);
+                format!("{}{with}{}", &json[..r.start], &json[r.end..])
+            }
+            1 => json[..(at % json.len() as u64) as usize].to_string(),
+            _ => {
+                let (a, b) = (pick(at), pick(at / sites.len() as u64));
+                let (a, b) = if a.start <= b.start { (a, b) } else { (b, a) };
+                if a == b {
+                    return json.to_string();
+                }
+                let (x, y) = (&json[a.clone()], &json[b.clone()]);
+                let (head, mid, tail) = (&json[..a.start], &json[a.end..b.start], &json[b.end..]);
+                format!("{head}{y}{mid}{x}{tail}")
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        /// The one trace reader never panics: any edit of a real trace —
+        /// impossible numbers, truncation, swapped names — parses and
+        /// validates to `Ok` or `Err`.
+        #[test]
+        fn the_reader_never_panics_on_mutated_traces(
+            edits in proptest::collection::vec(
+                (
+                    0u8..3,
+                    proptest::prelude::any::<u64>(),
+                    proptest::sample::select(vec!["-5", "1e300", "0.5", "-0.25", "18446744073709551615"]),
+                ),
+                1..4,
+            )
+        ) {
+            static TINY: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+            let mut json = TINY.get_or_init(tiny_trace).clone();
+            for (kind, at, with) in &edits {
+                json = mutate(&json, *kind, *at, with);
+            }
+            let _ = ncsw_analyze::parse_chrome_trace(&json);
+            let _ = validate(&json);
+        }
+    }
+
+    /// The full verdict on every trace shape the grammar covers, pinned
+    /// as literals so a change to the reader or the checks that moves
+    /// any count fails here.
+    #[test]
+    fn trace_checks_are_pinned() {
+        let traced = |faults: Option<&str>, gray, sample: Option<&str>| {
+            let plan = faults.map(|f| ncsw_faults::FaultPlan::parse(f).unwrap());
+            traced_serve(
+                Scale::Tiny,
+                Duration::from_millis(500.0),
+                DispatchPolicy::CostAware,
+                Duration::from_millis(10.0),
+                plan.as_ref(),
+                gray,
+                sample.map(|s| ncsw_obs::SamplePolicy::parse(s).unwrap()),
+            )
+            .chrome_json
+        };
+        let plain = ncsw_serve::GrayConfig::default();
+        let cases = [
+            ("tiny", tiny_trace()),
+            ("faulted", faulted_trace()),
+            (
+                "autoscaled",
+                crate::autoscale_bench::traced_autoscale(
+                    Scale::Tiny,
+                    "reactive",
+                    Duration::from_millis(10.0),
+                    None,
+                )
+                .chrome_json,
+            ),
+            ("sampled", traced(None, plain, Some("1-in-25"))),
+            (
+                "gray-wire",
+                traced(
+                    Some("corrupt@0.05,dup@0.05,drop@0.05,execerr@0.1"),
+                    ncsw_serve::GrayConfig::defended(),
+                    None,
+                ),
+            ),
+            ("synthetic", synthetic_log(Some(ShedCause::Rejected), false)),
+            ("synthetic-scaling", synthetic_scaling_log(false, false)),
+            ("synthetic-gray", synthetic_gray_log(false, false, false)),
+        ];
+        let got: Vec<String> =
+            cases.iter().map(|(name, json)| format!("{:?}", validate(json).expect(name))).collect();
+        let listing: String = cases
+            .iter()
+            .zip(&got)
+            .map(|((n, _), d)| format!("(\"{n}\", \"{}\"),\n", d.escape_default()))
+            .collect();
+        let pinned: Vec<&str> = PINNED_CHECKS.iter().map(|(_, d)| *d).collect();
+        assert_eq!(got, pinned, "new values:\n{listing}");
+    }
+
+    const PINNED_CHECKS: [(&str, &str); 8] = [
+        ("tiny", "TraceCheck { events: 1460, tracks: 27, requests: 160, chained: 67, failovers: 0, outage_windows: 0, sheds: 0, power_samples: 56, drains: 0, scale_ups: 0, scale_downs: 0, hedges: 0, hedge_wins: 0, hedge_cancels: 0, integrity_fails: 0, quarantines: 0, probations: 0, sampling: None }"),
+        ("faulted", "TraceCheck { events: 1466, tracks: 27, requests: 160, chained: 55, failovers: 3, outage_windows: 1, sheds: 0, power_samples: 58, drains: 0, scale_ups: 0, scale_downs: 0, hedges: 0, hedge_wins: 0, hedge_cancels: 0, integrity_fails: 0, quarantines: 0, probations: 0, sampling: None }"),
+        ("autoscaled", "TraceCheck { events: 2301, tracks: 42, requests: 160, chained: 160, failovers: 0, outage_windows: 0, sheds: 0, power_samples: 418, drains: 41, scale_ups: 41, scale_downs: 41, hedges: 0, hedge_wins: 0, hedge_cancels: 0, integrity_fails: 0, quarantines: 0, probations: 0, sampling: None }"),
+        ("sampled", "TraceCheck { events: 388, tracks: 25, requests: 37, chained: 15, failovers: 0, outage_windows: 0, sheds: 0, power_samples: 56, drains: 0, scale_ups: 0, scale_downs: 0, hedges: 0, hedge_wins: 0, hedge_cancels: 0, integrity_fails: 0, quarantines: 0, probations: 0, sampling: Some(SampleStats { spec: \"1-in-25\", requests_seen: 160, requests_kept: 37, slo: 0, shed: 0, fault: 0, hedge: 0, quarantine: 0, uniform: 5, reservoir: 32, unterminated: 0, events_seen: 1404, events_kept: 332 }) }"),
+        ("gray-wire", "TraceCheck { events: 1681, tracks: 27, requests: 160, chained: 76, failovers: 1, outage_windows: 0, sheds: 0, power_samples: 60, drains: 0, scale_ups: 0, scale_downs: 0, hedges: 1, hedge_wins: 0, hedge_cancels: 1, integrity_fails: 14, quarantines: 0, probations: 0, sampling: None }"),
+        ("synthetic", "TraceCheck { events: 10, tracks: 5, requests: 2, chained: 1, failovers: 0, outage_windows: 0, sheds: 1, power_samples: 0, drains: 0, scale_ups: 0, scale_downs: 0, hedges: 0, hedge_wins: 0, hedge_cancels: 0, integrity_fails: 0, quarantines: 0, probations: 0, sampling: None }"),
+        ("synthetic-scaling", "TraceCheck { events: 13, tracks: 7, requests: 1, chained: 1, failovers: 0, outage_windows: 0, sheds: 0, power_samples: 0, drains: 1, scale_ups: 1, scale_downs: 1, hedges: 0, hedge_wins: 0, hedge_cancels: 0, integrity_fails: 0, quarantines: 0, probations: 0, sampling: None }"),
+        ("synthetic-gray", "TraceCheck { events: 16, tracks: 6, requests: 2, chained: 1, failovers: 0, outage_windows: 0, sheds: 0, power_samples: 0, drains: 0, scale_ups: 0, scale_downs: 0, hedges: 1, hedge_wins: 1, hedge_cancels: 0, integrity_fails: 1, quarantines: 1, probations: 1, sampling: None }"),
+    ];
+
     #[test]
     fn validation_rejects_broken_traces() {
         assert!(validate("not json").is_err());
         assert!(validate("{}").is_err());
         // A structurally fine document with no phases.
-        let empty = r#"{"traceEvents":[{"ph":"M","name":"thread_name","args":{"name":"t"}}]}"#;
+        let empty =
+            r#"{"traceEvents":[{"ph":"M","name":"thread_name","tid":0,"args":{"name":"server"}}]}"#;
         let err = validate(empty).unwrap_err();
         assert!(err.contains("never appears"), "{err}");
         // Drop one phase from a real trace: must be caught.
-        let json = tiny_trace().replace("\"name\":\"Admit\"", "\"name\":\"Xdmit\"");
+        let json = drop_rows(&tiny_trace(), |l| l.contains("\"name\":\"Admit\""));
         let err = validate(&json).unwrap_err();
         assert!(err.contains("Admit"), "{err}");
     }

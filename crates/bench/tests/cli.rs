@@ -35,6 +35,13 @@ fn whatif_factor_beyond_the_cap_is_rejected() {
 }
 
 #[test]
+fn whatif_load_below_the_floor_is_rejected() {
+    // Run time grows as 1/load: 1e-9 would never finish.
+    assert_rejected(&["whatif", "--loads", "0.0009"], "0.0009");
+    assert_rejected(&["whatif", "--loads", "0.85,1e-9"], "0.85,1e-9");
+}
+
+#[test]
 fn non_finite_or_negative_gate_thresholds_are_rejected() {
     // The files need not exist: flags are checked before any is read.
     assert_rejected(&["diff", "b.json", "a.json", "--abs-ms", "nan"], "nan");

@@ -52,13 +52,9 @@ impl ModelBundle {
 
     /// The timing experiments always charge the paper's full-geometry
     /// GoogLeNet work profile, regardless of which variant computes
-    /// numerics. (FP16 profile: what the NCS executes; FP32: the hosts.)
+    /// numerics; FP16 is the precision the NCS executes.
     pub fn paper_cost_fp16() -> Arc<NetworkCost> {
         Arc::new(NetworkCost::of::<f16>(&vpu_nn::googlenet::full()))
-    }
-
-    pub fn paper_cost_fp32() -> Arc<NetworkCost> {
-        Arc::new(NetworkCost::of::<f32>(&vpu_nn::googlenet::full()))
     }
 
     pub fn classes(&self) -> usize {

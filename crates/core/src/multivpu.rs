@@ -402,9 +402,9 @@ mod tests {
         assert_eq!(plain.result_times, observed.result_times, "instrumentation changed timing");
         assert_eq!(plain.energy_j, observed.energy_j, "instrumentation changed energy");
         // Every image gets a write/exec/read triple tagged with its id.
+        let by_request = log.group_by(|e| e.ctx.request_id);
         for id in 100..108u64 {
-            let evs = log.for_request(id);
-            assert!(!evs.is_empty(), "no events for request {id}");
+            let evs = by_request.get(&id).expect("events for every request");
             for phase in [Phase::UsbWrite, Phase::Exec, Phase::UsbRead] {
                 assert!(evs.iter().any(|e| e.phase == phase), "request {id} missing {phase:?}");
             }

@@ -123,10 +123,6 @@ impl NcsDevice {
         &self.chip
     }
 
-    pub fn chip_mut(&mut self) -> &mut Myriad2 {
-        &mut self.chip
-    }
-
     pub fn inferences_completed(&self) -> u64 {
         self.inferences
     }
@@ -204,12 +200,6 @@ impl NcsDevice {
             return Err(DeviceError::NotOpen);
         }
         self.pending.pop_front().ok_or(DeviceError::NothingQueued)
-    }
-
-    /// Per-layer profile of the most recent completed run, like
-    /// `mvncGetGraphOption(..., TIME_TAKEN)`.
-    pub fn last_run(&self) -> Option<&NetworkRun> {
-        self.pending.back().map(|p| &p.run)
     }
 
     /// Steady-state junction temperature at the chip's lifetime-average

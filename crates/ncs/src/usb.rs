@@ -204,11 +204,6 @@ impl UsbBus {
         }
         Busy { start: start.unwrap_or(busy.start), end: busy.end }
     }
-
-    /// Total busy time on the root controller (utilization probe).
-    pub fn root_busy(&self) -> Duration {
-        self.root.busy_total()
-    }
 }
 
 #[cfg(test)]

@@ -187,11 +187,6 @@ impl<E: Element> CompiledNetwork<E> {
         &self.shapes
     }
 
-    /// Per-layer weights, if any (used by the device simulators).
-    pub fn layer_params(&self, idx: usize) -> Option<(&[E], &[E])> {
-        self.params[idx].as_ref().map(|(w, b)| (w.as_slice(), b.as_slice()))
-    }
-
     /// Total bytes of weights at this precision (graph-file size proxy).
     pub fn weight_bytes(&self) -> usize {
         self.params.iter().flatten().map(|(w, b)| (w.len() + b.len()) * E::width()).sum()

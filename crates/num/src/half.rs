@@ -129,14 +129,6 @@ impl f16 {
         f16(bits as u16)
     }
 
-    /// Convert from `f64` (rounds via `f32`; double rounding is harmless
-    /// here because f32 keeps 13 extra mantissa bits beyond binary16,
-    /// exceeding the 2p+2 safety margin).
-    #[inline]
-    pub fn from_f64(value: f64) -> Self {
-        Self::from_f32(value as f32)
-    }
-
     /// Exact widening conversion to `f32` (every binary16 value is
     /// representable in binary32).
     pub fn to_f32(self) -> f32 {
@@ -191,12 +183,6 @@ impl f16 {
     #[inline]
     pub fn is_finite(self) -> bool {
         (self.0 & EXP_MASK) != EXP_MASK
-    }
-
-    /// True for subnormal values (non-zero, exponent field zero).
-    #[inline]
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & EXP_MASK) == 0 && (self.0 & MAN_MASK) != 0
     }
 
     #[inline]
@@ -268,12 +254,6 @@ impl f16 {
     #[inline]
     pub fn powf(self, p: f32) -> Self {
         Self::from_f32(self.to_f32().powf(p))
-    }
-
-    /// Reciprocal with one rounding.
-    #[inline]
-    pub fn recip(self) -> Self {
-        Self::from_f32(1.0 / self.to_f32())
     }
 
     /// Units-in-the-last-place distance to another value of the same sign;

@@ -137,9 +137,8 @@ impl Phase {
         Phase::Complete,
     ];
 
-    /// The canonical phase name — single source of truth consumed by
-    /// the Chrome exporter, `trace_check` and the analyzer. `const` so
-    /// validators can build required-phase tables at compile time.
+    /// The canonical phase name — single source of truth for the Chrome
+    /// exporter and the trace parser.
     pub const fn name(self) -> &'static str {
         match self {
             Phase::Arrive => "Arrive",

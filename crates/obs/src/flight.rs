@@ -91,11 +91,6 @@ impl FlightRecorder {
         &self.incidents
     }
 
-    /// Consume the recorder, returning its snapshots.
-    pub fn into_incidents(self) -> Vec<IncidentSnapshot> {
-        self.incidents
-    }
-
     /// Current ring contents (oldest first).
     pub fn window(&self) -> impl Iterator<Item = &Event> {
         self.ring.iter()

@@ -14,7 +14,8 @@
 //!   uninstrumented hot paths allocation-free, [`EventLog`] collects
 //!   for export (and for the Fig. 4 Gantt chart the bench layer draws
 //!   from its host and VPU spans), [`Tee`] fans out to two sinks at
-//!   once.
+//!   once. [`request_chain`] is the one full-phase-chain rule, applied
+//!   to a request's events (`EventLog::group_by` groups them).
 //! - [`Registry`] — named counters, gauges and log-bucketed
 //!   [`LogHistogram`]s with typed handles.
 //! - [`TimeSeriesBuilder`]/[`TimeSeries`] — periodic samples of queue
@@ -65,7 +66,7 @@ pub use histogram::LogHistogram;
 pub use prof::{
     CountingWrite, OverheadLedger, ProfReport, ProfiledRecorder, Throughput, WriteStats,
 };
-pub use recorder::{BatchObs, EventLog, NullRecorder, Recorder, Tee};
+pub use recorder::{request_chain, BatchObs, EventLog, NullRecorder, Recorder, Tee};
 pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use sample::{SamplePolicy, SampleStats, SamplingRecorder};
 pub use series::{Sample, TimeSeries, TimeSeriesBuilder};

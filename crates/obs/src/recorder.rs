@@ -4,9 +4,7 @@
 
 use crate::event::{Ctx, Event, Lane, Phase};
 use desim::SimTime;
-use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A sink for observability events. Implementations must be cheap:
 /// instrumented hot paths guard event *construction* on
@@ -35,43 +33,9 @@ impl Recorder for NullRecorder {
 }
 
 /// An append-only in-memory event log (the input to the exporters).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     events: Vec<Event>,
-    /// Lazily-built request-id → event-position index, extended on
-    /// demand by [`EventLog::for_request`]. The log is append-only, so
-    /// positions never go stale; the index just catches up to `len()`.
-    index: RefCell<ReqIndex>,
-}
-
-// Manual serde: only the events travel; the index is a cache rebuilt
-// on demand.
-impl Serialize for EventLog {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![("events".to_string(), self.events.to_value())])
-    }
-}
-
-impl Deserialize for EventLog {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let events = Vec::<Event>::from_value(serde::map_get(v, "events")?)?;
-        Ok(EventLog { events, index: RefCell::new(ReqIndex::default()) })
-    }
-}
-
-/// See [`EventLog::index`]: `upto` is how many events have been
-/// indexed so far.
-#[derive(Debug, Clone, Default)]
-struct ReqIndex {
-    by_request: HashMap<u64, Vec<usize>>,
-    upto: usize,
-}
-
-/// Identity lives in the events alone; the index is a cache.
-impl PartialEq for EventLog {
-    fn eq(&self, other: &EventLog) -> bool {
-        self.events == other.events
-    }
 }
 
 impl Recorder for EventLog {
@@ -113,46 +77,30 @@ impl EventLog {
         lanes
     }
 
-    /// All events tagged with `request_id`, in record order.
-    ///
-    /// Amortized O(events of that request): the first call after new
-    /// appends extends the per-request index, so span-tree joins and
-    /// `repro explain` stay linear on large traces instead of
-    /// re-scanning the whole log per request.
-    pub fn for_request(&self, request_id: u64) -> Vec<&Event> {
-        let mut idx = self.index.borrow_mut();
-        if idx.upto < self.events.len() {
-            for (pos, ev) in self.events.iter().enumerate().skip(idx.upto) {
-                if let Some(id) = ev.ctx.request_id {
-                    idx.by_request.entry(id).or_default().push(pos);
-                }
+    /// Events grouped by `key` (e.g. `|e| e.ctx.request_id`), each group
+    /// in record order; events without a key are left out.
+    pub fn group_by<K: Ord>(&self, key: impl Fn(&Event) -> Option<K>) -> BTreeMap<K, Vec<&Event>> {
+        let mut out: BTreeMap<K, Vec<&Event>> = BTreeMap::new();
+        for e in &self.events {
+            if let Some(k) = key(e) {
+                out.entry(k).or_default().push(e);
             }
-            idx.upto = self.events.len();
         }
-        idx.by_request
-            .get(&request_id)
-            .map(|positions| positions.iter().map(|&p| &self.events[p]).collect())
-            .unwrap_or_default()
+        out
     }
+}
 
-    /// The first-start instant of each [`Phase::REQUEST_CHAIN`] phase for
-    /// `request_id`, in chain order — `Some` only when every phase of the
-    /// chain is present (i.e. the request was served by a device with
-    /// USB-level detail) and the instants are non-decreasing.
-    pub fn request_chain(&self, request_id: u64) -> Option<Vec<(Phase, SimTime)>> {
-        let evs = self.for_request(request_id);
-        let mut chain = Vec::with_capacity(Phase::REQUEST_CHAIN.len());
-        for phase in Phase::REQUEST_CHAIN {
-            let first = evs.iter().filter(|e| e.phase == phase).map(|e| e.start).min()?;
-            chain.push((phase, first));
-        }
-        for pair in chain.windows(2) {
-            if pair[1].1 < pair[0].1 {
-                return None;
-            }
-        }
-        Some(chain)
+/// The first-start instant of each [`Phase::REQUEST_CHAIN`] phase among
+/// one request's `events`, in chain order — `Some` only when every phase
+/// of the chain is present (i.e. the request was served by a device with
+/// USB-level detail) and the instants are non-decreasing.
+pub fn request_chain(events: &[&Event]) -> Option<Vec<(Phase, SimTime)>> {
+    let mut chain = Vec::with_capacity(Phase::REQUEST_CHAIN.len());
+    for phase in Phase::REQUEST_CHAIN {
+        let first = events.iter().filter(|e| e.phase == phase).map(|e| e.start).min()?;
+        chain.push((phase, first));
     }
+    chain.windows(2).all(|pair| pair[0].1 <= pair[1].1).then_some(chain)
 }
 
 /// Forwards each event to two recorders (e.g. the run's recorder plus
@@ -220,9 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn event_log_collects_and_indexes() {
+    fn event_log_collects_and_groups_by_request() {
         let mut log = EventLog::new();
         log.record(Event::instant(Phase::Arrive, Lane::Server, SimTime(1), Ctx::request(0)));
+        log.record(Event::instant(Phase::Arrive, Lane::Server, SimTime(1), Ctx::request(1)));
         log.record(Event::span(
             Phase::Exec,
             Lane::Worker(0),
@@ -230,45 +179,33 @@ mod tests {
             SimTime(9),
             Ctx::request(0),
         ));
-        assert_eq!(log.len(), 2);
+        log.record(Event::instant(Phase::Drain, Lane::Worker(0), SimTime(3), Ctx::NONE));
+        assert_eq!(log.len(), 4);
         assert_eq!(log.horizon(), SimTime(9));
         assert_eq!(log.lanes(), vec![Lane::Server, Lane::Worker(0)]);
-        assert_eq!(log.for_request(0).len(), 2);
-        assert!(log.request_chain(0).is_none(), "partial chain must not validate");
+        let groups = log.group_by(|e| e.ctx.request_id);
+        assert_eq!(groups.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
+        let phases: Vec<Phase> = groups[&0].iter().map(|e| e.phase).collect();
+        assert_eq!(phases, vec![Phase::Arrive, Phase::Exec], "record order within a request");
+        assert!(request_chain(&groups[&0]).is_none(), "partial chain must not validate");
     }
 
     #[test]
     fn request_chain_requires_every_phase_in_order() {
-        let mut log = EventLog::new();
         let lane = Lane::Host { worker: 0, dev: 0 };
-        for (i, phase) in Phase::REQUEST_CHAIN.iter().enumerate() {
-            log.record(Event::instant(*phase, lane, SimTime(i as u64), Ctx::request(4)));
-        }
-        let chain = log.request_chain(4).expect("full chain");
+        let evs: Vec<Event> = Phase::REQUEST_CHAIN
+            .iter()
+            .enumerate()
+            .map(|(i, phase)| Event::instant(*phase, lane, SimTime(i as u64), Ctx::request(4)))
+            .collect();
+        let refs: Vec<&Event> = evs.iter().collect();
+        let chain = request_chain(&refs).expect("full chain");
         assert_eq!(chain.len(), Phase::REQUEST_CHAIN.len());
         assert_eq!(chain[0], (Phase::Arrive, SimTime(0)));
         assert_eq!(chain[7], (Phase::Complete, SimTime(7)));
-    }
-
-    #[test]
-    fn for_request_index_tracks_interleaved_appends() {
-        let mut log = EventLog::new();
-        log.record(Event::instant(Phase::Arrive, Lane::Server, SimTime(1), Ctx::request(0)));
-        log.record(Event::instant(Phase::Arrive, Lane::Server, SimTime(2), Ctx::request(1)));
-        // Query builds the index...
-        assert_eq!(log.for_request(0).len(), 1);
-        // ...then appends after the index exists must still be found.
-        log.record(Event::instant(Phase::Complete, Lane::Server, SimTime(3), Ctx::request(0)));
-        log.record(Event::instant(Phase::Complete, Lane::Server, SimTime(4), Ctx::request(1)));
-        assert_eq!(log.for_request(0).len(), 2);
-        assert_eq!(log.for_request(1).len(), 2);
-        assert!(log.for_request(7).is_empty());
-        // Record order is preserved within a request.
-        let phases: Vec<Phase> = log.for_request(0).iter().map(|e| e.phase).collect();
-        assert_eq!(phases, vec![Phase::Arrive, Phase::Complete]);
-        // The index is a cache: clones and equality ignore it.
-        let clone = log.clone();
-        assert_eq!(clone, log);
-        assert_eq!(clone.for_request(1).len(), 2);
+        // A later phase stamped before an earlier one breaks the chain.
+        let mut swapped = evs.clone();
+        swapped[7].start = SimTime(3);
+        assert!(request_chain(&swapped.iter().collect::<Vec<_>>()).is_none());
     }
 }

@@ -485,9 +485,10 @@ mod tests {
         let (log, stats) = sampled(policy, 1, 50);
         assert_eq!(stats.shed, 1, "{stats:?}");
         assert_eq!(stats.slo, 1, "{stats:?}");
-        assert_eq!(log.for_request(2).len(), 2, "shed chain retained in full");
-        assert_eq!(log.for_request(5).len(), 3, "slow chain retained in full");
-        assert!(log.for_request(7).is_empty(), "happy-path request dropped");
+        let kept = log.group_by(|e| e.ctx.request_id);
+        assert_eq!(kept[&2].len(), 2, "shed chain retained in full");
+        assert_eq!(kept[&5].len(), 3, "slow chain retained in full");
+        assert!(!kept.contains_key(&7), "happy-path request dropped");
         assert!(stats.requests_dropped() > 0);
     }
 
@@ -498,7 +499,7 @@ mod tests {
         assert_eq!(stats.reservoir, 3, "{stats:?}");
         // Completions take 3 + id%3 ms: the slowest non-triggered
         // requests are the highest ids with id%3 == 2.
-        let kept: Vec<u64> = (0..50).filter(|&id| !log.for_request(id).is_empty()).collect();
+        let kept: Vec<u64> = log.group_by(|e| e.ctx.request_id).into_keys().collect();
         assert!(kept.contains(&47) && kept.contains(&44), "{kept:?}");
     }
 
@@ -530,7 +531,7 @@ mod tests {
         rec.record(Event::instant(Phase::Complete, Lane::Server, t(4), c));
         let (log, stats) = rec.finish();
         assert_eq!(stats.hedge, 1, "{stats:?}");
-        assert_eq!(log.for_request(0).len(), 3, "hedged chain kept in full");
+        assert_eq!(log.group_by(|e| e.ctx.request_id)[&0].len(), 3, "hedged chain kept in full");
         // The batch-scoped hedge span itself always survives.
         assert!(log.events().iter().any(|e| e.phase == Phase::Hedge));
     }

@@ -202,18 +202,23 @@ mod tests {
         // At least one VPU-served request must expose the full
         // Arrive→…→Complete phase chain with non-decreasing stamps.
         let vpu_worker = 1; // cpu is worker 0
+        let by_request = obs.events.group_by(|e| e.ctx.request_id);
         let chained = outcome
             .completed
             .iter()
             .filter(|r| r.worker == vpu_worker)
-            .filter(|r| obs.events.request_chain(r.id).is_some())
+            .filter(|r| {
+                by_request.get(&r.id).and_then(|evs| ncsw_obs::request_chain(evs)).is_some()
+            })
             .count();
         assert!(chained > 0, "no request exposes the full phase chain");
 
         // Shed requests carry a Shed event.
         for s in &outcome.shed {
             assert!(
-                obs.events.for_request(s.id).iter().any(|e| e.phase == ncsw_obs::Phase::Shed),
+                by_request
+                    .get(&s.id)
+                    .is_some_and(|evs| evs.iter().any(|e| e.phase == ncsw_obs::Phase::Shed)),
                 "shed request {} has no Shed event",
                 s.id
             );

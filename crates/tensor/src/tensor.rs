@@ -141,11 +141,6 @@ impl<E: Element> Tensor<E> {
         Tensor { shape: self.shape, data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
-    /// Convert every element to f32.
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        self.data.iter().map(|&v| v.to_f32()).collect()
-    }
-
     /// Convert to another element precision (rounds when narrowing).
     pub fn cast<T: Element>(&self) -> Tensor<T> {
         Tensor {

@@ -10,7 +10,7 @@
 
 use vpu_coprocessor::framework::ModelBundle;
 use vpu_coprocessor::nn::googlenet::Variant;
-use vpu_coprocessor::obs::{chrome_trace, Phase};
+use vpu_coprocessor::obs::{chrome_trace, request_chain, Phase};
 use vpu_coprocessor::serving::{
     serve_observed, ArrivalProcess, FleetSpec, ObsConfig, ServeConfig, ServeReport,
 };
@@ -36,8 +36,9 @@ fn main() {
 
     // Follow the first request that ran on the VPU worker: every phase
     // of its life, stamped on the virtual clock.
+    let by_request = obs.events.group_by(|e| e.ctx.request_id);
     let chained =
-        outcome.completed.iter().find_map(|r| Some((r.id, obs.events.request_chain(r.id)?)));
+        outcome.completed.iter().find_map(|r| Some((r.id, request_chain(by_request.get(&r.id)?)?)));
     if let Some((id, chain)) = chained {
         println!("\nrequest {id} phase chain:");
         for (phase, at) in &chain {

@@ -10,7 +10,7 @@
 //! per-worker-utilization columns; (4) the exported Chrome JSON passes
 //! the structural validator CI runs.
 
-use vpu_coprocessor::obs::Phase;
+use vpu_coprocessor::obs::{request_chain, Phase};
 use vpu_coprocessor::serving::{
     serve, serve_observed, ArrivalProcess, FleetSpec, ObsConfig, ServeConfig, ServeOutcome,
 };
@@ -56,8 +56,12 @@ fn traced_request_exposes_the_full_phase_chain() {
     let (outcome, obs) = observed_run();
     // VPU-served requests traverse every phase; host-served ones skip
     // the USB/VPU lanes. Find at least one fully chained request.
-    let chained =
-        outcome.completed.iter().filter_map(|r| obs.events.request_chain(r.id)).collect::<Vec<_>>();
+    let by_request = obs.events.group_by(|e| e.ctx.request_id);
+    let chained = outcome
+        .completed
+        .iter()
+        .filter_map(|r| by_request.get(&r.id).and_then(|evs| request_chain(evs)))
+        .collect::<Vec<_>>();
     assert!(!chained.is_empty(), "no request exposes the full phase chain");
     for chain in &chained {
         assert_eq!(chain.len(), Phase::REQUEST_CHAIN.len());
@@ -175,11 +179,12 @@ fn tail_sampling_is_passive_and_keeps_anomalous_chains_in_full() {
         .map(|r| r.id)
         .collect();
     assert!(!anomalous.is_empty(), "the overloaded run must produce anomalous requests");
+    let full_chains = full_obs.events.group_by(|e| e.ctx.request_id);
+    let kept_chains = obs.events.group_by(|e| e.ctx.request_id);
     for id in &anomalous {
-        let full_chain: Vec<_> = full_obs.events.for_request(*id).into_iter().copied().collect();
-        let kept_chain: Vec<_> = obs.events.for_request(*id).into_iter().copied().collect();
-        assert!(!kept_chain.is_empty(), "anomalous request {id} was dropped by the sampler");
-        assert_eq!(full_chain, kept_chain, "request {id} must keep its full chain");
+        let kept_chain = kept_chains.get(id);
+        assert!(kept_chain.is_some(), "anomalous request {id} was dropped by the sampler");
+        assert_eq!(full_chains.get(id), kept_chain, "request {id} must keep its full chain");
     }
     // The thinned log still validates structurally.
     let json = vpu_coprocessor::obs::chrome_trace(&obs.events);
