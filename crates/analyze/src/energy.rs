@@ -99,6 +99,9 @@ pub struct EnergyAnalysis {
     pub attributed_pj: u64,
     /// Per-request shares, ordered by request id.
     pub requests: Vec<RequestEnergy>,
+    /// Power samples left out of the integral, one line each naming the
+    /// sample: out of time order, or too much energy for a u64 ledger.
+    pub skipped: Vec<String>,
 }
 
 /// Overlap of two half-open intervals, in nanoseconds.
@@ -179,13 +182,36 @@ impl EnergyAnalysis {
             return None;
         }
 
+        // A sample before its predecessor, or a step whose energy would
+        // overflow the fleet's u64 pJ ledger, is skipped and reported.
+        // Every sum below is then bounded by `fleet_pj`.
+        let mut fleet_pj = 0u64;
+        let mut skipped = Vec::new();
         let mut workers = Vec::new();
         for (w, samples) in &lanes {
             let mut total_pj = 0u64;
             let mut busy = Vec::new();
-            for pair in samples.windows(2) {
-                let ((t0, mw, batch), (t1, _, _)) = (pair[0], pair[1]);
-                total_pj += mw * (t1.nanos() - t0.nanos());
+            let mut prev = samples[0];
+            for &next in &samples[1..] {
+                let ((t0, mw, batch), (t1, next_mw, _)) = (prev, next);
+                let Some(dt) = t1.nanos().checked_sub(t0.nanos()) else {
+                    skipped.push(format!(
+                        "power sample w{w} {next_mw} mW at {t1}: before the lane's previous \
+                         sample at {t0}"
+                    ));
+                    continue;
+                };
+                prev = next;
+                let pj = mw.checked_mul(dt).filter(|pj| fleet_pj.checked_add(*pj).is_some());
+                let Some(pj) = pj else {
+                    skipped.push(format!(
+                        "power sample w{w} {mw} mW at {t0}: {dt} ns of it overflow the u64 \
+                         pJ ledger"
+                    ));
+                    continue;
+                };
+                total_pj += pj;
+                fleet_pj += pj;
                 if let Some(b) = batch {
                     busy.push(BusySpan {
                         batch: b,
@@ -198,15 +224,14 @@ impl EnergyAnalysis {
             }
             workers.push(WorkerLedger {
                 worker: *w,
-                idle_mw: samples.first().map(|s| s.1).unwrap_or(0),
+                idle_mw: samples[0].1,
                 total_pj,
                 busy,
-                from: samples.first().map(|s| s.0).unwrap_or(SimTime::ZERO),
-                until: samples.last().map(|s| s.0).unwrap_or(SimTime::ZERO),
+                from: samples[0].0,
+                until: prev.0,
             });
         }
 
-        let fleet_pj: u64 = workers.iter().map(|l| l.total_pj).sum();
         let active_pj: u64 = workers.iter().map(WorkerLedger::active_pj).sum();
         let wasted_pj: u64 = workers.iter().map(WorkerLedger::wasted_pj).sum();
         let idle_pj = fleet_pj - active_pj - wasted_pj;
@@ -251,6 +276,7 @@ impl EnergyAnalysis {
             idle_pj,
             attributed_pj,
             requests,
+            skipped,
         })
     }
 
@@ -315,6 +341,9 @@ impl EnergyAnalysis {
                     pj as f64 / self.attributed_pj as f64 * 100.0
                 },
             );
+        }
+        for line in &self.skipped {
+            let _ = writeln!(out, "skipped {line}");
         }
         out
     }
@@ -409,6 +438,28 @@ mod tests {
         let split = split_segments(&b, t(0), &span, 1_000);
         assert_eq!(split[Segment::Completion as usize], 1_000);
         assert_eq!(split.iter().sum::<u64>(), 1_000);
+    }
+
+    #[test]
+    fn out_of_order_and_overflowing_samples_are_skipped_by_name() {
+        let lane = Lane::Power(0);
+        let mut log = EventLog::new();
+        for (at, mw) in [(t(0), 100), (t(10), 200), (t(5), 300), (t(20), u64::MAX), (t(30), 100)] {
+            log.record(Event::counter(lane, at, mw, Ctx::default()));
+        }
+        log.record(Event::counter(lane, t(40), 0, Ctx::default()));
+        let ea = Analysis::of(&log).energy.expect("power lane present");
+        // 0..10 at 100 mW, 10..20 at 200 mW, 30..40 at 100 mW: the row
+        // at 5 ms is out of order and 20..30 ms at u64::MAX mW overflows.
+        assert_eq!(ea.fleet_pj, (100 + 200 + 100) * 10_000_000);
+        assert_eq!(ea.skipped.len(), 2, "{:?}", ea.skipped);
+        assert!(ea.skipped[0].contains("300 mW at 5.000ms"), "{}", ea.skipped[0]);
+        assert!(
+            ea.skipped[1].contains(&format!("{} mW at 20.000ms", u64::MAX)),
+            "{}",
+            ea.skipped[1]
+        );
+        assert!(ea.render().contains("skipped power sample w0 300 mW"));
     }
 
     #[test]

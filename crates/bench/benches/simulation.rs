@@ -18,6 +18,7 @@ use desim::{Duration, FifoResource, ServerPool, SimTime};
 use myriad2::{Myriad2, Myriad2Config};
 use ncsw::multivpu::{MultiVpu, MultiVpuConfig};
 use ncsw::ModelBundle;
+use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
 use vpu_nn::googlenet::Variant;
 use vpu_num::f16;
@@ -53,11 +54,20 @@ fn bench_resources(c: &mut Criterion) {
 }
 
 fn bench_chip(c: &mut Criterion) {
-    let cost = NetworkCost::of::<f16>(&vpu_nn::googlenet::full());
+    let cost = Arc::new(NetworkCost::of::<f16>(&vpu_nn::googlenet::full()));
     let mut g = c.benchmark_group("myriad2");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("run_cost/full-googlenet", |b| {
+    // A fresh chip has no record of the graph, so it walks every layer.
+    g.bench_function("run_cost/walk", |b| {
+        b.iter_with_setup(
+            || Myriad2::new(Myriad2Config::default()),
+            |mut chip| black_box(chip.run_cost(&cost, SimTime::ZERO)),
+        );
+    });
+    // A chip that has run the graph once replays the recorded walk.
+    g.bench_function("run_cost/replay", |b| {
         let mut chip = Myriad2::new(Myriad2Config::default());
+        chip.run_cost(&cost, SimTime::ZERO);
         b.iter(|| black_box(chip.run_cost(&cost, SimTime::ZERO)));
     });
     g.finish();

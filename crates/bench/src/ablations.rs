@@ -137,7 +137,7 @@ pub struct ShaveAblation {
 }
 
 pub fn ablation_shave() -> ShaveAblation {
-    let cost = NetworkCost::of::<f16>(&vpu_nn::googlenet::full());
+    let cost = Arc::new(NetworkCost::of::<f16>(&vpu_nn::googlenet::full()));
     let rows = [1usize, 2, 4, 6, 8, 12]
         .iter()
         .map(|&s| {
@@ -220,7 +220,7 @@ pub fn ablation_prefetch() -> PrefetchAblation {
     let rows = specs
         .iter()
         .map(|spec| {
-            let cost = NetworkCost::of::<f16>(spec);
+            let cost = Arc::new(NetworkCost::of::<f16>(spec));
             let mut plain = Myriad2::new(Myriad2Config::default());
             let mut pf = Myriad2::new(Myriad2Config::default().with_prefetch());
             let a = plain.run_cost(&cost, SimTime::ZERO).duration().as_millis();
@@ -276,7 +276,7 @@ pub fn ablation_blob_batch() -> BlobBatchAblation {
     for batch in [1usize, 2, 4, 8] {
         // Blob batching: one stick runs a B-sized blob per dispatch.
         let mut chip = Myriad2::new(Myriad2Config::default());
-        let run = chip.run_cost(&blob_scaled(cost, batch), SimTime::ZERO);
+        let run = chip.run_cost(&Arc::new(blob_scaled(cost, batch)), SimTime::ZERO);
         let blob_ms = run.duration().as_millis() / batch as f64;
         // Multi-stick batching: the paper's approach.
         let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(batch), &model);

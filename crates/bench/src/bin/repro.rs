@@ -349,7 +349,7 @@ fn main() -> ExitCode {
                     Ok(plan) => faults = Some(plan),
                     Err(e) => {
                         eprintln!("bad --faults '{v}': {e}");
-                        return usage();
+                        return ExitCode::from(2);
                     }
                 }
             }

@@ -5,6 +5,7 @@ use crate::report;
 use desim::SimTime;
 use myriad2::{Myriad2, Myriad2Config};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
 use vpu_num::f16;
 
@@ -27,12 +28,12 @@ pub struct LayerProfile {
 
 /// Profile one full-GoogLeNet inference layer by layer.
 pub fn layers() -> LayerProfile {
-    let cost = NetworkCost::of::<f16>(&vpu_nn::googlenet::full());
+    let cost = Arc::new(NetworkCost::of::<f16>(&vpu_nn::googlenet::full()));
     let mut chip = Myriad2::new(Myriad2Config::default());
     let run = chip.run_cost(&cost, SimTime::ZERO);
     let total_ms = run.duration().as_millis();
     let rows = run
-        .layers
+        .layers()
         .iter()
         .zip(&cost.layers)
         .filter(|(t, _)| t.duration().nanos() > 0)

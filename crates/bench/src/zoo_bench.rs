@@ -9,6 +9,7 @@ use crate::report;
 use desim::SimTime;
 use myriad2::{Myriad2, Myriad2Config};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
 use vpu_nn::graph::NetworkSpec;
 use vpu_nn::{googlenet, zoo};
@@ -32,7 +33,7 @@ pub struct ZooBench {
 }
 
 fn bench_one(spec: &NetworkSpec) -> ZooRow {
-    let cost = NetworkCost::of::<f16>(spec);
+    let cost = Arc::new(NetworkCost::of::<f16>(spec));
     let mut chip = Myriad2::new(Myriad2Config::default());
     let run = chip.run_cost(&cost, SimTime::ZERO);
     let ms = run.duration().as_millis();

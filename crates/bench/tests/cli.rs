@@ -1,5 +1,5 @@
-//! Bad numeric flags fail cleanly: one stderr line naming the token,
-//! exit code 2, no panic.
+//! Bad numeric flags and specs fail cleanly: one stderr line naming the
+//! token, exit code 2, no panic.
 
 use std::process::Command;
 
@@ -52,4 +52,11 @@ fn non_finite_or_negative_gate_thresholds_are_rejected() {
     assert_rejected(&["bench-diff", "base.json", "cand.json", "--tol-pct", "nan"], "nan");
     assert_rejected(&["bench-diff", "base.json", "cand.json", "--tol-pct", "-5"], "-5");
     assert_rejected(&["whatif", "--tol-pct", "inf"], "inf");
+}
+
+#[test]
+fn non_finite_or_oversized_fault_durations_are_rejected() {
+    assert_rejected(&["serve", "--faults", "unplug@1e308s"], "1e308s");
+    assert_rejected(&["serve", "--faults", "unplug@NaNs"], "NaNs");
+    assert_rejected(&["serve", "--faults", "failslow@0s:for@1e300s:slow@1e300"], "1e300s");
 }

@@ -362,6 +362,20 @@ mod tests {
     }
 
     #[test]
+    fn each_stick_walks_the_graph_once() {
+        // Serving 1k images as 100 batches of 10, each stick walks the
+        // GoogLeNet layers once and replays that walk for every other
+        // image it runs.
+        let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(8), &model());
+        for _ in 0..100 {
+            mv.run_pipeline(10);
+        }
+        let devices = &mv.api().fleet().devices;
+        assert_eq!(devices.iter().map(|d| d.inferences_completed()).sum::<u64>(), 1000);
+        assert_eq!(devices.iter().map(|d| d.chip().walks()).sum::<u64>(), 8);
+    }
+
+    #[test]
     fn energy_accumulates_per_inference() {
         let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(2), &model());
         let r2 = mv.run_pipeline(2);

@@ -58,6 +58,19 @@ impl FifoResource {
         Busy { start, end }
     }
 
+    /// Book the acquisitions `recorded` took, new and from time zero, as
+    /// if each had been issued here `by` later. Exact when this resource
+    /// is free by then: every acquisition is `max(ready, free) + service`,
+    /// so delaying every `ready` by `by` delays every start and end by it.
+    pub fn replay(&mut self, recorded: &FifoResource, by: Duration) {
+        if recorded.requests > 0 {
+            debug_assert!(self.available_at <= SimTime::ZERO + by, "replay onto a busy resource");
+            self.available_at = recorded.available_at + by;
+            self.busy_total += recorded.busy_total;
+            self.requests += recorded.requests;
+        }
+    }
+
     /// Earliest instant a new request could start.
     pub fn available_at(&self) -> SimTime {
         self.available_at
@@ -163,6 +176,19 @@ impl ServerPool {
         Busy { start, end }
     }
 
+    /// [`FifoResource::replay`] for a pool whose recorded acquisitions
+    /// left every server free at one instant, as fork-joins across the
+    /// whole idle pool do.
+    pub fn replay(&mut self, recorded: &ServerPool, by: Duration) {
+        if recorded.requests > 0 {
+            debug_assert!(self.all_free() <= SimTime::ZERO + by, "replay onto a busy pool");
+            debug_assert_eq!(recorded.next_free(), recorded.all_free(), "ragged recorded pool");
+            self.free_at.fill(recorded.all_free() + by);
+            self.busy_total += recorded.busy_total;
+            self.requests += recorded.requests;
+        }
+    }
+
     /// Earliest instant any server is free.
     pub fn next_free(&self) -> SimTime {
         *self.free_at.iter().min().expect("non-empty pool")
@@ -260,6 +286,40 @@ mod tests {
         // 6 parts of 100 ns on 2 servers: 3 rounds -> 300 ns.
         let b = p.acquire_parallel(SimTime(0), Duration(600), 6);
         assert_eq!(b.end, SimTime(300));
+    }
+
+    #[test]
+    fn replay_books_the_recorded_acquisitions_shifted() {
+        let mut recorded = FifoResource::new("ddr");
+        recorded.acquire(SimTime(0), Duration(40));
+        recorded.acquire(SimTime(10), Duration(30));
+        let mut walked = FifoResource::new("ddr");
+        walked.acquire(SimTime(100), Duration(40));
+        walked.acquire(SimTime(110), Duration(30));
+        let mut replayed = FifoResource::new("ddr");
+        replayed.replay(&recorded, Duration(100));
+        assert_eq!(replayed.available_at(), walked.available_at());
+        assert_eq!(replayed.busy_total(), walked.busy_total());
+        assert_eq!(replayed.requests(), walked.requests());
+        // An untouched recording leaves the books alone.
+        replayed.replay(&FifoResource::new("idle"), Duration(500));
+        assert_eq!(replayed.available_at(), SimTime(170));
+
+        let mut recorded = ServerPool::new("shaves", 4);
+        recorded.acquire_parallel(SimTime(0), Duration(400), 4);
+        recorded.acquire_parallel(SimTime(200), Duration(40), 4);
+        let mut walked = ServerPool::new("shaves", 4);
+        walked.acquire_parallel(SimTime(100), Duration(400), 4);
+        walked.acquire_parallel(SimTime(300), Duration(40), 4);
+        let mut replayed = ServerPool::new("shaves", 4);
+        replayed.replay(&recorded, Duration(100));
+        assert_eq!((replayed.next_free(), replayed.all_free()), (SimTime(310), SimTime(310)));
+        assert_eq!(replayed.busy_total(), walked.busy_total());
+        assert_eq!(replayed.requests(), walked.requests());
+        assert_eq!(
+            replayed.acquire(SimTime(0), Duration(5)),
+            walked.acquire(SimTime(0), Duration(5))
+        );
     }
 
     #[test]

@@ -264,11 +264,19 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
     if v < 0.0 {
         return Err(format!("negative duration '{s}'"));
     }
-    Ok(Duration::from_nanos((v * unit).round() as u64))
+    let ns = (v * unit).round();
+    // `u64::MAX as f64` rounds up to 2^64, so every accepted `ns` fits.
+    if ns.is_nan() || ns >= u64::MAX as f64 {
+        return Err(format!("duration '{s}' is not finite or exceeds {} ns", u64::MAX));
+    }
+    Ok(Duration::from_nanos(ns as u64))
 }
 
 fn parse_factor(s: &str) -> Result<f64, String> {
     let v: f64 = s.parse().map_err(|_| format!("bad factor '{s}'"))?;
+    if !v.is_finite() {
+        return Err(format!("factor '{s}' is not finite"));
+    }
     if v < 1.0 {
         return Err(format!("factor {v} must be >= 1 (a slowdown multiplier)"));
     }
@@ -398,6 +406,26 @@ mod tests {
         assert!(err.contains("'tornado'"), "kind error must name the token: {err}");
         let err = FaultPlan::parse("corrupt@oops").unwrap_err();
         assert!(err.contains("'oops'"), "probability error must name the token: {err}");
+    }
+
+    #[test]
+    fn non_finite_and_oversized_values_are_rejected_by_name() {
+        // A saturating, a NaN-as-zero and an overflowing duration.
+        for (spec, token) in [
+            ("unplug@1e308s", "'1e308s'"),
+            ("unplug@NaNs", "'NaNs'"),
+            ("failslow@0s:for@1e300s:slow@1e300", "'1e300s'"),
+            ("unplug@inf", "'inf'"),
+            ("unplug@18446744073.71s", "'18446744073.71s'"),
+            ("throttle@1s:for@1s:slow@inf", "'inf'"),
+            ("usb@1s:for@1s:factor@NaN", "'NaN'"),
+        ] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.contains(token), "{spec}: error must name {token}: {err}");
+            assert_eq!(err.lines().count(), 1, "{spec}: {err}");
+        }
+        // Just under u64::MAX ns (~584 years) still parses.
+        assert!(FaultPlan::parse("unplug@18446744073s").is_ok());
     }
 
     #[test]

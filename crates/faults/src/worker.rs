@@ -87,27 +87,30 @@ impl FaultyWorker {
         let mut stretches = Vec::new();
         let mut exec_err_prob: f64 = 0.0;
         let mut wire = WireProbs::default();
+        // A plan may name instants up to u64::MAX ns past the epoch; one
+        // past the end of virtual time never comes.
+        let after = |t: SimTime, d: Duration| SimTime(t.nanos().saturating_add(d.nanos()));
         for f in faults {
             match *f {
                 FaultEvent::StickUnplug { at, reconnect_after } => outages.push(Outage {
-                    from: epoch + at,
-                    until: reconnect_after.map(|d| epoch + at + d),
+                    from: after(epoch, at),
+                    until: reconnect_after.map(|d| after(after(epoch, at), d)),
                 }),
                 FaultEvent::ThermalThrottle { at, duration, slowdown } => stretches.push(Stretch {
-                    from: epoch + at,
-                    until: epoch + at + duration,
+                    from: after(epoch, at),
+                    until: after(after(epoch, at), duration),
                     factor: slowdown,
                     silent: false,
                 }),
                 FaultEvent::UsbDegrade { at, duration, factor } => stretches.push(Stretch {
-                    from: epoch + at,
-                    until: epoch + at + duration,
+                    from: after(epoch, at),
+                    until: after(after(epoch, at), duration),
                     factor,
                     silent: false,
                 }),
                 FaultEvent::FailSlow { at, duration, factor } => stretches.push(Stretch {
-                    from: epoch + at,
-                    until: epoch + at + duration,
+                    from: after(epoch, at),
+                    until: after(after(epoch, at), duration),
                     factor,
                     silent: true,
                 }),
@@ -355,6 +358,20 @@ mod tests {
             .try_serve_obs(1, epoch + ms(30.0), &mut BatchObs::disabled(&mut null))
             .expect("reconnected worker must serve");
         assert!(run.start >= epoch + ms(30.0));
+    }
+
+    #[test]
+    fn a_fault_past_the_end_of_virtual_time_never_fires() {
+        let mut plain = cpu();
+        let epoch = plain.busy_until();
+        let faults = [
+            FaultEvent::StickUnplug { at: Duration(u64::MAX), reconnect_after: None },
+            FaultEvent::FailSlow { at: Duration(u64::MAX - 1), duration: ms(1.0), factor: 6.0 },
+        ];
+        let mut w = FaultyWorker::new(cpu(), &faults, epoch, 7, 0);
+        let mut null = ncsw_obs::NullRecorder;
+        let run = w.try_serve_obs(4, epoch, &mut BatchObs::disabled(&mut null)).unwrap();
+        assert_eq!(run.done, plain.serve(4, epoch).done);
     }
 
     #[test]

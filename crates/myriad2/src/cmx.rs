@@ -31,10 +31,10 @@ pub struct CmxFull {
 #[derive(Debug, Clone)]
 pub struct Cmx {
     bank_bytes: u64,
-    banks: Vec<FifoResource>,
+    pub(crate) banks: Vec<FifoResource>,
     bytes_per_cycle: u64,
     clock_hz: f64,
-    next_free: u64,
+    pub(crate) next_free: u64,
 }
 
 impl Cmx {

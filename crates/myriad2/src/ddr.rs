@@ -13,7 +13,7 @@ use desim::{Duration, FifoResource, SimTime};
 /// The DDR channel plus a simple footprint accountant.
 #[derive(Debug, Clone)]
 pub struct DdrChannel {
-    chan: FifoResource,
+    pub(crate) chan: FifoResource,
     bandwidth: f64,
     latency: Duration,
     capacity: u64,

@@ -14,6 +14,10 @@
 //!   work profile is simulated without executing 1.6 GMAC per image.
 //! * [`Myriad2::run_inference`] — timing plus **real FP16 numerics**
 //!   through `vpu_nn`, used by the accuracy experiments.
+//!
+//! A chip walks each graph layer by layer once. Every later inference of
+//! that graph that starts on an idle chip replays the recorded walk,
+//! shifted to its start (see [`Myriad2::run_cost`]).
 
 use crate::arch::Myriad2Config;
 use crate::cmx::Cmx;
@@ -23,12 +27,15 @@ use crate::shave;
 use crate::sipp::{SippKernel, SippPipeline};
 use desim::{Duration, ServerPool, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
 use vpu_nn::graph::CompiledNetwork;
 use vpu_num::f16;
 use vpu_tensor::Tensor;
 
-/// Timing record of one layer.
+/// Timing record of one layer. In a [`NetworkRun`]'s shared schedule
+/// `start` and `end` are offsets from the run's start;
+/// [`NetworkRun::layers`] returns them in absolute virtual time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerTiming {
     pub name: String,
@@ -50,25 +57,57 @@ impl LayerTiming {
 }
 
 /// Result of simulating one inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkRun {
-    pub network: String,
+    pub network: Arc<str>,
     pub start: SimTime,
     pub end: SimTime,
-    pub layers: Vec<LayerTiming>,
     pub activity: ActivitySummary,
     /// Joules consumed by the chip during this run.
     pub energy_j: f64,
+    /// Per-layer timings relative to `start`, shared by every run that
+    /// replays the same walk.
+    schedule: Arc<[LayerTiming]>,
 }
 
 impl NetworkRun {
+    /// A run from its absolute per-layer timings.
+    fn new(
+        network: Arc<str>,
+        start: SimTime,
+        end: SimTime,
+        mut layers: Vec<LayerTiming>,
+        activity: ActivitySummary,
+        energy_j: f64,
+    ) -> NetworkRun {
+        for l in &mut layers {
+            l.start = SimTime::ZERO + (l.start - start);
+            l.end = SimTime::ZERO + (l.end - start);
+        }
+        NetworkRun { network, start, end, activity, energy_j, schedule: layers.into() }
+    }
+
     pub fn duration(&self) -> Duration {
         self.end - self.start
     }
 
+    /// Per-layer timings in absolute virtual time, in execution order.
+    pub fn layers(&self) -> Vec<LayerTiming> {
+        let offset = self.start - SimTime::ZERO;
+        self.schedule
+            .iter()
+            .map(|l| LayerTiming { start: l.start + offset, end: l.end + offset, ..l.clone() })
+            .collect()
+    }
+
     /// The layer that dominated the run.
-    pub fn slowest_layer(&self) -> Option<&LayerTiming> {
-        self.layers.iter().max_by_key(|l| l.duration())
+    pub fn slowest_layer(&self) -> Option<LayerTiming> {
+        self.layers().into_iter().max_by_key(LayerTiming::duration)
+    }
+
+    /// The same run started at `start` instead.
+    fn shifted(&self, start: SimTime) -> NetworkRun {
+        NetworkRun { start, end: start + self.duration(), ..self.clone() }
     }
 }
 
@@ -100,7 +139,8 @@ pub struct KernelWork {
 /// use myriad2::{Myriad2, Myriad2Config};
 /// use desim::SimTime;
 /// use vpu_nn::cost::NetworkCost;
-/// let cost = NetworkCost::of::<vpu_num::f16>(&vpu_nn::googlenet::full());
+/// use std::sync::Arc;
+/// let cost = Arc::new(NetworkCost::of::<vpu_num::f16>(&vpu_nn::googlenet::full()));
 /// let mut chip = Myriad2::new(Myriad2Config::default());
 /// let run = chip.run_cost(&cost, SimTime::ZERO);
 /// // One GoogLeNet inference lands near the paper's 100.7 ms anchor.
@@ -108,6 +148,8 @@ pub struct KernelWork {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Myriad2 {
+    /// Set only by [`Myriad2::new`]. A method that changed it would have
+    /// to drop `replay`, whose timings it determines.
     cfg: Myriad2Config,
     shaves: ServerPool,
     cmx: Cmx,
@@ -115,6 +157,28 @@ pub struct Myriad2 {
     sipp: SippPipeline,
     power: PowerModel,
     now: SimTime,
+    /// The graph this chip last recorded.
+    replay: Option<Replay>,
+    #[cfg(feature = "walk-meter")]
+    walks: u64,
+}
+
+/// One inference of a graph, walked on a fresh chip from time zero.
+///
+/// Every acquisition in a walk is `max(ready, free) + service`, and no
+/// service depends on absolute time. On an idle chip every resource is
+/// free by the start, and every request of the walk is ready no earlier.
+/// So a walk of the graph from any idle start is this one shifted to that
+/// start, and replaying it is exact.
+#[derive(Debug, Clone)]
+struct Replay {
+    /// The graph walked. Held, not just compared, so its address cannot
+    /// be reused by another graph while the record lives.
+    cost: Arc<NetworkCost>,
+    run: NetworkRun,
+    /// The fresh chip after the walk: what the walk adds to each
+    /// resource's books.
+    walked: Box<Myriad2>,
 }
 
 impl Myriad2 {
@@ -127,7 +191,17 @@ impl Myriad2 {
             power: PowerModel { shave_islands: cfg.shaves, ..PowerModel::default() },
             cfg,
             now: SimTime::ZERO,
+            replay: None,
+            #[cfg(feature = "walk-meter")]
+            walks: 0,
         }
+    }
+
+    /// Layer walks run so far; each inference that did not replay one is
+    /// a walk. A test meter, built only with the `walk-meter` feature.
+    #[cfg(feature = "walk-meter")]
+    pub fn walks(&self) -> u64 {
+        self.walks
     }
 
     pub fn config(&self) -> &Myriad2Config {
@@ -163,8 +237,69 @@ impl Myriad2 {
 
     /// Simulate one inference from a cost profile; the device clock
     /// advances to the completion instant, which is also returned.
-    pub fn run_cost(&mut self, cost: &NetworkCost, ready: SimTime) -> NetworkRun {
+    ///
+    /// The chip walks the graph layer by layer the first time, and again
+    /// whenever it is busy at the start (every SHAVE, the DDR channel,
+    /// the SIPP engine and every CMX bank free by then is *idle*). A walk
+    /// from an idle chip is recorded, and later inferences of the same
+    /// graph (`Arc::ptr_eq`) from an idle chip replay it in O(1):
+    /// byte-identical to walking, by the argument on [`Replay`].
+    pub fn run_cost(&mut self, cost: &Arc<NetworkCost>, ready: SimTime) -> NetworkRun {
         let start = SimTime::max_of(ready, self.now);
+        if !self.idle_at(start) {
+            return self.walk(cost, start);
+        }
+        let rec = match self.replay.take() {
+            Some(rec) if Arc::ptr_eq(&rec.cost, cost) => rec,
+            _ => self.record(cost),
+        };
+        let run = self.replay_at(&rec, start);
+        self.replay = Some(rec);
+        run
+    }
+
+    /// True if every resource of the chip is free by `at`.
+    fn idle_at(&self, at: SimTime) -> bool {
+        self.shaves.all_free() <= at
+            && self.ddr.available_at() <= at
+            && self.sipp.engine.available_at() <= at
+            && self.cmx.banks.iter().all(|b| b.available_at() <= at)
+    }
+
+    /// Walk `cost` on a fresh chip of this configuration.
+    fn record(&mut self, cost: &Arc<NetworkCost>) -> Replay {
+        let mut walked = Myriad2::new(self.cfg.clone());
+        let run = walked.walk(cost, SimTime::ZERO);
+        // Each layer's fork-join starts on a drained pool and so spans
+        // every SHAVE: the walk leaves them all free at one instant.
+        assert_eq!(walked.shaves.next_free(), walked.shaves.all_free(), "ragged SHAVE pool");
+        #[cfg(feature = "walk-meter")]
+        {
+            self.walks += walked.walks;
+        }
+        Replay { cost: Arc::clone(cost), run, walked: Box::new(walked) }
+    }
+
+    /// Book `rec` on the chip as if it were walked from `start`.
+    fn replay_at(&mut self, rec: &Replay, start: SimTime) -> NetworkRun {
+        let (w, by) = (&rec.walked, start - SimTime::ZERO);
+        self.shaves.replay(&w.shaves, by);
+        let fifos = [(&mut self.ddr.chan, &w.ddr.chan), (&mut self.sipp.engine, &w.sipp.engine)];
+        for (mine, walked) in fifos.into_iter().chain(self.cmx.banks.iter_mut().zip(&w.cmx.banks)) {
+            mine.replay(walked, by);
+        }
+        self.cmx.next_free = w.cmx.next_free;
+        let run = rec.run.shifted(start);
+        self.now = run.end;
+        run
+    }
+
+    /// Walk `cost` layer by layer from `start`.
+    fn walk(&mut self, cost: &NetworkCost, start: SimTime) -> NetworkRun {
+        #[cfg(feature = "walk-meter")]
+        {
+            self.walks += 1;
+        }
         let (sh0, cm0, dd0, si0) = self.busy_totals();
         let mut t = start;
         let mut layers = Vec::with_capacity(cost.layers.len());
@@ -188,7 +323,7 @@ impl Myriad2 {
             span: t - start,
         };
         let energy_j = self.power.energy(&activity);
-        NetworkRun { network: cost.network.clone(), start, end: t, layers, activity, energy_j }
+        NetworkRun::new(cost.network.as_str().into(), start, t, layers, activity, energy_j)
     }
 
     /// Run a batch of hand-written kernels back-to-back (the MDK
@@ -239,7 +374,7 @@ impl Myriad2 {
             span: t - start,
         };
         let energy_j = self.power.energy(&activity);
-        NetworkRun { network: "mdk".into(), start, end: t, layers, activity, energy_j }
+        NetworkRun::new("mdk".into(), start, t, layers, activity, energy_j)
     }
 
     /// Simulate one inference *and* execute the real FP16 arithmetic.
@@ -250,13 +385,21 @@ impl Myriad2 {
     pub fn run_inference(
         &mut self,
         net: &CompiledNetwork<f16>,
-        cost: &NetworkCost,
+        cost: &Arc<NetworkCost>,
         input: &Tensor<f16>,
         ready: SimTime,
     ) -> (Tensor<f16>, NetworkRun) {
         let output = net.forward(input);
         let run = self.run_cost(cost, ready);
         (output, run)
+    }
+
+    /// [`Myriad2::run_cost`] with the replay taken out: it always walks.
+    /// The reference the replay is tested against.
+    #[cfg(test)]
+    fn run_cost_walked(&mut self, cost: &NetworkCost, ready: SimTime) -> NetworkRun {
+        let start = SimTime::max_of(ready, self.now);
+        self.walk(cost, start)
     }
 
     fn busy_totals(&self) -> (Duration, Duration, Duration, Duration) {
@@ -340,14 +483,14 @@ impl Myriad2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use proptest::prelude::*;
     use vpu_nn::googlenet;
     use vpu_nn::init;
     use vpu_tensor::kernels::gemm::AccumMode;
     use vpu_tensor::Shape;
 
-    fn full_cost() -> NetworkCost {
-        NetworkCost::of::<f16>(&googlenet::full())
+    fn full_cost() -> Arc<NetworkCost> {
+        Arc::new(NetworkCost::of::<f16>(&googlenet::full()))
     }
 
     #[test]
@@ -402,11 +545,12 @@ mod tests {
     fn layers_cover_the_whole_run() {
         let mut vpu = Myriad2::new(Myriad2Config::default());
         let run = vpu.run_cost(&full_cost(), SimTime::ZERO);
-        assert_eq!(run.layers.len(), full_cost().layers.len());
-        assert_eq!(run.layers.first().unwrap().start, run.start);
-        assert_eq!(run.layers.last().unwrap().end, run.end);
+        let layers = run.layers();
+        assert_eq!(layers.len(), full_cost().layers.len());
+        assert_eq!(layers.first().unwrap().start, run.start);
+        assert_eq!(layers.last().unwrap().end, run.end);
         // Layers execute in order.
-        for w in run.layers.windows(2) {
+        for w in layers.windows(2) {
             assert!(w[1].start >= w[0].start);
         }
     }
@@ -414,11 +558,11 @@ mod tests {
     #[test]
     fn sipp_offloads_pool_layers() {
         let mut vpu = Myriad2::new(Myriad2Config::default());
-        let run = vpu.run_cost(&full_cost(), SimTime::ZERO);
-        let pools: Vec<_> = run.layers.iter().filter(|l| l.mnemonic == "maxpool").collect();
+        let layers = vpu.run_cost(&full_cost(), SimTime::ZERO).layers();
+        let pools: Vec<_> = layers.iter().filter(|l| l.mnemonic == "maxpool").collect();
         assert!(!pools.is_empty());
         assert!(pools.iter().all(|l| l.on_sipp));
-        let convs: Vec<_> = run.layers.iter().filter(|l| l.mnemonic == "conv").collect();
+        let convs: Vec<_> = layers.iter().filter(|l| l.mnemonic == "conv").collect();
         assert!(convs.iter().all(|l| !l.on_sipp));
     }
 
@@ -446,13 +590,140 @@ mod tests {
         let spec = Arc::new(googlenet::tiny());
         let weights = init::xavier(&spec, 3);
         let net = CompiledNetwork::<f16>::compile(spec.clone(), &weights, AccumMode::Native);
-        let cost = NetworkCost::of::<f16>(&spec);
+        let cost = Arc::new(NetworkCost::of::<f16>(&spec));
         let input = Tensor::<f32>::full(Shape::chw(3, 32, 32), 0.2).quantize_fp16();
         let mut vpu = Myriad2::new(Myriad2Config::default());
         let (out, run) = vpu.run_inference(&net, &cost, &input, SimTime::ZERO);
         let plain = net.forward(&input);
         assert_eq!(out, plain, "device numerics must equal plain fp16 forward");
         assert!(run.duration() > Duration::ZERO);
+    }
+
+    #[test]
+    fn an_idle_chip_replays_the_recorded_walk() {
+        let cost = full_cost();
+        let mut shipped = Myriad2::new(Myriad2Config::default());
+        let mut walked = Myriad2::new(Myriad2Config::default());
+        for ready in [SimTime::ZERO, SimTime(5), SimTime(2_000_000_000)] {
+            let run = shipped.run_cost(&cost, ready);
+            assert!(Arc::ptr_eq(&shipped.replay.as_ref().unwrap().cost, &cost));
+            let reference = walked.run_cost_walked(&cost, ready);
+            assert_eq!(run.layers(), reference.layers());
+            assert_eq!(run, reference);
+        }
+        assert_eq!(shipped.lifetime_activity(), walked.lifetime_activity());
+        assert_eq!(books(&shipped), books(&walked));
+        // An equal copy of the graph is another graph: walked and recorded.
+        let copy = Arc::new(NetworkCost::clone(&cost));
+        assert_eq!(
+            shipped.run_cost(&copy, SimTime::ZERO),
+            walked.run_cost_walked(&copy, SimTime::ZERO)
+        );
+        assert!(Arc::ptr_eq(&shipped.replay.as_ref().unwrap().cost, &copy));
+    }
+
+    #[test]
+    fn a_busy_chip_walks_and_keeps_its_record() {
+        let cost = full_cost();
+        let mut chip = Myriad2::new(Myriad2Config::default());
+        let first = chip.run_cost(&cost, SimTime::ZERO);
+        // Traffic the chip did not schedule itself keeps DDR busy past
+        // the next start.
+        chip.ddr.chan.acquire(first.end, Duration::from_millis(20.0));
+        let mut reference = chip.clone();
+        let busy = chip.run_cost(&cost, SimTime::ZERO);
+        assert_eq!(busy, reference.run_cost_walked(&cost, SimTime::ZERO));
+        assert!(busy.duration() > first.duration(), "a busy DDR channel delays the weights");
+        assert_eq!(chip.replay.as_ref().unwrap().run, first);
+    }
+
+    /// Every resource's books and the CMX arena cursor: the chip state a
+    /// replay must leave exactly as a walk does.
+    fn books(chip: &Myriad2) -> (Vec<(SimTime, Duration, u64)>, SimTime, u64) {
+        let fifo = |r: &desim::FifoResource| (r.available_at(), r.busy_total(), r.requests());
+        let mut books = vec![
+            (chip.shaves.all_free(), chip.shaves.busy_total(), chip.shaves.requests()),
+            fifo(&chip.ddr.chan),
+            fifo(&chip.sipp.engine),
+        ];
+        books.extend(chip.cmx.banks.iter().map(fifo));
+        (books, chip.shaves.next_free(), chip.cmx.next_free)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Replay vs walk: a chip as shipped and one that always walks
+        /// stay equal over random histories. Contended histories issue
+        /// work ready before the chip is free, interleave MDK kernels,
+        /// alternate two graphs and keep resources busy past the next
+        /// start with traffic of their own.
+        #[test]
+        fn replay_matches_the_walk(
+            config in 0usize..4,
+            contended in any::<bool>(),
+            ops in prop::collection::vec((0u8..4, 0u64..300_000_000, 0usize..19), 1..14),
+        ) {
+            let cfg = match config {
+                0 => Myriad2Config::default(),
+                1 => Myriad2Config::default().time_scaled(0.7),
+                2 => Myriad2Config::default().with_shaves(5).without_sipp(),
+                _ => Myriad2Config::default().with_prefetch().time_scaled(1.3),
+            };
+            let graphs = [full_cost(), Arc::new(NetworkCost::of::<f16>(&googlenet::tiny()))];
+            let mut shipped = Myriad2::new(cfg.clone());
+            let mut walked = Myriad2::new(cfg);
+            for (kind, dt, pick) in ops {
+                let now = shipped.now();
+                prop_assert_eq!(now, walked.now());
+                // Idle histories run one graph, ready at or after `now`.
+                let (kind, ready) = if contended {
+                    (kind, SimTime(now.nanos().saturating_sub(dt)))
+                } else {
+                    (0, now + Duration(dt))
+                };
+                match kind {
+                    0 | 1 => {
+                        let g = &graphs[kind as usize];
+                        let a = shipped.run_cost(g, ready);
+                        let b = walked.run_cost_walked(g, ready);
+                        prop_assert_eq!(a.layers(), b.layers());
+                        prop_assert_eq!(a, b);
+                    }
+                    2 => {
+                        let work = KernelWork {
+                            name: "k".into(),
+                            macs: dt,
+                            aux_ops: dt / 3,
+                            cmx_bytes: dt / 100,
+                            ddr_bytes: dt / 50,
+                            vau_lanes: Some(4),
+                            issue_efficiency: None,
+                        };
+                        let a = shipped.run_kernels(std::slice::from_ref(&work), ready);
+                        prop_assert_eq!(a, walked.run_kernels(&[work], ready));
+                    }
+                    _ => {
+                        // Keep one resource busy up to `dt` past `now`.
+                        let at = now + Duration(dt / 2);
+                        let service = Duration(dt / 2 + 1);
+                        for chip in [&mut shipped, &mut walked] {
+                            match pick {
+                                0 => _ = chip.shaves.acquire(at, service),
+                                1 => _ = chip.ddr.chan.acquire(at, service),
+                                2 => _ = chip.sipp.engine.acquire(at, service),
+                                b => _ = chip.cmx.banks[b - 3].acquire(at, service),
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(shipped.lifetime_activity(), walked.lifetime_activity());
+                prop_assert_eq!(books(&shipped), books(&walked));
+            }
+            let next = shipped.run_cost(&graphs[0], SimTime::ZERO);
+            prop_assert_eq!(next, walked.run_cost_walked(&graphs[0], SimTime::ZERO));
+            prop_assert_eq!(shipped.lifetime_activity(), walked.lifetime_activity());
+        }
     }
 
     #[test]

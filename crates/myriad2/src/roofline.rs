@@ -107,11 +107,11 @@ mod tests {
         // agree within ~30% for a compute-bound layer.
         use crate::{Myriad2, Myriad2Config};
         use desim::SimTime;
-        let cost = NetworkCost::of::<f16>(&vpu_nn::googlenet::full());
+        let cost = std::sync::Arc::new(NetworkCost::of::<f16>(&vpu_nn::googlenet::full()));
         let mut chip = Myriad2::new(Myriad2Config::default());
         let run = chip.run_cost(&cost, SimTime::ZERO);
-        let conv2_sim =
-            run.layers.iter().find(|l| l.name == "conv2/3x3").unwrap().duration().as_secs();
+        let layers = run.layers();
+        let conv2_sim = layers.iter().find(|l| l.name == "conv2/3x3").unwrap().duration().as_secs();
         let conv2 = cost.layers.iter().find(|l| l.name == "conv2/3x3").unwrap();
         let p = roof().classify(conv2.macs, conv2.weight_bytes + conv2.in_bytes + conv2.out_bytes);
         let ratio = conv2_sim / p.seconds;

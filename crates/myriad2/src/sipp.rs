@@ -32,7 +32,7 @@ pub enum SippKernel {
 /// The filter pipeline: a chain of kernels sharing one streaming engine.
 #[derive(Debug, Clone)]
 pub struct SippPipeline {
-    engine: FifoResource,
+    pub(crate) engine: FifoResource,
     pixels_per_cycle: f64,
     clock_hz: f64,
     enabled: bool,

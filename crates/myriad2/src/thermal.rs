@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn stick_never_throttles_at_inference_load() {
         // Real chip activity from the simulator: continuous GoogLeNet.
-        let cost = NetworkCost::of::<f16>(&vpu_nn::googlenet::full());
+        let cost = std::sync::Arc::new(NetworkCost::of::<f16>(&vpu_nn::googlenet::full()));
         let mut chip = Myriad2::new(Myriad2Config::default());
         let run = chip.run_cost(&cost, SimTime::ZERO);
         let m = ThermalModel::default();

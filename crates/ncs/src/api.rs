@@ -381,7 +381,7 @@ mod tests {
         let (handles, ready) = setup(&mut api);
         let loaded = api.load_tensor(handles[0], ready, None).unwrap();
         let res = api.get_result(handles[0], loaded).unwrap();
-        assert!(!res.run.layers.is_empty());
+        assert!(!res.run.layers().is_empty());
         assert!(res.run.energy_j > 0.0);
     }
 }

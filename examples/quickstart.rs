@@ -76,7 +76,7 @@ fn main() {
     let loaded = api.load_tensor(graph, t, None).expect("load");
     let res = api.get_result(graph, loaded).expect("result");
     println!("\nslowest layers of the last run:");
-    let mut layers = res.run.layers.clone();
+    let mut layers = res.run.layers();
     layers.sort_by_key(|l| std::cmp::Reverse(l.duration()));
     for l in layers.iter().take(5) {
         println!(

@@ -80,7 +80,7 @@ fn ncapi_round_trip_with_real_output_payload() {
     let res = api.get_result(g, loaded).unwrap();
     assert_eq!(res.output.unwrap(), expect);
     assert!(res.returned_at > loaded);
-    assert!(!res.run.layers.is_empty());
+    assert!(!res.run.layers().is_empty());
 }
 
 #[test]
