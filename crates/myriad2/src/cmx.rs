@@ -34,7 +34,7 @@ pub struct Cmx {
     pub(crate) banks: Vec<FifoResource>,
     bytes_per_cycle: u64,
     clock_hz: f64,
-    pub(crate) next_free: u64,
+    next_free: u64,
 }
 
 impl Cmx {

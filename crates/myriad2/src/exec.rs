@@ -59,7 +59,6 @@ impl LayerTiming {
 /// Result of simulating one inference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkRun {
-    pub network: Arc<str>,
     pub start: SimTime,
     pub end: SimTime,
     pub activity: ActivitySummary,
@@ -73,7 +72,6 @@ pub struct NetworkRun {
 impl NetworkRun {
     /// A run from its absolute per-layer timings.
     fn new(
-        network: Arc<str>,
         start: SimTime,
         end: SimTime,
         mut layers: Vec<LayerTiming>,
@@ -84,7 +82,7 @@ impl NetworkRun {
             l.start = SimTime::ZERO + (l.start - start);
             l.end = SimTime::ZERO + (l.end - start);
         }
-        NetworkRun { network, start, end, activity, energy_j, schedule: layers.into() }
+        NetworkRun { start, end, activity, energy_j, schedule: layers.into() }
     }
 
     pub fn duration(&self) -> Duration {
@@ -159,7 +157,7 @@ pub struct Myriad2 {
     now: SimTime,
     /// The graph this chip last recorded.
     replay: Option<Replay>,
-    #[cfg(feature = "walk-meter")]
+    /// Layer walks run so far.
     walks: u64,
 }
 
@@ -192,14 +190,13 @@ impl Myriad2 {
             cfg,
             now: SimTime::ZERO,
             replay: None,
-            #[cfg(feature = "walk-meter")]
             walks: 0,
         }
     }
 
     /// Layer walks run so far; each inference that did not replay one is
-    /// a walk. A test meter, built only with the `walk-meter` feature.
-    #[cfg(feature = "walk-meter")]
+    /// a walk. A meter for tests of the replay path.
+    #[doc(hidden)]
     pub fn walks(&self) -> u64 {
         self.walks
     }
@@ -273,10 +270,7 @@ impl Myriad2 {
         // Each layer's fork-join starts on a drained pool and so spans
         // every SHAVE: the walk leaves them all free at one instant.
         assert_eq!(walked.shaves.next_free(), walked.shaves.all_free(), "ragged SHAVE pool");
-        #[cfg(feature = "walk-meter")]
-        {
-            self.walks += walked.walks;
-        }
+        self.walks += walked.walks;
         Replay { cost: Arc::clone(cost), run, walked: Box::new(walked) }
     }
 
@@ -288,7 +282,6 @@ impl Myriad2 {
         for (mine, walked) in fifos.into_iter().chain(self.cmx.banks.iter_mut().zip(&w.cmx.banks)) {
             mine.replay(walked, by);
         }
-        self.cmx.next_free = w.cmx.next_free;
         let run = rec.run.shifted(start);
         self.now = run.end;
         run
@@ -296,10 +289,7 @@ impl Myriad2 {
 
     /// Walk `cost` layer by layer from `start`.
     fn walk(&mut self, cost: &NetworkCost, start: SimTime) -> NetworkRun {
-        #[cfg(feature = "walk-meter")]
-        {
-            self.walks += 1;
-        }
+        self.walks += 1;
         let (sh0, cm0, dd0, si0) = self.busy_totals();
         let mut t = start;
         let mut layers = Vec::with_capacity(cost.layers.len());
@@ -323,7 +313,7 @@ impl Myriad2 {
             span: t - start,
         };
         let energy_j = self.power.energy(&activity);
-        NetworkRun::new(cost.network.as_str().into(), start, t, layers, activity, energy_j)
+        NetworkRun::new(start, t, layers, activity, energy_j)
     }
 
     /// Run a batch of hand-written kernels back-to-back (the MDK
@@ -374,7 +364,7 @@ impl Myriad2 {
             span: t - start,
         };
         let energy_j = self.power.energy(&activity);
-        NetworkRun::new("mdk".into(), start, t, layers, activity, energy_j)
+        NetworkRun::new(start, t, layers, activity, energy_j)
     }
 
     /// Simulate one inference *and* execute the real FP16 arithmetic.
@@ -637,9 +627,9 @@ mod tests {
         assert_eq!(chip.replay.as_ref().unwrap().run, first);
     }
 
-    /// Every resource's books and the CMX arena cursor: the chip state a
-    /// replay must leave exactly as a walk does.
-    fn books(chip: &Myriad2) -> (Vec<(SimTime, Duration, u64)>, SimTime, u64) {
+    /// Every resource's books: the chip state a replay must leave exactly
+    /// as a walk does.
+    fn books(chip: &Myriad2) -> (Vec<(SimTime, Duration, u64)>, SimTime) {
         let fifo = |r: &desim::FifoResource| (r.available_at(), r.busy_total(), r.requests());
         let mut books = vec![
             (chip.shaves.all_free(), chip.shaves.busy_total(), chip.shaves.requests()),
@@ -647,7 +637,7 @@ mod tests {
             fifo(&chip.sipp.engine),
         ];
         books.extend(chip.cmx.banks.iter().map(fifo));
-        (books, chip.shaves.next_free(), chip.cmx.next_free)
+        (books, chip.shaves.next_free())
     }
 
     proptest! {
