@@ -611,7 +611,8 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
         /// The one trace reader never panics: any edit of a real trace —
         /// impossible numbers, truncation, swapped names — parses and
-        /// validates to `Ok` or `Err`.
+        /// validates to `Ok` or `Err`, and a trace that parses also
+        /// attributes and ranks.
         #[test]
         fn the_reader_never_panics_on_mutated_traces(
             edits in proptest::collection::vec(
@@ -628,7 +629,10 @@ mod tests {
             for (kind, at, with) in &edits {
                 json = mutate(&json, *kind, *at, with);
             }
-            let _ = ncsw_analyze::parse_chrome_trace(&json);
+            if let Ok(log) = ncsw_analyze::parse_chrome_trace(&json) {
+                let analysis = ncsw_analyze::Analysis::of(&log);
+                let _ = ncsw_analyze::rank(&analysis, 0.5);
+            }
             let _ = validate(&json);
         }
     }

@@ -147,7 +147,7 @@ impl<E: Element> CompiledNetwork<E> {
     pub fn compile(spec: Arc<NetworkSpec>, weights: &Weights, accum: AccumMode) -> Self {
         let shapes = spec.infer_shapes();
         let mut params = Vec::with_capacity(spec.nodes.len());
-        for (i, node) in spec.nodes.iter().enumerate() {
+        for node in &spec.nodes {
             if !node.kind.has_weights() {
                 params.push(None);
                 continue;
@@ -168,7 +168,6 @@ impl<E: Element> CompiledNetwork<E> {
             let w: Vec<E> = lp.w.iter().map(|&x| E::from_f32(x)).collect();
             let b: Vec<E> = lp.b.iter().map(|&x| E::from_f32(x)).collect();
             params.push(Some((w, b)));
-            let _ = i;
         }
         let consumers = spec.consumer_counts();
         CompiledNetwork { spec, shapes, params, consumers, accum }

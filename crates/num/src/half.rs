@@ -32,8 +32,6 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Rem, Sub, Su
 #[serde(transparent)]
 pub struct f16(pub u16);
 
-/// Exponent bias of binary16.
-const EXP_BIAS: i32 = 15;
 /// All exponent bits set (Inf/NaN marker).
 const EXP_MASK: u16 = 0x7C00;
 /// Mantissa bits.
@@ -76,92 +74,91 @@ impl f16 {
     }
 
     /// Convert from `f32` with round-to-nearest-even.
+    ///
+    /// Branch-free: the result for every input class (normal, subnormal,
+    /// zero, overflow, Inf, NaN) is computed and the right one selected, so
+    /// a loop of conversions vectorizes. A NaN keeps the top ten bits of
+    /// its payload and gets the quiet bit.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
         let x = value.to_bits();
         let sign = (x >> 16) & 0x8000;
-        let exp = x & 0x7F80_0000;
-        let man = x & 0x007F_FFFF;
-
-        // Inf or NaN: all f32 exponent bits set.
-        if exp == 0x7F80_0000 {
-            let nan_bit = if man == 0 { 0 } else { 0x0200 };
-            // Preserve the top mantissa bits of a NaN payload; force the
-            // quiet bit so a signalling payload that shifts to zero does
-            // not collapse into an infinity.
-            return f16((sign | 0x7C00 | nan_bit | (man >> 13)) as u16);
-        }
-
-        let unbiased = ((exp >> 23) as i32) - 127;
-        let half_exp = unbiased + EXP_BIAS;
-
-        // Overflow to infinity.
-        if half_exp >= 0x1F {
-            return f16((sign | 0x7C00) as u16);
-        }
-
-        // Underflow: subnormal or zero.
-        if half_exp <= 0 {
-            // Values below 2^-25 round to zero (2^-25 itself ties to even
-            // = zero as well; the guard below handles it).
-            if 14 - half_exp > 24 {
-                return f16(sign as u16);
-            }
-            let man = man | 0x0080_0000; // restore the implicit bit
-            let shift = (14 - half_exp) as u32;
-            let mut half_man = man >> shift;
-            // Round to nearest even on the bits shifted out.
-            let round_bit = 1u32 << (shift - 1);
-            if (man & round_bit) != 0 && (man & (3 * round_bit - 1)) != 0 {
-                half_man += 1;
-            }
-            return f16((sign | half_man) as u16);
-        }
-
-        let half_exp = (half_exp as u32) << 10;
-        let half_man = man >> 13;
-        let round_bit = 0x0000_1000u32;
-        let mut bits = sign | half_exp | half_man;
-        if (man & round_bit) != 0 && (man & (3 * round_bit - 1)) != 0 {
-            // A mantissa carry propagates into the exponent correctly,
-            // including the 65504 -> Inf transition.
-            bits += 1;
-        }
-        f16(bits as u16)
+        let a = x & 0x7FFF_FFFF;
+        // Normal: rebias the exponent (127 -> 15) and round the 13 dropped
+        // mantissa bits to nearest even. A carry moves into the exponent,
+        // which is also how 65520 and up become Inf.
+        let odd = (a >> 13) & 1;
+        let normal = a.wrapping_sub((127 - 15) << 23).wrapping_add(0xFFF + odd) >> 13;
+        // |x| < 2^-14: adding 0.5 puts the binary16 quantum 2^-24 at the
+        // f32 ulp, so the FPU's own round-to-nearest-even does the work.
+        let subnormal = (f32::from_bits(a) + 0.5).to_bits().wrapping_sub(0x3F00_0000);
+        let nan = 0x7E00 | ((a >> 13) & 0x03FF);
+        let bits = if a > 0x7F80_0000 {
+            nan
+        } else if a >= 0x4780_0000 {
+            0x7C00 // 2^16 and up, Inf included
+        } else if a < 0x3880_0000 {
+            subnormal
+        } else {
+            normal
+        };
+        f16((sign | bits) as u16)
     }
 
     /// Exact widening conversion to `f32` (every binary16 value is
-    /// representable in binary32).
+    /// representable in binary32). Branch-free, like [`f16::from_f32`]; a
+    /// NaN keeps its payload and gets the quiet bit.
+    #[inline]
     pub fn to_f32(self) -> f32 {
-        let i = self.0;
-        // Signed zero.
-        if i & 0x7FFF == 0 {
-            return f32::from_bits((i as u32) << 16);
-        }
-        let half_sign = (i & SIGN_MASK) as u32;
-        let half_exp = (i & EXP_MASK) as u32;
-        let half_man = (i & MAN_MASK) as u32;
+        let h = self.0 as u32;
+        let sign = (h & 0x8000) << 16;
+        // Exponent and mantissa moved to their f32 positions.
+        let a = (h & 0x7FFF) << 13;
+        let exp = a & 0x0F80_0000;
+        let normal = a + ((127 - 15) << 23);
+        // Subnormal or zero: read the mantissa as 2^-14 * (1 + m/1024) and
+        // subtract the 2^-14, leaving m * 2^-24 exactly.
+        let min_normal = f32::from_bits(113 << 23);
+        let subnormal = (f32::from_bits(a + (113 << 23)) - min_normal).to_bits();
+        let quiet = if a & 0x007F_FFFF != 0 { 0x0040_0000 } else { 0 };
+        let bits = if exp == 0x0F80_0000 {
+            0x7F80_0000 | a | quiet
+        } else if exp == 0 {
+            subnormal
+        } else {
+            normal
+        };
+        f32::from_bits(sign | bits)
+    }
 
-        if half_exp == 0x7C00 {
-            if half_man == 0 {
-                return f32::from_bits((half_sign << 16) | 0x7F80_0000);
-            }
-            // NaN: keep payload, force quiet bit.
-            return f32::from_bits((half_sign << 16) | 0x7FC0_0000 | (half_man << 13));
-        }
-
-        let sign = half_sign << 16;
-        if half_exp == 0 {
-            // Subnormal: normalize by shifting the mantissa up.
-            let e = half_man.leading_zeros() - 22; // payload MSB (bit 9) has 22 leading zeros in a u32
-            let exp = (127 - 15 - e) << 23;
-            let man = (half_man << (14 + e)) & 0x007F_FFFF;
-            return f32::from_bits(sign | exp | man);
-        }
-
-        let unbiased = ((half_exp >> 10) as i32) - EXP_BIAS;
-        let exp = ((unbiased + 127) as u32) << 23;
-        let man = half_man << 13;
-        f32::from_bits(sign | exp | man)
+    /// Round an f32 to the nearest binary16 value and return it widened:
+    /// `f16::from_f32(value).to_f32()` in one step, bit for bit.
+    ///
+    /// This is how kernels keep an FP16 accumulator in f32 registers. f32
+    /// carries 24 >= 2 * 11 + 2 significand bits, so rounding the f32 sum
+    /// or product of two binary16 values once more, here, gives the
+    /// correctly rounded binary16 result: what a non-fused FP16 ALU yields.
+    #[inline]
+    pub fn round_f32(value: f32) -> f32 {
+        let x = value.to_bits();
+        let sign = x & 0x8000_0000;
+        // The magnitude's bits, compared as i32 (cheaper in SIMD than u32).
+        let a = (x & 0x7FFF_FFFF) as i32;
+        // Adding C = 2^(e + 13), for the binade 2^e of |x|, leaves the
+        // binary16 quantum 2^(e - 10) as the f32 ulp of the sum, so the
+        // FPU rounds to nearest even and subtracting C is exact. Below
+        // 2^-14 the quantum stays 2^-24, the ulp of C = 0.5: the subnormals.
+        let c = f32::from_bits((a as u32 & 0x7F80_0000) + (13 << 23));
+        let c = if c < 0.5 { 0.5 } else { c };
+        let rounded = ((f32::from_bits(a as u32) + c) - c).to_bits();
+        let bits = if a > 0x7F80_0000 {
+            (a as u32 & !0x1FFF) | 0x0040_0000 // NaN: truncated payload, quiet bit
+        } else if a >= 0x477F_F000 {
+            0x7F80_0000 // 65520 and up round to Inf
+        } else {
+            rounded
+        };
+        f32::from_bits(sign | bits)
     }
 
     /// Exact widening conversion to `f64`.
@@ -402,6 +399,163 @@ impl fmt::Debug for f16 {
 impl fmt::Display for f16 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(&self.to_f32(), f)
+    }
+}
+
+/// The scalar, branchy conversions the fast ones replaced: the oracle the
+/// differential tests hold them to, bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{EXP_MASK, MAN_MASK, SIGN_MASK};
+
+    /// Exponent bias of binary16.
+    const EXP_BIAS: i32 = 15;
+
+    pub fn from_f32(value: f32) -> u16 {
+        let x = value.to_bits();
+        let sign = (x >> 16) & 0x8000;
+        let exp = x & 0x7F80_0000;
+        let man = x & 0x007F_FFFF;
+
+        // Inf or NaN: all f32 exponent bits set.
+        if exp == 0x7F80_0000 {
+            let nan_bit = if man == 0 { 0 } else { 0x0200 };
+            // Preserve the top mantissa bits of a NaN payload; force the
+            // quiet bit so a signalling payload that shifts to zero does
+            // not collapse into an infinity.
+            return (sign | 0x7C00 | nan_bit | (man >> 13)) as u16;
+        }
+
+        let unbiased = ((exp >> 23) as i32) - 127;
+        let half_exp = unbiased + EXP_BIAS;
+
+        // Overflow to infinity.
+        if half_exp >= 0x1F {
+            return (sign | 0x7C00) as u16;
+        }
+
+        // Underflow: subnormal or zero.
+        if half_exp <= 0 {
+            // Values below 2^-25 round to zero (2^-25 itself ties to even
+            // = zero as well; the guard below handles it).
+            if 14 - half_exp > 24 {
+                return sign as u16;
+            }
+            let man = man | 0x0080_0000; // restore the implicit bit
+            let shift = (14 - half_exp) as u32;
+            let mut half_man = man >> shift;
+            // Round to nearest even on the bits shifted out.
+            let round_bit = 1u32 << (shift - 1);
+            if (man & round_bit) != 0 && (man & (3 * round_bit - 1)) != 0 {
+                half_man += 1;
+            }
+            return (sign | half_man) as u16;
+        }
+
+        let half_exp = (half_exp as u32) << 10;
+        let half_man = man >> 13;
+        let round_bit = 0x0000_1000u32;
+        let mut bits = sign | half_exp | half_man;
+        if (man & round_bit) != 0 && (man & (3 * round_bit - 1)) != 0 {
+            // A mantissa carry propagates into the exponent correctly,
+            // including the 65504 -> Inf transition.
+            bits += 1;
+        }
+        bits as u16
+    }
+
+    pub fn to_f32(i: u16) -> f32 {
+        // Signed zero.
+        if i & 0x7FFF == 0 {
+            return f32::from_bits((i as u32) << 16);
+        }
+        let half_sign = (i & SIGN_MASK) as u32;
+        let half_exp = (i & EXP_MASK) as u32;
+        let half_man = (i & MAN_MASK) as u32;
+
+        if half_exp == 0x7C00 {
+            if half_man == 0 {
+                return f32::from_bits((half_sign << 16) | 0x7F80_0000);
+            }
+            // NaN: keep payload, force quiet bit.
+            return f32::from_bits((half_sign << 16) | 0x7FC0_0000 | (half_man << 13));
+        }
+
+        let sign = half_sign << 16;
+        if half_exp == 0 {
+            // Subnormal: normalize by shifting the mantissa up.
+            let e = half_man.leading_zeros() - 22; // payload MSB (bit 9) has 22 leading zeros in a u32
+            let exp = (127 - 15 - e) << 23;
+            let man = (half_man << (14 + e)) & 0x007F_FFFF;
+            return f32::from_bits(sign | exp | man);
+        }
+
+        let unbiased = ((half_exp >> 10) as i32) - EXP_BIAS;
+        let exp = ((unbiased + 127) as u32) << 23;
+        let man = half_man << 13;
+        f32::from_bits(sign | exp | man)
+    }
+}
+
+/// Every fast conversion against [`reference`], compared as bits.
+#[cfg(test)]
+mod differential {
+    use super::*;
+
+    /// One f32 input through all three fast paths, against the oracle.
+    fn check(x: u32) {
+        let v = f32::from_bits(x);
+        let want = reference::from_f32(v);
+        let got = f16::from_f32(v).to_bits();
+        assert_eq!(got, want, "from_f32({x:#010x}): {got:#06x} != {want:#06x}");
+        let want = reference::to_f32(want).to_bits();
+        let got = f16::round_f32(v).to_bits();
+        assert_eq!(got, want, "round_f32({x:#010x}): {got:#010x} != {want:#010x}");
+    }
+
+    #[test]
+    fn to_f32_matches_reference_on_every_input() {
+        for bits in 0..=u16::MAX {
+            let got = f16::from_bits(bits).to_f32().to_bits();
+            let want = reference::to_f32(bits).to_bits();
+            assert_eq!(got, want, "to_f32({bits:#06x}): {got:#010x} != {want:#010x}");
+        }
+    }
+
+    /// Every f32 sign and exponent, with mantissas at and around each
+    /// rounding boundary (bit 12 for normals, bits 13..=23 for the
+    /// subnormal shifts), plus random fill.
+    #[test]
+    fn from_f32_matches_reference_on_a_stratified_sweep() {
+        use rand::Rng;
+        let mut mantissas = vec![0, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x3000, 0x7F_FFFF];
+        for shift in 13..=24 {
+            let round = 1u32 << (shift - 1);
+            for m in [round - 1, round, round + 1, 2 * round - 1, 2 * round, 3 * round] {
+                mantissas.extend([m, m.wrapping_sub(1), m + 1]);
+            }
+        }
+        let mut rng = crate::rng::seeded(0xF16);
+        for sign in [0, 0x8000_0000u32] {
+            for exp in 0..=0xFFu32 {
+                for &m in &mantissas {
+                    check(sign | exp << 23 | (m & 0x7F_FFFF));
+                }
+                for _ in 0..64 {
+                    check(sign | exp << 23 | rng.gen_range(0..0x80_0000u32));
+                }
+            }
+        }
+    }
+
+    /// All 2^32 inputs; ~40 s in release:
+    /// `cargo test --release -p vpu-num -- --ignored`.
+    #[test]
+    #[ignore]
+    fn from_f32_matches_reference_on_every_input() {
+        for x in 0..=u32::MAX {
+            check(x);
+        }
     }
 }
 

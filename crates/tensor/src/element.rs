@@ -32,6 +32,8 @@ pub trait Element:
     fn from_f32(v: f32) -> Self;
     /// Widening conversion to f32 (exact for both implementations).
     fn to_f32(self) -> f32;
+    /// `from_f32(v).to_f32()`: round to this type, stay in f32.
+    fn round_f32(v: f32) -> f32;
     /// IEEE maxNum semantics (NaN loses to a number).
     fn maximum(self, other: Self) -> Self;
     /// Bytes per element as stored on the device.
@@ -55,6 +57,11 @@ impl Element for f32 {
     #[inline]
     fn to_f32(self) -> f32 {
         self
+    }
+
+    #[inline]
+    fn round_f32(v: f32) -> f32 {
+        v
     }
 
     #[inline]
@@ -99,6 +106,11 @@ impl Element for f16 {
     #[inline]
     fn to_f32(self) -> f32 {
         f16::to_f32(self)
+    }
+
+    #[inline]
+    fn round_f32(v: f32) -> f32 {
+        f16::round_f32(v)
     }
 
     #[inline]

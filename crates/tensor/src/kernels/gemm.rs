@@ -27,7 +27,7 @@ pub enum AccumMode {
     Native,
 }
 
-/// Sequential reference GEMM (used by tests to validate the parallel path).
+/// Sequential reference GEMM (used by tests to validate the row-split path).
 pub fn gemm_seq<E: Element>(
     m: usize,
     k: usize,
@@ -38,12 +38,14 @@ pub fn gemm_seq<E: Element>(
     mode: AccumMode,
 ) {
     check_dims(m, k, n, a.len(), b.len(), c.len());
+    let bw = widen_for(b, mode);
     for i in 0..m {
-        gemm_row(i, k, n, a, b, &mut c[i * n..(i + 1) * n], mode);
+        gemm_row(&a[i * k..(i + 1) * k], b, &bw, &mut c[i * n..(i + 1) * n], mode);
     }
 }
 
-/// Rayon-parallel GEMM over output rows.
+/// GEMM over output rows, written as a `par_chunks_mut` loop. The
+/// offline `compat/rayon` shim runs it on one thread.
 pub fn gemm<E: Element>(
     m: usize,
     k: usize,
@@ -54,26 +56,31 @@ pub fn gemm<E: Element>(
     mode: AccumMode,
 ) {
     check_dims(m, k, n, a.len(), b.len(), c.len());
-    // Row-parallel: each worker owns a disjoint slice of C, so the result
-    // is bit-identical to the sequential kernel regardless of scheduling.
-    c.par_chunks_mut(n).enumerate().for_each(|(i, row)| gemm_row(i, k, n, a, b, row, mode));
+    let bw = widen_for(b, mode);
+    // Each row owns a disjoint slice of C, so the result is bit-identical
+    // to the sequential kernel under any split.
+    c.par_chunks_mut(n)
+        .enumerate()
+        .for_each(|(i, row)| gemm_row(&a[i * k..(i + 1) * k], b, &bw, row, mode));
+}
+
+/// B widened to f32 once per call for [`AccumMode::Native`]; the widened
+/// loop converts as it reads, so it gets nothing.
+fn widen_for<E: Element>(b: &[E], mode: AccumMode) -> Vec<f32> {
+    match mode {
+        AccumMode::Widened => Vec::new(),
+        AccumMode::Native => b.iter().map(|x| x.to_f32()).collect(),
+    }
 }
 
 #[inline]
-fn gemm_row<E: Element>(
-    i: usize,
-    k: usize,
-    n: usize,
-    a: &[E],
-    b: &[E],
-    row: &mut [E],
-    mode: AccumMode,
-) {
+fn gemm_row<E: Element>(arow: &[E], b: &[E], bw: &[f32], row: &mut [E], mode: AccumMode) {
+    let n = row.len();
+    let mut acc = vec![0.0f32; n];
     match mode {
         AccumMode::Widened => {
-            let mut acc = vec![0.0f32; n];
-            for kk in 0..k {
-                let aik = a[i * k + kk].to_f32();
+            for (kk, &aik) in arow.iter().enumerate() {
+                let aik = aik.to_f32();
                 if aik == 0.0 {
                     continue;
                 }
@@ -82,24 +89,23 @@ fn gemm_row<E: Element>(
                     *s += aik * bj.to_f32();
                 }
             }
-            for (dst, s) in row.iter_mut().zip(acc) {
-                *dst = E::from_f32(s);
-            }
         }
         AccumMode::Native => {
-            for v in row.iter_mut() {
-                *v = E::ZERO;
-            }
-            for kk in 0..k {
-                let aik = a[i * k + kk];
-                let brow = &b[kk * n..kk * n + n];
-                for (s, &bj) in row.iter_mut().zip(brow) {
-                    // One rounding for the product, one for the add — a
-                    // classic non-fused FP16 MAC.
-                    *s += aik * bj;
+            // The accumulator holds element-type values in f32: one
+            // rounding for the product, one for the add, as a non-fused
+            // FP16 MAC does. An `f16` operator also computes in f32 and
+            // rounds once, so this matches `s += a * b` bit for bit.
+            for (kk, &aik) in arow.iter().enumerate() {
+                let aik = aik.to_f32();
+                let brow = &bw[kk * n..kk * n + n];
+                for (s, &bj) in acc.iter_mut().zip(brow) {
+                    *s = E::round_f32(*s + E::round_f32(aik * bj));
                 }
             }
         }
+    }
+    for (dst, s) in row.iter_mut().zip(acc) {
+        *dst = E::from_f32(s);
     }
 }
 
@@ -121,11 +127,11 @@ pub fn dot<E: Element>(a: &[E], b: &[E], mode: AccumMode) -> E {
             E::from_f32(s)
         }
         AccumMode::Native => {
-            let mut s = E::ZERO;
+            let mut s = 0.0f32;
             for (&x, &y) in a.iter().zip(b) {
-                s += x * y;
+                s = E::round_f32(s + E::round_f32(x.to_f32() * y.to_f32()));
             }
-            s
+            E::from_f32(s)
         }
     }
 }
@@ -263,11 +269,74 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use vpu_num::f16;
+
+    /// The native kernel before its accumulator moved to f32: one f16
+    /// multiply and one f16 add per MAC, on the `f16` operators.
+    fn native_per_op(m: usize, k: usize, n: usize, a: &[f16], b: &[f16]) -> Vec<f16> {
+        let mut c = vec![f16::ZERO; m * n];
+        for i in 0..m {
+            for kk in 0..k {
+                let aik = a[i * k + kk];
+                for j in 0..n {
+                    c[i * n + j] += aik * b[kk * n + j];
+                }
+            }
+        }
+        c
+    }
+
+    /// `len` inputs drawn from ordinary values, values whose products and
+    /// sums pass 65504 partway through a row, subnormals of both signs,
+    /// the specials, and arbitrary bit patterns (NaN payloads included).
+    fn f16_inputs(len: usize, rng: &mut impl rand::Rng) -> Vec<f16> {
+        const SPECIALS: [f16; 7] = [
+            f16::ZERO,
+            f16::NEG_ZERO,
+            f16::INFINITY,
+            f16::NEG_INFINITY,
+            f16::NAN,
+            f16::MAX,
+            f16::MIN,
+        ];
+        (0..len)
+            .map(|_| match rng.gen_range(0..9) {
+                0..=3 => f16::from_f32(rng.gen_range(-2.0..2.0)),
+                4 | 5 => f16::from_f32(rng.gen_range(150.0..300.0)),
+                6 => f16::from_bits(rng.gen_range(0..0x0400u16) | rng.gen_range(0..2u16) << 15),
+                7 => SPECIALS[rng.gen_range(0..SPECIALS.len())],
+                _ => f16::from_bits(rng.gen()),
+            })
+            .collect()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// GEMM is linear in A: gemm(2A, B) == 2 * gemm(A, B).
+        /// The f32-domain native kernel equals the per-op f16 MAC loop
+        /// bit for bit, and so does the native dot product. The one
+        /// freedom is which NaN comes back when both operands of an add
+        /// are NaN: Rust leaves that to code generation, and the loops
+        /// compile to different operand orders.
+        #[test]
+        fn native_matches_the_per_op_f16_loop(
+            m in 1usize..6, k in 0usize..40, n in 1usize..20, seed in 0u64..1_000_000
+        ) {
+            let mut rng = vpu_num::rng::seeded(seed);
+            let a = f16_inputs(m * k, &mut rng);
+            let b = f16_inputs(k * n, &mut rng);
+            let want = native_per_op(m, k, n, &a, &b);
+            let mut got = vec![f16::ZERO; m * n];
+            gemm(m, k, n, &a, &b, &mut got, AccumMode::Native);
+            let same = |x: f16, y: f16| x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan();
+            for (j, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(same(x, y), "c[{j}]: {:#06x} != {:#06x}", x.to_bits(), y.to_bits());
+            }
+            let col: Vec<f16> = (0..k).map(|kk| b[kk * n]).collect();
+            let d = dot(&a[..k], &col, AccumMode::Native);
+            prop_assert!(same(d, want[0]), "dot: {:#06x} != {:#06x}", d.to_bits(), want[0].to_bits());
+        }
+
         #[test]
         fn linearity(m in 1usize..6, k in 1usize..8, n in 1usize..6, seed in 0u64..1000) {
             use rand::Rng;
