@@ -44,8 +44,7 @@ pub fn ablation_accum(scale: Scale) -> AccumAblation {
     let set = Arc::new(set);
     let folder = ImageFolder::new(set, 0);
 
-    let native =
-        ModelBundle::new(spec.clone(), (*Arc::new(weights.clone())).clone(), AccumMode::Native);
+    let native = ModelBundle::new(spec.clone(), weights.clone(), AccumMode::Native);
     let widened = ModelBundle::new(spec, weights, AccumMode::Widened);
 
     let p32 = predictions_fp32(&native, &folder);

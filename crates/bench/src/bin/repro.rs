@@ -108,6 +108,9 @@ fn parse_f64_list(s: &str) -> Option<Vec<f64>> {
     s.split(',').map(parse_positive).collect()
 }
 
+/// The `--policy`/`--baseline-policy` values.
+const DISPATCH_POLICIES: &str = "round-robin, least-outstanding or cost-aware";
+
 /// The one-line error for a flag value out of range; exit 2.
 fn bad_value(flag: &str, value: &str, expected: &str) -> ExitCode {
     eprintln!("bad {flag} '{value}': expected {expected}");
@@ -197,8 +200,7 @@ fn main() -> ExitCode {
             "--scale" => {
                 let Some(v) = it.next() else { return usage() };
                 let Some(s) = Scale::parse(v) else {
-                    eprintln!("unknown scale '{v}'");
-                    return usage();
+                    return bad_value("--scale", v, "tiny, small or paper");
                 };
                 scale = s;
             }
@@ -225,8 +227,7 @@ fn main() -> ExitCode {
             "--policy" => {
                 let Some(v) = it.next() else { return usage() };
                 let Some(p) = ncsw_serve::DispatchPolicy::parse(v) else {
-                    eprintln!("unknown policy '{v}'");
-                    return usage();
+                    return bad_value("--policy", v, DISPATCH_POLICIES);
                 };
                 policy = p;
             }
@@ -276,14 +277,11 @@ fn main() -> ExitCode {
             }
             "--components" => {
                 let Some(v) = it.next() else { return usage() };
-                let mut parsed = Vec::new();
-                for name in v.split(',') {
-                    let Some(c) = ncsw::ScaleComponent::parse(name) else {
-                        eprintln!("unknown component '{name}'");
-                        return usage();
-                    };
-                    parsed.push(c);
-                }
+                let Some(parsed) = v.split(',').map(ncsw::ScaleComponent::parse).collect() else {
+                    let names = ncsw::ScaleComponent::ALL.map(|c| c.name()).join(",");
+                    let expected = format!("a comma list of {names}");
+                    return bad_value("--components", v, &expected);
+                };
                 whatif_components = Some(parsed);
             }
             "--factors" => {
@@ -313,33 +311,29 @@ fn main() -> ExitCode {
             "--gray" => gray_on = true,
             "--campaigns" => {
                 let Some(v) = it.next() else { return usage() };
-                let Ok(n) = v.parse::<usize>() else {
-                    eprintln!("bad --campaigns '{v}'");
-                    return usage();
+                let Some(n) = v.parse::<usize>().ok().filter(|&n| n > 0) else {
+                    return bad_value("--campaigns", v, "a positive whole number");
                 };
                 campaigns = n;
             }
             "--seed" => {
                 let Some(v) = it.next() else { return usage() };
                 let Ok(s) = v.parse::<u64>() else {
-                    eprintln!("bad --seed '{v}'");
-                    return usage();
+                    return bad_value("--seed", v, "a whole number");
                 };
                 seed = s;
             }
             "--baseline-policy" => {
                 let Some(v) = it.next() else { return usage() };
                 let Some(p) = ncsw_serve::DispatchPolicy::parse(v) else {
-                    eprintln!("unknown policy '{v}'");
-                    return usage();
+                    return bad_value("--baseline-policy", v, DISPATCH_POLICIES);
                 };
                 baseline_policy = p;
             }
             "--ctrl" => {
                 let Some(v) = it.next() else { return usage() };
                 if !ncsw_ctrl::POLICY_NAMES.contains(&v.as_str()) {
-                    eprintln!("unknown scaling policy '{v}'");
-                    return usage();
+                    return bad_value("--ctrl", v, &ncsw_ctrl::POLICY_NAMES.join(", "));
                 }
                 ctrl_policy = v.clone();
             }
@@ -359,7 +353,7 @@ fn main() -> ExitCode {
                     Ok(p) => sample = Some(p),
                     Err(e) => {
                         eprintln!("bad --sample: {e}");
-                        return usage();
+                        return ExitCode::from(2);
                     }
                 }
             }
@@ -461,11 +455,7 @@ fn main() -> ExitCode {
             "fig7a" | "fig7b" | "fig7" => {
                 let r = fig7::fig7(scale);
                 write_csv("fig7", vpu_bench::csv::fig7_csv(&r));
-                if json {
-                    println!("{}", serde_json::to_string_pretty(&r).expect("serialize"));
-                } else {
-                    r.print();
-                }
+                emit!(r);
             }
             "fig8a" => {
                 let r = fig8::fig8a(scale);

@@ -29,7 +29,7 @@ pub fn timeline_with(devices: usize, images: usize) -> Timeline {
     let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(devices), &model);
     let mut log = EventLog::new();
     let mut obs = BatchObs { rec: &mut log, batch_id: 0, worker: 0, ids: &[] };
-    let run = mv.run_pipeline_obs(images, SimTime::ZERO, |_| None, &mut obs);
+    let run = mv.run_pipeline_obs(images, SimTime::ZERO, &mut obs);
     Timeline {
         devices,
         images,

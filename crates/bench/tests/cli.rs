@@ -60,3 +60,32 @@ fn non_finite_or_oversized_fault_durations_are_rejected() {
     assert_rejected(&["serve", "--faults", "unplug@NaNs"], "NaNs");
     assert_rejected(&["serve", "--faults", "failslow@0s:for@1e300s:slow@1e300"], "1e300s");
 }
+
+#[test]
+fn unknown_names_and_counts_are_rejected_in_one_line() {
+    assert_rejected(&["serve", "--scale", "huge"], "'huge'");
+    assert_rejected(&["serve", "--policy", "bogus"], "'bogus'");
+    assert_rejected(&["abdiff", "--baseline-policy", "bogus"], "'bogus'");
+    assert_rejected(&["serve", "--sample", "bogus"], "\"bogus\"");
+    assert_rejected(&["autoscale", "--ctrl", "bogus"], "'bogus'");
+    assert_rejected(&["whatif", "--components", "exec,bogus"], "exec,bogus");
+    assert_rejected(&["chaos", "--campaigns", "x"], "'x'");
+    assert_rejected(&["chaos", "--seed", "x"], "'x'");
+    // Zero campaigns would check nothing and still report a pass.
+    assert_rejected(&["chaos", "--campaigns", "0"], "'0'");
+}
+
+#[test]
+fn fig7_json_path_writes_the_file() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig7a.json");
+    let _ = std::fs::remove_file(&path);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig7a", "--scale", "tiny", "--json"])
+        .arg(&path)
+        .output()
+        .expect("run repro");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let written = std::fs::read_to_string(&path).expect("fig7a --json PATH writes PATH");
+    let json: serde_json::Value = serde_json::from_str(&written).expect("valid JSON");
+    assert!(json.get("cpu_fp32").is_some(), "not a Fig. 7 report: {written}");
+}

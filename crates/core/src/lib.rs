@@ -17,10 +17,14 @@
 //! FIFO-depth-2 pipelining, and result collection in queueing order —
 //! overlapping USB transfers with on-device execution across sticks.
 //!
-//! Throughput numbers come from the discrete-event simulation (virtual
-//! time); classification outputs come from real arithmetic (f32 on the
-//! host targets, software binary16 on the VPU target). The [`runner`]
-//! module glues both into the experiment-shaped reports the figures use.
+//! The two measurements stay apart, as in the paper. Throughput and
+//! energy come from the discrete-event simulation (virtual time): a
+//! target reads only the cost profiles of its [`ModelBundle`] and does no
+//! arithmetic. Classification outputs come from real arithmetic on the
+//! bundle's compiled networks — f32 for the host targets, software
+//! binary16 for the VPU — through [`runner::predictions_fp32`] and
+//! [`runner::predictions_fp16`]. The [`runner`] module glues both into
+//! the experiment-shaped reports the figures use.
 
 pub mod metrics;
 pub mod model;

@@ -2,8 +2,9 @@
 //!
 //! NCSw loads one Caffe model and deploys it per-target: FP32 for the
 //! CPU/GPU paths, an FP16 "graph file" for the NCS (the NCSDK compiler
-//! step). [`ModelBundle`] holds all of it: the spec, the master weights,
-//! both compiled networks and both cost profiles.
+//! step). [`ModelBundle`] holds all of it: the spec, both compiled
+//! networks and both cost profiles. The devices read only the cost
+//! profiles; classification runs the compiled networks.
 
 use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
@@ -17,7 +18,6 @@ use vpu_tensor::kernels::gemm::AccumMode;
 #[derive(Debug, Clone)]
 pub struct ModelBundle {
     pub spec: Arc<NetworkSpec>,
-    pub weights: Arc<Weights>,
     pub net32: Arc<CompiledNetwork<f32>>,
     pub net16: Arc<CompiledNetwork<f16>>,
     pub cost32: Arc<NetworkCost>,
@@ -34,7 +34,7 @@ impl ModelBundle {
         let net16 = Arc::new(CompiledNetwork::<f16>::compile(spec.clone(), &weights, accum16));
         let cost32 = Arc::new(NetworkCost::of::<f32>(&spec));
         let cost16 = Arc::new(NetworkCost::of::<f16>(&spec));
-        ModelBundle { spec, weights: Arc::new(weights), net32, net16, cost32, cost16 }
+        ModelBundle { spec, net32, net16, cost32, cost16 }
     }
 
     /// Deploy with the Myriad's default pure-FP16 accumulation.

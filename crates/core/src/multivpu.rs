@@ -14,8 +14,7 @@ use ncs_platform::{Fleet, GraphHandle, Ncapi, NcsConfig, Topology, UsbBus};
 use ncsw_obs::{BatchObs, Ctx, Event, Lane, Phase};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use vpu_num::{f16, rng};
-use vpu_tensor::Tensor;
+use vpu_num::rng;
 
 /// Pipeline construction parameters.
 #[derive(Debug, Clone)]
@@ -59,8 +58,6 @@ pub struct PipelineReport {
     pub end: SimTime,
     /// Host-return instant of each image's result, in image order.
     pub result_times: Vec<SimTime>,
-    /// Real FP16 outputs when numerics were supplied.
-    pub outputs: Vec<Option<Tensor<f16>>>,
     /// Joules consumed across all chips.
     pub energy_j: f64,
 }
@@ -138,24 +135,13 @@ impl MultiVpu {
         &self.cfg
     }
 
-    /// Run `count` inferences with no numerics (timing only).
+    /// Run `count` inferences, unobserved, as early as the fleet allows.
     pub fn run_pipeline(&mut self, count: usize) -> PipelineReport {
-        self.run_pipeline_with(count, |_| None)
-    }
-
-    /// Run `count` inferences; `numerics(i)` may supply the real FP16
-    /// output of image `i` (computed by `vpu-nn` — bit-exact device
-    /// arithmetic), which rides through the device queue.
-    pub fn run_pipeline_with(
-        &mut self,
-        count: usize,
-        numerics: impl FnMut(usize) -> Option<Tensor<f16>>,
-    ) -> PipelineReport {
         let mut null = ncsw_obs::NullRecorder;
-        self.run_pipeline_obs(count, SimTime::ZERO, numerics, &mut BatchObs::disabled(&mut null))
+        self.run_pipeline_obs(count, SimTime::ZERO, &mut BatchObs::disabled(&mut null))
     }
 
-    /// The general form: numerics, an earliest-start bound (an online
+    /// The general form: an earliest-start bound (an online
     /// batcher submits a formed batch at its virtual dispatch instant)
     /// and an observability context. With an enabled recorder every host
     /// `load`/`read` span (on `Lane::Host`), on-chip `exec` span (on
@@ -167,7 +153,6 @@ impl MultiVpu {
         &mut self,
         count: usize,
         not_before: SimTime,
-        mut numerics: impl FnMut(usize) -> Option<Tensor<f16>>,
         obs: &mut BatchObs<'_>,
     ) -> PipelineReport {
         assert!(count > 0, "need at least one image");
@@ -199,7 +184,6 @@ impl MultiVpu {
 
         let start = threads.iter().map(|t| t.cursor).min().unwrap();
         let mut result_times = vec![SimTime::ZERO; count];
-        let mut outputs: Vec<Option<Tensor<f16>>> = (0..count).map(|_| None).collect();
         let depth = self.cfg.ncs.fifo_depth;
         let max_jitter = self.cfg.host_jitter.nanos();
         let mut energy = 0.0f64;
@@ -235,8 +219,7 @@ impl MultiVpu {
                 let img = t.images[t.next_load];
                 let j = Duration::from_nanos(self.jitter.gen_range(0..=max_jitter));
                 let call_at = t.cursor + j;
-                let returned =
-                    self.api.load_tensor(h, call_at, numerics(img)).expect("load_tensor");
+                let returned = self.api.load_tensor(h, call_at).expect("load_tensor");
                 if recording {
                     let ctx = obs.ctx(img);
                     let host = Lane::Host { worker, dev };
@@ -260,7 +243,6 @@ impl MultiVpu {
                 }
                 energy += res.run.energy_j;
                 result_times[img] = res.returned_at;
-                outputs[img] = res.output;
                 t.cursor = res.returned_at;
                 t.next_get += 1;
             }
@@ -271,15 +253,7 @@ impl MultiVpu {
         }
         let end = *result_times.iter().max().unwrap();
         self.last_end = end;
-        PipelineReport {
-            images: count,
-            devices: n,
-            start,
-            end,
-            result_times,
-            outputs,
-            energy_j: energy,
-        }
+        PipelineReport { images: count, devices: n, start, end, result_times, energy_j: energy }
     }
 }
 
@@ -348,7 +322,7 @@ mod tests {
         let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(4), &model());
         let mut log = ncsw_obs::EventLog::new();
         let mut obs = BatchObs { rec: &mut log, batch_id: 0, worker: 0, ids: &[] };
-        mv.run_pipeline_obs(8, SimTime::ZERO, |_| None, &mut obs);
+        mv.run_pipeline_obs(8, SimTime::ZERO, &mut obs);
         let vpus = log.lanes().into_iter().filter(|l| matches!(l, Lane::Vpu { .. })).count();
         assert_eq!(vpus, 4);
         // Execs on different devices must overlap in time.
@@ -388,19 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn numerics_ride_through_the_pipeline() {
-        use vpu_tensor::Shape;
-        let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(2), &model());
-        let r = mv.run_pipeline_with(4, |i| {
-            Some(Tensor::<f16>::full(Shape::vector(1, 4), f16::from_f32(i as f32)))
-        });
-        for (i, out) in r.outputs.iter().enumerate() {
-            let out = out.as_ref().expect("output present");
-            assert_eq!(out.as_slice()[0].to_f32(), i as f32);
-        }
-    }
-
-    #[test]
     fn observed_run_matches_plain_run_and_emits_request_spans() {
         let m = model();
         let plain = MultiVpu::new(MultiVpuConfig::paper_testbed(4), &m).run_pipeline(8);
@@ -410,7 +371,6 @@ mod tests {
         let observed = MultiVpu::new(MultiVpuConfig::paper_testbed(4), &m).run_pipeline_obs(
             8,
             SimTime::ZERO,
-            |_| None,
             &mut obs,
         );
         assert_eq!(plain.result_times, observed.result_times, "instrumentation changed timing");
@@ -455,7 +415,7 @@ mod tests {
         let mut log = ncsw_obs::EventLog::new();
         let ids: Vec<u64> = (0..3).collect();
         let mut obs = BatchObs { rec: &mut log, batch_id: 1, worker: 0, ids: &ids };
-        let second = nanos(mv.run_pipeline_obs(3, SimTime::ZERO, |_| None, &mut obs));
+        let second = nanos(mv.run_pipeline_obs(3, SimTime::ZERO, &mut obs));
         let third = nanos(mv.run_pipeline(8));
         assert_eq!(first, [1115366906, 1113669988, 1114493447, 1115262461, 1213537464]);
         assert_eq!(second, [1315675707, 1316444721, 1317268180]);

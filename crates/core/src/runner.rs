@@ -6,7 +6,6 @@ use crate::model::ModelBundle;
 use crate::source::SourceImage;
 use crate::target::TargetDevice;
 use rayon::prelude::*;
-use vpu_num::f16;
 use vpu_tensor::Element;
 
 /// Fig. 6a shape: throughput of one target over several subsets.
@@ -89,49 +88,10 @@ pub fn accuracy_per_subset(
         .collect()
 }
 
-/// Run the FP16 predictions *through the simulated multi-VPU pipeline*
-/// so the real outputs ride the virtual devices (used by the examples;
-/// produces identical numbers to [`predictions_fp16`] by construction).
-pub fn predictions_fp16_on_device(
-    model: &ModelBundle,
-    source: &dyn SourceImage,
-    vpu: &mut crate::multivpu::MultiVpu,
-) -> Vec<Prediction> {
-    // Real arithmetic first (parallel), then replay through the pipeline.
-    let outputs: Vec<vpu_tensor::Tensor<f16>> = (0..source.len())
-        .into_par_iter()
-        .map(|i| {
-            let labelled = source.fetch(i);
-            model.net16.forward(&labelled.pixels.quantize_fp16())
-        })
-        .collect();
-    let report = vpu.run_pipeline_with(source.len(), |i| Some(outputs[i].clone()));
-    report
-        .outputs
-        .iter()
-        .enumerate()
-        .map(|(i, out)| {
-            let out = out.as_ref().expect("pipeline must return outputs");
-            let labelled = source.fetch(i);
-            let (predicted, confidence) = out.argmax_item(0);
-            let probs: Vec<f32> = out.item(0).iter().map(|v| v.to_f32()).collect();
-            Prediction {
-                image: i,
-                label: labelled.label,
-                predicted,
-                confidence,
-                label_confidence: probs[labelled.label],
-                label_rank: crate::metrics::label_rank(&probs, labelled.label),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::confidence_diff;
-    use crate::multivpu::MultiVpuConfig;
     use crate::source::ImageFolder;
     use crate::target::{IntelCpu, IntelVpu, NvGpu};
     use ilsvrc_sim::{pseudo_train, DatasetConfig, ValidationSet};
@@ -202,20 +162,6 @@ mod tests {
         for r in &reports {
             assert_eq!(r.images, 10);
             assert!(r.top1_error() <= 1.0);
-        }
-    }
-
-    #[test]
-    fn on_device_predictions_match_direct_fp16() {
-        let (model, set) = trained_model_and_set();
-        let folder = ImageFolder::new(set, 0);
-        let direct = predictions_fp16(&model, &folder);
-        let mut mv = crate::multivpu::MultiVpu::new(MultiVpuConfig::paper_testbed(2), &model);
-        let on_dev = predictions_fp16_on_device(&model, &folder, &mut mv);
-        assert_eq!(direct.len(), on_dev.len());
-        for (a, b) in direct.iter().zip(&on_dev) {
-            assert_eq!(a.predicted, b.predicted);
-            assert_eq!(a.confidence, b.confidence);
         }
     }
 

@@ -182,13 +182,13 @@ impl ServiceHook for IntelCpu {
     }
 
     fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
-        let cost = self.model().cost32.clone();
+        let cost = self.cost().clone();
         let run = self.device_mut().run_batch(&cost, batch, ready);
         BatchRun { start: run.start, end: run.end, done: vec![run.end; batch], wire: None }
     }
 
     fn estimate(&self, batch: usize) -> Duration {
-        self.device().batch_duration(&self.model().cost32, batch)
+        self.device().batch_duration(self.cost(), batch)
     }
 
     fn busy_until(&self) -> SimTime {
@@ -211,13 +211,13 @@ impl ServiceHook for NvGpu {
     }
 
     fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
-        let cost = self.model().cost32.clone();
+        let cost = self.cost().clone();
         let run = self.device_mut().run_batch(&cost, batch, ready);
         BatchRun { start: run.start, end: run.end, done: vec![run.end; batch], wire: None }
     }
 
     fn estimate(&self, batch: usize) -> Duration {
-        self.device().batch_duration(&self.model().cost32, batch)
+        self.device().batch_duration(self.cost(), batch)
     }
 
     fn busy_until(&self) -> SimTime {
@@ -229,7 +229,7 @@ impl ServiceHook for NvGpu {
     }
 
     fn max_batch(&self) -> Option<usize> {
-        Some(self.device().max_batch(&self.model().cost32))
+        Some(self.device().max_batch(self.cost()))
     }
 
     fn energy_profile(&self) -> EnergyProfile {
@@ -248,7 +248,7 @@ impl ServiceHook for IntelVpu {
     }
 
     fn serve_obs(&mut self, batch: usize, ready: SimTime, obs: &mut BatchObs<'_>) -> BatchRun {
-        let report = self.pipeline_mut().run_pipeline_obs(batch, ready, |_| None, obs);
+        let report = self.pipeline_mut().run_pipeline_obs(batch, ready, obs);
         BatchRun { start: report.start, end: report.end, done: report.result_times, wire: None }
     }
 
@@ -545,6 +545,6 @@ mod tests {
         let gpu = NvGpu::new(model());
         let cap = gpu.max_batch().expect("gpu reports a bound");
         assert!(cap >= 8, "paper sweeps to batch 8, must fit: {cap}");
-        assert!(!gpu.device().batch_fits(&gpu.model().cost32, cap + 1));
+        assert!(!gpu.device().batch_fits(gpu.cost(), cap + 1));
     }
 }

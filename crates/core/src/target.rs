@@ -5,12 +5,13 @@ use crate::model::ModelBundle;
 use crate::multivpu::{MultiVpu, MultiVpuConfig};
 use desim::{Duration, SimTime};
 use hostsim::{CpuConfig, CpuDevice, GpuConfig, GpuDevice};
-use vpu_tensor::Tensor;
+use std::sync::Arc;
+use vpu_nn::cost::NetworkCost;
 
 /// Abstract inference target — `TargetDevice` in the paper's class
-/// diagram. A target can (a) *simulate* the time to chew through a
-/// stream of images at a given batch size and (b) *classify* an image
-/// for real at its native precision.
+/// diagram. A target simulates the time to chew through a stream of
+/// images at a given batch size. It does no arithmetic: classification
+/// runs the model's compiled networks directly ([`crate::runner`]).
 pub trait TargetDevice {
     fn name(&self) -> &str;
 
@@ -21,25 +22,22 @@ pub trait TargetDevice {
     /// Process `images` inputs in batches of `batch`; returns the
     /// throughput report with per-window samples for error bars.
     fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport;
-
-    /// Classify one preprocessed f32 image; returns the probability
-    /// vector widened to f32 (the VPU computes in binary16 internally).
-    fn classify(&self, image: &Tensor<f32>) -> Vec<f32>;
 }
 
 /// The Caffe-MKL CPU target.
 pub struct IntelCpu {
     dev: CpuDevice,
-    model: ModelBundle,
+    /// The FP32 cost profile every batch is timed with.
+    cost: Arc<NetworkCost>,
 }
 
 impl IntelCpu {
     pub fn new(model: ModelBundle) -> Self {
-        IntelCpu { dev: CpuDevice::new(CpuConfig::default()), model }
+        IntelCpu::with_config(model, CpuConfig::default())
     }
 
     pub fn with_config(model: ModelBundle, cfg: CpuConfig) -> Self {
-        IntelCpu { dev: CpuDevice::new(cfg), model }
+        IntelCpu { dev: CpuDevice::new(cfg), cost: model.cost32 }
     }
 
     pub fn device(&self) -> &CpuDevice {
@@ -50,8 +48,8 @@ impl IntelCpu {
         &mut self.dev
     }
 
-    pub fn model(&self) -> &ModelBundle {
-        &self.model
+    pub fn cost(&self) -> &Arc<NetworkCost> {
+        &self.cost
     }
 }
 
@@ -66,29 +64,26 @@ impl TargetDevice for IntelCpu {
 
     fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport {
         host_throughput("cpu", images, batch, |b, ready| {
-            let run = self.dev.run_batch(&self.model.cost32, b, ready);
+            let run = self.dev.run_batch(&self.cost, b, ready);
             (run.start, run.end)
         })
-    }
-
-    fn classify(&self, image: &Tensor<f32>) -> Vec<f32> {
-        self.model.net32.forward(image).into_vec()
     }
 }
 
 /// The Caffe-cuDNN GPU target.
 pub struct NvGpu {
     dev: GpuDevice,
-    model: ModelBundle,
+    /// The FP32 cost profile every batch is timed with.
+    cost: Arc<NetworkCost>,
 }
 
 impl NvGpu {
     pub fn new(model: ModelBundle) -> Self {
-        NvGpu { dev: GpuDevice::new(GpuConfig::default()), model }
+        NvGpu::with_config(model, GpuConfig::default())
     }
 
     pub fn with_config(model: ModelBundle, cfg: GpuConfig) -> Self {
-        NvGpu { dev: GpuDevice::new(cfg), model }
+        NvGpu { dev: GpuDevice::new(cfg), cost: model.cost32 }
     }
 
     pub fn device(&self) -> &GpuDevice {
@@ -99,8 +94,8 @@ impl NvGpu {
         &mut self.dev
     }
 
-    pub fn model(&self) -> &ModelBundle {
-        &self.model
+    pub fn cost(&self) -> &Arc<NetworkCost> {
+        &self.cost
     }
 }
 
@@ -115,15 +110,9 @@ impl TargetDevice for NvGpu {
 
     fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport {
         host_throughput("gpu", images, batch, |b, ready| {
-            let run = self.dev.run_batch(&self.model.cost32, b, ready);
+            let run = self.dev.run_batch(&self.cost, b, ready);
             (run.start, run.end)
         })
-    }
-
-    fn classify(&self, image: &Tensor<f32>) -> Vec<f32> {
-        // cuDNN is IEEE f32 like MKL; the paper confirms the GPU's
-        // confidences match the CPU's (§IV-B footnote).
-        self.model.net32.forward(image).into_vec()
     }
 }
 
@@ -132,7 +121,6 @@ impl TargetDevice for NvGpu {
 /// `batch == devices`.
 pub struct IntelVpu {
     mv: MultiVpu,
-    model: ModelBundle,
     /// Calibrated latency model for online dispatch: makespan of one
     /// pipeline wave (`devices` images) and the marginal cost of each
     /// further wave, measured on a throwaway pipeline at construction.
@@ -155,7 +143,7 @@ impl IntelVpu {
         let three = MultiVpu::new(cfg.clone(), &model).run_pipeline(3 * n).makespan();
         let per_wave = if three > one { (three - one) / 2 } else { one };
         let mv = MultiVpu::new(cfg, &model);
-        IntelVpu { mv, model, svc_first_wave: one, svc_per_wave: per_wave }
+        IntelVpu { mv, svc_first_wave: one, svc_per_wave: per_wave }
     }
 
     pub fn devices(&self) -> usize {
@@ -208,11 +196,6 @@ impl TargetDevice for IntelVpu {
             windows.push(report.end - report.start);
         }
         ThroughputReport::from_window_times("vpu", batch, batch, &windows)
-    }
-
-    fn classify(&self, image: &Tensor<f32>) -> Vec<f32> {
-        let input = image.quantize_fp16();
-        self.model.net16.forward(&input).as_slice().iter().map(|v| v.to_f32()).collect()
     }
 }
 
@@ -291,24 +274,6 @@ mod tests {
         assert_eq!(gpu.tdp_w(8), 80.0);
         assert_eq!(vpu.tdp_w(1), 2.5);
         assert_eq!(vpu.tdp_w(8), 20.0);
-    }
-
-    #[test]
-    fn classify_agrees_between_hosts_and_differs_on_vpu() {
-        use vpu_tensor::Shape;
-        let m = tiny_model();
-        let cpu = IntelCpu::new(m.clone());
-        let gpu = NvGpu::new(m.clone());
-        let vpu = IntelVpu::new(m, 1);
-        let img = Tensor::<f32>::full(Shape::chw(3, 32, 32), 0.23);
-        let pc = cpu.classify(&img);
-        let pg = gpu.classify(&img);
-        let pv = vpu.classify(&img);
-        assert_eq!(pc, pg, "CPU and GPU share f32 numerics");
-        assert_eq!(pc.len(), pv.len());
-        let diff: f32 = pc.iter().zip(&pv).map(|(a, b)| (a - b).abs()).sum();
-        assert!(diff > 0.0, "fp16 must differ from fp32");
-        assert!(diff < 0.1, "fp16 drift too large: {diff}");
     }
 
     #[test]

@@ -125,26 +125,26 @@ impl FaultPlan {
     /// parses to an equal plan, so harnesses that synthesize plans
     /// (chaos campaigns, E22) can print a spec the CLI reproduces.
     pub fn to_spec(&self) -> String {
-        let ms = |d: Duration| format!("{}ms", d.as_millis());
+        let dur = duration_spec;
         self.faults
             .iter()
             .map(|pf| {
                 let body = match pf.fault {
                     FaultEvent::StickUnplug { at, reconnect_after } => match reconnect_after {
-                        Some(back) => format!("unplug@{}:reconnect@{}", ms(at), ms(at + back)),
-                        None => format!("unplug@{}", ms(at)),
+                        Some(back) => format!("unplug@{}:reconnect@{}", dur(at), dur(at + back)),
+                        None => format!("unplug@{}", dur(at)),
                     },
                     FaultEvent::ThermalThrottle { at, duration, slowdown } => {
-                        format!("throttle@{}:for@{}:slow@{slowdown}", ms(at), ms(duration))
+                        format!("throttle@{}:for@{}:slow@{slowdown}", dur(at), dur(duration))
                     }
                     FaultEvent::UsbDegrade { at, duration, factor } => {
-                        format!("usb@{}:for@{}:factor@{factor}", ms(at), ms(duration))
+                        format!("usb@{}:for@{}:factor@{factor}", dur(at), dur(duration))
                     }
                     FaultEvent::TransientExecError { per_batch_prob } => {
                         format!("execerr@{per_batch_prob}")
                     }
                     FaultEvent::FailSlow { at, duration, factor } => {
-                        format!("failslow@{}:for@{}:slow@{factor}", ms(at), ms(duration))
+                        format!("failslow@{}:for@{}:slow@{factor}", dur(at), dur(duration))
                     }
                     FaultEvent::ResultCorrupt { per_image_prob } => {
                         format!("corrupt@{per_image_prob}")
@@ -270,6 +270,22 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
         return Err(format!("duration '{s}' is not finite or exceeds {} ns", u64::MAX));
     }
     Ok(Duration::from_nanos(ns as u64))
+}
+
+/// `d` in the spec grammar, parsing back to exactly `d`. Below 2^51 ns
+/// that is the f64 nearest to `d` in milliseconds. Above it, that f64
+/// can parse back a few ns off, so a neighbouring f64 (in ms or s) that
+/// lands on `d` is printed instead; `d` came from a parse, so one does.
+fn duration_spec(d: Duration) -> String {
+    let near = |scale: f64| d.nanos() as f64 / scale;
+    [("ms", near(1e6)), ("s", near(1e9))]
+        .into_iter()
+        .flat_map(|(unit, v)| {
+            [0, 1, -1, 2, -2, 3, -3, 4, -4]
+                .map(|k| format!("{}{unit}", f64::from_bits(v.to_bits().wrapping_add_signed(k))))
+        })
+        .find(|spec| parse_duration(spec) == Ok(d))
+        .unwrap_or_else(|| format!("{}ms", d.as_millis()))
 }
 
 fn parse_factor(s: &str) -> Result<f64, String> {
@@ -444,5 +460,25 @@ mod tests {
         let plan = FaultPlan::parse(spec).unwrap();
         let rendered = plan.to_spec();
         assert_eq!(FaultPlan::parse(&rendered).unwrap(), plan, "render: {rendered}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn to_spec_round_trips_any_parsed_duration(
+            mantissa in proptest::any::<u64>(),
+            shift in 0i32..64,
+            unit in proptest::prelude::prop::sample::select(vec!["s", "ms", ""]),
+        ) {
+            // Spans sub-ns to ~u64::MAX ns, past 2^51 ns where the f64
+            // nearest to the value in ms no longer lands on it exactly.
+            let v = mantissa as f64 / 2f64.powi(shift);
+            let spec = format!("unplug@{v}{unit}:reconnect@{}{unit}", 2.0 * v);
+            if let Ok(plan) = FaultPlan::parse(&spec) {
+                let rendered = plan.to_spec();
+                proptest::prop_assert_eq!(FaultPlan::parse(&rendered), Ok(plan), "{}", rendered);
+            }
+        }
     }
 }

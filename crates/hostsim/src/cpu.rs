@@ -4,8 +4,6 @@ use crate::HostRun;
 use desim::{Duration, FifoResource, SimTime};
 use serde::{Deserialize, Serialize};
 use vpu_nn::cost::NetworkCost;
-use vpu_nn::graph::CompiledNetwork;
-use vpu_tensor::Tensor;
 
 /// Parameters of the CPU implementation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -122,11 +120,6 @@ impl CpuDevice {
         self.batches += 1;
         HostRun { start: busy.start, end: busy.end, batch }
     }
-
-    /// Execute real f32 numerics (accuracy path).
-    pub fn infer(&self, net: &CompiledNetwork<f32>, input: &Tensor<f32>) -> Tensor<f32> {
-        net.forward(input)
-    }
 }
 
 #[cfg(test)]
@@ -204,18 +197,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_batch_rejected() {
         CpuDevice::new(CpuConfig::default()).batch_duration(&cost(), 0);
-    }
-
-    #[test]
-    fn real_numerics_run() {
-        use std::sync::Arc;
-        use vpu_tensor::kernels::gemm::AccumMode;
-        use vpu_tensor::Shape;
-        let spec = Arc::new(googlenet::tiny());
-        let w = vpu_nn::init::xavier(&spec, 1);
-        let net = CompiledNetwork::<f32>::compile(spec, &w, AccumMode::Widened);
-        let dev = CpuDevice::new(CpuConfig::default());
-        let out = dev.infer(&net, &Tensor::full(Shape::chw(3, 32, 32), 0.1));
-        assert!(!out.has_nan());
     }
 }

@@ -4,8 +4,6 @@ use crate::HostRun;
 use desim::{Duration, FifoResource, SimTime};
 use serde::{Deserialize, Serialize};
 use vpu_nn::cost::NetworkCost;
-use vpu_nn::graph::CompiledNetwork;
-use vpu_tensor::Tensor;
 
 /// Upper bound on [`GpuDevice::max_batch`].
 const MAX_BATCH: usize = 4096;
@@ -151,13 +149,6 @@ impl GpuDevice {
         let busy = self.timeline.acquire(ready, nominal * scale);
         self.batches += 1;
         HostRun { start: busy.start, end: busy.end, batch }
-    }
-
-    /// Real f32 numerics. cuDNN computes in IEEE f32, same as the CPU
-    /// path; the paper confirms the GPU's confidence outputs match the
-    /// CPU's (§IV-B footnote), so both host devices share this kernel.
-    pub fn infer(&self, net: &CompiledNetwork<f32>, input: &Tensor<f32>) -> Tensor<f32> {
-        net.forward(input)
     }
 }
 

@@ -4,15 +4,16 @@
 //! The paper's CPU baseline is the Intel-optimized Caffe-MKL fork on a
 //! dual-socket Xeon E5-2609v2 (2 × 4 cores @ 2.5 GHz, AVX); the GPU
 //! baseline is Caffe-cuDNN on a Quadro K4000 (768 CUDA cores, 3 GB
-//! GDDR5). Neither stack is runnable here, so each device pairs:
+//! GDDR5). Neither stack is runnable here, so each device is an
+//! **analytic batch-timing model** over a `vpu_nn` cost profile, with
+//! mechanistic parameters (core/SM counts, SIMD widths,
+//! sustained-efficiency factors, fixed per-batch framework overhead)
+//! calibrated to the paper's anchor latencies — 26.0 ms (CPU) and
+//! 25.9 ms (GPU) at batch 1.
 //!
-//! * an **analytic batch-timing model** with mechanistic parameters
-//!   (core/SM counts, SIMD widths, sustained-efficiency factors, fixed
-//!   per-batch framework overhead) calibrated to the paper's anchor
-//!   latencies — 26.0 ms (CPU) and 25.9 ms (GPU) at batch 1;
-//! * a **real f32 numerics path** (rayon-parallel kernels from
-//!   `vpu-tensor`) used by the accuracy experiments, standing in for
-//!   MKL/cuDNN arithmetic, which is IEEE f32 in both.
+//! The devices only time; they do no arithmetic. MKL and cuDNN both
+//! compute in IEEE f32, so the accuracy experiments run the f32 forward
+//! of `vpu_nn` directly (`ncsw::runner`).
 //!
 //! Batch-scaling *shape* then emerges: the CPU is already fully parallel
 //! at batch 1 so batching only amortizes framework overhead (paper: 1.1×

@@ -8,12 +8,11 @@
 //! its slowest resource finishes; the fabric overlaps the rest (§II-A:
 //! "designed for low latency by endorsing data locality").
 //!
-//! Two entry points:
-//! * [`Myriad2::run_cost`] — timing only, from a [`NetworkCost`] profile.
-//!   Used by the throughput experiments, where the full 224×224 GoogLeNet
-//!   work profile is simulated without executing 1.6 GMAC per image.
-//! * [`Myriad2::run_inference`] — timing plus **real FP16 numerics**
-//!   through `vpu_nn`, used by the accuracy experiments.
+//! The entry point is [`Myriad2::run_cost`]: timing only, from a
+//! [`NetworkCost`] profile, so the full 224×224 GoogLeNet work profile is
+//! simulated without executing 1.6 GMAC per image. The chip does no
+//! arithmetic; the accuracy experiments compute FP16 outputs with
+//! `vpu_nn` directly.
 //!
 //! A chip walks each graph layer by layer once. Every later inference of
 //! that graph that starts on an idle chip replays the recorded walk,
@@ -29,9 +28,6 @@ use desim::{Duration, ServerPool, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
-use vpu_nn::graph::CompiledNetwork;
-use vpu_num::f16;
-use vpu_tensor::Tensor;
 
 /// Timing record of one layer. In a [`NetworkRun`]'s shared schedule
 /// `start` and `end` are offsets from the run's start;
@@ -367,23 +363,6 @@ impl Myriad2 {
         NetworkRun::new(start, t, layers, activity, energy_j)
     }
 
-    /// Simulate one inference *and* execute the real FP16 arithmetic.
-    ///
-    /// The returned tensor is bit-exact FP16 inference output; the timing
-    /// comes from the same cost model as [`Myriad2::run_cost`] so the two
-    /// entry points always agree on performance.
-    pub fn run_inference(
-        &mut self,
-        net: &CompiledNetwork<f16>,
-        cost: &Arc<NetworkCost>,
-        input: &Tensor<f16>,
-        ready: SimTime,
-    ) -> (Tensor<f16>, NetworkRun) {
-        let output = net.forward(input);
-        let run = self.run_cost(cost, ready);
-        (output, run)
-    }
-
     /// [`Myriad2::run_cost`] with the replay taken out: it always walks.
     /// The reference the replay is tested against.
     #[cfg(test)]
@@ -475,9 +454,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use vpu_nn::googlenet;
-    use vpu_nn::init;
-    use vpu_tensor::kernels::gemm::AccumMode;
-    use vpu_tensor::Shape;
+    use vpu_num::f16;
 
     fn full_cost() -> Arc<NetworkCost> {
         Arc::new(NetworkCost::of::<f16>(&googlenet::full()))
@@ -573,20 +550,6 @@ mod tests {
         let mut vpu = Myriad2::new(Myriad2Config::default());
         assert!(vpu.load_graph(14 << 20)); // GoogLeNet fp16 graph ~13.4 MB
         assert!(!vpu.load_graph(5 << 30)); // would exceed the 4 GB stack
-    }
-
-    #[test]
-    fn real_inference_matches_plain_forward() {
-        let spec = Arc::new(googlenet::tiny());
-        let weights = init::xavier(&spec, 3);
-        let net = CompiledNetwork::<f16>::compile(spec.clone(), &weights, AccumMode::Native);
-        let cost = Arc::new(NetworkCost::of::<f16>(&spec));
-        let input = Tensor::<f32>::full(Shape::chw(3, 32, 32), 0.2).quantize_fp16();
-        let mut vpu = Myriad2::new(Myriad2Config::default());
-        let (out, run) = vpu.run_inference(&net, &cost, &input, SimTime::ZERO);
-        let plain = net.forward(&input);
-        assert_eq!(out, plain, "device numerics must equal plain fp16 forward");
-        assert!(run.duration() > Duration::ZERO);
     }
 
     #[test]

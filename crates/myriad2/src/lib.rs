@@ -9,8 +9,9 @@
 //! heart of the timing model: per-layer compute time comes from a VLIW
 //! issue model over the layer's multiply-accumulate count, memory time
 //! from the DDR/CMX traffic, and the layer takes the maximum of the two
-//! (the memory fabric is designed to overlap, §II-A). Numerics are
-//! optionally executed for real in binary16 via `vpu-nn`.
+//! (the memory fabric is designed to overlap, §II-A). The chip reads only
+//! a `vpu-nn` cost profile and does no arithmetic; the binary16 outputs
+//! come from `vpu-nn` directly.
 //!
 //! Calibration: a single free parameter (the VLIW issue efficiency,
 //! [`arch::Myriad2Config::issue_efficiency`]) is set so that one full

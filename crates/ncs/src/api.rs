@@ -23,8 +23,6 @@ use desim::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
-use vpu_num::f16;
-use vpu_tensor::Tensor;
 
 /// Host-side API timing parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,8 +74,6 @@ pub struct GraphHandle {
 /// A collected inference result.
 #[derive(Debug, Clone)]
 pub struct InferenceResult {
-    /// Real FP16 output when numerics were executed.
-    pub output: Option<Tensor<f16>>,
     /// Device-side timing/energy record (per-layer profile included).
     pub run: myriad2::exec::NetworkRun,
     /// Instant the inference completed on the stick.
@@ -175,14 +171,7 @@ impl Ncapi {
 
     /// `mvncLoadTensor`: ship one input, queue the inference. Returns the
     /// host-return instant (transfer complete, execution scheduled).
-    /// `output` optionally carries the real FP16 result computed by the
-    /// caller's numerics path; it is held on-device until `get_result`.
-    pub fn load_tensor(
-        &mut self,
-        graph: GraphHandle,
-        at: SimTime,
-        output: Option<Tensor<f16>>,
-    ) -> Result<SimTime, NcsError> {
+    pub fn load_tensor(&mut self, graph: GraphHandle, at: SimTime) -> Result<SimTime, NcsError> {
         let dev = graph.device;
         let port = self.device(dev)?.port();
         let (in_bytes, _) = self.io_bytes[dev].ok_or(NcsError::NoGraph)?;
@@ -191,7 +180,7 @@ impl Ncapi {
         let accept = self.fleet.devices[dev].accept_ready(t);
         let scale = self.fleet.bus.config().write_scale;
         let xfer = self.fleet.bus.transfer_scaled(port, accept, in_bytes, scale);
-        self.fleet.devices[dev].submit(xfer.end, output)?;
+        self.fleet.devices[dev].submit(xfer.end)?;
         Ok(xfer.end)
     }
 
@@ -206,12 +195,12 @@ impl Ncapi {
         let port = self.device(dev)?.port();
         let (_, out_bytes) = self.io_bytes[dev].ok_or(NcsError::NoGraph)?;
         let t = self.call(at);
-        let Pending { completion, run, output } = self.fleet.devices[dev].collect()?;
+        let Pending { completion, run } = self.fleet.devices[dev].collect()?;
         let avail = SimTime::max_of(t, completion);
         let scale = self.fleet.bus.config().read_scale;
         let xfer = self.fleet.bus.transfer_scaled(port, avail, out_bytes, scale);
         let returned_at = self.call(xfer.end);
-        Ok(InferenceResult { output, run, completion, returned_at })
+        Ok(InferenceResult { run, completion, returned_at })
     }
 
     fn device(&self, idx: usize) -> Result<&crate::device::NcsDevice, NcsError> {
@@ -225,6 +214,7 @@ mod tests {
     use crate::device::NcsConfig;
     use crate::fleet::Topology;
     use vpu_nn::googlenet;
+    use vpu_num::f16;
 
     fn cost() -> Arc<NetworkCost> {
         Arc::new(NetworkCost::of::<f16>(&googlenet::full()))
@@ -252,7 +242,7 @@ mod tests {
         let mut api = api(1);
         let (handles, ready) = setup(&mut api);
         let t0 = ready;
-        let loaded = api.load_tensor(handles[0], t0, None).unwrap();
+        let loaded = api.load_tensor(handles[0], t0).unwrap();
         assert!(loaded > t0, "load takes time");
         let res = api.get_result(handles[0], loaded).unwrap();
         let ms = (res.returned_at - t0).as_millis();
@@ -264,7 +254,7 @@ mod tests {
     fn load_returns_long_before_result() {
         let mut api = api(1);
         let (handles, ready) = setup(&mut api);
-        let loaded = api.load_tensor(handles[0], ready, None).unwrap();
+        let loaded = api.load_tensor(handles[0], ready).unwrap();
         let res = api.get_result(handles[0], loaded).unwrap();
         let gap = (res.returned_at - loaded).as_millis();
         assert!(gap > 90.0, "inference must overlap host time: gap {gap} ms");
@@ -278,7 +268,7 @@ mod tests {
         // Round-robin load then round-robin collect (paper Fig. 4).
         let mut t = t0;
         for &h in &handles {
-            t = api.load_tensor(h, t, None).unwrap();
+            t = api.load_tensor(h, t).unwrap();
         }
         let mut done = t;
         for &h in &handles {
@@ -305,10 +295,7 @@ mod tests {
         assert_eq!(api.get_result(h, t).unwrap_err(), NcsError::NothingQueued);
         // load on a device with no graph.
         api.open_device(1, SimTime::ZERO).unwrap();
-        assert_eq!(
-            api.load_tensor(GraphHandle { device: 1 }, t, None).unwrap_err(),
-            NcsError::NoGraph
-        );
+        assert_eq!(api.load_tensor(GraphHandle { device: 1 }, t).unwrap_err(), NcsError::NoGraph);
     }
 
     #[test]
@@ -325,8 +312,8 @@ mod tests {
         let mut api = api(1);
         let (handles, ready) = setup(&mut api);
         let h = handles[0];
-        let t1 = api.load_tensor(h, ready, None).unwrap();
-        let t2 = api.load_tensor(h, t1, None).unwrap();
+        let t1 = api.load_tensor(h, ready).unwrap();
+        let t2 = api.load_tensor(h, t1).unwrap();
         let r1 = api.get_result(h, t2).unwrap();
         let r2 = api.get_result(h, r1.returned_at).unwrap();
         assert!(r1.completion < r2.completion);
@@ -345,11 +332,11 @@ mod tests {
             // completion...
             let mut t = ready;
             for _ in 0..depth {
-                t = api.load_tensor(h, t, None).unwrap();
+                t = api.load_tensor(h, t).unwrap();
             }
             assert!((t - ready).as_millis() < 20.0, "depth {depth}: burst blocked");
             // ...the next one waits for the first inference to finish.
-            let blocked = api.load_tensor(h, t, None).unwrap();
+            let blocked = api.load_tensor(h, t).unwrap();
             assert!((blocked - ready).as_millis() > 90.0, "depth {depth}: load returned too early");
         }
     }
@@ -363,7 +350,7 @@ mod tests {
         let mut api = api(1);
         api.open_device(0, SimTime::ZERO).unwrap();
         let (h, ready) = api.alloc_compiled(0, &spec, &blob, SimTime::ZERO).unwrap();
-        let loaded = api.load_tensor(h, ready, None).unwrap();
+        let loaded = api.load_tensor(h, ready).unwrap();
         let res = api.get_result(h, loaded).unwrap();
         assert!(res.returned_at > loaded);
         // Corrupt blob is rejected.
@@ -379,7 +366,7 @@ mod tests {
     fn per_layer_profile_available() {
         let mut api = api(1);
         let (handles, ready) = setup(&mut api);
-        let loaded = api.load_tensor(handles[0], ready, None).unwrap();
+        let loaded = api.load_tensor(handles[0], ready).unwrap();
         let res = api.get_result(handles[0], loaded).unwrap();
         assert!(!res.run.layers().is_empty());
         assert!(res.run.energy_j > 0.0);

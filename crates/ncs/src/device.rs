@@ -8,8 +8,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
-use vpu_num::f16;
-use vpu_tensor::Tensor;
 
 /// Stick-level parameters (on top of the chip's own config).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,8 +59,6 @@ pub struct Pending {
     /// Instant the result is ready for USB readback.
     pub completion: SimTime,
     pub run: NetworkRun,
-    /// Real FP16 output when the caller executes numerics.
-    pub output: Option<Tensor<f16>>,
 }
 
 /// Errors surfaced by the device (mirrors `mvncStatus` codes).
@@ -171,13 +167,8 @@ impl NcsDevice {
 
     /// Input tensor arrived on-device at `arrival` (USB transfer done):
     /// queue the inference through the RISC scheduler and the chip.
-    /// Returns the completion instant. `output` carries real numerics
-    /// when the caller executes them.
-    pub fn submit(
-        &mut self,
-        arrival: SimTime,
-        output: Option<Tensor<f16>>,
-    ) -> Result<SimTime, DeviceError> {
+    /// Returns the completion instant.
+    pub fn submit(&mut self, arrival: SimTime) -> Result<SimTime, DeviceError> {
         if self.state != DeviceState::Ready {
             return Err(DeviceError::NotOpen);
         }
@@ -188,7 +179,7 @@ impl NcsDevice {
         // Completion notification also crosses the RISC processors.
         let notify = self.risc.acquire(run.end, cmd);
         let completion = notify.end;
-        self.pending.push_back(Pending { completion, run, output });
+        self.pending.push_back(Pending { completion, run });
         self.inferences += 1;
         Ok(completion)
     }
@@ -224,6 +215,7 @@ impl NcsDevice {
 mod tests {
     use super::*;
     use vpu_nn::googlenet;
+    use vpu_num::f16;
 
     fn cost() -> Arc<NetworkCost> {
         Arc::new(NetworkCost::of::<f16>(&googlenet::full()))
@@ -241,12 +233,12 @@ mod tests {
         let mut d = NcsDevice::new(0, UsbPort::Root, NcsConfig::default());
         assert_eq!(d.state(), DeviceState::Closed);
         assert_eq!(d.alloc_graph(SimTime::ZERO, cost()), Err(DeviceError::NotOpen));
-        assert_eq!(d.submit(SimTime::ZERO, None), Err(DeviceError::NotOpen));
+        assert_eq!(d.submit(SimTime::ZERO), Err(DeviceError::NotOpen));
         let up = d.boot(SimTime::ZERO);
         assert_eq!(up, SimTime::ZERO + Duration::from_millis(900.0));
         assert_eq!(d.state(), DeviceState::Ready);
         // No graph yet.
-        assert_eq!(d.submit(up, None), Err(DeviceError::NoGraph));
+        assert_eq!(d.submit(up), Err(DeviceError::NoGraph));
     }
 
     #[test]
@@ -254,7 +246,7 @@ mod tests {
         let mut d = NcsDevice::new(0, UsbPort::Root, NcsConfig::default());
         d.boot(SimTime::ZERO);
         d.alloc_graph(SimTime::ZERO, cost()).unwrap();
-        let done = d.submit(SimTime::ZERO, None).unwrap();
+        let done = d.submit(SimTime::ZERO).unwrap();
         assert!(done > SimTime::ZERO + Duration::from_millis(900.0));
     }
 
@@ -262,7 +254,7 @@ mod tests {
     fn single_inference_latency() {
         let mut d = ready_device();
         let t0 = SimTime::ZERO + Duration::from_secs(2.0);
-        let done = d.submit(t0, None).unwrap();
+        let done = d.submit(t0).unwrap();
         let ms = (done - t0).as_millis();
         // Chip ~98.2 ms plus two RISC command hops.
         assert!((98.0..101.5).contains(&ms), "device latency {ms} ms");
@@ -272,8 +264,8 @@ mod tests {
     fn fifo_order_and_collection() {
         let mut d = ready_device();
         let t0 = SimTime::ZERO + Duration::from_secs(2.0);
-        let c1 = d.submit(t0, None).unwrap();
-        let c2 = d.submit(t0, None).unwrap();
+        let c1 = d.submit(t0).unwrap();
+        let c2 = d.submit(t0).unwrap();
         assert!(c2 > c1, "second inference completes later");
         assert_eq!(d.in_flight(), 2);
         let p1 = d.collect().unwrap();
@@ -290,8 +282,8 @@ mod tests {
         let mut d = d0;
         let t0 = SimTime::ZERO + Duration::from_secs(2.0);
         assert_eq!(d.accept_ready(t0), t0);
-        let c1 = d.submit(t0, None).unwrap();
-        d.submit(t0, None).unwrap();
+        let c1 = d.submit(t0).unwrap();
+        d.submit(t0).unwrap();
         // Queue is full (depth 2): next load gated on the first completion.
         assert_eq!(d.accept_ready(t0), c1);
         d.collect().unwrap();
@@ -316,20 +308,11 @@ mod tests {
         let t0 = SimTime::ZERO + Duration::from_secs(2.0);
         let mut t = t0;
         for _ in 0..4 {
-            t = d.submit(t, None).unwrap();
+            t = d.submit(t).unwrap();
             d.collect().unwrap();
         }
         let hot = d.thermal_c();
         assert!(hot > ambient + 5.0, "busy stick must warm up: {hot}");
         assert!(!d.thermal_throttled(), "inference load must not throttle ({hot} °C)");
-    }
-
-    #[test]
-    fn output_round_trips_through_pending() {
-        let mut d = ready_device();
-        let out = Tensor::<f16>::zeros(vpu_tensor::Shape::vector(1, 4));
-        d.submit(SimTime::ZERO + Duration::from_secs(2.0), Some(out.clone())).unwrap();
-        let p = d.collect().unwrap();
-        assert_eq!(p.output, Some(out));
     }
 }

@@ -15,7 +15,9 @@
 //! * [`device`] — one stick: firmware boot, graph storage in LPDDR3,
 //!   the RISC run queue, and the embedded [`myriad2::Myriad2`] chip.
 //! * [`api`] — the NCAPI facade (`open`, `alloc_graph`, `load_tensor`,
-//!   `get_result`) in both timing-only and real-numerics flavours.
+//!   `get_result`). It moves time, not data: a result carries the
+//!   stick's timing and energy record, and the output itself is computed
+//!   by `vpu-nn`.
 //! * [`fleet`] — enumeration and construction of multi-stick testbeds.
 
 pub mod api;

@@ -129,7 +129,7 @@ mod tests {
     }
 
     #[test]
-    fn both_networks_run_inference() {
+    fn both_networks_run_a_forward_pass() {
         use crate::graph::CompiledNetwork;
         use std::sync::Arc;
         use vpu_tensor::kernels::gemm::AccumMode;

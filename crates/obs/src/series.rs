@@ -140,8 +140,8 @@ impl TimeSeries {
 
     /// Parse a CSV produced by [`TimeSeries::csv`] back into a series
     /// (epoch-relative, so the reconstructed epoch is `SimTime::ZERO`).
-    /// Lets `repro analyze` derive burn-rate alerts from a series file
-    /// without re-running the simulation.
+    /// No command reads series files yet; the tests use this to show the
+    /// CSV loses nothing and that bad input fails with a one-line error.
     pub fn from_csv(csv: &str) -> Result<TimeSeries, String> {
         let mut lines = csv.lines();
         let header = lines.next().ok_or("empty CSV")?;

@@ -21,14 +21,18 @@ pub enum WorkerSpec {
     Stick,
 }
 
+/// Most elastic sticks one `N*vpu` term may add. The parser expands the
+/// term into `N` workers, so an unbounded `N` could exhaust memory.
+const MAX_STICKS: usize = 1024;
+
 /// An ordered set of workers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetSpec(pub Vec<WorkerSpec>);
 
 impl FleetSpec {
     /// Parse `cpu+gpu+8xvpu` / `1xvpu` / `cpu` style specs. `N*vpu`
-    /// adds N independent elastic sticks (autoscalable), where `Nxvpu`
-    /// is one N-device pipeline worker.
+    /// adds N independent elastic sticks (autoscalable, at most 1024),
+    /// where `Nxvpu` is one N-device pipeline worker.
     pub fn parse(s: &str) -> Option<FleetSpec> {
         let mut out = Vec::new();
         for part in s.split('+') {
@@ -42,7 +46,7 @@ impl FleetSpec {
                             return None;
                         }
                         let sticks: usize = n.parse().ok()?;
-                        if sticks == 0 {
+                        if sticks == 0 || sticks > MAX_STICKS {
                             return None;
                         }
                         out.extend(std::iter::repeat_n(WorkerSpec::Stick, sticks));
@@ -211,6 +215,8 @@ mod tests {
         assert!(FleetSpec::parse("tpu").is_none());
         assert!(FleetSpec::parse("0xvpu").is_none());
         assert!(FleetSpec::parse("0*vpu").is_none());
+        assert_eq!(FleetSpec::parse("1024*vpu").map(|f| f.0.len()), Some(MAX_STICKS));
+        assert!(FleetSpec::parse("1025*vpu").is_none());
         assert!(FleetSpec::parse("3*gpu").is_none());
         assert!(FleetSpec::parse("").is_none());
     }

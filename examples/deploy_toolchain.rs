@@ -88,9 +88,9 @@ fn main() {
     );
 
     // 4. Deploy the *blob itself* to a stick and classify one input.
-    // The device executes exactly the weights the graph file carries
-    // (already binary16-rounded), and the USB link is charged the real
-    // blob size.
+    // The output is computed from exactly the weights the graph file
+    // carries (already binary16-rounded); the stick times the run, and
+    // the USB link is charged the real blob size.
     let model = ModelBundle::deploy(opt.clone(), parsed.to_weights());
     let mut api = Ncapi::new(Fleet::new(1, Topology::AllRoot, NcsConfig::default()));
     api.open_device(0, SimTime::ZERO).expect("open");
@@ -100,10 +100,9 @@ fn main() {
         ((h * 28 + w + c * 7) % 19) as f32 / 19.0 - 0.4
     });
     let output = model.net16.forward(&input.quantize_fp16());
-    let loaded = api.load_tensor(graph, ready, Some(output)).expect("load");
+    let loaded = api.load_tensor(graph, ready).expect("load");
     let res = api.get_result(graph, loaded).expect("result");
-    let out = res.output.expect("output");
-    let (pred, conf) = out.argmax_item(0);
+    let (pred, conf) = output.argmax_item(0);
     println!(
         "\ninference on the stick: class {pred} at {:.1}% confidence, {:.2} ms end to end",
         conf * 100.0,

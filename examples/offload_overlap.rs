@@ -47,7 +47,7 @@ fn main() {
     let mut t = ready;
     for i in 0..stream.len() {
         let avail = SimTime::max_of(t, stream.available_at(i));
-        let loaded = api.load_tensor(graph, avail, None).expect("load");
+        let loaded = api.load_tensor(graph, avail).expect("load");
         let res = api.get_result(graph, loaded).expect("result");
         t = res.returned_at + work; // host work happens after the wait
     }
@@ -58,7 +58,7 @@ fn main() {
     let mut t = ready;
     for i in 0..stream.len() {
         let avail = SimTime::max_of(t, stream.available_at(i));
-        let loaded = api.load_tensor(graph, avail, None).expect("load");
+        let loaded = api.load_tensor(graph, avail).expect("load");
         // Host work overlaps the on-device inference ...
         let host_done = loaded + work;
         // ... and get_result blocks only for whatever remains.

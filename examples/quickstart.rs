@@ -2,7 +2,8 @@
 //!
 //! Mirrors the paper's Listing 1 — open a device, allocate a GoogLeNet
 //! graph, `load_tensor` (non-blocking), `get_result` (blocking) — with a
-//! real classification running through the software-FP16 network.
+//! real classification running through the software-FP16 network. The
+//! stick supplies the timing; `vpu-nn` computes what it would output.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -53,12 +54,11 @@ fn main() {
         // Real FP16 arithmetic — this is what the sticks compute.
         let output = model.net16.forward(&img.pixels.quantize_fp16());
         // mvncLoadTensor: returns once the input crossed USB.
-        let loaded = api.load_tensor(graph, t, Some(output)).expect("load");
+        let loaded = api.load_tensor(graph, t).expect("load");
         // ... the host could overlap other work here ...
         // mvncGetResult: blocks until the inference completed.
         let res = api.get_result(graph, loaded).expect("result");
-        let out = res.output.expect("fp16 output");
-        let (pred, conf) = out.argmax_item(0);
+        let (pred, conf) = output.argmax_item(0);
         let truth = set.synsets().get(img.label);
         let guess = set.synsets().get(pred);
         println!(
@@ -73,7 +73,7 @@ fn main() {
     }
 
     // ---- Per-layer profile (mvncGetGraphOption TIME_TAKEN) -------------
-    let loaded = api.load_tensor(graph, t, None).expect("load");
+    let loaded = api.load_tensor(graph, t).expect("load");
     let res = api.get_result(graph, loaded).expect("result");
     println!("\nslowest layers of the last run:");
     let mut layers = res.run.layers();

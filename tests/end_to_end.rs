@@ -5,14 +5,14 @@ use std::sync::Arc;
 use vpu_coprocessor::data::{pseudo_train, DatasetConfig, ValidationSet};
 use vpu_coprocessor::framework::metrics::{accuracy_report, confidence_diff};
 use vpu_coprocessor::framework::multivpu::{MultiVpu, MultiVpuConfig};
-use vpu_coprocessor::framework::runner::{
-    predictions_fp16, predictions_fp16_on_device, predictions_fp32,
-};
+use vpu_coprocessor::framework::runner::{predictions_fp16, predictions_fp32};
 use vpu_coprocessor::framework::{ImageFolder, ModelBundle, SourceImage};
 use vpu_coprocessor::nn::googlenet::Variant;
 use vpu_coprocessor::obs::{BatchObs, EventLog, Lane};
 use vpu_coprocessor::platform::{Fleet, Ncapi, NcsConfig, Topology};
+use vpu_coprocessor::serving::{serve, ArrivalProcess, FleetSpec, ServeConfig};
 use vpu_coprocessor::sim::SimTime;
+use vpu_coprocessor::tensor::{Shape, Tensor};
 
 fn trained() -> (ModelBundle, Arc<ValidationSet>) {
     let variant = Variant::Tiny;
@@ -26,23 +26,29 @@ fn trained() -> (ModelBundle, Arc<ValidationSet>) {
 }
 
 #[test]
-fn classification_travels_through_the_simulated_stick() {
-    let (model, set) = trained();
-    let folder = ImageFolder::new(set, 0);
+fn weights_never_reach_a_timing_output() {
+    // Two deployments of one spec that differ only in their weights.
+    let spec = Arc::new(Variant::Tiny.build());
+    let deploy =
+        |seed| ModelBundle::deploy(spec.clone(), vpu_coprocessor::nn::init::xavier(&spec, seed));
+    let (a, b) = (deploy(1), deploy(2));
+    let input = Tensor::<f32>::full(Shape::chw(3, 32, 32), 0.2).quantize_fp16();
+    assert_ne!(a.net16.forward(&input), b.net16.forward(&input), "the weights must differ");
 
-    // Reference: direct fp16 inference.
-    let direct = predictions_fp16(&model, &folder);
+    // The multi-stick pipeline: same result instants, same energy bits.
+    let pipeline = |m: &ModelBundle| {
+        let r = MultiVpu::new(MultiVpuConfig::paper_testbed(3), m).run_pipeline(12);
+        (r.result_times, r.energy_j.to_bits())
+    };
+    assert_eq!(pipeline(&a), pipeline(&b));
 
-    // Through the full platform: USB, firmware, RISC queue, chip.
-    let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(3), &model);
-    let on_device = predictions_fp16_on_device(&model, &folder, &mut mv);
-
-    assert_eq!(direct.len(), on_device.len());
-    for (a, b) in direct.iter().zip(&on_device) {
-        assert_eq!(a.predicted, b.predicted, "device must not change the answer");
-        assert_eq!(a.confidence, b.confidence);
-        assert_eq!(a.label, b.label);
-    }
+    // The serving loop on a mixed fleet: the same outcome.
+    let served = |m: &ModelBundle| {
+        let mut workers = FleetSpec::parse("cpu+gpu+2xvpu").unwrap().build(m);
+        let load = ArrivalProcess::Poisson { rate_per_sec: 150.0 };
+        format!("{:?}", serve(&mut workers, &ServeConfig::default(), &load, 120))
+    };
+    assert_eq!(served(&a), served(&b));
 }
 
 #[test]
@@ -68,17 +74,13 @@ fn fp32_fp16_accuracy_story_holds_end_to_end() {
 
 #[test]
 fn ncapi_round_trip_with_real_output_payload() {
-    let (model, set) = trained();
-    let folder = ImageFolder::new(set.clone(), 1);
+    let model = ModelBundle::googlenet_untrained(Variant::Tiny, 1);
     let mut api = Ncapi::new(Fleet::new(1, Topology::AllRoot, NcsConfig::default()));
     api.open_device(0, SimTime::ZERO).unwrap();
     let (g, ready) = api.alloc_graph(0, model.cost16.clone(), SimTime::ZERO).unwrap();
 
-    let img = folder.fetch(0);
-    let expect = model.net16.forward(&img.pixels.quantize_fp16());
-    let loaded = api.load_tensor(g, ready, Some(expect.clone())).unwrap();
+    let loaded = api.load_tensor(g, ready).unwrap();
     let res = api.get_result(g, loaded).unwrap();
-    assert_eq!(res.output.unwrap(), expect);
     assert!(res.returned_at > loaded);
     assert!(!res.run.layers().is_empty());
 }
@@ -89,7 +91,7 @@ fn eight_device_fleet_reaches_paper_envelope_end_to_end() {
     let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(8), &model);
     let mut log = EventLog::new();
     let mut obs = BatchObs { rec: &mut log, batch_id: 0, worker: 0, ids: &[] };
-    let run = mv.run_pipeline_obs(64, SimTime::ZERO, |_| None, &mut obs);
+    let run = mv.run_pipeline_obs(64, SimTime::ZERO, &mut obs);
     let ips = run.images_per_sec();
     assert!((70.0..85.0).contains(&ips), "8-stick fleet at {ips} img/s");
     // Energy: 64 inferences at ~65-70 mJ each.
