@@ -30,7 +30,7 @@
 //!   nine-segment attribution, with per-component bottleneck ranking.
 //!   Queue-blind by construction; `vpu-bench`'s E24 experiment
 //!   validates each prediction against an actually-rescaled re-run.
-//! - [`diff`] — paired A/B trace diffing: join two same-seed runs on
+//! - [`diff`](mod@diff) — paired A/B trace diffing: join two same-seed runs on
 //!   request id, per-request and per-phase deltas, and a
 //!   machine-readable improved/regressed/neutral verdict with
 //!   configurable thresholds (the CI perf-regression gate).

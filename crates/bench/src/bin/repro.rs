@@ -59,7 +59,7 @@ struct EnergyJson {
     idle_pj: u64,
     attributed_pj: u64,
     fleet_j: f64,
-    /// Attributed joules per latency segment, in [`Segment::ALL`] order.
+    /// Attributed joules per latency segment, in [`ncsw_analyze::Segment::ALL`] order.
     segment_j: Vec<(String, f64)>,
 }
 

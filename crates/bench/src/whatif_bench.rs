@@ -140,7 +140,7 @@ pub struct WhatIfExp {
     pub whatif_ok: bool,
 }
 
-/// Everything `whatif_exp` produced, plus the traces CI diffs
+/// The [`WhatIfExp`] of one [`whatif_run`], plus the traces CI diffs
 /// byte-for-byte (kept out of the serialized report: they are large
 /// and exactly reproducible from the seed).
 pub struct WhatIfOutput {
@@ -183,10 +183,6 @@ fn rel_err_pct(predicted: f64, measured: f64) -> f64 {
 struct Arm {
     analysis: Analysis,
     chrome: Option<String>,
-}
-
-pub fn whatif_exp(scale: Scale) -> WhatIfExp {
-    whatif_run(scale, &WhatIfConfig::default()).exp
 }
 
 pub fn whatif_run(scale: Scale, grid: &WhatIfConfig) -> WhatIfOutput {

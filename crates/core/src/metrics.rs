@@ -102,71 +102,6 @@ pub fn label_rank(probs: &[f32], label: usize) -> usize {
     probs.iter().filter(|&&x| x > p).count()
 }
 
-/// Top-5 error over a prediction set.
-pub fn top5_error(preds: &[Prediction]) -> f64 {
-    assert!(!preds.is_empty(), "no predictions");
-    preds.iter().filter(|p| !p.top5_correct()).count() as f64 / preds.len() as f64
-}
-
-/// Square confusion matrix over a prediction set: `counts[truth][pred]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConfusionMatrix {
-    pub classes: usize,
-    counts: Vec<u32>,
-}
-
-impl ConfusionMatrix {
-    pub fn from_predictions(classes: usize, preds: &[Prediction]) -> ConfusionMatrix {
-        let mut counts = vec![0u32; classes * classes];
-        for p in preds {
-            assert!(p.label < classes && p.predicted < classes, "class out of range");
-            counts[p.label * classes + p.predicted] += 1;
-        }
-        ConfusionMatrix { classes, counts }
-    }
-
-    pub fn count(&self, truth: usize, predicted: usize) -> u32 {
-        self.counts[truth * self.classes + predicted]
-    }
-
-    pub fn total(&self) -> u32 {
-        self.counts.iter().sum()
-    }
-
-    /// Diagonal mass / total = accuracy.
-    pub fn accuracy(&self) -> f64 {
-        let diag: u32 = (0..self.classes).map(|c| self.count(c, c)).sum();
-        if self.total() == 0 {
-            0.0
-        } else {
-            diag as f64 / self.total() as f64
-        }
-    }
-
-    /// Per-class recall (correct / truth-count), NaN-free (0 when empty).
-    pub fn recall(&self, class: usize) -> f64 {
-        let row: u32 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if row == 0 {
-            0.0
-        } else {
-            self.count(class, class) as f64 / row as f64
-        }
-    }
-
-    /// The `n` most confused (truth, predicted, count) off-diagonal pairs.
-    pub fn top_confusions(&self, n: usize) -> Vec<(usize, usize, u32)> {
-        let mut offs: Vec<(usize, usize, u32)> = (0..self.classes)
-            .flat_map(|t| (0..self.classes).map(move |p| (t, p)))
-            .filter(|&(t, p)| t != p)
-            .map(|(t, p)| (t, p, self.count(t, p)))
-            .filter(|&(_, _, c)| c > 0)
-            .collect();
-        offs.sort_by_key(|&(t, p, c)| (std::cmp::Reverse(c), t, p));
-        offs.truncate(n);
-        offs
-    }
-}
-
 /// Build an [`AccuracyReport`] from per-image predictions.
 pub fn accuracy_report(target: impl Into<String>, preds: &[Prediction]) -> AccuracyReport {
     assert!(!preds.is_empty(), "no predictions");
@@ -309,45 +244,5 @@ mod tests {
         assert!(p.top5_correct());
         p.label_rank = 5;
         assert!(!p.top5_correct());
-    }
-
-    #[test]
-    fn confusion_matrix_basics() {
-        let preds = vec![
-            pred(0, 0, 0, 0.9),
-            pred(1, 0, 1, 0.5),
-            pred(2, 1, 1, 0.8),
-            pred(3, 1, 1, 0.7),
-            pred(4, 2, 1, 0.4),
-        ];
-        let m = ConfusionMatrix::from_predictions(3, &preds);
-        assert_eq!(m.total(), 5);
-        assert_eq!(m.count(0, 0), 1);
-        assert_eq!(m.count(0, 1), 1);
-        assert_eq!(m.count(1, 1), 2);
-        assert!((m.accuracy() - 0.6).abs() < 1e-12);
-        assert!((m.recall(1) - 1.0).abs() < 1e-12);
-        assert_eq!(m.recall(2), 0.0);
-        let top = m.top_confusions(2);
-        assert_eq!(top[0].2, 1);
-        assert!(top.iter().all(|&(t, p, _)| t != p));
-    }
-
-    #[test]
-    #[should_panic(expected = "class out of range")]
-    fn confusion_matrix_bounds() {
-        ConfusionMatrix::from_predictions(2, &[pred(0, 5, 0, 0.1)]);
-    }
-
-    #[test]
-    fn top5_error_counts() {
-        let mut a = pred(0, 1, 1, 0.9); // rank 0
-        a.label_rank = 0;
-        let mut b = pred(1, 2, 5, 0.5); // rank 7 -> top-5 wrong
-        b.label_rank = 7;
-        let mut c = pred(2, 3, 4, 0.5); // rank 3 -> top-5 right, top-1 wrong
-        c.label_rank = 3;
-        let e = top5_error(&[a, b, c]);
-        assert!((e - 1.0 / 3.0).abs() < 1e-12);
     }
 }

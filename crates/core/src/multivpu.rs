@@ -116,17 +116,13 @@ impl MultiVpu {
         self.cfg.devices
     }
 
-    /// Instant the fleet finished booting/allocating.
-    pub fn ready_at(&self) -> SimTime {
-        self.ready
-    }
-
     pub fn api(&self) -> &Ncapi {
         &self.api
     }
 
-    /// Instant all previously submitted pipeline work completes (equals
-    /// [`Self::ready_at`] before the first run).
+    /// Instant all previously submitted pipeline work completes (before
+    /// the first run, the instant the fleet finished booting and
+    /// allocating).
     pub fn busy_until(&self) -> SimTime {
         self.last_end
     }

@@ -1,7 +1,7 @@
 //! Experiment runners: glue sources, targets and metrics into the
 //! figure-shaped measurements.
 
-use crate::metrics::{accuracy_report, AccuracyReport, Prediction, ThroughputReport};
+use crate::metrics::{Prediction, ThroughputReport};
 use crate::model::ModelBundle;
 use crate::source::SourceImage;
 use crate::target::TargetDevice;
@@ -73,25 +73,10 @@ fn predict_generic<E: Element>(
         .collect()
 }
 
-/// Fig. 7a shape: top-1 error per subset for one precision path.
-pub fn accuracy_per_subset(
-    model: &ModelBundle,
-    folders: &[crate::source::ImageFolder],
-    fp16: bool,
-) -> Vec<AccuracyReport> {
-    folders
-        .iter()
-        .map(|f| {
-            let preds = if fp16 { predictions_fp16(model, f) } else { predictions_fp32(model, f) };
-            accuracy_report(if fp16 { "vpu-fp16" } else { "cpu-fp32" }, &preds)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::confidence_diff;
+    use crate::metrics::{accuracy_report, confidence_diff};
     use crate::source::ImageFolder;
     use crate::target::{IntelCpu, IntelVpu, NvGpu};
     use ilsvrc_sim::{pseudo_train, DatasetConfig, ValidationSet};
@@ -151,18 +136,6 @@ mod tests {
         assert!(diff.images_compared > 0);
         assert!(diff.mean_abs_diff > 0.0, "fp16 confidences must differ");
         assert!(diff.mean_abs_diff < 0.05, "drift too large: {}", diff.mean_abs_diff);
-    }
-
-    #[test]
-    fn accuracy_per_subset_shapes() {
-        let (model, set) = trained_model_and_set();
-        let folders = ImageFolder::all_subsets(set);
-        let reports = accuracy_per_subset(&model, &folders, false);
-        assert_eq!(reports.len(), 5);
-        for r in &reports {
-            assert_eq!(r.images, 10);
-            assert!(r.top1_error() <= 1.0);
-        }
     }
 
     #[test]

@@ -41,16 +41,6 @@ pub enum FailureKind {
     Timeout,
 }
 
-impl FailureKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            FailureKind::Unplugged => "unplugged",
-            FailureKind::TransientExec => "transient-exec",
-            FailureKind::Timeout => "timeout",
-        }
-    }
-}
-
 /// A failed batch submission: the failure was *detected* at `at`
 /// (virtual time burned by the attempt), and no results were produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

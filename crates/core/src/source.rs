@@ -46,10 +46,6 @@ impl ImageFolder {
     pub fn all_subsets(set: Arc<ValidationSet>) -> Vec<ImageFolder> {
         (0..set.config().subsets).map(|s| ImageFolder::new(set.clone(), s)).collect()
     }
-
-    pub fn subset(&self) -> usize {
-        self.subset
-    }
 }
 
 impl SourceImage for ImageFolder {
@@ -79,10 +75,6 @@ impl MpiStream {
     pub fn new(set: Arc<ValidationSet>, interval: Duration, count: usize) -> Self {
         assert!(count <= set.len(), "stream longer than backing dataset");
         MpiStream { set, interval, count }
-    }
-
-    pub fn interval(&self) -> Duration {
-        self.interval
     }
 }
 

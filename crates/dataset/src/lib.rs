@@ -26,10 +26,8 @@
 pub mod calibrate;
 pub mod dataset;
 pub mod image;
-pub mod ppm;
 pub mod pretrain;
 pub mod synset;
-pub mod transform;
 
 pub use dataset::{DatasetConfig, LabeledImage, ValidationSet};
 pub use pretrain::pseudo_train;

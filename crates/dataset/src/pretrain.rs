@@ -146,8 +146,7 @@ pub fn pseudo_train_with(
     weights
 }
 
-/// Fraction of `samples` the network top-1 misclassifies (utility shared
-/// by the calibrator and tests).
+/// Fraction of `samples` the network top-1 misclassifies.
 pub fn top1_error<E: Element>(
     net: &CompiledNetwork<E>,
     samples: impl Iterator<Item = (vpu_tensor::Tensor<E>, usize)>,

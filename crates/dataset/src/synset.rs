@@ -75,11 +75,6 @@ impl SynsetTable {
     pub fn iter(&self) -> impl Iterator<Item = &Synset> {
         self.synsets.iter()
     }
-
-    /// Class index by WordNet id.
-    pub fn index_of(&self, wnid: &str) -> Option<usize> {
-        self.synsets.iter().position(|s| s.wnid == wnid)
-    }
 }
 
 #[cfg(test)]
@@ -117,13 +112,5 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(SynsetTable::generate(100), SynsetTable::generate(100));
-    }
-
-    #[test]
-    fn lookup() {
-        let t = SynsetTable::generate(50);
-        let id = t.get(7).wnid.clone();
-        assert_eq!(t.index_of(&id), Some(7));
-        assert_eq!(t.index_of("n99999999"), None);
     }
 }

@@ -10,12 +10,6 @@ pub struct Busy {
     pub end: SimTime,
 }
 
-impl Busy {
-    pub fn duration(&self) -> Duration {
-        self.end - self.start
-    }
-}
-
 /// A serial resource that services requests in arrival order: a USB bulk
 /// endpoint, a DDR channel, the RISC command processor.
 ///
@@ -42,10 +36,6 @@ impl FifoResource {
             busy_total: Duration::ZERO,
             requests: 0,
         }
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Occupy the resource for `service`, starting no earlier than `ready`.
@@ -84,15 +74,6 @@ impl FifoResource {
     pub fn requests(&self) -> u64 {
         self.requests
     }
-
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy_total.nanos() as f64 / horizon.nanos() as f64
-        }
-    }
 }
 
 /// `k` identical parallel servers with a shared FIFO queue — the SHAVE
@@ -124,10 +105,6 @@ impl ServerPool {
             busy_total: Duration::ZERO,
             requests: 0,
         }
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     pub fn servers(&self) -> usize {
@@ -235,14 +212,6 @@ mod tests {
         assert_eq!(c.start, SimTime(500));
         assert_eq!(r.requests(), 3);
         assert_eq!(r.busy_total(), Duration(140));
-    }
-
-    #[test]
-    fn fifo_utilization() {
-        let mut r = FifoResource::new("bus");
-        r.acquire(SimTime(0), Duration(250));
-        assert!((r.utilization(SimTime(1000)) - 0.25).abs() < 1e-12);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

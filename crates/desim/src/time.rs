@@ -24,10 +24,6 @@ impl SimTime {
         self.0
     }
 
-    pub fn as_micros(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     pub fn as_millis(self) -> f64 {
         self.0 as f64 / 1e6
     }

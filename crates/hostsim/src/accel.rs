@@ -71,10 +71,6 @@ impl AccelDevice {
         AccelDevice { cfg, timeline }
     }
 
-    pub fn config(&self) -> &AccelConfig {
-        &self.cfg
-    }
-
     pub fn compute_per_image(&self, cost: &NetworkCost) -> Duration {
         Duration::from_secs(
             cost.total_macs as f64 / (self.cfg.peak_macs_per_sec * self.cfg.efficiency),

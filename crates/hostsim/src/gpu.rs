@@ -98,10 +98,6 @@ impl GpuDevice {
         self.timeline.available_at()
     }
 
-    pub fn batches_run(&self) -> u64 {
-        self.batches
-    }
-
     /// Steady-state compute per image once the pipelines are full.
     pub fn compute_per_image(&self, cost: &NetworkCost) -> Duration {
         let secs = cost.total_macs as f64 / (self.cfg.peak_macs_per_sec() * self.cfg.efficiency);

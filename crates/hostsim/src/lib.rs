@@ -44,9 +44,4 @@ impl HostRun {
     pub fn duration(&self) -> Duration {
         self.end - self.start
     }
-
-    /// Mean per-image latency within the batch.
-    pub fn per_image(&self) -> Duration {
-        self.duration() / self.batch as u64
-    }
 }

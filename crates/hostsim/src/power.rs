@@ -22,22 +22,10 @@ impl Default for Tdp {
 }
 
 impl Tdp {
-    /// TDP of `n` active VPU chips (the paper's Fig. 8a couples the VPU
-    /// count to the batch size and charges one chip TDP per stick).
-    pub fn multi_vpu_w(&self, n: usize) -> f64 {
-        self.vpu_chip_w * n as f64
-    }
-
     /// TDP of `n` whole NCS sticks (the conservative whole-stick
     /// framing Fig. 8a charges per active stick).
     pub fn multi_stick_w(&self, n: usize) -> f64 {
         self.ncs_stick_w * n as f64
-    }
-
-    /// Headline ratio the abstract quotes: CPU/GPU TDP over the TDP of
-    /// the multi-VPU configuration that matches their throughput.
-    pub fn reduction_vs_cpu(&self, vpus: usize) -> f64 {
-        self.cpu_w / self.multi_vpu_w(vpus)
     }
 }
 
@@ -58,18 +46,6 @@ mod tests {
         assert_eq!(t.gpu_w, 80.0);
         assert_eq!(t.vpu_chip_w, 0.9);
         assert_eq!(t.ncs_stick_w, 2.5);
-    }
-
-    #[test]
-    fn eight_vpus_give_8x_reduction_headline() {
-        let t = Tdp::default();
-        // 8 chips = 7.2 W vs 80 W: the paper's "up to 8x" TDP reduction
-        // (80 / 7.2 = 11.1 chip-only; the paper's 8x headline uses the
-        // conservative whole-stick framing).
-        assert!((t.multi_vpu_w(8) - 7.2).abs() < 1e-12);
-        assert!(t.reduction_vs_cpu(8) > 8.0);
-        // Whole-stick framing: 8 × 2.5 W = 20 W -> 4x.
-        assert!((80.0 / (8.0 * t.ncs_stick_w) - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -30,10 +30,6 @@ impl MdkContext {
         MdkContext { chip: Myriad2::new(cfg), submitted: 0 }
     }
 
-    pub fn chip(&self) -> &Myriad2 {
-        &self.chip
-    }
-
     pub fn kernels_submitted(&self) -> usize {
         self.submitted
     }

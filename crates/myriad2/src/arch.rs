@@ -96,18 +96,6 @@ impl Default for Myriad2Config {
 }
 
 impl Myriad2Config {
-    /// Peak FP16 multiply-accumulate rate, MACs/s, across all SHAVEs.
-    pub fn peak_macs_per_sec(&self) -> f64 {
-        self.shaves as f64 * self.vau_lanes as f64 * self.clock_hz
-    }
-
-    /// Peak FP16 FLOP/s (2 flops per MAC). The headline marketing number
-    /// for the chip counts further datapaths and reaches 1 TFLOPS; the
-    /// VAU-only figure here is ~115 GFLOPS.
-    pub fn peak_flops(&self) -> f64 {
-        2.0 * self.peak_macs_per_sec()
-    }
-
     /// Total CMX capacity in bytes (2 MB).
     pub fn cmx_bytes(&self) -> u64 {
         self.cmx_banks as u64 * self.cmx_bank_bytes
@@ -146,14 +134,6 @@ mod tests {
         assert_eq!(c.cmx_bytes(), 2 * 1024 * 1024);
         assert_eq!(c.ddr_capacity, 4 << 30);
         assert_eq!(c.vau_lanes, 8);
-    }
-
-    #[test]
-    fn peak_rates() {
-        let c = Myriad2Config::default();
-        // 12 SHAVEs * 8 lanes * 600 MHz = 57.6 GMAC/s = 115.2 GFLOP/s.
-        assert!((c.peak_macs_per_sec() - 57.6e9).abs() < 1e6);
-        assert!((c.peak_flops() - 115.2e9).abs() < 1e6);
     }
 
     #[test]

@@ -5,36 +5,18 @@
 //! and SIPP filters reach the banks through a crossbar; requests to
 //! *different* banks proceed in parallel, requests to the *same* bank
 //! serialize — which is exactly what the bank-conflict model below
-//! charges. The software-controlled allocator mirrors the MDK convention
-//! of giving each SHAVE a 128 KB slice.
+//! charges.
 
 use crate::arch::Myriad2Config;
 use desim::{Duration, FifoResource, SimTime};
-use serde::{Deserialize, Serialize};
 
-/// A CMX allocation (software-managed; no hardware protection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CmxSlice {
-    pub offset: u64,
-    pub len: u64,
-}
-
-/// Allocation failure: the working set exceeds the 2 MB scratchpad and
-/// the layer must stream through DDR instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CmxFull {
-    pub requested: u64,
-    pub free: u64,
-}
-
-/// The banked scratchpad: bump allocator + per-bank timing.
+/// The banked scratchpad: per-bank timing.
 #[derive(Debug, Clone)]
 pub struct Cmx {
     bank_bytes: u64,
     pub(crate) banks: Vec<FifoResource>,
     bytes_per_cycle: u64,
     clock_hz: f64,
-    next_free: u64,
 }
 
 impl Cmx {
@@ -44,32 +26,11 @@ impl Cmx {
             banks: (0..cfg.cmx_banks).map(|i| FifoResource::new(format!("cmx{i}"))).collect(),
             bytes_per_cycle: cfg.cmx_bytes_per_cycle,
             clock_hz: cfg.clock_hz,
-            next_free: 0,
         }
     }
 
     pub fn capacity(&self) -> u64 {
         self.bank_bytes * self.banks.len() as u64
-    }
-
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity() - self.next_free
-    }
-
-    /// Bump-allocate a slice (layer working buffers). The NCSDK runtime
-    /// resets the arena between layers; callers use [`Cmx::reset`].
-    pub fn alloc(&mut self, len: u64) -> Result<CmxSlice, CmxFull> {
-        if len > self.free_bytes() {
-            return Err(CmxFull { requested: len, free: self.free_bytes() });
-        }
-        let slice = CmxSlice { offset: self.next_free, len };
-        self.next_free += len;
-        Ok(slice)
-    }
-
-    /// Release the whole arena (between layers).
-    pub fn reset(&mut self) {
-        self.next_free = 0;
     }
 
     /// Which bank a byte address falls in (byte-interleaved by 128 KB
@@ -120,27 +81,6 @@ mod tests {
     #[test]
     fn capacity_is_2mb() {
         assert_eq!(cmx().capacity(), 2 * 1024 * 1024);
-    }
-
-    #[test]
-    fn alloc_and_reset() {
-        let mut c = cmx();
-        let a = c.alloc(100_000).unwrap();
-        assert_eq!(a.offset, 0);
-        let b = c.alloc(100_000).unwrap();
-        assert_eq!(b.offset, 100_000);
-        assert_eq!(c.free_bytes(), c.capacity() - 200_000);
-        c.reset();
-        assert_eq!(c.free_bytes(), c.capacity());
-    }
-
-    #[test]
-    fn alloc_overflow_reports_free_space() {
-        let mut c = cmx();
-        c.alloc(2 * 1024 * 1024 - 10).unwrap();
-        let err = c.alloc(100).unwrap_err();
-        assert_eq!(err.requested, 100);
-        assert_eq!(err.free, 10);
     }
 
     #[test]

@@ -59,10 +59,6 @@ impl DdrChannel {
         self.allocated
     }
 
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     pub fn busy_total(&self) -> Duration {
         self.chan.busy_total()
     }

@@ -94,11 +94,6 @@ impl NetworkRun {
             .collect()
     }
 
-    /// The layer that dominated the run.
-    pub fn slowest_layer(&self) -> Option<LayerTiming> {
-        self.layers().into_iter().max_by_key(LayerTiming::duration)
-    }
-
     /// The same run started at `start` instead.
     fn shifted(&self, start: SimTime) -> NetworkRun {
         NetworkRun { start, end: start + self.duration(), ..self.clone() }
@@ -236,7 +231,7 @@ impl Myriad2 {
     /// the SIPP engine and every CMX bank free by then is *idle*). A walk
     /// from an idle chip is recorded, and later inferences of the same
     /// graph (`Arc::ptr_eq`) from an idle chip replay it in O(1):
-    /// byte-identical to walking, by the argument on [`Replay`].
+    /// byte-identical to walking, by the argument on `Replay`.
     pub fn run_cost(&mut self, cost: &Arc<NetworkCost>, ready: SimTime) -> NetworkRun {
         let start = SimTime::max_of(ready, self.now);
         if !self.idle_at(start) {
@@ -329,7 +324,6 @@ impl Myriad2 {
             }
             let t0 = t + Duration::from_nanos(self.cfg.risc_dispatch_ns);
             let ddr_busy = self.ddr.transfer(t0, w.ddr_bytes);
-            self.cmx.reset();
             let cmx_busy = self.cmx.access(t0, 0, w.cmx_bytes.min(self.cmx.capacity()));
             let wc = shave::layer_cycles(&cfg, w.macs, w.aux_ops, w.cmx_bytes);
             let total = Duration::for_cycles(wc.total(), cfg.clock_hz);
@@ -418,7 +412,6 @@ impl Myriad2 {
         let ddr_busy = self.ddr.transfer(dma_from.min(t0), ddr_bytes);
 
         // CMX crossbar traffic for the activation stream.
-        self.cmx.reset();
         let cmx_busy = self.cmx.access(t0, 0, working_set.min(self.cmx.capacity()));
 
         // Compute: SIPP for window ops when enabled, SHAVEs otherwise.
@@ -677,13 +670,5 @@ mod tests {
             prop_assert_eq!(next, walked.run_cost_walked(&graphs[0], SimTime::ZERO));
             prop_assert_eq!(shipped.lifetime_activity(), walked.lifetime_activity());
         }
-    }
-
-    #[test]
-    fn slowest_layer_is_an_expensive_conv() {
-        let mut vpu = Myriad2::new(Myriad2Config::default());
-        let run = vpu.run_cost(&full_cost(), SimTime::ZERO);
-        let slow = run.slowest_layer().unwrap();
-        assert_eq!(slow.mnemonic, "conv", "slowest layer {} ({})", slow.name, slow.mnemonic);
     }
 }

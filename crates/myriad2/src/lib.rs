@@ -25,11 +25,9 @@ pub mod cmx;
 pub mod ddr;
 pub mod exec;
 pub mod power;
-pub mod roofline;
 pub mod shave;
 pub mod sipp;
 pub mod thermal;
-pub mod vliw;
 
 pub use arch::Myriad2Config;
 pub use exec::{LayerTiming, Myriad2, NetworkRun};

@@ -7,7 +7,7 @@
 //! yielding per-inference energy alongside the paper's TDP-based
 //! throughput/W metric.
 
-use desim::{Duration, SimTime};
+use desim::Duration;
 use serde::{Deserialize, Serialize};
 
 /// Static power parameters (Watts). Defaults decompose the chip's 0.9 W
@@ -117,19 +117,6 @@ impl PowerModel {
     }
 }
 
-/// Convenience: build an [`ActivitySummary`] from raw busy totals and a
-/// start/end pair.
-pub fn summary(
-    shave_busy: Duration,
-    cmx_busy: Duration,
-    ddr_busy: Duration,
-    sipp_busy: Duration,
-    start: SimTime,
-    end: SimTime,
-) -> ActivitySummary {
-    ActivitySummary { shave_busy, cmx_busy, ddr_busy, sipp_busy, span: end - start }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,19 +211,5 @@ mod tests {
     fn zero_span_power_is_zero() {
         let p = PowerModel::default();
         assert_eq!(p.avg_power(&ActivitySummary::default()), 0.0);
-    }
-
-    #[test]
-    fn summary_builder() {
-        let a = summary(
-            Duration(10),
-            Duration(20),
-            Duration(30),
-            Duration(40),
-            SimTime(100),
-            SimTime(200),
-        );
-        assert_eq!(a.span, Duration(100));
-        assert_eq!(a.ddr_busy, Duration(30));
     }
 }

@@ -48,10 +48,6 @@ impl SippPipeline {
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Can this layer kind be routed to the pipeline? Only local
     /// fixed-window operations qualify; GEMM-lowered convolutions and
     /// fully-connected layers stay on the SHAVEs.

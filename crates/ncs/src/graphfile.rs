@@ -167,7 +167,9 @@ pub fn parse(blob: &[u8]) -> Result<GraphFile, GraphFileError> {
         return Err(GraphFileError::Truncated);
     }
     let count = buf.get_u32_le() as usize;
-    let mut layers = Vec::with_capacity(count);
+    // The count is untrusted: reserve no more layers than the remaining
+    // bytes can hold (each takes at least its three u32 length fields).
+    let mut layers = Vec::with_capacity(count.min(buf.remaining() / 12));
     for _ in 0..count {
         let lname = get_string(&mut buf)?;
         if buf.remaining() < 8 {

@@ -155,62 +155,6 @@ pub fn tiny_with_classes(classes: usize) -> NetworkSpec {
     b.build()
 }
 
-/// The *training* topology: the deploy graph plus the two auxiliary
-/// classifier heads Szegedy et al. attach to inception 4a and 4d
-/// (5×5/s3 avg-pool → 1×1×128 conv → fc-1024 → fc-1000 → softmax).
-/// Inference never uses them — the paper runs the deploy graph — but the
-/// builder documents the difference and lets the cost model quantify
-/// what the NCSDK compiler strips.
-pub fn full_with_aux_classifiers() -> NetworkSpec {
-    let mut b = NetBuilder::new("bvlc_googlenet_train", Shape::chw(3, 224, 224));
-    let x = b.input();
-    let c1 = b.conv("conv1/7x7_s2", x, 64, 7, 2, 3, true);
-    let p1 = b.max_pool("pool1/3x3_s2", c1, 3, 2, 0);
-    let n1 = b.lrn("pool1/norm1", p1, LrnParams::googlenet());
-    let c2r = b.conv("conv2/3x3_reduce", n1, 64, 1, 1, 0, true);
-    let c2 = b.conv("conv2/3x3", c2r, 192, 3, 1, 1, true);
-    let n2 = b.lrn("conv2/norm2", c2, LrnParams::googlenet());
-    let p2 = b.max_pool("pool2/3x3_s2", n2, 3, 2, 0);
-
-    let i3a = b.inception("inception_3a", p2, 64, 96, 128, 16, 32, 32);
-    let i3b = b.inception("inception_3b", i3a, 128, 128, 192, 32, 96, 64);
-    let p3 = b.max_pool("pool3/3x3_s2", i3b, 3, 2, 0);
-
-    let i4a = b.inception("inception_4a", p3, 192, 96, 208, 16, 48, 64);
-    // First auxiliary head, fed by inception_4a (14x14x512).
-    let a1p = b.avg_pool("loss1/ave_pool", i4a, 5, 3, 0); // 4x4
-    let a1c = b.conv("loss1/conv", a1p, 128, 1, 1, 0, true);
-    let a1f = b.dense("loss1/fc", a1c, 1024);
-    let a1r = b.relu("loss1/relu_fc", a1f);
-    let a1d = b.dropout("loss1/drop_fc", a1r, 0.7);
-    let a1o = b.dense("loss1/classifier", a1d, 1000);
-    b.softmax("loss1/prob", a1o);
-
-    let i4b = b.inception("inception_4b", i4a, 160, 112, 224, 24, 64, 64);
-    let i4c = b.inception("inception_4c", i4b, 128, 128, 256, 24, 64, 64);
-    let i4d = b.inception("inception_4d", i4c, 112, 144, 288, 32, 64, 64);
-    // Second auxiliary head, fed by inception_4d (14x14x528).
-    let a2p = b.avg_pool("loss2/ave_pool", i4d, 5, 3, 0);
-    let a2c = b.conv("loss2/conv", a2p, 128, 1, 1, 0, true);
-    let a2f = b.dense("loss2/fc", a2c, 1024);
-    let a2r = b.relu("loss2/relu_fc", a2f);
-    let a2d = b.dropout("loss2/drop_fc", a2r, 0.7);
-    let a2o = b.dense("loss2/classifier", a2d, 1000);
-    b.softmax("loss2/prob", a2o);
-
-    let i4e = b.inception("inception_4e", i4d, 256, 160, 320, 32, 128, 128);
-    let p4 = b.max_pool("pool4/3x3_s2", i4e, 3, 2, 0);
-
-    let i5a = b.inception("inception_5a", p4, 256, 160, 320, 32, 128, 128);
-    let i5b = b.inception("inception_5b", i5a, 384, 192, 384, 48, 128, 128);
-
-    let p5 = b.avg_pool("pool5/7x7_s1", i5b, 7, 1, 0);
-    let dr = b.dropout("pool5/drop_7x7_s1", p5, 0.4);
-    let fc = b.dense("loss3/classifier", dr, 1000);
-    b.softmax("prob", fc);
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,48 +223,6 @@ mod tests {
         let full_cost = NetworkCost::of::<f32>(&full()).total_macs;
         let mini_cost = NetworkCost::of::<f32>(&mini()).total_macs;
         assert!(mini_cost * 20 < full_cost, "mini {mini_cost} vs full {full_cost}");
-    }
-
-    #[test]
-    fn training_graph_adds_the_two_aux_heads() {
-        let deploy = full();
-        let train = full_with_aux_classifiers();
-        // 14 extra nodes: 2 heads x (pool, conv, fc, relu, dropout, fc, softmax).
-        assert_eq!(train.nodes.len(), deploy.nodes.len() + 14);
-        assert!(train.node_index("loss1/classifier").is_some());
-        assert!(train.node_index("loss2/classifier").is_some());
-        // Main output path is unchanged.
-        assert_eq!(train.output_shape(), deploy.output_shape());
-        // Aux heads carry the bulk of the extra parameters: published
-        // GoogLeNet-with-aux has ~13.4 M vs ~7.0 M deploy.
-        use crate::cost::NetworkCost;
-        let pd = NetworkCost::of::<f32>(&deploy).total_params;
-        let pt = NetworkCost::of::<f32>(&train).total_params;
-        assert!((12_500_000..14_500_000).contains(&pt), "training-graph params {pt}");
-        assert!(pt > pd + 5_000_000);
-    }
-
-    #[test]
-    fn aux_heads_produce_valid_distributions_too() {
-        use crate::graph::CompiledNetwork;
-        use std::sync::Arc;
-        use vpu_tensor::kernels::gemm::AccumMode;
-        use vpu_tensor::Tensor;
-        // Forward the training graph and observe each softmax output.
-        let spec = Arc::new(full_with_aux_classifiers());
-        let w = crate::init::xavier(&spec, 1);
-        let net = CompiledNetwork::<f32>::compile(spec.clone(), &w, AccumMode::Widened);
-        let input = Tensor::<f32>::full(Shape::chw(3, 224, 224), 0.05);
-        let mut softmax_sums = Vec::new();
-        net.forward_observed(&input, |_, node, out| {
-            if matches!(node.kind, crate::layer::LayerKind::Softmax) {
-                softmax_sums.push(out.as_slice().iter().sum::<f32>());
-            }
-        });
-        assert_eq!(softmax_sums.len(), 3, "two aux heads + main head");
-        for s in softmax_sums {
-            assert!((s - 1.0).abs() < 1e-4);
-        }
     }
 
     #[test]

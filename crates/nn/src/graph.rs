@@ -32,30 +32,40 @@ impl NetworkSpec {
     /// Panics with a descriptive message on: missing/misplaced input node,
     /// duplicate names, forward references, or shape inference failures.
     pub fn infer_shapes(&self) -> Vec<Shape> {
-        assert!(!self.nodes.is_empty(), "network has no nodes");
-        assert!(matches!(self.nodes[0].kind, LayerKind::Input), "node 0 must be the input layer");
-        assert_eq!(self.input_shape.n, 1, "input_shape describes one item");
+        self.try_infer_shapes().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`NetworkSpec::infer_shapes`] for networks read from outside the
+    /// program: the first violation is a one-line error naming its node.
+    pub(crate) fn try_infer_shapes(&self) -> Result<Vec<Shape>, String> {
+        match self.nodes.first() {
+            None => return Err("network has no nodes".into()),
+            Some(n) if !matches!(n.kind, LayerKind::Input) => {
+                return Err("node 0 must be the input layer".into());
+            }
+            Some(_) => {}
+        }
+        if self.input_shape.n != 1 {
+            return Err("input_shape describes one item".into());
+        }
         let mut seen = std::collections::HashSet::new();
         let mut shapes: Vec<Shape> = Vec::with_capacity(self.nodes.len());
         for (i, node) in self.nodes.iter().enumerate() {
-            assert!(seen.insert(node.name.clone()), "duplicate node name {}", node.name);
-            for &j in &node.inputs {
-                assert!(j < i, "node {} references later node {j}", node.name);
+            if !seen.insert(node.name.as_str()) {
+                return Err(format!("duplicate node name {}", node.name));
+            }
+            if let Some(j) = node.inputs.iter().find(|&&j| j >= i) {
+                return Err(format!("node {} references later node {j}", node.name));
             }
             let shape = if i == 0 {
                 self.input_shape
             } else {
                 let ins: Vec<Shape> = node.inputs.iter().map(|&j| shapes[j]).collect();
-                node.kind.infer_shape(&ins)
+                node.kind.infer_shape(&ins).map_err(|e| format!("layer '{}': {e}", node.name))?
             };
             shapes.push(shape);
         }
-        shapes
-    }
-
-    /// Output node index (by construction the last node).
-    pub fn output(&self) -> usize {
-        self.nodes.len() - 1
+        Ok(shapes)
     }
 
     /// Batch-1 output shape.
@@ -132,7 +142,6 @@ pub fn eval_node<E: Element>(
 #[derive(Debug, Clone)]
 pub struct CompiledNetwork<E: Element> {
     spec: Arc<NetworkSpec>,
-    shapes: Vec<Shape>,
     params: Vec<Option<(Vec<E>, Vec<E>)>>,
     consumers: Vec<usize>,
     accum: AccumMode,
@@ -170,20 +179,11 @@ impl<E: Element> CompiledNetwork<E> {
             params.push(Some((w, b)));
         }
         let consumers = spec.consumer_counts();
-        CompiledNetwork { spec, shapes, params, consumers, accum }
-    }
-
-    pub fn spec(&self) -> &NetworkSpec {
-        &self.spec
+        CompiledNetwork { spec, params, consumers, accum }
     }
 
     pub fn accum_mode(&self) -> AccumMode {
         self.accum
-    }
-
-    /// Batch-1 shape of every node.
-    pub fn shapes(&self) -> &[Shape] {
-        &self.shapes
     }
 
     /// Total bytes of weights at this precision (graph-file size proxy).

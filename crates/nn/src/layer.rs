@@ -57,39 +57,32 @@ impl LayerKind {
 
     /// Output shape given the input shapes (batch preserved).
     ///
-    /// Panics on malformed graphs: wrong input arity or mismatched concat
-    /// extents — the same conditions the NCSDK graph compiler rejects.
-    pub fn infer_shape(&self, inputs: &[Shape]) -> Shape {
+    /// Fails on malformed graphs: wrong input arity, mismatched concat
+    /// extents or a window that does not fit — the same conditions the
+    /// NCSDK graph compiler rejects.
+    pub fn infer_shape(&self, inputs: &[Shape]) -> Result<Shape, String> {
         match self {
-            LayerKind::Input => {
-                assert_eq!(inputs.len(), 0, "input node takes no inputs");
-                unreachable!("input shape comes from the spec");
-            }
+            LayerKind::Input => Err("the input layer's shape comes from the spec".into()),
             LayerKind::Concat => {
-                assert!(!inputs.is_empty(), "concat needs at least one input");
-                let first = inputs[0];
-                let mut c = 0;
+                let first = *inputs.first().ok_or("concat needs at least one input")?;
+                let mut c = 0usize;
                 for s in inputs {
-                    assert_eq!(
-                        (s.n, s.h, s.w),
-                        (first.n, first.h, first.w),
-                        "concat inputs must agree on batch and spatial extents"
-                    );
-                    c += s.c;
+                    if (s.n, s.h, s.w) != (first.n, first.h, first.w) {
+                        return Err("concat inputs must agree on batch and spatial extents".into());
+                    }
+                    c = c.checked_add(s.c).ok_or("concat channel count overflows")?;
                 }
-                Shape::new(first.n, c, first.h, first.w)
+                Ok(Shape::new(first.n, c, first.h, first.w))
             }
             kind => {
-                assert_eq!(inputs.len(), 1, "{} takes exactly one input", kind.mnemonic());
-                let s = inputs[0];
+                let &[s] = inputs else {
+                    return Err(format!("{} takes exactly one input", kind.mnemonic()));
+                };
                 match kind {
-                    LayerKind::Conv { params, .. } => params.out_shape(s),
-                    LayerKind::Relu | LayerKind::Dropout { .. } => s,
-                    LayerKind::Pool(p) => p.out_shape(s),
-                    LayerKind::Lrn(_) => s,
-                    LayerKind::Dense { out_features } => Shape::vector(s.n, *out_features),
-                    LayerKind::Softmax => s,
-                    _ => unreachable!(),
+                    LayerKind::Conv { params, .. } => params.try_out_shape(s),
+                    LayerKind::Pool(p) => p.try_out_shape(s),
+                    LayerKind::Dense { out_features } => Ok(Shape::vector(s.n, *out_features)),
+                    _ => Ok(s),
                 }
             }
         }
@@ -148,7 +141,7 @@ mod tests {
     #[test]
     fn shape_inference_conv() {
         let k = LayerKind::Conv { params: ConvParams::new(64, 7, 2, 3), fused_relu: true };
-        let out = k.infer_shape(&[Shape::new(8, 3, 224, 224)]);
+        let out = k.infer_shape(&[Shape::new(8, 3, 224, 224)]).unwrap();
         assert_eq!(out, Shape::new(8, 64, 112, 112));
     }
 
@@ -161,35 +154,40 @@ mod tests {
             Shape::new(1, 32, 28, 28),
             Shape::new(1, 32, 28, 28),
         ]);
+        let out = out.unwrap();
         assert_eq!(out, Shape::new(1, 256, 28, 28));
     }
 
     #[test]
-    #[should_panic(expected = "concat inputs must agree")]
     fn concat_rejects_mismatched_extents() {
-        LayerKind::Concat.infer_shape(&[Shape::new(1, 64, 28, 28), Shape::new(1, 64, 14, 14)]);
+        let err = LayerKind::Concat
+            .infer_shape(&[Shape::new(1, 64, 28, 28), Shape::new(1, 64, 14, 14)])
+            .unwrap_err();
+        assert!(err.contains("concat inputs must agree"), "{err}");
     }
 
     #[test]
     fn shape_inference_passthrough_kinds() {
         let s = Shape::new(2, 16, 10, 10);
-        assert_eq!(LayerKind::Relu.infer_shape(&[s]), s);
-        assert_eq!(LayerKind::Dropout { ratio: 0.4 }.infer_shape(&[s]), s);
-        assert_eq!(LayerKind::Lrn(LrnParams::googlenet()).infer_shape(&[s]), s);
-        assert_eq!(LayerKind::Softmax.infer_shape(&[s]), s);
+        assert_eq!(LayerKind::Relu.infer_shape(&[s]), Ok(s));
+        assert_eq!(LayerKind::Dropout { ratio: 0.4 }.infer_shape(&[s]), Ok(s));
+        assert_eq!(LayerKind::Lrn(LrnParams::googlenet()).infer_shape(&[s]), Ok(s));
+        assert_eq!(LayerKind::Softmax.infer_shape(&[s]), Ok(s));
     }
 
     #[test]
     fn shape_inference_dense_flattens() {
         let k = LayerKind::Dense { out_features: 1000 };
-        assert_eq!(k.infer_shape(&[Shape::new(4, 1024, 1, 1)]), Shape::vector(4, 1000));
-        assert_eq!(k.infer_shape(&[Shape::new(1, 2, 3, 3)]), Shape::vector(1, 1000));
+        assert_eq!(k.infer_shape(&[Shape::new(4, 1024, 1, 1)]), Ok(Shape::vector(4, 1000)));
+        assert_eq!(k.infer_shape(&[Shape::new(1, 2, 3, 3)]), Ok(Shape::vector(1, 1000)));
     }
 
     #[test]
-    #[should_panic(expected = "exactly one input")]
     fn unary_arity_enforced() {
-        LayerKind::Relu.infer_shape(&[Shape::new(1, 1, 1, 1), Shape::new(1, 1, 1, 1)]);
+        let err = LayerKind::Relu
+            .infer_shape(&[Shape::new(1, 1, 1, 1), Shape::new(1, 1, 1, 1)])
+            .unwrap_err();
+        assert!(err.contains("exactly one input"), "{err}");
     }
 
     #[test]

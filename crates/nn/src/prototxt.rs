@@ -190,10 +190,11 @@ fn tokenize(text: &str) -> Result<Vec<Event>, ParseError> {
                             v
                         } else {
                             let vstart = i;
+                            // A quote ends a bare value too: `emit` quotes
+                            // names, so one inside a name could not print.
                             while i < n
                                 && !bytes[i].is_whitespace()
-                                && bytes[i] != '}'
-                                && bytes[i] != '#'
+                                && !matches!(bytes[i], '}' | '#' | '"')
                             {
                                 i += 1;
                             }
@@ -263,7 +264,7 @@ pub fn parse(text: &str) -> Result<NetworkSpec, ParseError> {
         input_shape: Shape::new(1, input_dims[1], input_dims[2], input_dims[3]),
         nodes,
     };
-    spec.infer_shapes(); // validates; panics are acceptable for malformed DAGs? convert:
+    spec.try_infer_shapes().map_err(ParseError)?;
     Ok(spec)
 }
 

@@ -33,10 +33,6 @@ impl Weights {
         self.layers.get(name)
     }
 
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut LayerParams> {
-        self.layers.get_mut(name)
-    }
-
     pub fn len(&self) -> usize {
         self.layers.len()
     }
@@ -45,22 +41,9 @@ impl Weights {
         self.layers.is_empty()
     }
 
-    pub fn layer_names(&self) -> impl Iterator<Item = &str> {
-        self.layers.keys().map(String::as_str)
-    }
-
     /// Total parameter count across layers.
     pub fn param_count(&self) -> u64 {
         self.layers.values().map(|p| (p.w.len() + p.b.len()) as u64).sum()
-    }
-
-    /// Serialize to JSON (the repo's portable caffemodel substitute).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("weights serialize")
-    }
-
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -77,32 +60,5 @@ mod tests {
         assert_eq!(w.get("conv1").unwrap().w, vec![1.0, 2.0]);
         assert!(w.get("missing").is_none());
         assert_eq!(w.param_count(), 3);
-    }
-
-    #[test]
-    fn mutation() {
-        let mut w = Weights::new();
-        w.insert("fc", vec![0.0; 4], vec![0.0; 2]);
-        w.get_mut("fc").unwrap().b[1] = 9.0;
-        assert_eq!(w.get("fc").unwrap().b, vec![0.0, 9.0]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut w = Weights::new();
-        w.insert("a", vec![1.5, -2.5], vec![0.0]);
-        w.insert("b", vec![], vec![3.0]);
-        let json = w.to_json();
-        let back = Weights::from_json(&json).unwrap();
-        assert_eq!(back, w);
-    }
-
-    #[test]
-    fn names_sorted() {
-        let mut w = Weights::new();
-        w.insert("z", vec![], vec![]);
-        w.insert("a", vec![], vec![]);
-        let names: Vec<&str> = w.layer_names().collect();
-        assert_eq!(names, vec!["a", "z"]);
     }
 }

@@ -106,7 +106,7 @@ impl f16 {
     }
 
     /// Exact widening conversion to `f32` (every binary16 value is
-    /// representable in binary32). Branch-free, like [`f16::from_f32`]; a
+    /// representable in binary32). Branch-free, like [`Self::from_f32`]; a
     /// NaN keeps its payload and gets the quiet bit.
     #[inline]
     pub fn to_f32(self) -> f32 {

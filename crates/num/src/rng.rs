@@ -54,13 +54,6 @@ pub fn normal<R: Rng>(rng: &mut R) -> f64 {
     }
 }
 
-/// Fill a slice with N(0, sigma^2) samples.
-pub fn fill_normal<R: Rng>(rng: &mut R, sigma: f64, out: &mut [f32]) {
-    for v in out {
-        *v = (normal(rng) * sigma) as f32;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,14 +101,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn fill_normal_scales() {
-        let mut rng = seeded(5);
-        let mut buf = vec![0.0f32; 10_000];
-        fill_normal(&mut rng, 3.0, &mut buf);
-        let var = buf.iter().map(|&x| (x as f64).powi(2)).sum::<f64>() / buf.len() as f64;
-        assert!((var.sqrt() - 3.0).abs() < 0.1, "sigma {}", var.sqrt());
     }
 }

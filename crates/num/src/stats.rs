@@ -40,26 +40,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Merge another accumulator (parallel Welford / Chan et al.).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     pub fn count(&self) -> u64 {
         self.n
     }
@@ -80,15 +60,6 @@ impl OnlineStats {
     /// Sample standard deviation.
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn stderr(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.stddev() / (self.n as f64).sqrt()
-        }
     }
 
     pub fn min(&self) -> f64 {
@@ -129,36 +100,6 @@ pub struct Summary {
     pub stddev: f64,
     pub min: f64,
     pub max: f64,
-}
-
-impl Summary {
-    /// Half-width of the 95% normal-approximation confidence interval.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.stddev / (self.n as f64).sqrt()
-        }
-    }
-
-    /// Coefficient of variation (stddev / |mean|); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean.abs()
-        }
-    }
-}
-
-/// Relative difference |a-b| / max(|a|,|b|), safe at zero.
-pub fn rel_diff(a: f64, b: f64) -> f64 {
-    let denom = a.abs().max(b.abs());
-    if denom == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / denom
-    }
 }
 
 /// Arithmetic mean of a slice; 0 for an empty slice.
@@ -207,46 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let whole: OnlineStats = data.iter().copied().collect();
-        let mut left: OnlineStats = data[..37].iter().copied().collect();
-        let right: OnlineStats = data[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a: OnlineStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    fn summary_ci() {
-        let s: OnlineStats = (0..100).map(|i| i as f64).collect();
-        let sum = s.summary();
-        assert!(sum.ci95_half_width() > 0.0);
-        assert!((sum.cv() - sum.stddev / sum.mean).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rel_diff_cases() {
-        assert_eq!(rel_diff(0.0, 0.0), 0.0);
-        assert!((rel_diff(1.0, 2.0) - 0.5).abs() < 1e-12);
-        assert!((rel_diff(-1.0, 1.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn slice_helpers() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
@@ -276,20 +177,6 @@ mod proptests {
             prop_assert!(s.variance() >= 0.0);
             prop_assert!(s.min() <= s.mean() + 1e-9);
             prop_assert!(s.mean() <= s.max() + 1e-9);
-        }
-
-        /// Merging in any split position agrees with sequential accumulation.
-        #[test]
-        fn merge_any_split(xs in proptest::collection::vec(-1e3f64..1e3, 2..100),
-                           split_frac in 0.0f64..1.0) {
-            let split = ((xs.len() as f64 * split_frac) as usize).min(xs.len());
-            let whole: OnlineStats = xs.iter().copied().collect();
-            let mut l: OnlineStats = xs[..split].iter().copied().collect();
-            let r: OnlineStats = xs[split..].iter().copied().collect();
-            l.merge(&r);
-            prop_assert_eq!(l.count(), whole.count());
-            prop_assert!((l.mean() - whole.mean()).abs() < 1e-7);
-            prop_assert!((l.variance() - whole.variance()).abs() < 1e-5);
         }
     }
 }

@@ -136,10 +136,6 @@ impl EnergyMeter {
         &self.profiles
     }
 
-    pub fn spans(&self) -> &[MeterSpan] {
-        &self.spans
-    }
-
     /// Charge worker `worker` for a busy span executing `batch`.
     ///
     /// The span is clipped against the worker's previous charges (and

@@ -82,21 +82,6 @@ impl LogHistogram {
         Duration::from_nanos(self.max_ns)
     }
 
-    /// Fold `other` into `self`, as if every sample recorded into
-    /// `other` had been recorded here instead. Bucket layout is fixed,
-    /// so the merge is an element-wise add: quantiles of the merged
-    /// histogram equal quantiles of the concatenated sample stream
-    /// exactly (the sharded-sweep reduction property, see the
-    /// `merge_equals_concatenation` test).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
     /// Quantile `q` in [0, 1]: the smallest bucket upper bound below
     /// which at least `q` of the samples fall (capped at the recorded
     /// maximum, so `quantile(1.0) == max()`).
@@ -144,54 +129,6 @@ mod tests {
             let err = (got - expect_us).abs() / expect_us;
             assert!(err < 0.04, "q{q}: got {got} want ~{expect_us} (err {err})");
         }
-    }
-
-    /// The mergeability property the sharded sweep runner relies on:
-    /// for any split of a sample stream across shards, merged
-    /// nearest-rank quantiles equal quantiles of the concatenated
-    /// stream, exactly.
-    #[test]
-    fn merge_equals_concatenation() {
-        // A deterministic pseudo-random stream, split round-robin
-        // across three shards.
-        let mut x: u64 = 0x1234_5678;
-        let samples: Vec<u64> = (0..5_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x % 50_000_000 // up to 50 ms
-            })
-            .collect();
-        let mut shards = [LogHistogram::new(), LogHistogram::new(), LogHistogram::new()];
-        let mut concat = LogHistogram::new();
-        for (i, &ns) in samples.iter().enumerate() {
-            shards[i % 3].record(Duration::from_nanos(ns));
-            concat.record(Duration::from_nanos(ns));
-        }
-        let mut merged = LogHistogram::new();
-        for s in &shards {
-            merged.merge(s);
-        }
-        assert_eq!(merged.len(), concat.len());
-        assert_eq!(merged.mean(), concat.mean());
-        assert_eq!(merged.max(), concat.max());
-        for q in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
-            assert_eq!(merged.quantile(q), concat.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn merge_into_empty_is_identity() {
-        let mut h = LogHistogram::new();
-        h.record(Duration::from_millis(3.0));
-        h.record(Duration::from_millis(9.0));
-        let mut merged = LogHistogram::new();
-        merged.merge(&h);
-        for q in [0.5, 1.0] {
-            assert_eq!(merged.quantile(q), h.quantile(q));
-        }
-        assert_eq!(merged.len(), 2);
     }
 
     #[test]

@@ -86,62 +86,6 @@ impl Registry {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
-    /// The kind a name is already registered as, if any.
-    fn kind_of(&self, name: &str) -> Option<&'static str> {
-        if self.counters.iter().any(|(n, _)| n == name) {
-            return Some("counter");
-        }
-        if self.gauges.iter().any(|(n, _)| n == name) {
-            return Some("gauge");
-        }
-        if self.histograms.iter().any(|(n, _)| n == name) {
-            return Some("histogram");
-        }
-        None
-    }
-
-    /// Fold another shard's registry into this one, the reduction step
-    /// of a sharded sweep: counters add, gauges keep the maximum (they
-    /// report peaks — queue high-water marks, burn rates — where the
-    /// worst shard is the honest fleet answer), histograms merge
-    /// bucket-wise (exact, see [`LogHistogram::merge`]). Names unseen
-    /// here are appended, so a merge of disjoint registries is a
-    /// union; registration order of `self` wins for shared names. A
-    /// name registered as different kinds on the two sides fails the
-    /// whole merge — checked up front, naming the first offender, so
-    /// an `Err` never leaves this registry partially merged.
-    pub fn merge(&mut self, other: &Registry) -> Result<(), String> {
-        let kinds = other
-            .counters
-            .iter()
-            .map(|(n, _)| (n, "counter"))
-            .chain(other.gauges.iter().map(|(n, _)| (n, "gauge")))
-            .chain(other.histograms.iter().map(|(n, _)| (n, "histogram")));
-        for (name, kind) in kinds {
-            if let Some(have) = self.kind_of(name) {
-                if have != kind {
-                    return Err(format!(
-                        "registry merge: metric {name:?}: {kind}, expected {have}"
-                    ));
-                }
-            }
-        }
-        for (name, v) in &other.counters {
-            let id = self.counter(name);
-            self.counters[id.0].1 += v;
-        }
-        for (name, v) in &other.gauges {
-            let id = self.gauge(name);
-            let cur = &mut self.gauges[id.0].1;
-            *cur = cur.max(*v);
-        }
-        for (name, h) in &other.histograms {
-            let id = self.histogram(name);
-            self.histograms[id.0].1.merge(h);
-        }
-        Ok(())
-    }
-
     /// Human-readable run summary: counters, gauges, then histogram
     /// percentile rows, in registration order.
     pub fn summary(&self) -> String {
@@ -199,54 +143,6 @@ mod tests {
         r.set(g, 3.0);
         r.set(g, 7.0);
         assert_eq!(r.gauge_value("queue_depth"), Some(7.0));
-    }
-
-    #[test]
-    fn merge_adds_counters_maxes_gauges_and_unions_names() {
-        let mut a = Registry::new();
-        let ca = a.counter("completed");
-        a.add(ca, 10);
-        let ga = a.gauge("burn.max");
-        a.set(ga, 1.5);
-        let ha = a.histogram("latency");
-        a.observe(ha, Duration::from_millis(2.0));
-
-        let mut b = Registry::new();
-        let cb = b.counter("completed");
-        b.add(cb, 5);
-        let cb2 = b.counter("shed"); // only in b
-        b.add(cb2, 3);
-        let gb = b.gauge("burn.max");
-        b.set(gb, 0.9);
-        let hb = b.histogram("latency");
-        b.observe(hb, Duration::from_millis(40.0));
-
-        a.merge(&b).expect("shards of one sweep share kinds");
-        assert_eq!(a.counter_value("completed"), Some(15));
-        assert_eq!(a.counter_value("shed"), Some(3), "unseen names are appended");
-        assert_eq!(a.gauge_value("burn.max"), Some(1.5), "gauges keep the peak");
-        let h = a.histogram_of("latency").unwrap();
-        assert_eq!(h.len(), 2);
-        assert!(h.quantile(1.0) >= Duration::from_millis(40.0));
-    }
-
-    #[test]
-    fn merge_names_the_first_cross_kind_collision_in_one_line() {
-        let mut a = Registry::new();
-        a.counter("completed");
-        a.counter("burn.max");
-        let mut b = Registry::new();
-        let c = b.counter("completed");
-        b.add(c, 5);
-        let g = b.gauge("burn.max"); // a counter on the other side
-        b.set(g, 1.5);
-        b.gauge("queue.peak");
-        let err = a.merge(&b).unwrap_err();
-        assert_eq!(err, "registry merge: metric \"burn.max\": gauge, expected counter");
-        assert_eq!(err.lines().count(), 1, "one line, first offender only");
-        // The failed merge left this registry untouched.
-        assert_eq!(a.counter_value("completed"), Some(0));
-        assert_eq!(a.gauge_value("queue.peak"), None);
     }
 
     #[test]

@@ -137,252 +137,6 @@ impl TimeSeries {
         sink.flush()?;
         Ok(stats)
     }
-
-    /// Parse a CSV produced by [`TimeSeries::csv`] back into a series
-    /// (epoch-relative, so the reconstructed epoch is `SimTime::ZERO`).
-    /// No command reads series files yet; the tests use this to show the
-    /// CSV loses nothing and that bad input fails with a one-line error.
-    pub fn from_csv(csv: &str) -> Result<TimeSeries, String> {
-        let mut lines = csv.lines();
-        let header = lines.next().ok_or("empty CSV")?;
-        let cols: Vec<&str> = header.split(',').collect();
-        const FIXED: [&str; 7] = [
-            "time_ms",
-            "queue_depth",
-            "inflight_batches",
-            "completed",
-            "shed",
-            "slo_burn",
-            "shed_rate",
-        ];
-        for (i, want) in FIXED.iter().enumerate() {
-            match cols.get(i) {
-                Some(got) if got == want => {}
-                Some(got) => {
-                    return Err(format!(
-                        "header (line 1) column {}: {got:?}, expected {want:?}",
-                        i + 1
-                    ));
-                }
-                None => {
-                    return Err(format!(
-                        "header (line 1): only {} columns, column {} should be {want:?}",
-                        cols.len(),
-                        i + 1
-                    ));
-                }
-            }
-        }
-        let labels: Vec<String> = cols
-            .iter()
-            .skip(FIXED.len())
-            .take_while(|c| c.starts_with("util_"))
-            .map(|c| c["util_".len()..].to_string())
-            .collect();
-        // Pre-energy CSVs stop after the circuit columns; current ones
-        // add `power_<worker>...,energy_j,img_per_watt`, and autoscaled
-        // runs append `live_sticks,scale_events`. Accept all three so
-        // archived series files keep parsing (absent columns read as
-        // zero).
-        let old_shape = FIXED.len() + 2 * labels.len();
-        let new_shape = FIXED.len() + 3 * labels.len() + 2;
-        let scaled_shape = new_shape + 2;
-        let power_cols = |cols: &[&str]| {
-            cols.get(old_shape..old_shape + labels.len())
-                .is_some_and(|s| s.iter().all(|c| c.starts_with("power_")))
-        };
-        let has_scaling = cols.len() == scaled_shape
-            && power_cols(&cols)
-            && cols[new_shape - 2..] == ["energy_j", "img_per_watt", "live_sticks", "scale_events"];
-        let has_energy = has_scaling
-            || (cols.len() == new_shape
-                && power_cols(&cols)
-                && cols[new_shape - 2..] == ["energy_j", "img_per_watt"]);
-        let expect = if has_scaling {
-            scaled_shape
-        } else if has_energy {
-            new_shape
-        } else {
-            old_shape
-        };
-        if cols.len() != expect {
-            return Err(format!(
-                "header (line 1): {} columns, expected {expect} for a {}-worker series",
-                cols.len(),
-                labels.len()
-            ));
-        }
-        let mut samples = Vec::new();
-        for (ln, line) in lines.enumerate() {
-            // 1-based file line number: the header is line 1.
-            let ln = ln + 2;
-            let f: Vec<&str> = line.split(',').collect();
-            if f.len() != expect {
-                return Err(format!("line {ln}: {} fields, expected {expect}", f.len()));
-            }
-            let num = |i: usize| {
-                f[i].parse::<f64>().map_err(|_| {
-                    format!("line {ln} column {} ({}): {:?} is not a number", i + 1, cols[i], f[i])
-                })
-            };
-            let int = |i: usize| {
-                f[i].parse::<u64>().map_err(|_| {
-                    format!(
-                        "line {ln} column {} ({}): {:?} is not an integer",
-                        i + 1,
-                        cols[i],
-                        f[i]
-                    )
-                })
-            };
-            samples.push(Sample {
-                t: SimTime::ZERO + Duration::from_millis(num(0)?),
-                queue_depth: int(1)? as usize,
-                inflight_batches: int(2)? as usize,
-                completed: int(3)?,
-                shed: int(4)?,
-                slo_burn: num(5)?,
-                shed_rate: num(6)?,
-                worker_util: (0..labels.len())
-                    .map(|w| num(FIXED.len() + w))
-                    .collect::<Result<_, _>>()?,
-                circuit: (0..labels.len())
-                    .map(|w| num(FIXED.len() + labels.len() + w))
-                    .collect::<Result<_, _>>()?,
-                worker_power: if has_energy {
-                    (0..labels.len()).map(|w| num(old_shape + w)).collect::<Result<_, _>>()?
-                } else {
-                    vec![0.0; labels.len()]
-                },
-                energy_j: if has_energy { num(new_shape - 2)? } else { 0.0 },
-                img_per_watt: if has_energy { num(new_shape - 1)? } else { 0.0 },
-                live_sticks: if has_scaling { int(scaled_shape - 2)? as usize } else { 0 },
-                scale_events: if has_scaling { int(scaled_shape - 1)? } else { 0 },
-            });
-        }
-        let interval = match samples.as_slice() {
-            [a, b, ..] => b.t - a.t,
-            [a] => a.t - SimTime::ZERO,
-            [] => Duration::from_millis(1.0),
-        };
-        Ok(TimeSeries {
-            epoch: SimTime::ZERO,
-            interval: if interval > Duration::ZERO { interval } else { Duration::from_millis(1.0) },
-            worker_labels: labels,
-            samples,
-            scaling: has_scaling,
-        })
-    }
-
-    /// Fold another shard's series into this one, the time-series leg
-    /// of the sharded-sweep reduction (counterpart of
-    /// [`crate::Registry::merge`]). Both series must share the same
-    /// epoch, interval, worker labels and scaling-ness — shards of one
-    /// sweep cell do by construction.
-    ///
-    /// Column semantics per boundary:
-    /// - fleet totals add: queue depth, in-flight batches, cumulative
-    ///   completed/shed/scale events, energy, live sticks;
-    /// - health ratios keep the worst shard: SLO burn, shed rate,
-    ///   per-worker utilization/power/circuit (alerting on the merged
-    ///   series can only under-state, never hide, a shard on fire);
-    /// - `img_per_watt` is recomputed from merged completions/energy.
-    ///
-    /// If one shard ran longer, the shorter shard's final cumulative
-    /// values carry through the tail.
-    pub fn merge(&mut self, other: &TimeSeries) -> Result<(), String> {
-        if self.epoch != other.epoch {
-            return Err("series merge: mismatched epochs".to_string());
-        }
-        if self.interval != other.interval {
-            return Err(format!(
-                "series merge: interval {} ms vs {} ms",
-                self.interval.as_millis(),
-                other.interval.as_millis()
-            ));
-        }
-        if self.worker_labels.len() != other.worker_labels.len() {
-            return Err(format!(
-                "series merge: {} worker labels, expected {}",
-                other.worker_labels.len(),
-                self.worker_labels.len()
-            ));
-        }
-        if let Some((i, (want, got))) = self
-            .worker_labels
-            .iter()
-            .zip(&other.worker_labels)
-            .enumerate()
-            .find(|(_, (a, b))| a != b)
-        {
-            // Name the first offending column, `from_csv` style —
-            // sixteen-shard fleets make whole-vector dumps unreadable.
-            return Err(format!("series merge: worker label {i}: {got:?}, expected {want:?}"));
-        }
-        if self.scaling != other.scaling {
-            return Err("series merge: one series has autoscaling columns".to_string());
-        }
-        // Extend self with the tail of a longer other; tail rows start
-        // from a copy that keeps other's cumulative columns only.
-        while self.samples.len() < other.samples.len() {
-            let last = self.samples.last().cloned();
-            let t = other.samples[self.samples.len()].t;
-            let n = self.worker_labels.len();
-            let mut s = Sample {
-                t,
-                queue_depth: 0,
-                inflight_batches: 0,
-                completed: 0,
-                shed: 0,
-                slo_burn: 0.0,
-                shed_rate: 0.0,
-                worker_util: vec![0.0; n],
-                circuit: vec![0.0; n],
-                worker_power: vec![0.0; n],
-                energy_j: 0.0,
-                img_per_watt: 0.0,
-                live_sticks: 0,
-                scale_events: 0,
-            };
-            if let Some(last) = last {
-                s.completed = last.completed;
-                s.shed = last.shed;
-                s.energy_j = last.energy_j;
-                s.scale_events = last.scale_events;
-            }
-            self.samples.push(s);
-        }
-        for (i, s) in self.samples.iter_mut().enumerate() {
-            // Past other's end, its final cumulative values carry on.
-            let (o, live) = match other.samples.get(i) {
-                Some(o) => (Some(o), true),
-                None => (other.samples.last(), false),
-            };
-            let Some(o) = o else { continue };
-            if live {
-                s.queue_depth += o.queue_depth;
-                s.inflight_batches += o.inflight_batches;
-                s.slo_burn = s.slo_burn.max(o.slo_burn);
-                s.shed_rate = s.shed_rate.max(o.shed_rate);
-                for (a, b) in s.worker_util.iter_mut().zip(&o.worker_util) {
-                    *a = a.max(*b);
-                }
-                for (a, b) in s.circuit.iter_mut().zip(&o.circuit) {
-                    *a = a.max(*b);
-                }
-                for (a, b) in s.worker_power.iter_mut().zip(&o.worker_power) {
-                    *a = a.max(*b);
-                }
-                s.live_sticks += o.live_sticks;
-            }
-            s.completed += o.completed;
-            s.shed += o.shed;
-            s.energy_j += o.energy_j;
-            s.scale_events += o.scale_events;
-            s.img_per_watt = if s.energy_j > 0.0 { s.completed as f64 / s.energy_j } else { 0.0 };
-        }
-        Ok(())
-    }
 }
 
 /// Incremental builder the serving loop drives. `advance` must be
@@ -831,35 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_through_from_csv() {
-        let mut b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(5.0));
-        b.set_power(vec![(900, 172)]);
-        b.on_batch(0, at(0.0), at(4.0));
-        b.on_energy_span(0, at(0.0), at(4.0));
-        b.on_arrival();
-        b.on_complete(ms(9.0));
-        b.circuit_event(0, 1.0, at(12.0));
-        let ts = b.finish(at(20.0), 2);
-        let csv = ts.csv();
-        let back = TimeSeries::from_csv(&csv).expect("own CSV must parse");
-        assert_eq!(back.worker_labels, ts.worker_labels);
-        assert_eq!(back.samples.len(), ts.samples.len());
-        assert_eq!(back.interval, ts.interval);
-        for (a, b) in back.samples.iter().zip(&ts.samples) {
-            assert_eq!(a.t, b.t);
-            assert_eq!(a.completed, b.completed);
-            assert!((a.slo_burn - b.slo_burn).abs() < 1e-6);
-            assert_eq!(a.circuit, b.circuit);
-            assert!((a.worker_power[0] - b.worker_power[0]).abs() < 1e-6);
-            assert!((a.energy_j - b.energy_j).abs() < 1e-6);
-            assert!((a.img_per_watt - b.img_per_watt).abs() < 1e-3 * (1.0 + b.img_per_watt));
-        }
-        assert!(back.samples.iter().any(|s| s.energy_j > 0.0), "energy column survived");
-        assert!(TimeSeries::from_csv("nope\n1,2").is_err());
-    }
-
-    #[test]
-    fn scaling_columns_appear_only_when_enabled_and_round_trip() {
+    fn scaling_columns_appear_only_when_enabled() {
         // Without an autoscaler the header is byte-identical to the
         // pre-autoscaling shape.
         let b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(100.0));
@@ -885,14 +611,6 @@ mod tests {
         let events: Vec<u64> = ts.samples.iter().map(|s| s.scale_events).collect();
         assert_eq!(live, vec![2, 2, 3]);
         assert_eq!(events, vec![1, 2, 2]);
-
-        let back = TimeSeries::from_csv(&ts.csv()).expect("scaled CSV must parse");
-        assert!(back.scaling);
-        assert_eq!(
-            back.samples.iter().map(|s| (s.live_sticks, s.scale_events)).collect::<Vec<_>>(),
-            ts.samples.iter().map(|s| (s.live_sticks, s.scale_events)).collect::<Vec<_>>()
-        );
-        assert_eq!(back.csv(), ts.csv(), "scaled CSV round-trips byte-identically");
     }
 
     #[test]
@@ -935,117 +653,5 @@ mod tests {
             stats.peak_buffered,
             buffered.len()
         );
-    }
-
-    #[test]
-    fn from_csv_errors_name_the_line_and_column() {
-        // Wrong header column name.
-        let err = TimeSeries::from_csv("time_ms,queue_depth,oops\n").unwrap_err();
-        assert!(err.contains("header (line 1)") && err.contains("\"oops\""), "{err}");
-        assert!(!err.contains('\n'), "one-line error: {err}");
-        // Truncated header.
-        let err = TimeSeries::from_csv("time_ms,queue_depth\n").unwrap_err();
-        assert!(err.contains("only 2 columns"), "{err}");
-        // Header whose column count matches no known shape.
-        let err = TimeSeries::from_csv(
-            "time_ms,queue_depth,inflight_batches,completed,shed,slo_burn,shed_rate,util_v\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("expected 9 for a 1-worker series"), "{err}");
-        // A row with the wrong field count names its 1-based line.
-        let good_header = "time_ms,queue_depth,inflight_batches,completed,shed,slo_burn,\
-                           shed_rate,util_v,circuit_v\n";
-        let err = TimeSeries::from_csv(&format!("{good_header}1,2,3\n")).unwrap_err();
-        assert!(err.contains("line 2: 3 fields, expected 9"), "{err}");
-        // A non-numeric cell names line, column number and header name.
-        let err = TimeSeries::from_csv(&format!(
-            "{good_header}0.0,1,0,2,0,0.0,0.0,0.1,0.0\n0.0,1,0,xyz,0,0.0,0.0,0.1,0.0\n"
-        ))
-        .unwrap_err();
-        assert!(err.contains("line 3 column 4 (completed)"), "{err}");
-        assert!(err.contains("\"xyz\" is not an integer"), "{err}");
-        assert!(!err.contains('\n'), "one-line error: {err}");
-    }
-
-    #[test]
-    fn merge_adds_totals_and_keeps_worst_shard_health() {
-        let mk = |busy_ms: f64, miss: bool| {
-            let mut b =
-                TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(5.0));
-            b.set_power(vec![(900, 172)]);
-            b.on_batch(0, at(0.0), at(busy_ms));
-            b.on_energy_span(0, at(0.0), at(busy_ms));
-            b.on_arrival();
-            b.on_complete(if miss { ms(9.0) } else { ms(1.0) });
-            b.finish(at(20.0), 1)
-        };
-        let mut a = mk(4.0, true);
-        let b = mk(8.0, false);
-        let (burn_a, util_b) = (a.samples[0].slo_burn, b.samples[0].worker_util[0]);
-        let energy_want = a.samples[1].energy_j + b.samples[1].energy_j;
-        a.merge(&b).expect("same-shape merge");
-        assert_eq!(a.samples[0].completed, 2, "completions add");
-        assert_eq!(a.samples[0].queue_depth, 2, "queue depths add");
-        assert_eq!(a.samples[0].slo_burn, burn_a, "burn keeps the worst shard");
-        assert_eq!(a.samples[0].worker_util[0], util_b, "util keeps the busiest shard");
-        assert!((a.samples[1].energy_j - energy_want).abs() < 1e-15, "energy adds");
-        let ipw = a.samples[1].completed as f64 / a.samples[1].energy_j;
-        assert!((a.samples[1].img_per_watt - ipw).abs() < 1e-9, "img/W recomputed");
-        // The merged series still exports and re-parses.
-        let back = TimeSeries::from_csv(&a.csv()).expect("merged CSV parses");
-        assert_eq!(back.samples.len(), a.samples.len());
-    }
-
-    #[test]
-    fn merge_handles_unequal_lengths_and_rejects_mismatched_shapes() {
-        let mk = |end_ms: f64| {
-            let mut b =
-                TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(5.0));
-            b.on_arrival();
-            b.on_complete(ms(1.0));
-            b.finish(at(end_ms), 0)
-        };
-        // Longer other: self grows a tail carrying its own finals.
-        let mut a = mk(10.0);
-        let b = mk(30.0);
-        a.merge(&b).unwrap();
-        assert_eq!(a.samples.len(), 3);
-        assert_eq!(a.samples[2].completed, 2, "both shards' finals in the tail");
-        // Shorter other: its final cumulative values carry through.
-        let mut c = mk(30.0);
-        c.merge(&mk(10.0)).unwrap();
-        assert_eq!(c.samples[2].completed, 2);
-        assert_eq!(c.samples[2].queue_depth, 0, "instantaneous columns don't carry");
-
-        let mut d = mk(10.0);
-        let other = TimeSeriesBuilder::new(vec!["x".into()], SimTime::ZERO, ms(10.0), ms(5.0))
-            .finish(at(10.0), 0);
-        let err = d.merge(&other).unwrap_err();
-        assert_eq!(err, "series merge: worker label 0: \"x\", expected \"vpu\"");
-        let other = TimeSeriesBuilder::new(
-            vec!["vpu".into(), "gpu".into()],
-            SimTime::ZERO,
-            ms(10.0),
-            ms(5.0),
-        )
-        .finish(at(10.0), 0);
-        let err = d.merge(&other).unwrap_err();
-        assert_eq!(err, "series merge: 2 worker labels, expected 1");
-        let other = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(20.0), ms(5.0))
-            .finish(at(20.0), 0);
-        let err = d.merge(&other).unwrap_err();
-        assert!(err.contains("interval"), "{err}");
-    }
-
-    #[test]
-    fn from_csv_accepts_pre_energy_shape() {
-        let csv = "time_ms,queue_depth,inflight_batches,completed,shed,slo_burn,shed_rate,\
-                   util_vpu,circuit_vpu\n\
-                   10.000,1,0,2,0,0.000000,0.000000,0.400000,0.0\n";
-        let ts = TimeSeries::from_csv(csv).expect("archived pre-energy CSV must parse");
-        assert_eq!(ts.worker_labels, vec!["vpu".to_string()]);
-        assert_eq!(ts.samples[0].worker_power, vec![0.0]);
-        assert_eq!(ts.samples[0].energy_j, 0.0);
-        assert_eq!(ts.samples[0].img_per_watt, 0.0);
     }
 }

@@ -58,9 +58,9 @@ pub use ncsw_obs::{
 };
 pub use server::{
     serve, serve_autoscaled, serve_autoscaled_observed, serve_observed, DispatchPolicy, FaultStats,
-    GrayConfig, GrayStats, HedgeConfig, ObsConfig, OutageRecord, QuarantineConfig, RequestRecord,
-    RobustConfig, ScalingConfig, ScalingStats, ServeConfig, ServeObservation, ServeOutcome,
-    ShedCause, ShedPolicy, ShedRecord, WorkerStats,
+    GrayConfig, GrayStats, ObsConfig, OutageRecord, RequestRecord, RobustConfig, ScalingConfig,
+    ScalingStats, ServeConfig, ServeObservation, ServeOutcome, ShedCause, ShedPolicy, ShedRecord,
+    WorkerStats,
 };
 pub use workload::ArrivalProcess;
 

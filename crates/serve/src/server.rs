@@ -39,7 +39,7 @@
 //! Dispatch goes through the fallible [`ServiceHook::try_serve_obs`], so
 //! fault-injection wrappers (`ncsw-faults`) can make any worker fail. A
 //! failed batch is detected at the error instant (capped by the
-//! per-batch [`RobustConfig::dispatch_timeout`]), its members are
+//! 5 s per-batch dispatch timeout), its members are
 //! re-enqueued *at the queue head* — preserving arrival order and their
 //! SLO deadlines — with a seeded exponential-backoff-plus-jitter floor
 //! on their next dispatch, and bounded by
@@ -137,113 +137,73 @@ impl DispatchPolicy {
     }
 }
 
-/// Retry, timeout and circuit-breaker knobs of the dispatcher.
+/// A batch whose results have not landed this long after dispatch is
+/// declared failed (bounds failure detection; generous enough that
+/// healthy service never trips it). 5 s.
+const DISPATCH_TIMEOUT: Duration = Duration(5_000_000_000);
+/// Exponential backoff floor before a failed batch's members may be
+/// re-dispatched: `BACKOFF_BASE * BACKOFF_FACTOR^(attempt-1)`, capped at
+/// `BACKOFF_MAX` (4 ms, ×2, 100 ms).
+const BACKOFF_BASE: Duration = Duration(4_000_000);
+const BACKOFF_FACTOR: f64 = 2.0;
+const BACKOFF_MAX: Duration = Duration(100_000_000);
+/// Uniform jitter fraction added on top of the backoff (seeded via
+/// `vpu_num::rng`, drawn only when a failure actually happens).
+const JITTER_FRAC: f64 = 0.25;
+/// Consecutive failures that open a worker's circuit. Under queue
+/// pressure (depth at half the configured capacity — the same
+/// queue-depth signal the `ncsw-obs` sampler exports) the breaker trips
+/// one failure earlier.
+const BREAKER_THRESHOLD: u32 = 3;
+/// Cooldown before an open circuit admits a half-open probe (250 ms);
+/// escalates by `BREAKER_BACKOFF` on every reopen, up to
+/// `BREAKER_COOLDOWN_MAX` (2 s).
+const BREAKER_COOLDOWN: Duration = Duration(250_000_000);
+const BREAKER_BACKOFF: f64 = 2.0;
+const BREAKER_COOLDOWN_MAX: Duration = Duration(2_000_000_000);
+
+/// Retry behavior of the dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RobustConfig {
-    /// A batch whose results have not landed this long after dispatch
-    /// is declared failed (bounds failure detection; generous enough
-    /// that healthy service never trips it).
-    pub dispatch_timeout: Duration,
     /// Maximum dispatch attempts per request before it is shed with
     /// [`ShedCause::RetriesExhausted`].
     pub max_attempts: u32,
-    /// Exponential backoff floor before a failed batch's members may be
-    /// re-dispatched: `base * factor^(attempt-1)`, capped at `max`.
-    pub backoff_base: Duration,
-    pub backoff_factor: f64,
-    pub backoff_max: Duration,
-    /// Uniform jitter fraction added on top of the backoff (seeded via
-    /// `vpu_num::rng`, drawn only when a failure actually happens).
-    pub jitter_frac: f64,
-    /// Consecutive failures that open a worker's circuit. Under queue
-    /// pressure (depth at half the configured capacity — the same
-    /// queue-depth signal the `ncsw-obs` sampler exports) the breaker
-    /// trips one failure earlier.
-    pub breaker_threshold: u32,
-    /// Cooldown before an open circuit admits a half-open probe;
-    /// escalates by `breaker_backoff` on every reopen, up to
-    /// `breaker_cooldown_max`.
-    pub breaker_cooldown: Duration,
-    pub breaker_backoff: f64,
-    pub breaker_cooldown_max: Duration,
 }
 
 impl Default for RobustConfig {
     fn default() -> Self {
-        RobustConfig {
-            dispatch_timeout: Duration::from_secs(5.0),
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(4.0),
-            backoff_factor: 2.0,
-            backoff_max: Duration::from_millis(100.0),
-            jitter_frac: 0.25,
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(250.0),
-            breaker_backoff: 2.0,
-            breaker_cooldown_max: Duration::from_secs(2.0),
-        }
+        RobustConfig { max_attempts: 4 }
     }
 }
 
-/// Latency-outlier quarantine knobs — the defense against *fail-slow*
-/// workers, which complete every batch (no error, so the circuit
-/// breakers never trip) while silently inflating its span. A worker
-/// whose observed service span exceeds `outlier_factor` × its
-/// calibrated estimate for `threshold` consecutive batches is
-/// quarantined: taken out of the dispatch pool for `window`, then
-/// re-admitted *on probation* — the next outlier re-quarantines it
-/// immediately with the window escalated by `backoff` (capped at
-/// `window_max`), while a clean batch clears probation and resets the
-/// window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QuarantineConfig {
-    /// Span / estimate ratio above which a batch counts as an outlier.
-    pub outlier_factor: f64,
-    /// Consecutive outliers that quarantine a (non-probation) worker.
-    pub threshold: u32,
-    /// Initial quarantine window.
-    pub window: Duration,
-    /// Window escalation factor on every probation failure.
-    pub backoff: f64,
-    pub window_max: Duration,
-}
+/// Latency-outlier quarantine — the defense against *fail-slow* workers,
+/// which complete every batch (no error, so the circuit breakers never
+/// trip) while silently inflating its span. A worker whose observed
+/// service span exceeds `QUARANTINE_OUTLIER_FACTOR` × its calibrated
+/// estimate for `QUARANTINE_THRESHOLD` consecutive batches is
+/// quarantined: taken out of the dispatch pool for `QUARANTINE_WINDOW`
+/// (500 ms), then re-admitted *on probation* — the next outlier
+/// re-quarantines it immediately with the window escalated by
+/// `QUARANTINE_BACKOFF` (capped at `QUARANTINE_WINDOW_MAX`, 4 s), while
+/// a clean batch clears probation and resets the window.
+const QUARANTINE_OUTLIER_FACTOR: f64 = 2.5;
+const QUARANTINE_THRESHOLD: u32 = 3;
+const QUARANTINE_WINDOW: Duration = Duration(500_000_000);
+const QUARANTINE_BACKOFF: f64 = 2.0;
+const QUARANTINE_WINDOW_MAX: Duration = Duration(4_000_000_000);
 
-impl Default for QuarantineConfig {
-    fn default() -> Self {
-        QuarantineConfig {
-            outlier_factor: 2.5,
-            threshold: 3,
-            window: Duration::from_millis(500.0),
-            backoff: 2.0,
-            window_max: Duration::from_secs(4.0),
-        }
-    }
-}
-
-/// Hedged-dispatch knobs: once a batch's primary service span blows
-/// past the hedge delay — the observed `quantile` of the span/estimate
-/// ratio, learned online from at least `min_samples` completed batches
-/// — a duplicate of the batch is speculatively dispatched to a second
-/// worker. Whichever copy completes first wins; the loser's span is
-/// charged to the energy ledger as *wasted* (exact pJ, reported in
-/// [`GrayStats::hedge_wasted_pj`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HedgeConfig {
-    /// Ratio quantile that sets the hedge delay (e.g. 0.95 hedges the
-    /// slowest ~5% of batches).
-    pub quantile: f64,
-    /// Completed batches observed fleet-wide before hedging arms.
-    pub min_samples: u64,
-    /// Floor on the hedge delay, so near-zero estimates cannot hedge
-    /// every batch.
-    pub min_delay: Duration,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig { quantile: 0.95, min_samples: 16, min_delay: Duration::from_millis(1.0) }
-    }
-}
+/// Hedged dispatch: once a batch's primary service span blows past the
+/// hedge delay — the observed `HEDGE_QUANTILE` of the span/estimate
+/// ratio (0.95 hedges the slowest ~5% of batches), learned online from
+/// at least `HEDGE_MIN_SAMPLES` completed batches fleet-wide, and never
+/// below `HEDGE_MIN_DELAY` (1 ms) so near-zero estimates cannot hedge
+/// every batch — a duplicate of the batch is speculatively dispatched to
+/// a second worker. Whichever copy completes first wins; the loser's
+/// span is charged to the energy ledger as *wasted* (exact pJ, reported
+/// in [`GrayStats::hedge_wasted_pj`]).
+const HEDGE_QUANTILE: f64 = 0.95;
+const HEDGE_MIN_SAMPLES: u64 = 16;
+const HEDGE_MIN_DELAY: Duration = Duration(1_000_000);
 
 /// Gray-failure defenses of the serving loop. `Default` turns every
 /// defense off, and the all-off path is bit-identical to a pre-gray
@@ -257,21 +217,17 @@ pub struct GrayConfig {
     /// and retried instead of surfacing to the client. Duplicate
     /// completions are deduplicated by sequence tag either way.
     pub verify: bool,
-    /// Fail-slow quarantine (`None` = off).
-    pub quarantine: Option<QuarantineConfig>,
-    /// Hedged dispatch (`None` = off).
-    pub hedge: Option<HedgeConfig>,
+    /// Fail-slow quarantine.
+    pub quarantine: bool,
+    /// Hedged dispatch.
+    pub hedge: bool,
 }
 
 impl GrayConfig {
-    /// Every defense on with default tuning — what `repro chaos` and
-    /// the E22 "defended" arm run.
+    /// Every defense on — what `repro chaos` and the E22 "defended" arm
+    /// run.
     pub fn defended() -> GrayConfig {
-        GrayConfig {
-            verify: true,
-            quarantine: Some(QuarantineConfig::default()),
-            hedge: Some(HedgeConfig::default()),
-        }
+        GrayConfig { verify: true, quarantine: true, hedge: true }
     }
 }
 
@@ -939,12 +895,8 @@ struct Health {
 }
 
 impl Health {
-    fn new(robust: &RobustConfig) -> Health {
-        Health {
-            circuit: Circuit::Closed,
-            consecutive_failures: 0,
-            cooldown: robust.breaker_cooldown,
-        }
+    fn new() -> Health {
+        Health { circuit: Circuit::Closed, consecutive_failures: 0, cooldown: BREAKER_COOLDOWN }
     }
 
     fn is_open(&self) -> bool {
@@ -1059,9 +1011,9 @@ struct FailoverState {
 impl FailoverState {
     fn new(workers: &[Box<dyn ServiceHook>], cfg: &ServeConfig) -> FailoverState {
         let nameplate_rps: f64 = workers.iter().map(|w| worker_rps(w.as_ref())).sum();
-        let base_window = cfg.gray.quarantine.map_or(Duration::ZERO, |q| q.window);
+        let base_window = if cfg.gray.quarantine { QUARANTINE_WINDOW } else { Duration::ZERO };
         FailoverState {
-            health: workers.iter().map(|_| Health::new(&cfg.robust)).collect(),
+            health: workers.iter().map(|_| Health::new()).collect(),
             gated: vec![false; workers.len()],
             not_ready: vec![None; workers.len()],
             ready_floor: vec![SimTime::ZERO; workers.len()],
@@ -1725,12 +1677,12 @@ impl<'a> Run<'a> {
             self.record(Event::instant(Phase::BatchClose, Lane::Queue, t, ctx));
             self.record(Event::instant(Phase::Dispatch, Lane::Worker(w as u32), t, ctx));
         }
-        let timeout_at = saturating_add(t, self.cfg.robust.dispatch_timeout);
+        let timeout_at = saturating_add(t, DISPATCH_TIMEOUT);
         let obs = &mut BatchObs { rec: &mut *self.rec, batch_id: bid, worker: w as u32, ids: &ids };
         let run = self.workers[w].try_serve_obs(size, t, obs);
         let gray = &self.cfg.gray;
         let (w, run) = match run {
-            Ok(primary) if gray.hedge.is_some() || gray.quarantine.is_some() => {
+            Ok(primary) if gray.hedge || gray.quarantine => {
                 let (w, run) = self.defend(w, size, bid, &ids, primary);
                 (w, Ok(run))
             }
@@ -1817,11 +1769,13 @@ impl<'a> Run<'a> {
         primary: &BatchRun,
         est: Duration,
     ) -> Option<(usize, BatchRun)> {
-        let hc = self.cfg.gray.hedge?;
+        if !self.cfg.gray.hedge {
+            return None;
+        }
         // The hedge decision may only use ratios from *earlier*
         // batches; this span is recorded after.
-        let fp = self.fo.hist.quantile_fp(hc.quantile, hc.min_samples)?;
-        let delay_ns = (fp.saturating_mul(est.nanos()) / RATIO_FP).max(hc.min_delay.nanos());
+        let fp = self.fo.hist.quantile_fp(HEDGE_QUANTILE, HEDGE_MIN_SAMPLES)?;
+        let delay_ns = (fp.saturating_mul(est.nanos()) / RATIO_FP).max(HEDGE_MIN_DELAY.nanos());
         let hat = primary.start + Duration::from_nanos(delay_ns);
         if primary.end <= hat {
             return None;
@@ -1889,23 +1843,25 @@ impl<'a> Run<'a> {
         span: Duration,
         est: Duration,
     ) {
-        let Some(qc) = self.cfg.gray.quarantine else { return };
+        if !self.cfg.gray.quarantine {
+            return;
+        }
         let fo = &mut self.fo;
-        if est == Duration::ZERO || span <= est * qc.outlier_factor {
+        if est == Duration::ZERO || span <= est * QUARANTINE_OUTLIER_FACTOR {
             fo.outlier_run[pw] = 0;
             if fo.probation[pw] {
                 fo.probation[pw] = false;
-                fo.quar_window[pw] = qc.window;
+                fo.quar_window[pw] = QUARANTINE_WINDOW;
             }
             return;
         }
         fo.outlier_run[pw] += 1;
-        if !fo.probation[pw] && fo.outlier_run[pw] < qc.threshold {
+        if !fo.probation[pw] && fo.outlier_run[pw] < QUARANTINE_THRESHOLD {
             return;
         }
         let window = fo.quar_window[pw];
         fo.quarantined[pw] = Some(pend + window);
-        fo.quar_window[pw] = (window * qc.backoff).min(qc.window_max);
+        fo.quar_window[pw] = (window * QUARANTINE_BACKOFF).min(QUARANTINE_WINDOW_MAX);
         fo.probation[pw] = false;
         fo.outlier_run[pw] = 0;
         fo.gray.quarantines += 1;
@@ -1931,7 +1887,7 @@ impl<'a> Run<'a> {
         self.stats[w].busy += run.end - run.start;
         let health = &mut self.fo.health[w];
         if health.circuit == Circuit::HalfOpen {
-            health.cooldown = self.cfg.robust.breaker_cooldown;
+            health.cooldown = BREAKER_COOLDOWN;
         }
         health.consecutive_failures = 0;
         health.circuit = Circuit::Closed;
@@ -2027,12 +1983,11 @@ impl<'a> Run<'a> {
         self.observe(|o| o.meters.reg.inc(o.meters.faults));
         self.record_on_worker(Phase::Failover, w, detect, Some(bid));
         self.trip_breaker(w, detect, bid);
-        let robust = &self.cfg.robust;
         let max_attempt = members.iter().map(|m| m.attempts).max().unwrap_or(0) + 1;
-        let exp = robust.backoff_factor.powi(max_attempt as i32 - 1);
-        let backoff = (robust.backoff_base * exp).min(robust.backoff_max);
+        let exp = BACKOFF_FACTOR.powi(max_attempt as i32 - 1);
+        let backoff = (BACKOFF_BASE * exp).min(BACKOFF_MAX);
         let draw: f64 = Rng::r#gen(&mut &mut *self.jitter_rng);
-        let earliest = detect + backoff + backoff * (robust.jitter_frac * draw);
+        let earliest = detect + backoff + backoff * (JITTER_FRAC * draw);
         for m in members.iter().rev() {
             if let Some(p) = self.retry_or_shed(m, detect, earliest, bid) {
                 self.queue.push_front(p);
@@ -2046,11 +2001,10 @@ impl<'a> Run<'a> {
     /// the queue is under pressure (the same depth signal the obs
     /// sampler exports).
     fn trip_breaker(&mut self, w: usize, detect: SimTime, bid: u64) {
-        let robust = &self.cfg.robust;
         let threshold = if self.queue.len() * 2 >= self.cfg.queue_capacity {
-            robust.breaker_threshold.saturating_sub(1).max(1)
+            BREAKER_THRESHOLD - 1
         } else {
-            robust.breaker_threshold
+            BREAKER_THRESHOLD
         };
         let health = &mut self.fo.health[w];
         health.consecutive_failures += 1;
@@ -2061,7 +2015,7 @@ impl<'a> Run<'a> {
         }
         let cooldown = health.cooldown;
         health.circuit = Circuit::Open { until: detect + cooldown };
-        health.cooldown = (cooldown * robust.breaker_backoff).min(robust.breaker_cooldown_max);
+        health.cooldown = (cooldown * BREAKER_BACKOFF).min(BREAKER_COOLDOWN_MAX);
         self.fo.stats.outages.push(OutageRecord { worker: w, from: detect, until: None });
         self.recompute_degradation();
         self.observe(|o| {

@@ -24,9 +24,16 @@ impl ConvParams {
 
     /// Output shape for a given input shape.
     pub fn out_shape(&self, input: Shape) -> Shape {
-        let oh = Shape::conv_extent(input.h, self.kernel, self.pad, self.stride, false);
-        let ow = Shape::conv_extent(input.w, self.kernel, self.pad, self.stride, false);
-        Shape::new(input.n, self.out_channels, oh, ow)
+        self.try_out_shape(input).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ConvParams::out_shape`], with a window that does not fit the
+    /// input (a zero stride or kernel, a kernel larger than the padded
+    /// input, padding that overflows) as an error.
+    pub fn try_out_shape(&self, input: Shape) -> Result<Shape, String> {
+        let oh = Shape::try_conv_extent(input.h, self.kernel, self.pad, self.stride, false)?;
+        let ow = Shape::try_conv_extent(input.w, self.kernel, self.pad, self.stride, false)?;
+        Ok(Shape::new(input.n, self.out_channels, oh, ow))
     }
 
     /// Multiply-accumulate count for one batch item.

@@ -34,11 +34,6 @@ pub fn dense<E: Element>(
     out
 }
 
-/// MAC count per batch item.
-pub fn dense_macs(in_features: usize, out_features: usize) -> u64 {
-    in_features as u64 * out_features as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,11 +72,6 @@ mod tests {
         let w = vec![1.0f32, 1.0, 1.0, 1.0];
         let y = dense(&x, &w, &[0.0], 1, AccumMode::Widened);
         assert_eq!(y.as_slice(), &[10.0]);
-    }
-
-    #[test]
-    fn macs() {
-        assert_eq!(dense_macs(1024, 1000), 1_024_000);
     }
 
     #[test]

@@ -37,9 +37,16 @@ impl PoolParams {
     }
 
     pub fn out_shape(&self, input: Shape) -> Shape {
-        let oh = Shape::conv_extent(input.h, self.kernel, self.pad, self.stride, true);
-        let ow = Shape::conv_extent(input.w, self.kernel, self.pad, self.stride, true);
-        Shape::new(input.n, input.c, oh, ow)
+        self.try_out_shape(input).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PoolParams::out_shape`], with a window that does not fit the
+    /// input (a zero stride or kernel, a kernel larger than the padded
+    /// input, padding that overflows) as an error.
+    pub fn try_out_shape(&self, input: Shape) -> Result<Shape, String> {
+        let oh = Shape::try_conv_extent(input.h, self.kernel, self.pad, self.stride, true)?;
+        let ow = Shape::try_conv_extent(input.w, self.kernel, self.pad, self.stride, true)?;
+        Ok(Shape::new(input.n, input.c, oh, ow))
     }
 
     /// Comparison/add operations per batch item (for the cost models).

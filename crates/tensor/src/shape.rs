@@ -63,7 +63,7 @@ impl Shape {
     ///
     /// Caffe uses floor for convolution and ceil for pooling; both layers
     /// in this repo call through here so the two modes share one tested
-    /// implementation.
+    /// implementation. Panics on a window that does not fit.
     pub fn conv_extent(
         input: usize,
         kernel: usize,
@@ -71,15 +71,34 @@ impl Shape {
         stride: usize,
         ceil: bool,
     ) -> usize {
-        assert!(stride > 0, "stride must be positive");
-        let padded = input + 2 * pad;
-        assert!(padded >= kernel, "kernel {kernel} larger than padded input {padded}");
-        let num = padded - kernel;
-        if ceil {
-            num.div_ceil(stride) + 1
-        } else {
-            num / stride + 1
+        Shape::try_conv_extent(input, kernel, pad, stride, ceil).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Shape::conv_extent`] for windows read from outside the program:
+    /// a zero stride or kernel, a kernel larger than the padded input, or
+    /// padding that overflows is an error instead of a panic.
+    pub(crate) fn try_conv_extent(
+        input: usize,
+        kernel: usize,
+        pad: usize,
+        stride: usize,
+        ceil: bool,
+    ) -> Result<usize, String> {
+        if stride == 0 {
+            return Err("stride must be positive".into());
         }
+        if kernel == 0 {
+            return Err("kernel must be positive".into());
+        }
+        let padded = pad
+            .checked_mul(2)
+            .and_then(|p| p.checked_add(input))
+            .ok_or_else(|| format!("pad {pad} overflows the input extent {input}"))?;
+        if padded < kernel {
+            return Err(format!("kernel {kernel} larger than padded input {padded}"));
+        }
+        let num = padded - kernel;
+        Ok(if ceil { num.div_ceil(stride) + 1 } else { num / stride + 1 })
     }
 }
 

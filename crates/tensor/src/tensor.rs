@@ -130,12 +130,6 @@ impl<E: Element> Tensor<E> {
         Tensor::from_vec(base.with_batch(items.len()), data)
     }
 
-    /// Reinterpret the buffer under a new shape of the same length.
-    pub fn reshape(self, shape: Shape) -> Tensor<E> {
-        assert_eq!(shape.len(), self.data.len(), "reshape to {shape} changes element count");
-        Tensor { shape, data: self.data }
-    }
-
     /// Element-wise map (same precision).
     pub fn map(&self, f: impl Fn(E) -> E + Sync) -> Tensor<E> {
         Tensor { shape: self.shape, data: self.data.iter().map(|&v| f(v)).collect() }
@@ -227,19 +221,6 @@ mod tests {
         assert_eq!(one.as_slice(), &[20.0, 21.0]);
         let re = Tensor::stack_items(&[t.extract_item(0), t.extract_item(1), t.extract_item(2)]);
         assert_eq!(re, t);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::<f32>::from_f32_slice(Shape::new(1, 1, 2, 3), &[1., 2., 3., 4., 5., 6.]);
-        let r = t.clone().reshape(Shape::vector(1, 6));
-        assert_eq!(r.as_slice(), t.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "reshape")]
-    fn reshape_rejects_size_change() {
-        Tensor::<f32>::zeros(Shape::new(1, 1, 2, 2)).reshape(Shape::vector(1, 5));
     }
 
     #[test]

@@ -594,7 +594,7 @@ fn serving_loop_outputs_match_pinned_digests() {
             load_frac: 0.8,
             cfg: |b| ServeConfig {
                 max_batch: b,
-                robust: RobustConfig { max_attempts: 2, ..RobustConfig::default() },
+                robust: RobustConfig { max_attempts: 2 },
                 ..ServeConfig::default()
             },
             autoscale: None,
