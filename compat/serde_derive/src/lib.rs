@@ -446,13 +446,13 @@ fn gen_deserialize(input: &Input) -> String {
                 "match __v {{\n\
                  ::serde::Value::Str(__s) => match __s.as_str() {{\n{str_arms}\
                  __other => ::std::result::Result::Err(::serde::Error::custom(::std::format!(\n\
-                     \"unknown variant `{{}}` of {name}\", __other))),\n}},\n\
+                     \"unknown variant {{:?}} of {name}\", __other))),\n}},\n\
                  ::serde::Value::Map(__entries) if __entries.len() == 1 => {{\n\
                  let (__tag, __inner) = &__entries[0];\n\
                  let _ = &__inner;\n\
                  match __tag.as_str() {{\n{map_arms}\
                  __other => ::std::result::Result::Err(::serde::Error::custom(::std::format!(\n\
-                     \"unknown variant `{{}}` of {name}\", __other))),\n}}\n}},\n\
+                     \"unknown variant {{:?}} of {name}\", __other))),\n}}\n}},\n\
                  _ => ::std::result::Result::Err(::serde::Error::custom(\n\
                      \"expected string or single-entry map for enum {name}\")),\n}}"
             )

@@ -130,13 +130,18 @@ fn write_json_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of values the parser follows (upstream serde_json's
+/// recursion limit): deeper input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -179,6 +184,19 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = self.value_at_depth();
+        self.depth -= 1;
+        v
+    }
+
+    fn value_at_depth(&mut self) -> Result<Value, Error> {
         match self.peek()? {
             b'n' => self.eat_keyword("null", Value::Null),
             b't' => self.eat_keyword("true", Value::Bool(true)),
@@ -369,5 +387,14 @@ mod tests {
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("nul").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow the stack without the bound.
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
     }
 }

@@ -3,8 +3,9 @@
 
 use crate::report;
 use crate::scale::Scale;
+use ncs_platform::NcsConfig;
 use ncsw::runner::latency_curve;
-use ncsw::{IntelCpu, IntelVpu, ModelBundle, NvGpu};
+use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle};
 use serde::{Deserialize, Serialize};
 use vpu_nn::googlenet::Variant;
 
@@ -36,8 +37,9 @@ pub fn anchors(scale: Scale) -> Anchors {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let images = scale.sweep_images();
     let b18 = [1usize, 8];
-    let cpu = latency_curve(|_| Box::new(IntelCpu::new(model.clone())), &b18, images);
-    let gpu = latency_curve(|_| Box::new(NvGpu::new(model.clone())), &b18, images);
+    let (cpu_cfg, gpu_cfg) = (HostConfig::xeon_e5(), HostConfig::k4000());
+    let host = |cfg| latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), &b18, images);
+    let (cpu, gpu) = (host(cpu_cfg), host(gpu_cfg));
     let vpu = latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), &b18, images);
 
     let mut rows = Vec::new();
@@ -54,10 +56,12 @@ pub fn anchors(scale: Scale) -> Anchors {
     push("GPU batch-8 throughput (img/s)", 74.2, 1000.0 / gpu[1].1);
     push("8xVPU throughput (img/s)", 77.2, 1000.0 / vpu[1].1);
     push("single VPU vs CPU slowdown (x)", 4.0, vpu[0].1 / cpu[0].1);
-    push("VPU img/W at batch 1 (Eq. 1)", 3.97, 1000.0 / vpu[0].1 / 2.5);
-    push("CPU img/W at batch 8", 0.55, 1000.0 / cpu[1].1 / 80.0);
-    push("GPU img/W at batch 8", 0.93, 1000.0 / gpu[1].1 / 80.0);
-    push("CPU-to-8-chip TDP ratio (x)", 11.1, 80.0 / (8.0 * 0.9));
+    let stick_w = NcsConfig::default().peak_power_w;
+    push("VPU img/W at batch 1 (Eq. 1)", 3.97, 1000.0 / vpu[0].1 / stick_w);
+    push("CPU img/W at batch 8", 0.55, 1000.0 / cpu[1].1 / cpu_cfg.tdp_w);
+    push("GPU img/W at batch 8", 0.93, 1000.0 / gpu[1].1 / gpu_cfg.tdp_w);
+    // Against the 0.9 W chip TDP the paper quotes for the Myriad 2.
+    push("CPU-to-8-chip TDP ratio (x)", 11.1, cpu_cfg.tdp_w / (8.0 * 0.9));
     Anchors { rows }
 }
 

@@ -4,7 +4,7 @@
 use crate::report;
 use crate::scale::Scale;
 use ncsw::runner::{latency_curve, throughput_per_subset};
-use ncsw::{IntelCpu, IntelVpu, ModelBundle, NvGpu, TargetDevice, ThroughputReport};
+use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle, TargetDevice, ThroughputReport};
 use serde::{Deserialize, Serialize};
 use vpu_nn::googlenet::Variant;
 use vpu_num::stats;
@@ -43,8 +43,8 @@ pub fn fig6a(scale: Scale) -> Fig6a {
     let batch = 8;
     let mut series = Vec::new();
     let targets: Vec<(Box<dyn TargetDevice>, f64)> = vec![
-        (Box::new(IntelCpu::new(model.clone())), PAPER_6A[0].1),
-        (Box::new(NvGpu::new(model.clone())), PAPER_6A[1].1),
+        (Box::new(HostTarget::new(model.clone(), HostConfig::xeon_e5())), PAPER_6A[0].1),
+        (Box::new(HostTarget::new(model.clone(), HostConfig::k4000())), PAPER_6A[1].1),
         (Box::new(IntelVpu::new(model.clone(), batch)), PAPER_6A[2].1),
     ];
     for (mut target, paper) in targets {
@@ -110,17 +110,11 @@ pub fn fig6b(scale: Scale) -> Fig6b {
     let images = scale.sweep_images();
     let mut series = Vec::new();
 
+    let host =
+        |cfg| latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), &batches, images);
     let curves: Vec<LatencyCurve> = vec![
-        (
-            "cpu".into(),
-            latency_curve(|_| Box::new(IntelCpu::new(model.clone())), &batches, images),
-            PAPER_6B[0].1,
-        ),
-        (
-            "gpu".into(),
-            latency_curve(|_| Box::new(NvGpu::new(model.clone())), &batches, images),
-            PAPER_6B[1].1,
-        ),
+        ("cpu".into(), host(HostConfig::xeon_e5()), PAPER_6B[0].1),
+        ("gpu".into(), host(HostConfig::k4000()), PAPER_6B[1].1),
         (
             "vpu".into(),
             latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), &batches, images),

@@ -3,9 +3,9 @@
 
 use crate::report;
 use crate::scale::Scale;
-use hostsim::power::Tdp;
+use ncs_platform::NcsConfig;
 use ncsw::runner::latency_curve;
-use ncsw::{IntelCpu, IntelVpu, ModelBundle, NvGpu};
+use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle};
 use serde::{Deserialize, Serialize};
 use vpu_nn::googlenet::Variant;
 
@@ -29,55 +29,42 @@ pub struct Fig8a {
     pub series: Vec<PowerSeries>,
 }
 
-/// TDP charged per target at a given batch size (Fig. 8a's accounting:
-/// whole-package for the hosts, one stick-peak per active VPU). All
-/// rates come from the [`hostsim::power::Tdp`] registry — the single
-/// source of truth the online energy meter uses too.
-fn tdp(target: &str, batch: usize) -> f64 {
-    let t = Tdp::default();
-    match target {
-        "cpu" => t.cpu_w,
-        "gpu" => t.gpu_w,
-        _ => t.multi_stick_w(batch),
-    }
+/// Fig. 8a's series for one target: Eq. (1) with the TDP charged at
+/// each batch size.
+fn series_of(
+    target: &str,
+    latency: &[(usize, f64)],
+    tdp_w: impl Fn(usize) -> f64,
+    paper: f64,
+) -> PowerSeries {
+    let points = latency
+        .iter()
+        .map(|&(b, ms)| {
+            let ips = 1000.0 / ms;
+            (b, ips, ips / tdp_w(b))
+        })
+        .collect();
+    PowerSeries { target: target.into(), points, paper_img_per_watt: paper }
 }
 
-/// A named per-batch latency curve with its paper reference scalar.
-type LatencyCurve = (String, Vec<(usize, f64)>, f64);
-
+/// Fig. 8a's accounting: whole-package TDP for the hosts, one stick's
+/// peak per active VPU — each read from the device's own config.
 fn power_series(scale: Scale, batches: &[usize]) -> Vec<PowerSeries> {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let images = scale.sweep_images();
-    let curves: Vec<LatencyCurve> = vec![
-        (
-            "cpu".into(),
-            latency_curve(|_| Box::new(IntelCpu::new(model.clone())), batches, images),
-            PAPER_8A[0].1,
-        ),
-        (
-            "gpu".into(),
-            latency_curve(|_| Box::new(NvGpu::new(model.clone())), batches, images),
-            PAPER_8A[1].1,
-        ),
-        (
-            "vpu".into(),
-            latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), batches, images),
-            PAPER_8A[2].1,
-        ),
-    ];
-    curves
+    let hosts = [(HostConfig::xeon_e5(), PAPER_8A[0].1), (HostConfig::k4000(), PAPER_8A[1].1)];
+    let mut series: Vec<PowerSeries> = hosts
         .into_iter()
-        .map(|(target, lat, paper)| {
-            let points = lat
-                .iter()
-                .map(|&(b, ms)| {
-                    let ips = 1000.0 / ms;
-                    (b, ips, ips / tdp(&target, b))
-                })
-                .collect();
-            PowerSeries { target, points, paper_img_per_watt: paper }
+        .map(|(cfg, paper)| {
+            let lat =
+                latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), batches, images);
+            series_of(cfg.name, &lat, |_| cfg.tdp_w, paper)
         })
-        .collect()
+        .collect();
+    let lat = latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), batches, images);
+    let stick_w = NcsConfig::default().peak_power_w;
+    series.push(series_of("vpu", &lat, |b| stick_w * b as f64, PAPER_8A[2].1));
+    series
 }
 
 /// Run Fig. 8a: batch ∈ {1,2,4,8}, Eq. (1) with TDP 80/80/2.5·n W.
@@ -135,20 +122,12 @@ pub fn fig8b(scale: Scale) -> Fig8b {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let images = scale.sweep_images();
     let mut series = Vec::new();
-    for (name, paper_max) in [("cpu", PAPER_8B[0].1), ("gpu", PAPER_8B[1].1)] {
-        let lat = latency_curve(
-            |_| {
-                if name == "cpu" {
-                    Box::new(IntelCpu::new(model.clone())) as Box<dyn ncsw::TargetDevice>
-                } else {
-                    Box::new(NvGpu::new(model.clone()))
-                }
-            },
-            &batches,
-            images,
-        );
+    let hosts = [(HostConfig::xeon_e5(), PAPER_8B[0].1), (HostConfig::k4000(), PAPER_8B[1].1)];
+    for (cfg, paper_max) in hosts {
+        let lat =
+            latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), &batches, images);
         series.push(Fig8bSeries {
-            target: name.into(),
+            target: cfg.name.into(),
             simulated: lat.iter().map(|&(b, ms)| (b, 1000.0 / ms)).collect(),
             projected: vec![],
             paper_max,

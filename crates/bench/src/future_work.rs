@@ -8,9 +8,8 @@
 
 use crate::report;
 use crate::scale::Scale;
-use hostsim::accel::{AccelConfig, AccelDevice};
 use ncsw::multivpu::{MultiVpu, MultiVpuConfig};
-use ncsw::{IntelCpu, ModelBundle, NvGpu, TargetDevice};
+use ncsw::{HostConfig, HostTarget, ModelBundle, TargetDevice};
 use serde::{Deserialize, Serialize};
 use vpu_nn::googlenet::Variant;
 
@@ -31,34 +30,34 @@ pub struct FutureWork {
 pub fn future_work(scale: Scale) -> FutureWork {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let images = scale.sweep_images();
-    let mut rows = Vec::new();
 
-    // The paper's own devices at their measured operating points.
-    let mut cpu = IntelCpu::new(model.clone());
-    let r = cpu.run_throughput(images.max(8), 8);
-    rows.push(FutureWorkRow {
-        device: "xeon-e5".into(),
-        batch: 8,
-        img_per_sec: r.images_per_sec(),
-        tdp_w: 80.0,
-        img_per_watt: r.images_per_watt(80.0),
-    });
-    let mut gpu = NvGpu::new(model.clone());
-    let r = gpu.run_throughput(images.max(8), 8);
-    rows.push(FutureWorkRow {
-        device: "k4000".into(),
-        batch: 8,
-        img_per_sec: r.images_per_sec(),
-        tdp_w: 80.0,
-        img_per_watt: r.images_per_watt(80.0),
-    });
+    // A host at its operating point: whole batches (the image count
+    // rounds up to one), charged its own TDP.
+    let host_row = |device: &str, cfg: HostConfig, batch: usize| {
+        let mut target = HostTarget::new(model.clone(), cfg);
+        let r = target.run_throughput(images.max(batch).div_ceil(batch) * batch, batch);
+        let tdp_w = target.tdp_w(batch);
+        FutureWorkRow {
+            device: device.into(),
+            batch,
+            img_per_sec: r.images_per_sec(),
+            tdp_w,
+            img_per_watt: r.images_per_watt(tdp_w),
+        }
+    };
+    // The paper's own hosts at their measured operating points.
+    let mut rows = vec![
+        host_row("xeon-e5", HostConfig::xeon_e5(), 8),
+        host_row("k4000", HostConfig::k4000(), 8),
+    ];
 
     // 8 sticks (the paper's testbed) and a 32-stick "blade" thought
     // experiment at the V100's power class.
     for sticks in [8usize, 32] {
-        let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(sticks), &model);
+        let cfg = MultiVpuConfig::paper_testbed(sticks);
+        let tdp = cfg.ncs.peak_power_w * sticks as f64;
+        let mut mv = MultiVpu::new(cfg, &model);
         let run = mv.run_pipeline((images / 2).max(sticks * 3));
-        let tdp = 2.5 * sticks as f64;
         rows.push(FutureWorkRow {
             device: format!("{sticks}x ncs"),
             batch: sticks,
@@ -67,29 +66,9 @@ pub fn future_work(scale: Scale) -> FutureWork {
             img_per_watt: run.images_per_sec() / tdp,
         });
     }
-
     // §VII comparators.
-    for (cfg, batch) in [(AccelConfig::xeon_phi_knl(), 8usize), (AccelConfig::v100(), 32)] {
-        let mut dev = AccelDevice::new(cfg.clone());
-        let cost = &model.cost32;
-        let mut total = desim::Duration::ZERO;
-        let mut done = 0usize;
-        let mut t = desim::SimTime::ZERO;
-        while done < images.max(batch) {
-            let run = dev.run_batch(cost, batch, t);
-            total += run.duration();
-            t = run.end;
-            done += batch;
-        }
-        let ips = done as f64 / total.as_secs();
-        rows.push(FutureWorkRow {
-            device: cfg.name.clone(),
-            batch,
-            img_per_sec: ips,
-            tdp_w: cfg.tdp_w,
-            img_per_watt: ips / cfg.tdp_w,
-        });
-    }
+    rows.push(host_row("knl", HostConfig::knl(), 8));
+    rows.push(host_row("v100", HostConfig::v100(), 32));
     FutureWork { rows }
 }
 

@@ -8,7 +8,6 @@
 
 use crate::report;
 use crate::scale::Scale;
-use hostsim::power::Tdp;
 use ncsw::multivpu::{MultiVpu, MultiVpuConfig};
 use ncsw::ModelBundle;
 use serde::{Deserialize, Serialize};
@@ -38,7 +37,9 @@ pub fn power_bench(scale: Scale) -> PowerBench {
     let mut points = Vec::new();
     for devices in [1usize, 2, 4, 8] {
         let images = scale.sweep_images().max(devices * 4);
-        let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(devices), &model);
+        let cfg = MultiVpuConfig::paper_testbed(devices);
+        let tdp_w = cfg.ncs.peak_power_w * devices as f64;
+        let mut mv = MultiVpu::new(cfg, &model);
         let run = mv.run_pipeline(images);
         let ips = run.images_per_sec();
         let avg_w_total = run.energy_j / run.makespan().as_secs();
@@ -47,7 +48,7 @@ pub fn power_bench(scale: Scale) -> PowerBench {
             devices,
             img_per_sec: ips,
             measured_w_per_stick: per_stick,
-            img_per_watt_tdp: ips / Tdp::default().multi_stick_w(devices),
+            img_per_watt_tdp: ips / tdp_w,
             img_per_watt_measured: ips / avg_w_total,
             mj_per_inference: run.energy_j / images as f64 * 1e3,
         });

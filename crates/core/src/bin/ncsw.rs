@@ -16,8 +16,30 @@ use std::sync::Arc;
 
 use ilsvrc_sim::{pseudo_train, DatasetConfig, ValidationSet};
 use ncsw::runner::{predictions_fp16, predictions_fp32};
-use ncsw::{ImageFolder, IntelCpu, IntelVpu, ModelBundle, NvGpu, TargetDevice};
+use ncsw::{HostConfig, HostTarget, ImageFolder, IntelVpu, ModelBundle, TargetDevice};
 use vpu_nn::googlenet::Variant;
+
+const USAGE: &str = "usage: ncsw <info|classify|benchmark> [--target cpu|gpu|vpu] [--devices N] [--images N] [--batch N] [--seed S]";
+
+/// Why a command line is refused; either way the exit code is 2.
+enum Refusal {
+    /// A malformed invocation: the error line, then the usage line.
+    Usage(String),
+    /// A bad value: one line naming the flag and its token.
+    Bad(String),
+}
+
+fn bad(flag: &str, token: impl std::fmt::Display, why: impl std::fmt::Display) -> Refusal {
+    Refusal::Bad(format!("bad {flag} '{token}': {why}"))
+}
+
+/// `flag`'s value as a count of at least one.
+fn positive(flag: &str, token: String) -> Result<usize, Refusal> {
+    match token.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(bad(flag, token, "expected a positive integer")),
+    }
+}
 
 struct Args {
     command: String,
@@ -28,7 +50,7 @@ struct Args {
     seed: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<Args, Refusal> {
     let mut args = Args {
         command: String::new(),
         target: "vpu".into(),
@@ -40,32 +62,30 @@ fn parse_args() -> Result<Args, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
+        let mut take = |name: &str| -> Result<String, Refusal> {
+            it.next().cloned().ok_or_else(|| Refusal::Usage(format!("{name} needs a value")))
         };
         match a.as_str() {
             "--target" => args.target = take("--target")?,
-            "--devices" => {
-                args.devices = take("--devices")?.parse().map_err(|e| format!("--devices: {e}"))?
+            "--devices" => args.devices = positive("--devices", take("--devices")?)?,
+            "--images" => args.images = positive("--images", take("--images")?)?,
+            "--batch" => args.batch = positive("--batch", take("--batch")?)?,
+            "--seed" => {
+                let token = take("--seed")?;
+                args.seed =
+                    token.parse().map_err(|_| bad("--seed", &token, "expected an integer"))?
             }
-            "--images" => {
-                args.images = take("--images")?.parse().map_err(|e| format!("--images: {e}"))?
-            }
-            "--batch" => {
-                args.batch = take("--batch")?.parse().map_err(|e| format!("--batch: {e}"))?
-            }
-            "--seed" => args.seed = take("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             other if args.command.is_empty() && !other.starts_with('-') => {
                 args.command = other.to_string();
             }
-            other => return Err(format!("unexpected argument '{other}'")),
+            other => return Err(Refusal::Usage(format!("unexpected argument '{other}'"))),
         }
     }
     if args.command.is_empty() {
-        return Err("missing command".into());
+        return Err(Refusal::Usage("missing command".into()));
     }
     if !matches!(args.target.as_str(), "cpu" | "gpu" | "vpu") {
-        return Err(format!("unknown target '{}'", args.target));
+        return Err(Refusal::Usage(format!("unknown target '{}'", args.target)));
     }
     Ok(args)
 }
@@ -92,11 +112,11 @@ fn info() {
     print!("{}", fleet.describe());
 }
 
-fn classify(args: &Args) -> Result<(), String> {
+fn classify(args: &Args) {
     let variant = Variant::Tiny;
     let spec = Arc::new(variant.build());
     // One subset must hold all requested images (the set splits 5 ways).
-    let total = args.images.max(1) * 5;
+    let total = args.images * 5;
     let mut cfg = DatasetConfig::ilsvrc_like(10, total, variant.input_shape(), args.seed);
     cfg.sigma = 0.15;
     cfg.distractor_mix = 0.05;
@@ -130,15 +150,25 @@ fn classify(args: &Args) -> Result<(), String> {
     }
     let wrong = preds.iter().take(shown).filter(|p| !p.correct()).count();
     println!("top-1 error: {:.1}%", wrong as f64 / shown as f64 * 100.0);
-    Ok(())
 }
 
-fn benchmark(args: &Args) -> Result<(), String> {
+fn benchmark(args: &Args) -> Result<(), Refusal> {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let images = args.images.max(args.batch) / args.batch * args.batch;
+    let host = |cfg: HostConfig| -> Result<Box<dyn TargetDevice>, Refusal> {
+        let target = HostTarget::new(model.clone(), cfg);
+        match target.device().max_batch(target.cost()) {
+            Some(max) if args.batch > max => Err(bad(
+                "--batch",
+                args.batch,
+                format!("exceeds {} memory (at most {max})", cfg.name),
+            )),
+            _ => Ok(Box::new(target)),
+        }
+    };
     let mut target: Box<dyn TargetDevice> = match args.target.as_str() {
-        "cpu" => Box::new(IntelCpu::new(model)),
-        "gpu" => Box::new(NvGpu::new(model)),
+        "cpu" => host(HostConfig::xeon_e5())?,
+        "gpu" => host(HostConfig::k4000())?,
         // The framework couples batch size to active sticks; --devices
         // overrides when given.
         _ => {
@@ -161,29 +191,27 @@ fn benchmark(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+fn run(args: &Args) -> Result<(), Refusal> {
+    match args.command.as_str() {
+        "info" => info(),
+        "classify" => classify(args),
+        "benchmark" => benchmark(args)?,
+        other => return Err(Refusal::Usage(format!("unknown command '{other}'"))),
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: ncsw <info|classify|benchmark> [--target cpu|gpu|vpu] [--devices N] [--images N] [--batch N] [--seed S]");
-            return ExitCode::from(2);
-        }
-    };
-    let result = match args.command.as_str() {
-        "info" => {
-            info();
-            Ok(())
-        }
-        "classify" => classify(&args),
-        "benchmark" => benchmark(&args),
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match parse_args().and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Refusal::Usage(e)) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            eprintln!("{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Refusal::Bad(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
         }
     }
 }

@@ -7,8 +7,8 @@
 //! ```text
 //! Application ── SourceImage ──┬─ ImageFolder
 //!              │               └─ MpiStream
-//!              └─ TargetDevice ─┬─ IntelCpu   (Caffe-MKL model)
-//!                               ├─ NvGpu      (Caffe-cuDNN model)
+//!              └─ TargetDevice ─┬─ HostTarget (HostConfig preset: Caffe-MKL
+//!                               │              CPU, Caffe-cuDNN GPU, V100, KNL)
 //!                               └─ IntelVpu   (NCAPI, multi-stick)
 //! ```
 //!
@@ -42,5 +42,6 @@ pub use service::{BatchRun, FailureKind, ScaleComponent, ScalePlan, ServeError, 
 // builders threading a `ScalePlan`) can name host configs without a
 // direct dependency edge.
 pub use hostsim;
+pub use hostsim::HostConfig;
 pub use source::{ImageFolder, MpiStream, SourceImage};
-pub use target::{IntelCpu, IntelVpu, NvGpu, TargetDevice};
+pub use target::{HostTarget, IntelVpu, TargetDevice};

@@ -48,7 +48,7 @@ impl ThroughputReport {
 
     /// Eq. (1): throughput normalized by TDP.
     pub fn images_per_watt(&self, tdp_w: f64) -> f64 {
-        hostsim::power::throughput_per_watt(self.images_per_sec(), tdp_w)
+        hostsim::throughput_per_watt(self.images_per_sec(), tdp_w)
     }
 }
 

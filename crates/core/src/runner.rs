@@ -78,7 +78,8 @@ mod tests {
     use super::*;
     use crate::metrics::{accuracy_report, confidence_diff};
     use crate::source::ImageFolder;
-    use crate::target::{IntelCpu, IntelVpu, NvGpu};
+    use crate::target::{HostTarget, IntelVpu};
+    use hostsim::HostConfig;
     use ilsvrc_sim::{pseudo_train, DatasetConfig, ValidationSet};
     use std::sync::Arc;
     use vpu_nn::googlenet::{self, Variant};
@@ -97,7 +98,7 @@ mod tests {
     #[test]
     fn throughput_per_subset_gives_five_bars() {
         let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
-        let mut cpu = IntelCpu::new(model);
+        let mut cpu = HostTarget::new(model, HostConfig::xeon_e5());
         let reports = throughput_per_subset(&mut cpu, 5, 40, 8);
         assert_eq!(reports.len(), 5);
         for r in &reports {
@@ -111,12 +112,14 @@ mod tests {
     #[test]
     fn latency_curve_shapes() {
         let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
-        let cpu_curve =
-            latency_curve(|_| Box::new(IntelCpu::new(model.clone())), &[1, 2, 4, 8], 16);
+        let host = |cfg, batches: &[usize]| {
+            latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), batches, 16)
+        };
+        let cpu_curve = host(HostConfig::xeon_e5(), &[1, 2, 4, 8]);
         let t1 = cpu_curve[0].1;
         let t8 = cpu_curve[3].1;
         assert!((1.05..1.25).contains(&(t1 / t8)), "CPU scaling {}", t1 / t8);
-        let gpu_curve = latency_curve(|_| Box::new(NvGpu::new(model.clone())), &[1, 8], 16);
+        let gpu_curve = host(HostConfig::k4000(), &[1, 8]);
         let g = gpu_curve[0].1 / gpu_curve[1].1;
         assert!((1.75..2.1).contains(&g), "GPU scaling {g}");
     }

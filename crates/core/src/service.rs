@@ -18,7 +18,7 @@
 //!
 //! [`MultiVpu`]: crate::multivpu::MultiVpu
 
-use crate::target::{IntelCpu, IntelVpu, NvGpu};
+use crate::target::{HostTarget, IntelVpu};
 use desim::{Duration, SimTime};
 use myriad2::power::PowerModel;
 use ncsw_obs::{BatchObs, Ctx, EnergyProfile, Event, Lane, NullRecorder, Phase};
@@ -166,38 +166,9 @@ pub trait ServiceHook {
     }
 }
 
-impl ServiceHook for IntelCpu {
+impl ServiceHook for HostTarget {
     fn label(&self) -> String {
-        "cpu".to_string()
-    }
-
-    fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
-        let cost = self.cost().clone();
-        let run = self.device_mut().run_batch(&cost, batch, ready);
-        BatchRun { start: run.start, end: run.end, done: vec![run.end; batch], wire: None }
-    }
-
-    fn estimate(&self, batch: usize) -> Duration {
-        self.device().batch_duration(self.cost(), batch)
-    }
-
-    fn busy_until(&self) -> SimTime {
-        self.device().now()
-    }
-
-    fn preferred_batch(&self) -> usize {
-        8
-    }
-
-    fn energy_profile(&self) -> EnergyProfile {
-        let cfg = self.device().config();
-        EnergyProfile::new(self.label(), mw(cfg.tdp_w), mw(cfg.idle_w), mw(cfg.tdp_w))
-    }
-}
-
-impl ServiceHook for NvGpu {
-    fn label(&self) -> String {
-        "gpu".to_string()
+        self.device().config().name.to_string()
     }
 
     fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
@@ -219,7 +190,7 @@ impl ServiceHook for NvGpu {
     }
 
     fn max_batch(&self) -> Option<usize> {
-        Some(self.device().max_batch(self.cost()))
+        self.device().max_batch(self.cost())
     }
 
     fn energy_profile(&self) -> EnergyProfile {
@@ -370,29 +341,15 @@ impl ScalePlan {
         }
     }
 
-    /// CPU config with this plan applied.
-    pub fn cpu_config(&self, base: hostsim::CpuConfig) -> hostsim::CpuConfig {
+    /// Host config with this plan applied.
+    pub fn host_config(&self, base: hostsim::HostConfig) -> hostsim::HostConfig {
         if self.is_identity() {
             return base;
         }
         match self.component {
-            ScaleComponent::Host => hostsim::CpuConfig { service_scale: self.factor, ..base },
+            ScaleComponent::Host => hostsim::HostConfig { service_scale: self.factor, ..base },
             ScaleComponent::Dispatch => {
-                hostsim::CpuConfig { batch_overhead: base.batch_overhead * self.factor, ..base }
-            }
-            _ => base,
-        }
-    }
-
-    /// GPU config with this plan applied.
-    pub fn gpu_config(&self, base: hostsim::GpuConfig) -> hostsim::GpuConfig {
-        if self.is_identity() {
-            return base;
-        }
-        match self.component {
-            ScaleComponent::Host => hostsim::GpuConfig { service_scale: self.factor, ..base },
-            ScaleComponent::Dispatch => {
-                hostsim::GpuConfig { batch_overhead: base.batch_overhead * self.factor, ..base }
+                hostsim::HostConfig { batch_overhead: base.batch_overhead * self.factor, ..base }
             }
             _ => base,
         }
@@ -442,6 +399,7 @@ impl std::fmt::Display for ScalePlan {
 mod tests {
     use super::*;
     use crate::model::ModelBundle;
+    use hostsim::HostConfig;
     use vpu_nn::googlenet::Variant;
 
     fn model() -> ModelBundle {
@@ -450,7 +408,7 @@ mod tests {
 
     #[test]
     fn hosts_serialize_consecutive_batches() {
-        let mut cpu = IntelCpu::new(model());
+        let mut cpu = HostTarget::new(model(), HostConfig::xeon_e5());
         let a = cpu.serve(4, SimTime::ZERO);
         let b = cpu.serve(4, SimTime::ZERO);
         assert!(b.start >= a.end, "second batch must queue behind the first");
@@ -460,7 +418,7 @@ mod tests {
 
     #[test]
     fn host_estimate_matches_nominal_latency() {
-        let cpu = IntelCpu::new(model());
+        let cpu = HostTarget::new(model(), HostConfig::xeon_e5());
         // Paper anchor: 26.0 ms at batch 1.
         let ms = ServiceHook::estimate(&cpu, 1).as_millis();
         assert!((25.2..26.8).contains(&ms), "cpu estimate {ms} ms");
@@ -496,8 +454,8 @@ mod tests {
 
     #[test]
     fn host_serve_obs_matches_plain_timing_and_emits_batch_span() {
-        let mut plain = IntelCpu::new(model());
-        let mut observed = IntelCpu::new(model());
+        let mut plain = HostTarget::new(model(), HostConfig::xeon_e5());
+        let mut observed = HostTarget::new(model(), HostConfig::xeon_e5());
         let a = plain.serve(4, SimTime::ZERO);
         let mut log = ncsw_obs::EventLog::new();
         let ids = [10u64, 11, 12, 13];
@@ -517,10 +475,10 @@ mod tests {
 
     #[test]
     fn energy_profiles_derive_from_the_power_models() {
-        let cpu = IntelCpu::new(model());
+        let cpu = HostTarget::new(model(), HostConfig::xeon_e5());
         let p = cpu.energy_profile();
         assert_eq!((p.busy_mw, p.idle_mw, p.tdp_mw), (80_000, 15_000, 80_000));
-        let gpu = NvGpu::new(model());
+        let gpu = HostTarget::new(model(), HostConfig::k4000());
         let p = gpu.energy_profile();
         assert_eq!((p.busy_mw, p.idle_mw, p.tdp_mw), (80_000, 13_000, 80_000));
         // 4 sticks: 4 × (900 busy / 172 gated / 2500 peak) mW.
@@ -532,7 +490,7 @@ mod tests {
 
     #[test]
     fn gpu_max_batch_bounded_by_memory() {
-        let gpu = NvGpu::new(model());
+        let gpu = HostTarget::new(model(), HostConfig::k4000());
         let cap = gpu.max_batch().expect("gpu reports a bound");
         assert!(cap >= 8, "paper sweeps to batch 8, must fit: {cap}");
         assert!(!gpu.device().batch_fits(gpu.cost(), cap + 1));

@@ -4,7 +4,7 @@ use crate::metrics::ThroughputReport;
 use crate::model::ModelBundle;
 use crate::multivpu::{MultiVpu, MultiVpuConfig};
 use desim::{Duration, SimTime};
-use hostsim::{CpuConfig, CpuDevice, GpuConfig, GpuDevice};
+use hostsim::{HostConfig, HostDevice};
 use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
 
@@ -24,27 +24,24 @@ pub trait TargetDevice {
     fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport;
 }
 
-/// The Caffe-MKL CPU target.
-pub struct IntelCpu {
-    dev: CpuDevice,
+/// A host target — the Caffe-MKL CPU, the Caffe-cuDNN GPU or a §VII
+/// comparator, whichever [`HostConfig`] preset it is built from.
+pub struct HostTarget {
+    dev: HostDevice,
     /// The FP32 cost profile every batch is timed with.
     cost: Arc<NetworkCost>,
 }
 
-impl IntelCpu {
-    pub fn new(model: ModelBundle) -> Self {
-        IntelCpu::with_config(model, CpuConfig::default())
+impl HostTarget {
+    pub fn new(model: ModelBundle, cfg: HostConfig) -> Self {
+        HostTarget { dev: HostDevice::new(cfg), cost: model.cost32 }
     }
 
-    pub fn with_config(model: ModelBundle, cfg: CpuConfig) -> Self {
-        IntelCpu { dev: CpuDevice::new(cfg), cost: model.cost32 }
-    }
-
-    pub fn device(&self) -> &CpuDevice {
+    pub fn device(&self) -> &HostDevice {
         &self.dev
     }
 
-    pub fn device_mut(&mut self) -> &mut CpuDevice {
+    pub fn device_mut(&mut self) -> &mut HostDevice {
         &mut self.dev
     }
 
@@ -53,66 +50,27 @@ impl IntelCpu {
     }
 }
 
-impl TargetDevice for IntelCpu {
+impl TargetDevice for HostTarget {
     fn name(&self) -> &str {
-        "cpu"
+        self.dev.config().name
     }
 
     fn tdp_w(&self, _batch: usize) -> f64 {
         self.dev.config().tdp_w
     }
 
+    /// Serial batches, window = batch.
     fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport {
-        host_throughput("cpu", images, batch, |b, ready| {
-            let run = self.dev.run_batch(&self.cost, b, ready);
-            (run.start, run.end)
-        })
-    }
-}
-
-/// The Caffe-cuDNN GPU target.
-pub struct NvGpu {
-    dev: GpuDevice,
-    /// The FP32 cost profile every batch is timed with.
-    cost: Arc<NetworkCost>,
-}
-
-impl NvGpu {
-    pub fn new(model: ModelBundle) -> Self {
-        NvGpu::with_config(model, GpuConfig::default())
-    }
-
-    pub fn with_config(model: ModelBundle, cfg: GpuConfig) -> Self {
-        NvGpu { dev: GpuDevice::new(cfg), cost: model.cost32 }
-    }
-
-    pub fn device(&self) -> &GpuDevice {
-        &self.dev
-    }
-
-    pub fn device_mut(&mut self) -> &mut GpuDevice {
-        &mut self.dev
-    }
-
-    pub fn cost(&self) -> &Arc<NetworkCost> {
-        &self.cost
-    }
-}
-
-impl TargetDevice for NvGpu {
-    fn name(&self) -> &str {
-        "gpu"
-    }
-
-    fn tdp_w(&self, _batch: usize) -> f64 {
-        self.dev.config().tdp_w
-    }
-
-    fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport {
-        host_throughput("gpu", images, batch, |b, ready| {
-            let run = self.dev.run_batch(&self.cost, b, ready);
-            (run.start, run.end)
-        })
+        assert!(images >= batch, "need at least one full batch");
+        let full_batches = images / batch;
+        let mut windows: Vec<Duration> = Vec::with_capacity(full_batches);
+        let mut t = SimTime::ZERO;
+        for _ in 0..full_batches {
+            let run = self.dev.run_batch(&self.cost, batch, t);
+            windows.push(run.duration());
+            t = run.end;
+        }
+        ThroughputReport::from_window_times(self.dev.config().name, batch, batch, &windows)
     }
 }
 
@@ -199,25 +157,6 @@ impl TargetDevice for IntelVpu {
     }
 }
 
-/// Shared host-device throughput loop: serial batches, window = batch.
-fn host_throughput(
-    name: &str,
-    images: usize,
-    batch: usize,
-    mut run: impl FnMut(usize, SimTime) -> (SimTime, SimTime),
-) -> ThroughputReport {
-    assert!(images >= batch, "need at least one full batch");
-    let full_batches = images / batch;
-    let mut windows: Vec<Duration> = Vec::with_capacity(full_batches);
-    let mut t = SimTime::ZERO;
-    for _ in 0..full_batches {
-        let (start, end) = run(batch, t);
-        windows.push(end - start);
-        t = end;
-    }
-    ThroughputReport::from_window_times(name, batch, batch, &windows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,7 +172,7 @@ mod tests {
 
     #[test]
     fn cpu_throughput_matches_anchor() {
-        let mut cpu = IntelCpu::new(model());
+        let mut cpu = HostTarget::new(model(), HostConfig::xeon_e5());
         let r = cpu.run_throughput(80, 8);
         // Paper: 44.0 img/s at batch 8.
         let ips = r.images_per_sec();
@@ -243,7 +182,7 @@ mod tests {
 
     #[test]
     fn gpu_throughput_matches_anchor() {
-        let mut gpu = NvGpu::new(model());
+        let mut gpu = HostTarget::new(model(), HostConfig::k4000());
         let r = gpu.run_throughput(80, 8);
         // Paper: 74.2 img/s at batch 8.
         let ips = r.images_per_sec();
@@ -267,8 +206,8 @@ mod tests {
 
     #[test]
     fn tdp_accounting() {
-        let cpu = IntelCpu::new(tiny_model());
-        let gpu = NvGpu::new(tiny_model());
+        let cpu = HostTarget::new(tiny_model(), HostConfig::xeon_e5());
+        let gpu = HostTarget::new(tiny_model(), HostConfig::k4000());
         let vpu = IntelVpu::new(tiny_model(), 2);
         assert_eq!(cpu.tdp_w(8), 80.0);
         assert_eq!(gpu.tdp_w(8), 80.0);
@@ -278,8 +217,8 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(IntelCpu::new(tiny_model()).name(), "cpu");
-        assert_eq!(NvGpu::new(tiny_model()).name(), "gpu");
+        assert_eq!(HostTarget::new(tiny_model(), HostConfig::xeon_e5()).name(), "cpu");
+        assert_eq!(HostTarget::new(tiny_model(), HostConfig::k4000()).name(), "gpu");
         assert_eq!(IntelVpu::new(tiny_model(), 1).name(), "vpu");
     }
 }

@@ -74,12 +74,16 @@ impl FaultPlan {
 mod tests {
     use super::*;
     use desim::Duration;
-    use ncsw::{IntelCpu, ModelBundle};
+    use ncsw::{HostConfig, HostTarget, ModelBundle};
     use vpu_nn::googlenet::Variant;
 
     fn fleet(n: usize) -> Vec<Box<dyn ServiceHook>> {
         let model = ModelBundle::googlenet_untrained(Variant::Tiny, 1);
-        (0..n).map(|_| -> Box<dyn ServiceHook> { Box::new(IntelCpu::new(model.clone())) }).collect()
+        (0..n)
+            .map(|_| -> Box<dyn ServiceHook> {
+                Box::new(HostTarget::new(model.clone(), HostConfig::xeon_e5()))
+            })
+            .collect()
     }
 
     #[test]

@@ -311,7 +311,7 @@ impl ServiceHook for FaultyWorker {
 mod tests {
     use super::*;
     use ncsw::ModelBundle;
-    use ncsw::{IntelCpu, IntelVpu};
+    use ncsw::{HostConfig, HostTarget, IntelVpu};
     use vpu_nn::googlenet::Variant;
 
     fn model() -> ModelBundle {
@@ -319,7 +319,7 @@ mod tests {
     }
 
     fn cpu() -> Box<dyn ServiceHook> {
-        Box::new(IntelCpu::new(model()))
+        Box::new(HostTarget::new(model(), HostConfig::xeon_e5()))
     }
 
     fn ms(v: f64) -> Duration {

@@ -70,8 +70,8 @@ impl MdkContext {
     /// (for the comparison tables): MKL-class efficiency on the paper's
     /// Xeon against its 80 W TDP.
     pub fn cpu_reference_gflops_per_watt() -> f64 {
-        let cfg = hostsim::CpuConfig::default();
-        let sustained = cfg.peak_macs_per_sec() * 0.75 * 2.0 / 1e9; // GEMM sustains more than conv
+        let cfg = hostsim::HostConfig::xeon_e5();
+        let sustained = cfg.peak_macs_per_sec * 0.75 * 2.0 / 1e9; // GEMM sustains more than conv
         sustained / cfg.tdp_w
     }
 }

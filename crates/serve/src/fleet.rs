@@ -2,7 +2,7 @@
 //! [`ServiceHook`] workers over one shared [`ModelBundle`].
 
 use ncsw::service::ServiceHook;
-use ncsw::{IntelCpu, IntelVpu, ModelBundle, NvGpu, ScalePlan};
+use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle, ScalePlan};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -96,8 +96,8 @@ impl FleetSpec {
     /// fleet itself is also unscaled for it — callers apply
     /// [`ScalePlan::max_wait`] to their `ServeConfig`.
     pub fn build_scaled(&self, model: &ModelBundle, plan: &ScalePlan) -> Vec<Box<dyn ServiceHook>> {
-        use ncsw::hostsim::{CpuConfig, GpuConfig};
         use ncsw::multivpu::MultiVpuConfig;
+        let host = |cfg| HostTarget::new(model.clone(), plan.host_config(cfg));
         let vpu = |devices: usize| {
             IntelVpu::with_config(
                 model.clone(),
@@ -108,14 +108,8 @@ impl FleetSpec {
             .iter()
             .map(|w| -> Box<dyn ServiceHook> {
                 match *w {
-                    WorkerSpec::Cpu => Box::new(IntelCpu::with_config(
-                        model.clone(),
-                        plan.cpu_config(CpuConfig::default()),
-                    )),
-                    WorkerSpec::Gpu => Box::new(NvGpu::with_config(
-                        model.clone(),
-                        plan.gpu_config(GpuConfig::default()),
-                    )),
+                    WorkerSpec::Cpu => Box::new(host(HostConfig::xeon_e5())),
+                    WorkerSpec::Gpu => Box::new(host(HostConfig::k4000())),
                     WorkerSpec::Vpu { devices } => Box::new(vpu(devices)),
                     WorkerSpec::Stick => Box::new(vpu(1)),
                 }

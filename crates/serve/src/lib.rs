@@ -16,7 +16,7 @@
 //!                                                            │
 //!                  DispatchPolicy (rr / least-outstanding / cost-aware)
 //!                                                            │
-//!            ServiceHook workers: IntelCpu · NvGpu · IntelVpu (n sticks)
+//!            ServiceHook workers: HostTarget (cpu · gpu) · IntelVpu (n sticks)
 //! ```
 //!
 //! Quick start:

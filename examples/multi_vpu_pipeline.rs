@@ -6,7 +6,7 @@
 //! ```
 
 use vpu_coprocessor::experiments::timeline::timeline_with;
-use vpu_coprocessor::framework::{IntelCpu, IntelVpu, ModelBundle, NvGpu, TargetDevice};
+use vpu_coprocessor::framework::{HostConfig, HostTarget, IntelVpu, ModelBundle, TargetDevice};
 use vpu_coprocessor::nn::googlenet::Variant;
 
 fn main() {
@@ -18,8 +18,8 @@ fn main() {
 
     println!("processing {images} images, batch {batch} (VPU count coupled to batch)\n");
     let mut rows: Vec<(String, f64, f64, f64)> = Vec::new();
-    let mut cpu = IntelCpu::new(model.clone());
-    let mut gpu = NvGpu::new(model.clone());
+    let mut cpu = HostTarget::new(model.clone(), HostConfig::xeon_e5());
+    let mut gpu = HostTarget::new(model.clone(), HostConfig::k4000());
     let mut vpu = IntelVpu::new(model.clone(), batch);
     for target in [&mut cpu as &mut dyn TargetDevice, &mut gpu, &mut vpu] {
         let r = target.run_throughput(images, batch);

@@ -10,7 +10,7 @@
 //! ```
 
 use vpu_coprocessor::framework::multivpu::{MultiVpu, MultiVpuConfig};
-use vpu_coprocessor::framework::{IntelCpu, ModelBundle, NvGpu, TargetDevice};
+use vpu_coprocessor::framework::{HostConfig, HostTarget, ModelBundle, TargetDevice};
 use vpu_coprocessor::nn::googlenet::Variant;
 
 fn main() {
@@ -18,11 +18,11 @@ fn main() {
 
     // Reference throughputs at their best batch size (16).
     let cpu_ips = {
-        let mut t = IntelCpu::new(model.clone());
+        let mut t = HostTarget::new(model.clone(), HostConfig::xeon_e5());
         t.run_throughput(64, 16).images_per_sec()
     };
     let gpu_ips = {
-        let mut t = NvGpu::new(model.clone());
+        let mut t = HostTarget::new(model.clone(), HostConfig::k4000());
         t.run_throughput(64, 16).images_per_sec()
     };
     println!(

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use vpu_coprocessor::data::{pseudo_train, DatasetConfig, ValidationSet};
 use vpu_coprocessor::framework::multivpu::{MultiVpu, MultiVpuConfig};
 use vpu_coprocessor::framework::runner::predictions_fp16;
-use vpu_coprocessor::framework::{ImageFolder, IntelCpu, ModelBundle, TargetDevice};
+use vpu_coprocessor::framework::{HostConfig, HostTarget, ImageFolder, ModelBundle, TargetDevice};
 use vpu_coprocessor::nn::googlenet::Variant;
 
 #[test]
@@ -58,7 +58,7 @@ fn pipeline_timing_is_bit_identical_across_runs() {
 fn host_target_reports_are_bit_identical() {
     let run = || {
         let model = ModelBundle::googlenet_untrained(Variant::Full, 3);
-        let mut cpu = IntelCpu::new(model);
+        let mut cpu = HostTarget::new(model, HostConfig::xeon_e5());
         let r = cpu.run_throughput(32, 8);
         (r.wall, r.samples.mean.to_bits(), r.samples.stddev.to_bits())
     };

@@ -113,7 +113,6 @@ fn umbrella_reexports_are_wired() {
     assert_eq!(spec.output_shape().item_len(), 10);
     let cfg = vpu_coprocessor::vpu::Myriad2Config::default();
     assert_eq!(cfg.shaves, 12);
-    let tdp = vpu_coprocessor::hosts::Tdp::default();
-    assert_eq!(tdp.cpu_w, 80.0);
+    assert_eq!(vpu_coprocessor::hosts::HostConfig::xeon_e5().tdp_w, 80.0);
     assert_eq!(vpu_coprocessor::sim::SimTime::ZERO.nanos(), 0);
 }
