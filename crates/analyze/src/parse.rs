@@ -48,7 +48,7 @@ pub fn parse_chrome_trace(json: &str) -> Result<EventLog, String> {
 /// the same walk. A malformed row is an error naming the event.
 pub fn parse_chrome_trace_sampled(json: &str) -> Result<(EventLog, Option<SampleStats>), String> {
     let _prof = ncsw_obs::prof::scope("analyze.parse");
-    let doc: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e:?}"))?;
+    let doc: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_seq)

@@ -1,39 +1,28 @@
-//! Experiment CLI: regenerate any figure of the paper.
+//! Experiment CLI: regenerate any figure of the paper or run any
+//! extension experiment.
 //!
 //! ```text
-//! cargo run -p vpu-bench --release -- <experiment> [--scale tiny|small|paper] [--json [PATH]] [--csv DIR]
-//!
-//! experiments:
-//!   fig6a fig6b fig7a fig7b fig8a fig8b   the paper's result figures
-//!   anchors                               §IV/§V scalar anchors
-//!   timeline                              Fig. 4 execution timeline
-//!   ablation-accum ablation-usb ablation-shave
-//!   serve                                 E15 online-serving load sweep
-//!   energy                                E19 online img/W vs offline Eq. 1
-//!   autoscale                             E20 closed-loop fleet scaling vs static
-//!   bench-sim                             E21 sim-throughput matrix (BENCH_sim.json)
-//!   gray                                  E22 gray-failure resilience sweep
-//!   chaos                                 seeded chaos campaigns (exit 1 on violation)
-//!   bench-diff BASE CAND                  gated events/sec comparison of two BENCH_sim.json
-//!   validate-trace PATH                   check an exported Chrome trace
-//!   explain TRACE ID                      one request's causal timeline from a trace
-//!   sample-sweep                          E23 tail-sampling cost/fidelity curve
-//!   whatif                                E24 causal what-if profiling (exit 1 on gate violation)
-//!   all                                   everything above
+//! cargo run -p vpu-bench --release -- EXPERIMENT [OPERANDS] [--scale tiny|small|paper] [--json [PATH]] [FLAG ...]
 //! ```
 //!
-//! `--json` alone prints the result as JSON to stdout; `--json PATH`
-//! writes the JSON to PATH (and keeps the human-readable report on
-//! stdout) so perf trajectories can be tracked as `BENCH_*.json` files.
-//!
-//! With `--trace PATH` and/or `--metrics-csv PATH`, `serve` runs one
-//! fully observed run (instead of the sweep) and writes the Chrome
-//! trace-event JSON / sampled time-series CSV; `--sample-ms` sets the
-//! sampling interval. Load the trace at <https://ui.perfetto.dev>.
+//! Every experiment is one row of the `EXPERIMENTS` table: its name, the
+//! paper figure or extension it reproduces, a one-line description, the
+//! flags it reads, whether `all` runs it, and the function that runs it.
+//! `repro` with no arguments prints the table. A flag the chosen
+//! experiment does not read is rejected with exit 2; `--scale` and
+//! `--json` are accepted everywhere. `--json` alone prints the report as
+//! JSON to stdout; `--json PATH` writes the JSON to PATH and keeps the
+//! text report on stdout.
 
+use desim::Duration;
+use ncsw_serve::DispatchPolicy;
 use serde::Serialize;
 use std::process::ExitCode;
-use vpu_bench::{ablations, anchors, fig6, fig7, fig8, serve_bench, timeline, Scale};
+use vpu_bench::{
+    ab_bench, ablations, anchors, autoscale_bench, chaos_bench, csv, energy_bench, fault_bench,
+    fig6, fig7, fig8, future_work, gray_bench, layers, mdk_gemm, power_bench, report, sample_bench,
+    serve_bench, sim_bench, stream_bench, timeline, trace_check, whatif_bench, zoo_bench, Scale,
+};
 
 /// The machine-readable shape of `repro analyze --json`.
 #[derive(Serialize)]
@@ -81,6 +70,162 @@ impl EnergyJson {
     }
 }
 
+/// How a run ends: `Ok` exits 0, `Err(code)` exits with `code` (1 for a
+/// failed gate or bad input data, 2 for bad usage).
+type Outcome = Result<(), u8>;
+
+/// Exit 1 unless `ok`: the verdict of a gated experiment.
+fn gate(ok: bool) -> Outcome {
+    ok.then_some(()).ok_or(1)
+}
+
+/// One experiment: a row of [`EXPERIMENTS`].
+struct Experiment {
+    name: &'static str,
+    /// Other names that run the same row.
+    aliases: &'static [&'static str],
+    /// The paper figure, or the EXPERIMENTS.md id, it reproduces.
+    id: &'static str,
+    about: &'static str,
+    /// Positional operands, as named in the usage text.
+    operands: &'static str,
+    /// The flags it reads, besides `--scale` and `--json`.
+    flags: &'static [Flag],
+    /// Whether `repro all` runs it.
+    in_all: bool,
+    run: fn(&Args) -> Outcome,
+}
+
+/// A row `repro all` runs.
+const fn row(
+    name: &'static str,
+    id: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Outcome,
+) -> Experiment {
+    Experiment { name, aliases: &[], id, about, operands: "", flags, in_all: true, run }
+}
+
+/// A row `repro all` leaves out, taking `operands`.
+const fn solo(operands: &'static str, row: Experiment) -> Experiment {
+    Experiment { operands, in_all: false, ..row }
+}
+
+/// Where a report goes.
+enum Json {
+    /// Text on stdout.
+    Off,
+    /// `--json`: JSON on stdout.
+    Stdout,
+    /// `--json PATH`: JSON to PATH, text on stdout.
+    File(String),
+}
+
+/// Every flag value, defaults filled in.
+struct Args {
+    /// The flags given, in order, with their values as given.
+    given: Vec<(Flag, String)>,
+    operands: Vec<String>,
+    scale: Scale,
+    json: Json,
+    slo: Duration,
+    policy: DispatchPolicy,
+    baseline_policy: DispatchPolicy,
+    sample_every: Duration,
+    sample: Option<ncsw_obs::SamplePolicy>,
+    faults: Option<ncsw_faults::FaultPlan>,
+    ctrl: String,
+    abs_ms: f64,
+    rel_pct: f64,
+    /// `None` = flag absent: bench-diff defaults to 50, whatif to its
+    /// own gate tolerance.
+    tol_pct: Option<f64>,
+    /// `--components`, `--factors` and `--loads`.
+    whatif: whatif_bench::WhatIfConfig,
+    campaigns: usize,
+    seed: u64,
+}
+
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            given: Vec::new(),
+            operands: Vec::new(),
+            scale: Scale::Small,
+            json: Json::Off,
+            slo: Duration::from_millis(500.0),
+            policy: DispatchPolicy::CostAware,
+            baseline_policy: DispatchPolicy::RoundRobin,
+            sample_every: Duration::from_millis(10.0),
+            sample: None,
+            faults: None,
+            ctrl: String::from("reactive"),
+            abs_ms: 0.5,
+            rel_pct: 5.0,
+            tol_pct: None,
+            whatif: whatif_bench::WhatIfConfig::default(),
+            campaigns: 25,
+            seed: vpu_num::rng::DEFAULT_SEED,
+        }
+    }
+}
+
+/// Emit a report that prints its own text.
+macro_rules! show {
+    ($args:expr, $report:expr) => {
+        $args.emit(&$report, |r| r.print())
+    };
+}
+
+/// Emit a figure and, with `--csv DIR`, write it as `DIR/NAME.csv`.
+macro_rules! figure {
+    ($args:expr, $name:literal, $report:expr, $csv:path) => {{
+        let r = $report;
+        $args.write_csv($name, || $csv(&r));
+        show!($args, r)
+    }};
+}
+
+/// A flag: its name and the placeholder for its value in the usage text
+/// (empty for a switch).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Flag(&'static str, &'static str);
+
+const SCALE: Flag = Flag("--scale", "tiny|small|paper");
+const CSV: Flag = Flag("--csv", "DIR");
+const SLO_MS: Flag = Flag("--slo-ms", "MS");
+const POLICY: Flag = Flag("--policy", "round-robin|least-outstanding|cost-aware");
+const BASELINE_POLICY: Flag = Flag("--baseline-policy", "round-robin|least-outstanding|cost-aware");
+const TRACE: Flag = Flag("--trace", "PATH");
+const METRICS_CSV: Flag = Flag("--metrics-csv", "PATH");
+const SAMPLE_MS: Flag = Flag("--sample-ms", "MS");
+const SAMPLE: Flag = Flag("--sample", "all|1-in-N[+topK]");
+const FAULTS: Flag = Flag("--faults", "SPEC");
+const GRAY: Flag = Flag("--gray", "");
+const INCIDENTS: Flag = Flag("--incidents", "DIR");
+const CTRL: Flag = Flag("--ctrl", "reactive|predictive|oracle");
+const PROF: Flag = Flag("--prof", "");
+const FLAME: Flag = Flag("--flame", "PATH");
+const FLAME_ENERGY: Flag = Flag("--flame-energy", "PATH");
+const ABS_MS: Flag = Flag("--abs-ms", "MS");
+const REL_PCT: Flag = Flag("--rel-pct", "PCT");
+const TOL_PCT: Flag = Flag("--tol-pct", "PCT");
+const COMPONENTS: Flag = Flag("--components", "LIST");
+const FACTORS: Flag = Flag("--factors", "LIST");
+const LOADS: Flag = Flag("--loads", "LIST");
+const CAMPAIGNS: Flag = Flag("--campaigns", "N");
+const SEED: Flag = Flag("--seed", "S");
+
+/// Every flag the parser knows; `--json`, whose value is optional, is
+/// parsed on its own.
+#[rustfmt::skip]
+const FLAGS: [Flag; 24] = [
+    SCALE, CSV, SLO_MS, POLICY, BASELINE_POLICY, TRACE, METRICS_CSV, SAMPLE_MS, SAMPLE, FAULTS,
+    GRAY, INCIDENTS, CTRL, PROF, FLAME, FLAME_ENERGY, ABS_MS, REL_PCT, TOL_PCT, COMPONENTS,
+    FACTORS, LOADS, CAMPAIGNS, SEED,
+];
+
 /// Largest `--factors` value `whatif` accepts; factors far above it
 /// overflow the virtual clock.
 const MAX_WHATIF_FACTOR: f64 = 100.0;
@@ -93,736 +238,493 @@ const MIN_SAMPLE_MS: f64 = 0.001;
 /// 1/load, and a load of 1e-9 never finishes.
 const MIN_WHATIF_LOAD: f64 = 0.001;
 
-/// A finite, strictly positive float.
-fn parse_positive(s: &str) -> Option<f64> {
-    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0)
+/// A finite float `>= min`, or `> 0` when `min` is 0 and `strict`.
+fn parse_f64(s: &str, min: f64, strict: bool) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v >= min && !(strict && *v == 0.0))
 }
 
-/// A finite float `>= 0` (a threshold or tolerance).
-fn parse_non_negative(s: &str) -> Option<f64> {
-    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v >= 0.0)
+/// Comma-separated finite positive floats (`0.9,0.75,0.5`), each passing `ok`.
+fn parse_f64_list(s: &str, ok: impl Fn(f64) -> bool) -> Option<Vec<f64>> {
+    s.split(',').map(|v| parse_f64(v, 0.0, true).filter(|&f| ok(f))).collect()
 }
 
-/// Comma-separated finite positive floats (`0.9,0.75,0.5`).
-fn parse_f64_list(s: &str) -> Option<Vec<f64>> {
-    s.split(',').map(parse_positive).collect()
+impl Args {
+    /// Store `v`, the value of `flag`; else the one-line error naming it.
+    fn set(&mut self, flag: Flag, v: &str) -> Result<(), String> {
+        let bad = |expected: &str| format!("bad {} '{v}': expected {expected}", flag.0);
+        let policy = || DispatchPolicy::parse(v).ok_or_else(|| bad(DISPATCH_POLICIES));
+        let millis = |min: f64, expected: &str| {
+            parse_f64(v, min, true).map(Duration::from_millis).ok_or_else(|| bad(expected))
+        };
+        let non_negative = |expected: &str| parse_f64(v, 0.0, false).ok_or_else(|| bad(expected));
+        match flag {
+            SCALE => self.scale = Scale::parse(v).ok_or_else(|| bad("tiny, small or paper"))?,
+            SLO_MS => self.slo = millis(0.0, "a positive number of milliseconds")?,
+            POLICY => self.policy = policy()?,
+            BASELINE_POLICY => self.baseline_policy = policy()?,
+            SAMPLE_MS => {
+                self.sample_every = millis(MIN_SAMPLE_MS, "a number of milliseconds >= 0.001")?
+            }
+            SAMPLE => {
+                let p = ncsw_obs::SamplePolicy::parse(v);
+                self.sample = Some(p.map_err(|e| format!("bad --sample: {e}"))?)
+            }
+            FAULTS => {
+                let plan = ncsw_faults::FaultPlan::parse(v);
+                self.faults = Some(plan.map_err(|e| format!("bad --faults '{v}': {e}"))?)
+            }
+            CTRL if ncsw_ctrl::POLICY_NAMES.contains(&v) => self.ctrl = v.into(),
+            CTRL => return Err(bad(&ncsw_ctrl::POLICY_NAMES.join(", "))),
+            ABS_MS => self.abs_ms = non_negative("a non-negative number of milliseconds")?,
+            REL_PCT => self.rel_pct = non_negative("a non-negative percentage")?,
+            TOL_PCT => self.tol_pct = Some(non_negative("a non-negative percentage")?),
+            COMPONENTS => {
+                let names = ncsw::ScaleComponent::ALL.map(|c| c.name()).join(",");
+                let list: Option<_> = v.split(',').map(ncsw::ScaleComponent::parse).collect();
+                self.whatif.components =
+                    list.ok_or_else(|| bad(&format!("a comma list of {names}")))?
+            }
+            FACTORS => {
+                let list = parse_f64_list(v, |f| f <= MAX_WHATIF_FACTOR).ok_or_else(|| {
+                    bad(&format!("comma-separated positive numbers up to {MAX_WHATIF_FACTOR}"))
+                })?;
+                self.whatif.factors = list
+            }
+            LOADS => {
+                let list = parse_f64_list(v, |f| f >= MIN_WHATIF_LOAD)
+                    .ok_or_else(|| bad(&format!("comma-separated numbers >= {MIN_WHATIF_LOAD}")))?;
+                self.whatif.loads = list
+            }
+            CAMPAIGNS => {
+                let n = v.parse::<usize>().ok().filter(|&n| n > 0);
+                self.campaigns = n.ok_or_else(|| bad("a positive whole number"))?
+            }
+            SEED => self.seed = v.parse::<u64>().map_err(|_| bad("a whole number"))?,
+            // Paths and switches: their value is read where it is used.
+            CSV | TRACE | METRICS_CSV | INCIDENTS | FLAME | FLAME_ENERGY | GRAY | PROF => {}
+            Flag(name, _) => unreachable!("{name} is not in FLAGS"),
+        }
+        self.given.push((flag, v.to_string()));
+        Ok(())
+    }
+
+    /// Whether any of `flags` was given.
+    fn has_any(&self, flags: &[Flag]) -> bool {
+        self.given.iter().any(|(f, _)| flags.contains(f))
+    }
+
+    /// The value `flag` was last given.
+    fn value(&self, flag: Flag) -> Option<&str> {
+        self.given.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// Write `content` to the path given to `flag`, if it was given.
+    fn write(&self, flag: Flag, content: impl FnOnce() -> String) {
+        if let Some(path) = self.value(flag) {
+            report::write_artifact(path, &content());
+        }
+    }
+
+    /// The one output path for every report: `--json` prints it as JSON,
+    /// `--json PATH` writes the JSON and prints `text`, otherwise `text`.
+    fn emit<T: Serialize>(&self, report: &T, text: impl FnOnce(&T)) -> Outcome {
+        match &self.json {
+            Json::Off => text(report),
+            Json::Stdout => {
+                println!("{}", serde_json::to_string_pretty(report).expect("serialize"))
+            }
+            Json::File(path) => {
+                report::write_json(path, report);
+                text(report);
+            }
+        }
+        Ok(())
+    }
+
+    /// `--csv DIR`: write `DIR/NAME.csv`.
+    fn write_csv(&self, name: &str, content: impl FnOnce() -> String) {
+        if let Some(dir) = self.value(CSV) {
+            report::write_csv_in(dir, name, &content());
+        }
+    }
+
+    /// `--prof` wraps a run in the wall-clock profiler and prints the
+    /// scope tree afterwards; the simulated outcome is bit-identical.
+    fn profiled<T>(&self, run: impl FnOnce() -> T) -> T {
+        if !self.has_any(&[PROF]) {
+            return run();
+        }
+        ncsw_obs::prof::start();
+        let r = run();
+        eprint!("{}", ncsw_obs::prof::stop().render());
+        r
+    }
+
+    /// Write an observed run's `--trace`, `--metrics-csv` and
+    /// `--incidents` artifacts, then emit its report.
+    fn observed(&self, r: &serve_bench::TracedServe) -> Outcome {
+        self.write(TRACE, || r.chrome_json.clone());
+        self.write(METRICS_CSV, || r.series_csv.clone());
+        self.write_incidents(&r.incidents);
+        show!(self, r)
+    }
+
+    /// `--incidents DIR`: write each bundle as `DIR/incident_<n>.json`.
+    fn write_incidents(&self, bundles: &[serve_bench::IncidentBundle]) {
+        let Some(dir) = self.value(INCIDENTS) else { return };
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {dir}: {e}");
+            std::process::exit(2);
+        }
+        if bundles.is_empty() {
+            eprintln!("{dir}: no incident fired during the run; nothing written");
+        }
+        for b in bundles {
+            report::write_json(&format!("{dir}/incident_{}.json", b.n), b);
+        }
+    }
 }
 
 /// The `--policy`/`--baseline-policy` values.
 const DISPATCH_POLICIES: &str = "round-robin, least-outstanding or cost-aware";
 
-/// The one-line error for a flag value out of range; exit 2.
-fn bad_value(flag: &str, value: &str, expected: &str) -> ExitCode {
-    eprintln!("bad {flag} '{value}': expected {expected}");
+/// The experiment table: `repro NAME` runs the row named NAME, `repro all`
+/// the rows made with [`row`] in table order, and the usage text lists
+/// them all.
+#[rustfmt::skip]
+static EXPERIMENTS: &[Experiment] = &[
+    row("fig6a", "Fig. 6a", "throughput per subset at batch 8: CPU, GPU and 1-8 VPUs", &[CSV],
+        |a| figure!(a, "fig6a", fig6::fig6a(a.scale), csv::fig6a_csv)),
+    row("fig6b", "Fig. 6b", "normalized throughput scaling per batch size", &[CSV],
+        |a| figure!(a, "fig6b", fig6::fig6b(a.scale), csv::fig6b_csv)),
+    Experiment { aliases: &["fig7a", "fig7b"], ..row("fig7", "Fig. 7",
+        "top-1 error (7a) and confidence gap (7b), FP32 vs FP16", &[CSV],
+        |a| figure!(a, "fig7", fig7::fig7(a.scale), csv::fig7_csv)) },
+    row("fig8a", "Fig. 8a", "throughput per watt (Eq. 1), batch 1-8", &[CSV],
+        |a| figure!(a, "fig8a", fig8::fig8a(a.scale), csv::fig8a_csv)),
+    row("fig8b", "Fig. 8b", "projected throughput up to 16 sticks, batch 1-16", &[CSV],
+        |a| figure!(a, "fig8b", fig8::fig8b(a.scale), csv::fig8b_csv)),
+    row("anchors", "E7", "every scalar anchor of §IV-§V", &[],
+        |a| show!(a, anchors::anchors(a.scale))),
+    row("timeline", "E8", "Fig. 4 execution timeline of one pipeline run", &[],
+        |a| show!(a, timeline::timeline())),
+    row("ablation-accum", "A1", "FP16 accumulation mode", &[],
+        |a| show!(a, ablations::ablation_accum(a.scale))),
+    row("ablation-usb", "A2", "USB hub topology", &[],
+        |a| show!(a, ablations::ablation_usb(a.scale))),
+    row("ablation-shave", "A3", "SHAVE count sweep", &[],
+        |a| show!(a, ablations::ablation_shave())),
+    row("ablation-faults", "A4", "USB transfer fault injection", &[],
+        |a| show!(a, ablations::ablation_faults(a.scale))),
+    row("ablation-prefetch", "A5", "pipelined weight DMA", &[],
+        |a| show!(a, ablations::ablation_prefetch())),
+    row("ablation-blob", "A6", "blob batching vs multi-stick batching", &[],
+        |a| show!(a, ablations::ablation_blob_batch())),
+    row("mdk-gemm", "E9", "general-purpose GEMM offload through the MDK (§VII)", &[],
+        |a| show!(a, mdk_gemm::mdk_gemm())),
+    row("layers", "E10", "per-layer NCSDK-style GoogLeNet profile", &[],
+        |a| show!(a, layers::layers())),
+    row("zoo", "E11", "SqueezeNet, GoogLeNet and AlexNet on every target", &[],
+        |a| show!(a, zoo_bench::zoo_bench())),
+    row("stream", "E12", "sustainable MPI-stream offload rates", &[],
+        |a| show!(a, stream_bench::stream_bench())),
+    row("power", "E13", "measured chip power vs TDP", &[],
+        |a| show!(a, power_bench::power_bench(a.scale))),
+    row("energy", "E19", "online img/W vs the offline Eq. 1", &[SLO_MS],
+        |a| show!(a, energy_bench::energy_exp_with(a.scale, a.slo))),
+    row("future-work", "E14", "the §VII comparison with a V100 and a Xeon Phi", &[],
+        |a| show!(a, future_work::future_work(a.scale))),
+    row("serve", "E15, E16", "online-serving load sweep; one observed run with any of --trace, \
+        --metrics-csv, --sample, --faults, --gray, --incidents or --prof",
+        &[CSV, SLO_MS, POLICY, TRACE, METRICS_CSV, SAMPLE_MS, SAMPLE, FAULTS, GRAY, INCIDENTS, PROF],
+        serve),
+    row("failover", "E17", "failover policies under injected faults", &[SLO_MS],
+        |a| show!(a, fault_bench::failover_exp_with(a.scale, a.slo))),
+    row("autoscale", "E20", "closed-loop autoscaling vs a static fleet; one observed --ctrl \
+        run with any of --trace, --metrics-csv, --sample, --incidents or --prof",
+        &[TRACE, METRICS_CSV, SAMPLE_MS, SAMPLE, INCIDENTS, CTRL, PROF], autoscale),
+    row("bench-sim", "E21", "simulator throughput matrix, BENCH_sim.json-shaped", &[],
+        |a| show!(a, sim_bench::sim_bench(a.scale))),
+    row("gray", "E22", "gray-failure resilience sweep, defenses off vs on", &[SLO_MS],
+        |a| show!(a, gray_bench::gray_exp_with(a.scale, a.slo))),
+    row("sample-sweep", "E23", "tail-sampling trace cost vs fidelity", &[],
+        |a| show!(a, sample_bench::sample_exp(a.scale))),
+    row("whatif", "E24", "causal what-if profiling, each prediction checked by a re-simulation; \
+        exit 1 when the gate fails", &[COMPONENTS, FACTORS, LOADS, TOL_PCT, TRACE, CSV], whatif),
+    solo("", row("abdiff", "E18", "paired runs of --baseline-policy and --policy, diffed",
+        &[SLO_MS, BASELINE_POLICY, POLICY],
+        |a| show!(a, ab_bench::ab_exp_with(a.scale, a.slo, a.baseline_policy, a.policy)))),
+    solo("", row("chaos", "E22", "seeded chaos campaigns; exit 1 on an invariant violation",
+        &[CAMPAIGNS, SEED], |a| {
+            let r = chaos_bench::chaos(a.campaigns, a.seed);
+            show!(a, r)?;
+            gate(r.passed())
+        })),
+    solo("BASE_SIM_JSON CAND_SIM_JSON", row("bench-diff", "E21", "events/sec verdict of two \
+        BENCH_sim.json (--tol-pct default 50); exit 1 on a regression", &[TOL_PCT], bench_diff)),
+    solo("PATH", row("validate-trace", "E16", "check an exported Chrome trace; exit 1 if invalid",
+        &[], validate_trace)),
+    solo("TRACE REQUEST_ID", row("explain", "E23", "one request's causal timeline from a trace",
+        &[], explain)),
+    solo("TRACE", row("analyze", "E18", "nine-segment latency attribution of a trace",
+        &[FLAME, FLAME_ENERGY, PROF], analyze)),
+    solo("BASELINE_TRACE CANDIDATE_TRACE", row("diff", "E18",
+        "paired A/B verdict of two traces; exit 1 on a regression", &[ABS_MS, REL_PCT], diff)),
+    solo("", row("all", "-", "every experiment marked *, in table order", &[CSV], all)),
+];
+
+fn all(a: &Args) -> Outcome {
+    if let Json::File(path) = &a.json {
+        eprintln!("all --json {path}: each report would overwrite the last; use --json alone");
+        return Err(2);
+    }
+    EXPERIMENTS.iter().filter(|e| e.in_all).try_for_each(|e| (e.run)(a))
+}
+
+fn serve(a: &Args) -> Outcome {
+    if !a.has_any(&[TRACE, METRICS_CSV, SAMPLE, FAULTS, GRAY, INCIDENTS, PROF]) {
+        let r = serve_bench::serve_exp_with(a.scale, a.slo, a.policy);
+        a.write_csv("serve", || csv::serve_csv(&r));
+        return show!(a, r);
+    }
+    if let Some(plan) = &a.faults {
+        let fleet =
+            ncsw_serve::FleetSpec::parse(serve_bench::TRACED_FLEET).expect("valid fleet spec");
+        if let Err(e) = plan.validate_pins(fleet.0.len()) {
+            eprintln!("bad --faults for fleet {}: {e}", serve_bench::TRACED_FLEET);
+            return Err(2);
+        }
+    }
+    let gray = match a.has_any(&[GRAY]) {
+        true => ncsw_serve::GrayConfig::defended(),
+        false => ncsw_serve::GrayConfig::default(),
+    };
+    let (every, faults) = (a.sample_every, a.faults.as_ref());
+    a.observed(&a.profiled(|| {
+        serve_bench::traced_serve(a.scale, a.slo, a.policy, every, faults, gray, a.sample.clone())
+    }))
+}
+
+fn autoscale(a: &Args) -> Outcome {
+    if !a.has_any(&[TRACE, METRICS_CSV, SAMPLE, INCIDENTS, PROF]) {
+        return show!(a, autoscale_bench::autoscale_exp(a.scale));
+    }
+    a.observed(&a.profiled(|| {
+        autoscale_bench::traced_autoscale(a.scale, &a.ctrl, a.sample_every, a.sample.clone())
+    }))
+}
+
+fn whatif(a: &Args) -> Outcome {
+    let tolerance_pct = a.tol_pct.unwrap_or(whatif_bench::TOLERANCE_PCT);
+    let grid = whatif_bench::WhatIfConfig { tolerance_pct, ..a.whatif.clone() };
+    let out = whatif_bench::whatif_run(a.scale, &grid);
+    // --trace writes the baseline trace plus the f=1.0 arm's as
+    // PATH.identity.json, so CI can `cmp` the passivity claim
+    // byte-for-byte.
+    if let Some(p) = a.value(TRACE) {
+        report::write_artifact(p, &out.baseline_trace);
+        report::write_artifact(&format!("{p}.identity.json"), &out.identity_trace);
+    }
+    a.write_csv("whatif", || whatif_bench::whatif_csv(&out.exp));
+    show!(a, out.exp)?;
+    gate(out.exp.whatif_ok)
+}
+
+/// The contents of `path`; exit 2 when it cannot be read.
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The analysis of the trace at `path`; exit 1 when it cannot be analyzed.
+fn analysis_of(path: &str) -> Result<ncsw_analyze::Analysis, u8> {
+    ncsw_analyze::Analysis::from_chrome(&read_file(path)).map_err(|e| {
+        eprintln!("{path}: cannot analyze: {e}");
+        1
+    })
+}
+
+fn bench_diff(a: &Args) -> Outcome {
+    let load = |path: &String| {
+        serde_json::from_str::<sim_bench::SimBench>(&read_file(path)).map_err(|e| {
+            eprintln!("{path}: not a BENCH_sim.json: {e}");
+            2
+        })
+    };
+    let d = sim_bench::sim_bench_diff(
+        &load(&a.operands[0])?,
+        &load(&a.operands[1])?,
+        a.tol_pct.unwrap_or(50.0),
+    );
+    a.emit(&d, |d| print!("{}", d.render()))?;
+    gate(!d.regression)
+}
+
+fn validate_trace(a: &Args) -> Outcome {
+    let path = &a.operands[0];
+    let json = read_file(path);
+    // Validation cost is part of the observability ledger: time the
+    // parse+check pass and report its throughput.
+    let t = std::time::Instant::now();
+    let check = trace_check::validate(&json).map_err(|e| {
+        eprintln!("{path}: INVALID trace: {e}");
+        1
+    })?;
+    let wall_s = t.elapsed().as_secs_f64();
+    let mb = json.len() as f64 / 1e6;
+    println!(
+        "{path}: ok — {} events, {} tracks, {} requests ({} fully chained), \
+         {} failovers, {} outage windows, {} sheds, {} power samples, \
+         {} drains / {} scale-downs / {} scale-ups, \
+         {} hedges ({} won), {} quarantines, {} integrity fails",
+        check.events,
+        check.tracks,
+        check.requests,
+        check.chained,
+        check.failovers,
+        check.outage_windows,
+        check.sheds,
+        check.power_samples,
+        check.drains,
+        check.scale_downs,
+        check.scale_ups,
+        check.hedges,
+        check.hedge_wins,
+        check.quarantines,
+        check.integrity_fails
+    );
+    if let Some(s) = &check.sampling {
+        println!("{path}: {}", s.render());
+    }
+    println!(
+        "{path}: parsed {:.2} MB in {:.1} ms ({:.1} MB/s)",
+        mb,
+        wall_s * 1e3,
+        if wall_s > 0.0 { mb / wall_s } else { 0.0 }
+    );
+    Ok(())
+}
+
+fn explain(a: &Args) -> Outcome {
+    let (path, id) = (&a.operands[0], &a.operands[1]);
+    let Ok(id) = id.parse::<u64>() else {
+        eprintln!("bad request id '{id}'");
+        return Err(2);
+    };
+    let e = ncsw_analyze::explain_chrome_json(&read_file(path), id).map_err(|e| {
+        eprintln!("{path}: {e}");
+        1
+    })?;
+    a.emit(&e, |e| print!("{}", e.render()))
+}
+
+fn analyze(a: &Args) -> Outcome {
+    let analysis = a.profiled(|| analysis_of(&a.operands[0]))?;
+    a.write(FLAME, || ncsw_analyze::folded(&analysis));
+    a.write(FLAME_ENERGY, || ncsw_analyze::folded_energy(&analysis));
+    let out = AnalyzeJson {
+        table: analysis.table.clone(),
+        e2e: analysis.e2e,
+        shed: analysis.shed,
+        outages: analysis.forest.outages.len(),
+        p99_during_outage_ms: analysis.p99_during_outages_ms(),
+        slo_alert_windows: analysis.forest.alerts.len(),
+        energy: analysis.energy.as_ref().map(EnergyJson::of),
+    };
+    a.emit(&out, |_| print!("{}", analysis.render()))
+}
+
+fn diff(a: &Args) -> Outcome {
+    let base = analysis_of(&a.operands[0])?;
+    let cand = analysis_of(&a.operands[1])?;
+    let cfg = ncsw_analyze::DiffConfig { abs_floor: a.abs_ms, rel_pct: a.rel_pct };
+    let d = ncsw_analyze::diff(&base, &cand, &cfg);
+    a.emit(&d, |d| print!("{}", d.render()))?;
+    gate(!d.regression)
+}
+
+/// The usage text, generated from [`EXPERIMENTS`]; exit 2.
+fn usage() -> ExitCode {
+    let mut text = String::from(
+        "usage: repro EXPERIMENT [OPERANDS] [--scale tiny|small|paper] [--json [PATH]] [FLAG ...]\n",
+    );
+    for e in EXPERIMENTS {
+        let mark = if e.in_all { '*' } else { ' ' };
+        let names = [e.name].iter().chain(e.aliases).copied().collect::<Vec<_>>().join("|");
+        text += &format!("\n {mark}{names:<18} {:<9} {}", e.id, e.about);
+        let flags = e.flags.iter().map(|Flag(name, value)| match *value {
+            "" => format!("[{name}]"),
+            value => format!("[{name} {value}]"),
+        });
+        let words: Vec<String> =
+            e.operands.split_whitespace().map(String::from).chain(flags).collect();
+        if !words.is_empty() {
+            text += &format!("\n {:<28} {}", "", words.join(" "));
+        }
+    }
+    eprintln!("{text}");
     ExitCode::from(2)
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: repro <fig6a|fig6b|fig7a|fig7b|fig8a|fig8b|anchors|timeline|\
-         ablation-accum|ablation-usb|ablation-shave|ablation-faults|ablation-prefetch|ablation-blob|mdk-gemm|layers|zoo|stream|power|energy|future-work|serve|failover|autoscale|bench-sim|gray|chaos|abdiff|sample-sweep|whatif|all> \
-         [--scale tiny|small|paper] [--json [PATH]] [--csv DIR] [--slo-ms MS] [--policy round-robin|least-outstanding|cost-aware] \
-         [--trace PATH] [--metrics-csv PATH] [--sample-ms MS] [--sample all|1-in-N[+topK]] [--incidents DIR] [--faults SPEC] [--gray] [--ctrl reactive|predictive|oracle] [--prof]\n\
-         \x20      repro chaos [--campaigns N] [--seed S]\n\
-         \x20      repro validate-trace PATH\n\
-         \x20      repro explain TRACE REQUEST_ID [--json [PATH]]\n\
-         \x20      repro analyze TRACE [--flame PATH] [--flame-energy PATH] [--json [PATH]] [--prof]\n\
-         \x20      repro diff BASELINE_TRACE CANDIDATE_TRACE [--abs-ms MS] [--rel-pct PCT] [--json [PATH]]\n\
-         \x20      repro bench-diff BASE_SIM_JSON CAND_SIM_JSON [--tol-pct PCT] [--json [PATH]]\n\
-         \x20      --faults SPEC: comma-separated faults, e.g. 'unplug@2s:reconnect@4s', \
-         'w0:throttle@1s:for@2s:slow@3', 'usb@0s:for@5s:factor@2', 'execerr@0.05', \
-         'failslow@1s:for@4s:slow@6', 'corrupt@0.02', 'dup@0.02', 'drop@0.02'\n\
-         \x20      --gray turns every gray-failure defense on for a traced serve run \
-         (verify-on-complete, fail-slow quarantine, hedged dispatch)\n\
-         \x20      gray sweeps fail-slow/corruption intensity vs defenses (E22); chaos runs \
-         --campaigns randomized fault cocktails from --seed and exits 1 on any invariant \
-         violation, printing the failing campaign's seed and spec\n\
-         \x20      abdiff pairs --baseline-policy (default round-robin) against --policy; \
-         diff exits 1 when a gated metric regressed\n\
-         \x20      autoscale sweeps static vs all scaling policies; with --trace/--metrics-csv \
-         it runs one observed run under --ctrl (default reactive)\n\
-         \x20      bench-sim measures sim throughput (events/sec, req/sec, recorder overhead); \
-         bench-diff exits 1 when events/sec regressed beyond --tol-pct (default 50)\n\
-         \x20      --prof profiles the simulator's own hot loops (wall clock) and prints the \
-         scope tree; the simulated outcome is bit-identical either way\n\
-         \x20      --sample turns on tail-based trace sampling for a traced serve/autoscale \
-         run: anomalous requests (shed, SLO-violating, faulted, hedged, quarantined) always \
-         keep their full chains, plus the K slowest and a uniform 1-in-N; 'all' keeps \
-         everything (byte-identical to the unsampled trace)\n\
-         \x20      --incidents DIR writes each flight-recorder incident bundle (circuit-open, \
-         integrity-fail, burn-rate) as DIR/incident_<n>.json with its trace window and a \
-         one-line deterministic replay command\n\
-         \x20      whatif sweeps --components (comma list of usb-write,usb-read,exec,\
-         batch-wait,dispatch,host) x --factors (e.g. 0.9,0.75,0.5) x --loads (capacity \
-         fractions), validating each analytic counterfactual against an actually-rescaled \
-         re-simulation; --tol-pct sets the agreement tolerance (default 10), --trace PATH \
-         writes the baseline Chrome trace plus PATH.identity.json from the f=1.0 arm \
-         (byte-identical by construction), exit 1 when the E24 gate is violated"
-    );
-    ExitCode::from(2)
+/// Parse the command line into the chosen experiment and its flags. Every
+/// rejection prints one line (or the usage text) and carries exit 2.
+fn parse(argv: &[String]) -> Result<(&'static Experiment, Args), ExitCode> {
+    let mut chosen: Option<&'static Experiment> = None;
+    let mut args = Args::default();
+    let mut it = argv.iter().peekable();
+    while let Some(arg) = it.next() {
+        if arg == "--json" {
+            // Optional operand: `--json results.json` writes to a file.
+            args.json = match it.next_if(|v| !v.starts_with('-') && chosen.is_some()) {
+                Some(path) => Json::File(path.clone()),
+                None => Json::Stdout,
+            };
+        } else if let Some(&flag) = FLAGS.iter().find(|f| f.0 == arg) {
+            let value = if flag.1.is_empty() { "" } else { it.next().ok_or_else(usage)? };
+            args.set(flag, value).map_err(|e| {
+                eprintln!("{e}");
+                ExitCode::from(2)
+            })?;
+        } else if arg.starts_with('-')
+            || chosen.is_some_and(|e| args.operands.len() == e.operands.split_whitespace().count())
+        {
+            eprintln!("unexpected argument '{arg}'");
+            return Err(usage());
+        } else if chosen.is_some() {
+            args.operands.push(arg.clone());
+        } else {
+            let found = EXPERIMENTS.iter().find(|e| e.name == arg || e.aliases.contains(&&**arg));
+            chosen = Some(found.ok_or_else(|| {
+                eprintln!("unknown experiment '{arg}'");
+                ExitCode::from(2)
+            })?);
+        }
+    }
+    let Some(exp) = chosen else { return Err(usage()) };
+    if let Some((Flag(flag, _), _)) =
+        args.given.iter().find(|(f, _)| *f != SCALE && !exp.flags.contains(f))
+    {
+        let reads: Vec<&str> =
+            [SCALE.0, "--json"].into_iter().chain(exp.flags.iter().map(|f| f.0)).collect();
+        eprintln!("repro {} does not read {flag} (it reads {})", exp.name, reads.join(", "));
+        return Err(ExitCode::from(2));
+    }
+    if args.operands.len() < exp.operands.split_whitespace().count() {
+        eprintln!("{} needs {}", exp.name, exp.operands);
+        return Err(ExitCode::from(2));
+    }
+    Ok((exp, args))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment: Option<String> = None;
-    let mut scale = Scale::Small;
-    let mut json = false;
-    let mut json_path: Option<String> = None;
-    let mut csv_dir: Option<String> = None;
-    let mut slo_ms = 500.0f64;
-    let mut policy = ncsw_serve::DispatchPolicy::CostAware;
-    let mut trace_path: Option<String> = None;
-    let mut metrics_csv: Option<String> = None;
-    let mut sample_ms = 10.0f64;
-    let mut faults: Option<ncsw_faults::FaultPlan> = None;
-    let mut sample: Option<ncsw_obs::SamplePolicy> = None;
-    let mut incidents_dir: Option<String> = None;
-    let mut ctrl_policy = String::from("reactive");
-    let mut flame_path: Option<String> = None;
-    let mut flame_energy_path: Option<String> = None;
-    let mut abs_ms = 0.5f64;
-    let mut rel_pct = 5.0f64;
-    // `None` = flag absent: bench-diff defaults to 50, whatif to its
-    // own gate tolerance.
-    let mut tol_pct: Option<f64> = None;
-    let mut prof_on = false;
-    let mut gray_on = false;
-    let mut campaigns = 25usize;
-    let mut seed = vpu_num::rng::DEFAULT_SEED;
-    let mut baseline_policy = ncsw_serve::DispatchPolicy::RoundRobin;
-    let mut whatif_components: Option<Vec<ncsw::ScaleComponent>> = None;
-    let mut whatif_factors: Option<Vec<f64>> = None;
-    let mut whatif_loads: Option<Vec<f64>> = None;
-    let mut operands: Vec<String> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(s) = Scale::parse(v) else {
-                    return bad_value("--scale", v, "tiny, small or paper");
-                };
-                scale = s;
-            }
-            "--json" => {
-                json = true;
-                // Optional operand: `--json results.json` writes to a file.
-                if let Some(v) = it.peek() {
-                    if !v.starts_with('-') && experiment.is_some() {
-                        json_path = Some(it.next().unwrap().clone());
-                    }
-                }
-            }
-            "--csv" => {
-                let Some(v) = it.next() else { return usage() };
-                csv_dir = Some(v.clone());
-            }
-            "--slo-ms" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(ms) = parse_positive(v) else {
-                    return bad_value("--slo-ms", v, "a positive number of milliseconds");
-                };
-                slo_ms = ms;
-            }
-            "--policy" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(p) = ncsw_serve::DispatchPolicy::parse(v) else {
-                    return bad_value("--policy", v, DISPATCH_POLICIES);
-                };
-                policy = p;
-            }
-            "--trace" => {
-                let Some(v) = it.next() else { return usage() };
-                trace_path = Some(v.clone());
-            }
-            "--metrics-csv" => {
-                let Some(v) = it.next() else { return usage() };
-                metrics_csv = Some(v.clone());
-            }
-            "--sample-ms" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(ms) = parse_positive(v).filter(|&ms| ms >= MIN_SAMPLE_MS) else {
-                    return bad_value("--sample-ms", v, "a number of milliseconds >= 0.001");
-                };
-                sample_ms = ms;
-            }
-            "--flame" => {
-                let Some(v) = it.next() else { return usage() };
-                flame_path = Some(v.clone());
-            }
-            "--flame-energy" => {
-                let Some(v) = it.next() else { return usage() };
-                flame_energy_path = Some(v.clone());
-            }
-            "--abs-ms" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(ms) = parse_non_negative(v) else {
-                    return bad_value("--abs-ms", v, "a non-negative number of milliseconds");
-                };
-                abs_ms = ms;
-            }
-            "--rel-pct" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(p) = parse_non_negative(v) else {
-                    return bad_value("--rel-pct", v, "a non-negative percentage");
-                };
-                rel_pct = p;
-            }
-            "--tol-pct" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(p) = parse_non_negative(v) else {
-                    return bad_value("--tol-pct", v, "a non-negative percentage");
-                };
-                tol_pct = Some(p);
-            }
-            "--components" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(parsed) = v.split(',').map(ncsw::ScaleComponent::parse).collect() else {
-                    let names = ncsw::ScaleComponent::ALL.map(|c| c.name()).join(",");
-                    let expected = format!("a comma list of {names}");
-                    return bad_value("--components", v, &expected);
-                };
-                whatif_components = Some(parsed);
-            }
-            "--factors" => {
-                let Some(v) = it.next() else { return usage() };
-                match parse_f64_list(v) {
-                    Some(l) if l.iter().all(|&f| f <= MAX_WHATIF_FACTOR) => {
-                        whatif_factors = Some(l)
-                    }
-                    _ => {
-                        let expected =
-                            format!("comma-separated positive numbers up to {MAX_WHATIF_FACTOR}");
-                        return bad_value("--factors", v, &expected);
-                    }
-                }
-            }
-            "--loads" => {
-                let Some(v) = it.next() else { return usage() };
-                match parse_f64_list(v) {
-                    Some(l) if l.iter().all(|&f| f >= MIN_WHATIF_LOAD) => whatif_loads = Some(l),
-                    _ => {
-                        let expected = format!("comma-separated numbers >= {MIN_WHATIF_LOAD}");
-                        return bad_value("--loads", v, &expected);
-                    }
-                }
-            }
-            "--prof" => prof_on = true,
-            "--gray" => gray_on = true,
-            "--campaigns" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(n) = v.parse::<usize>().ok().filter(|&n| n > 0) else {
-                    return bad_value("--campaigns", v, "a positive whole number");
-                };
-                campaigns = n;
-            }
-            "--seed" => {
-                let Some(v) = it.next() else { return usage() };
-                let Ok(s) = v.parse::<u64>() else {
-                    return bad_value("--seed", v, "a whole number");
-                };
-                seed = s;
-            }
-            "--baseline-policy" => {
-                let Some(v) = it.next() else { return usage() };
-                let Some(p) = ncsw_serve::DispatchPolicy::parse(v) else {
-                    return bad_value("--baseline-policy", v, DISPATCH_POLICIES);
-                };
-                baseline_policy = p;
-            }
-            "--ctrl" => {
-                let Some(v) = it.next() else { return usage() };
-                if !ncsw_ctrl::POLICY_NAMES.contains(&v.as_str()) {
-                    return bad_value("--ctrl", v, &ncsw_ctrl::POLICY_NAMES.join(", "));
-                }
-                ctrl_policy = v.clone();
-            }
-            "--faults" => {
-                let Some(v) = it.next() else { return usage() };
-                match ncsw_faults::FaultPlan::parse(v) {
-                    Ok(plan) => faults = Some(plan),
-                    Err(e) => {
-                        eprintln!("bad --faults '{v}': {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--sample" => {
-                let Some(v) = it.next() else { return usage() };
-                match ncsw_obs::SamplePolicy::parse(v) {
-                    Ok(p) => sample = Some(p),
-                    Err(e) => {
-                        eprintln!("bad --sample: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--incidents" => {
-                let Some(v) = it.next() else { return usage() };
-                incidents_dir = Some(v.clone());
-            }
-            other if experiment.is_none() && !other.starts_with('-') => {
-                experiment = Some(other.to_string());
-            }
-            other
-                if !other.starts_with('-')
-                    && match experiment.as_deref() {
-                        Some("validate-trace") | Some("analyze") => operands.is_empty(),
-                        Some("diff") | Some("bench-diff") | Some("explain") => operands.len() < 2,
-                        _ => false,
-                    } =>
-            {
-                operands.push(other.to_string());
-            }
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return usage();
-            }
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&argv) {
+        Ok((exp, args)) => match (exp.run)(&args) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(code) => ExitCode::from(code),
+        },
+        Err(code) => code,
     }
-    let Some(exp) = experiment else { return usage() };
-
-    macro_rules! emit {
-        ($result:expr) => {{
-            let r = $result;
-            if let Some(path) = &json_path {
-                vpu_bench::report::write_json(path, &r);
-                r.print();
-            } else if json {
-                println!("{}", serde_json::to_string_pretty(&r).expect("serialize"));
-            } else {
-                r.print();
-            }
-        }};
-    }
-
-    // `--prof` wraps a run in the wall-clock profiler and prints the
-    // scope tree afterwards; the simulated outcome is bit-identical.
-    macro_rules! profiled {
-        ($run:expr) => {{
-            if prof_on {
-                ncsw_obs::prof::start();
-                let r = $run;
-                let report = ncsw_obs::prof::stop();
-                eprint!("{}", report.render());
-                r
-            } else {
-                $run
-            }
-        }};
-    }
-
-    fn read_file(path: &str) -> String {
-        match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let write_csv = |name: &str, content: String| {
-        if let Some(dir) = &csv_dir {
-            vpu_bench::report::write_csv_in(dir, name, &content);
-        }
-    };
-    let write_incidents = |bundles: &[vpu_bench::serve_bench::IncidentBundle]| {
-        if let Some(dir) = &incidents_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {dir}: {e}");
-                std::process::exit(2);
-            }
-            if bundles.is_empty() {
-                eprintln!("{dir}: no incident fired during the run; nothing written");
-            }
-            for b in bundles {
-                vpu_bench::report::write_json(&format!("{dir}/incident_{}.json", b.n), b);
-            }
-        }
-    };
-    let run = |name: &str, json: bool| {
-        match name {
-            "fig6a" => {
-                let r = fig6::fig6a(scale);
-                write_csv("fig6a", vpu_bench::csv::fig6a_csv(&r));
-                emit!(r);
-            }
-            "fig6b" => {
-                let r = fig6::fig6b(scale);
-                write_csv("fig6b", vpu_bench::csv::fig6b_csv(&r));
-                emit!(r);
-            }
-            "fig7a" | "fig7b" | "fig7" => {
-                let r = fig7::fig7(scale);
-                write_csv("fig7", vpu_bench::csv::fig7_csv(&r));
-                emit!(r);
-            }
-            "fig8a" => {
-                let r = fig8::fig8a(scale);
-                write_csv("fig8a", vpu_bench::csv::fig8a_csv(&r));
-                emit!(r);
-            }
-            "fig8b" => {
-                let r = fig8::fig8b(scale);
-                write_csv("fig8b", vpu_bench::csv::fig8b_csv(&r));
-                emit!(r);
-            }
-            "anchors" => emit!(anchors::anchors(scale)),
-            "timeline" => emit!(timeline::timeline()),
-            "ablation-accum" => emit!(ablations::ablation_accum(scale)),
-            "ablation-usb" => emit!(ablations::ablation_usb(scale)),
-            "ablation-shave" => emit!(ablations::ablation_shave()),
-            "mdk-gemm" => emit!(vpu_bench::mdk_gemm::mdk_gemm()),
-            "ablation-faults" => emit!(ablations::ablation_faults(scale)),
-            "ablation-prefetch" => emit!(ablations::ablation_prefetch()),
-            "ablation-blob" => emit!(ablations::ablation_blob_batch()),
-            "layers" => emit!(vpu_bench::layers::layers()),
-            "zoo" => emit!(vpu_bench::zoo_bench::zoo_bench()),
-            "stream" => emit!(vpu_bench::stream_bench::stream_bench()),
-            "power" => emit!(vpu_bench::power_bench::power_bench(scale)),
-            "energy" => {
-                emit!(vpu_bench::energy_bench::energy_exp_with(
-                    scale,
-                    desim::Duration::from_millis(slo_ms),
-                ));
-            }
-            "future-work" => emit!(vpu_bench::future_work::future_work(scale)),
-            "serve"
-                if trace_path.is_some()
-                    || metrics_csv.is_some()
-                    || faults.is_some()
-                    || sample.is_some()
-                    || incidents_dir.is_some()
-                    || gray_on
-                    || prof_on =>
-            {
-                if let Some(plan) = &faults {
-                    let fleet = ncsw_serve::FleetSpec::parse(serve_bench::TRACED_FLEET)
-                        .expect("valid fleet spec");
-                    if let Err(e) = plan.validate_pins(fleet.0.len()) {
-                        eprintln!("bad --faults for fleet {}: {e}", serve_bench::TRACED_FLEET);
-                        std::process::exit(2);
-                    }
-                }
-                let gray = if gray_on {
-                    ncsw_serve::GrayConfig::defended()
-                } else {
-                    ncsw_serve::GrayConfig::default()
-                };
-                let r = profiled!(serve_bench::traced_serve(
-                    scale,
-                    desim::Duration::from_millis(slo_ms),
-                    policy,
-                    desim::Duration::from_millis(sample_ms),
-                    faults.as_ref(),
-                    gray,
-                    sample.clone(),
-                ));
-                vpu_bench::report::write_artifact_opt(&trace_path, &r.chrome_json);
-                vpu_bench::report::write_artifact_opt(&metrics_csv, &r.series_csv);
-                write_incidents(&r.incidents);
-                emit!(r);
-            }
-            "autoscale"
-                if trace_path.is_some()
-                    || metrics_csv.is_some()
-                    || sample.is_some()
-                    || incidents_dir.is_some()
-                    || prof_on =>
-            {
-                let r = profiled!(vpu_bench::autoscale_bench::traced_autoscale(
-                    scale,
-                    &ctrl_policy,
-                    desim::Duration::from_millis(sample_ms),
-                    sample.clone(),
-                ));
-                vpu_bench::report::write_artifact_opt(&trace_path, &r.chrome_json);
-                vpu_bench::report::write_artifact_opt(&metrics_csv, &r.series_csv);
-                write_incidents(&r.incidents);
-                emit!(r);
-            }
-            "bench-sim" => emit!(vpu_bench::sim_bench::sim_bench(scale)),
-            "gray" => {
-                emit!(vpu_bench::gray_bench::gray_exp_with(
-                    scale,
-                    desim::Duration::from_millis(slo_ms),
-                ));
-            }
-            "chaos" => {
-                let r = vpu_bench::chaos_bench::chaos(campaigns, seed);
-                emit!(r.clone());
-                if !r.passed() {
-                    std::process::exit(1);
-                }
-            }
-            "bench-diff" => {
-                let [a_path, b_path] = operands.as_slice() else {
-                    eprintln!("bench-diff needs BASE and CANDIDATE BENCH_sim.json paths");
-                    std::process::exit(2);
-                };
-                let load = |path: &String| -> vpu_bench::sim_bench::SimBench {
-                    match serde_json::from_str(&read_file(path)) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            eprintln!("{path}: not a BENCH_sim.json: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                };
-                let d = vpu_bench::sim_bench::sim_bench_diff(
-                    &load(a_path),
-                    &load(b_path),
-                    tol_pct.unwrap_or(50.0),
-                );
-                if let Some(p) = &json_path {
-                    vpu_bench::report::write_json(p, &d);
-                    print!("{}", d.render());
-                } else if json {
-                    println!("{}", serde_json::to_string_pretty(&d).expect("serialize"));
-                } else {
-                    print!("{}", d.render());
-                }
-                if d.regression {
-                    std::process::exit(1);
-                }
-            }
-            "autoscale" => emit!(vpu_bench::autoscale_bench::autoscale_exp(scale)),
-            "failover" => {
-                emit!(vpu_bench::fault_bench::failover_exp_with(
-                    scale,
-                    desim::Duration::from_millis(slo_ms),
-                ));
-            }
-            "serve" => {
-                let r = serve_bench::serve_exp_with(
-                    scale,
-                    desim::Duration::from_millis(slo_ms),
-                    policy,
-                );
-                write_csv("serve", vpu_bench::csv::serve_csv(&r));
-                emit!(r);
-            }
-            "validate-trace" => {
-                let Some(path) = operands.first() else {
-                    eprintln!("validate-trace needs a PATH");
-                    std::process::exit(2);
-                };
-                let json = read_file(path);
-                // Validation cost is part of the observability ledger:
-                // time the parse+check pass and report its throughput.
-                let t = std::time::Instant::now();
-                match vpu_bench::trace_check::validate(&json) {
-                    Ok(check) => {
-                        let wall_s = t.elapsed().as_secs_f64();
-                        let mb = json.len() as f64 / 1e6;
-                        println!(
-                            "{path}: ok — {} events, {} tracks, {} requests ({} fully chained), \
-                             {} failovers, {} outage windows, {} sheds, {} power samples, \
-                             {} drains / {} scale-downs / {} scale-ups, \
-                             {} hedges ({} won), {} quarantines, {} integrity fails",
-                            check.events,
-                            check.tracks,
-                            check.requests,
-                            check.chained,
-                            check.failovers,
-                            check.outage_windows,
-                            check.sheds,
-                            check.power_samples,
-                            check.drains,
-                            check.scale_downs,
-                            check.scale_ups,
-                            check.hedges,
-                            check.hedge_wins,
-                            check.quarantines,
-                            check.integrity_fails
-                        );
-                        if let Some(s) = &check.sampling {
-                            println!("{path}: {}", s.render());
-                        }
-                        println!(
-                            "{path}: parsed {:.2} MB in {:.1} ms ({:.1} MB/s)",
-                            mb,
-                            wall_s * 1e3,
-                            if wall_s > 0.0 { mb / wall_s } else { 0.0 }
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: INVALID trace: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "explain" => {
-                let [path, id] = operands.as_slice() else {
-                    eprintln!("explain needs a TRACE path and a REQUEST_ID");
-                    std::process::exit(2);
-                };
-                let Ok(id) = id.parse::<u64>() else {
-                    eprintln!("bad request id '{id}'");
-                    std::process::exit(2);
-                };
-                match ncsw_analyze::explain_chrome_json(&read_file(path), id) {
-                    Ok(e) => {
-                        if let Some(p) = &json_path {
-                            vpu_bench::report::write_json(p, &e);
-                            print!("{}", e.render());
-                        } else if json {
-                            println!("{}", serde_json::to_string_pretty(&e).expect("serialize"));
-                        } else {
-                            print!("{}", e.render());
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "sample-sweep" => emit!(vpu_bench::sample_bench::sample_exp(scale)),
-            "whatif" => {
-                use vpu_bench::whatif_bench::{self, WhatIfConfig};
-                let defaults = WhatIfConfig::default();
-                let grid = WhatIfConfig {
-                    components: whatif_components.clone().unwrap_or(defaults.components),
-                    factors: whatif_factors.clone().unwrap_or(defaults.factors),
-                    loads: whatif_loads.clone().unwrap_or(defaults.loads),
-                    tolerance_pct: tol_pct.unwrap_or(whatif_bench::TOLERANCE_PCT),
-                };
-                let out = whatif_bench::whatif_run(scale, &grid);
-                // --trace writes the baseline trace plus the f=1.0
-                // arm's as PATH.identity.json, so CI can `cmp` the
-                // passivity claim byte-for-byte.
-                vpu_bench::report::write_artifact_opt(&trace_path, &out.baseline_trace);
-                if let Some(p) = &trace_path {
-                    vpu_bench::report::write_artifact(
-                        &format!("{p}.identity.json"),
-                        &out.identity_trace,
-                    );
-                }
-                write_csv("whatif", vpu_bench::whatif_bench::whatif_csv(&out.exp));
-                let ok = out.exp.whatif_ok;
-                emit!(out.exp);
-                if !ok {
-                    std::process::exit(1);
-                }
-            }
-            "analyze" => {
-                let Some(path) = operands.first() else {
-                    eprintln!("analyze needs a TRACE path");
-                    std::process::exit(2);
-                };
-                let analysis =
-                    profiled!(match ncsw_analyze::Analysis::from_chrome(&read_file(path)) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            eprintln!("{path}: cannot analyze: {e}");
-                            std::process::exit(1);
-                        }
-                    });
-                if let Some(fp) = &flame_path {
-                    vpu_bench::report::write_artifact(fp, &ncsw_analyze::folded(&analysis));
-                }
-                if let Some(fp) = &flame_energy_path {
-                    vpu_bench::report::write_artifact(fp, &ncsw_analyze::folded_energy(&analysis));
-                }
-                let out = AnalyzeJson {
-                    table: analysis.table.clone(),
-                    e2e: analysis.e2e,
-                    shed: analysis.shed,
-                    outages: analysis.forest.outages.len(),
-                    p99_during_outage_ms: analysis.p99_during_outages_ms(),
-                    slo_alert_windows: analysis.forest.alerts.len(),
-                    energy: analysis.energy.as_ref().map(EnergyJson::of),
-                };
-                if let Some(p) = &json_path {
-                    vpu_bench::report::write_json(p, &out);
-                    print!("{}", analysis.render());
-                } else if json {
-                    println!("{}", serde_json::to_string_pretty(&out).expect("serialize"));
-                } else {
-                    print!("{}", analysis.render());
-                }
-            }
-            "diff" => {
-                let [a_path, b_path] = operands.as_slice() else {
-                    eprintln!("diff needs BASELINE_TRACE and CANDIDATE_TRACE paths");
-                    std::process::exit(2);
-                };
-                let load =
-                    |path: &String| match ncsw_analyze::Analysis::from_chrome(&read_file(path)) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            eprintln!("{path}: cannot analyze: {e}");
-                            std::process::exit(1);
-                        }
-                    };
-                let a = load(a_path);
-                let b = load(b_path);
-                let cfg = ncsw_analyze::DiffConfig { abs_floor: abs_ms, rel_pct };
-                let d = ncsw_analyze::diff(&a, &b, &cfg);
-                if let Some(p) = &json_path {
-                    vpu_bench::report::write_json(p, &d);
-                    print!("{}", d.render());
-                } else if json {
-                    println!("{}", serde_json::to_string_pretty(&d).expect("serialize"));
-                } else {
-                    print!("{}", d.render());
-                }
-                if d.regression {
-                    std::process::exit(1);
-                }
-            }
-            "abdiff" => {
-                let r = vpu_bench::ab_bench::ab_exp_with(
-                    scale,
-                    desim::Duration::from_millis(slo_ms),
-                    baseline_policy,
-                    policy,
-                );
-                emit!(r);
-            }
-            other => {
-                eprintln!("unknown experiment '{other}'");
-                std::process::exit(2);
-            }
-        }
-        true
-    };
-
-    if exp == "all" {
-        for name in [
-            "fig6a",
-            "fig6b",
-            "fig7",
-            "fig8a",
-            "fig8b",
-            "anchors",
-            "timeline",
-            "ablation-accum",
-            "ablation-usb",
-            "ablation-shave",
-            "ablation-faults",
-            "ablation-prefetch",
-            "ablation-blob",
-            "mdk-gemm",
-            "layers",
-            "zoo",
-            "stream",
-            "power",
-            "energy",
-            "future-work",
-            "serve",
-            "failover",
-            "autoscale",
-            "bench-sim",
-            "gray",
-            "sample-sweep",
-            "whatif",
-        ] {
-            run(name, json);
-        }
-    } else {
-        run(&exp, json);
-    }
-    ExitCode::SUCCESS
 }

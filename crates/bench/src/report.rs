@@ -14,14 +14,6 @@ pub fn write_artifact(path: &str, content: &str) {
     eprintln!("wrote {path}");
 }
 
-/// [`write_artifact`] for an optional path (the `--trace PATH` /
-/// `--metrics-csv PATH` pattern: absent flag, no write).
-pub fn write_artifact_opt(path: &Option<String>, content: &str) {
-    if let Some(path) = path {
-        write_artifact(path, content);
-    }
-}
-
 /// Serialize `value` as pretty JSON (with trailing newline) and write
 /// it via [`write_artifact`].
 pub fn write_json<T: Serialize>(path: &str, value: &T) {

@@ -89,3 +89,34 @@ fn fig7_json_path_writes_the_file() {
     let json: serde_json::Value = serde_json::from_str(&written).expect("valid JSON");
     assert!(json.get("cpu_fp32").is_some(), "not a Fig. 7 report: {written}");
 }
+
+#[test]
+fn flags_the_experiment_does_not_read_are_rejected() {
+    assert_rejected(&["fig6a", "--faults", "unplug@1s"], "fig6a does not read --faults");
+    assert_rejected(&["layers", "--csv", "out"], "layers does not read --csv");
+    assert_rejected(&["timeline", "--policy", "cost-aware"], "timeline does not read --policy");
+}
+
+#[test]
+fn all_refuses_one_json_path_for_every_report() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("all.json");
+    let _ = std::fs::remove_file(&path);
+    let path = path.to_str().expect("utf-8 path");
+    assert_rejected(&["all", "--scale", "tiny", "--json", path], path);
+    assert!(!std::path::Path::new(path).exists(), "all --json PATH wrote {path}");
+}
+
+#[test]
+fn a_truncated_trace_fails_in_one_line() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("truncated.trace.json");
+    std::fs::write(&path, r#"{"traceEvents": [{"ph": "X", "ts": 1"#).expect("write trace");
+    let path = path.to_str().expect("utf-8 path");
+    for args in [&["validate-trace", path][..], &["analyze", path], &["explain", path, "3"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: want one line, got {stderr}");
+        assert!(stderr.contains("not valid JSON: unexpected end"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("Error {"), "{args:?} printed a Debug error: {stderr}");
+    }
+}

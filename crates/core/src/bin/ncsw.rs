@@ -14,9 +14,10 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use hostsim::MAX_BATCH;
 use ilsvrc_sim::{pseudo_train, DatasetConfig, ValidationSet};
 use ncsw::runner::{predictions_fp16, predictions_fp32};
-use ncsw::{HostConfig, HostTarget, ImageFolder, IntelVpu, ModelBundle, TargetDevice};
+use ncsw::{HostConfig, HostTarget, ImageFolder, IntelVpu, ModelBundle, TargetDevice, MAX_STICKS};
 use vpu_nn::googlenet::Variant;
 
 const USAGE: &str = "usage: ncsw <info|classify|benchmark> [--target cpu|gpu|vpu] [--devices N] [--images N] [--batch N] [--seed S]";
@@ -33,9 +34,15 @@ fn bad(flag: &str, token: impl std::fmt::Display, why: impl std::fmt::Display) -
     Refusal::Bad(format!("bad {flag} '{token}': {why}"))
 }
 
-/// `flag`'s value as a count of at least one.
-fn positive(flag: &str, token: String) -> Result<usize, Refusal> {
+/// Most images one command simulates (`--images`): twenty times the
+/// paper's 5 × 10,000-image protocol. `benchmark` keeps a record per
+/// batch and `classify` builds five subsets of this size.
+const MAX_IMAGES: usize = 1_000_000;
+
+/// `flag`'s value as a count in `1..=max`.
+fn count(flag: &str, token: String, max: usize) -> Result<usize, Refusal> {
     match token.parse() {
+        Ok(n) if n > max => Err(bad(flag, token, format!("expected at most {max}"))),
         Ok(n) if n > 0 => Ok(n),
         _ => Err(bad(flag, token, "expected a positive integer")),
     }
@@ -67,9 +74,9 @@ fn parse_args() -> Result<Args, Refusal> {
         };
         match a.as_str() {
             "--target" => args.target = take("--target")?,
-            "--devices" => args.devices = positive("--devices", take("--devices")?)?,
-            "--images" => args.images = positive("--images", take("--images")?)?,
-            "--batch" => args.batch = positive("--batch", take("--batch")?)?,
+            "--devices" => args.devices = count("--devices", take("--devices")?, MAX_STICKS)?,
+            "--images" => args.images = count("--images", take("--images")?, MAX_IMAGES)?,
+            "--batch" => args.batch = count("--batch", take("--batch")?, MAX_BATCH)?,
             "--seed" => {
                 let token = take("--seed")?;
                 args.seed =
@@ -171,10 +178,11 @@ fn benchmark(args: &Args) -> Result<(), Refusal> {
         "gpu" => host(HostConfig::k4000())?,
         // The framework couples batch size to active sticks; --devices
         // overrides when given.
-        _ => {
-            let n = if args.devices > 1 { args.devices } else { args.batch };
-            Box::new(IntelVpu::new(model, n))
+        _ if args.devices > 1 => Box::new(IntelVpu::new(model, args.devices)),
+        _ if args.batch > MAX_STICKS => {
+            return Err(bad("--batch", args.batch, format!("expected at most {MAX_STICKS} sticks")))
         }
+        _ => Box::new(IntelVpu::new(model, args.batch)),
     };
     let batch = if args.target == "vpu" && args.devices > 1 { args.devices } else { args.batch };
     let images = images.max(batch) / batch * batch;

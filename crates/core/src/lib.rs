@@ -44,4 +44,4 @@ pub use service::{BatchRun, FailureKind, ScaleComponent, ScalePlan, ServeError, 
 pub use hostsim;
 pub use hostsim::HostConfig;
 pub use source::{ImageFolder, MpiStream, SourceImage};
-pub use target::{HostTarget, IntelVpu, TargetDevice};
+pub use target::{HostTarget, IntelVpu, TargetDevice, MAX_STICKS};

@@ -74,6 +74,11 @@ impl TargetDevice for HostTarget {
     }
 }
 
+/// Most sticks one VPU target or one `N*vpu` fleet term may drive: each
+/// stick is a simulated device, so an unbounded count could exhaust
+/// memory.
+pub const MAX_STICKS: usize = 1024;
+
 /// The multi-stick VPU target. The paper couples the number of active
 /// sticks to the batch size, so `run_throughput` requires
 /// `batch == devices`.

@@ -30,3 +30,19 @@ fn malformed_numbers_are_rejected() {
 fn a_batch_beyond_gpu_memory_is_rejected() {
     assert_rejected(&["benchmark", "--target", "gpu", "--batch", "100000"], "'100000'");
 }
+
+#[test]
+fn counts_past_their_caps_are_rejected() {
+    // A huge host batch overflowed the timing arithmetic, a huge image
+    // count aborted on its allocation, and a VPU batch built that many sticks.
+    assert_rejected(
+        &["benchmark", "--target", "cpu", "--batch", "18446744073709551615"],
+        "'18446744073709551615'",
+    );
+    assert_rejected(
+        &["benchmark", "--target", "cpu", "--images", "8000000000000000000"],
+        "'8000000000000000000'",
+    );
+    assert_rejected(&["benchmark", "--target", "vpu", "--batch", "2000"], "'2000'");
+    assert_rejected(&["benchmark", "--devices", "1025"], "'1025'");
+}

@@ -27,8 +27,9 @@
 use desim::{Duration, FifoResource, SimTime};
 use vpu_nn::cost::NetworkCost;
 
-/// Upper bound on [`HostDevice::max_batch`].
-const MAX_BATCH: usize = 4096;
+/// Upper bound on [`HostDevice::max_batch`], and on any host batch the
+/// `ncsw` CLI accepts.
+pub const MAX_BATCH: usize = 4096;
 
 /// Seed of every host's jitter stream.
 const JITTER_SEED: u64 = 2012;

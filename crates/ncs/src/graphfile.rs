@@ -16,7 +16,6 @@
 //! crc     u64 LE (FNV-1a over everything before it)
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use vpu_nn::graph::NetworkSpec;
 use vpu_nn::weights::Weights;
 use vpu_num::{f16, rng::fnv1a};
@@ -87,54 +86,69 @@ impl GraphFile {
     }
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_string(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Compile a model into the device wire format (FP32 master weights are
 /// quantized to binary16, exactly what the NCSDK compiler does).
-pub fn compile(spec: &NetworkSpec, weights: &Weights) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(FLAG_FP16);
+pub fn compile(spec: &NetworkSpec, weights: &Weights) -> Vec<u8> {
+    let mut buf = MAGIC.to_vec();
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&FLAG_FP16.to_le_bytes());
     put_string(&mut buf, &spec.name);
     let s = spec.input_shape;
     for d in [s.n, s.c, s.h, s.w] {
-        buf.put_u32_le(d as u32);
+        buf.extend_from_slice(&(d as u32).to_le_bytes());
     }
     let weighted: Vec<&vpu_nn::layer::Node> =
         spec.nodes.iter().filter(|n| n.kind.has_weights()).collect();
-    buf.put_u32_le(weighted.len() as u32);
+    buf.extend_from_slice(&(weighted.len() as u32).to_le_bytes());
     for node in weighted {
         let lp =
             weights.get(&node.name).unwrap_or_else(|| panic!("missing weights for {}", node.name));
         put_string(&mut buf, &node.name);
-        buf.put_u32_le(lp.w.len() as u32);
-        buf.put_u32_le(lp.b.len() as u32);
-        for &v in &lp.w {
-            buf.put_u16_le(f16::from_f32(v).to_bits());
-        }
-        for &v in &lp.b {
-            buf.put_u16_le(f16::from_f32(v).to_bits());
+        buf.extend_from_slice(&(lp.w.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&(lp.b.len() as u32).to_le_bytes());
+        for &v in lp.w.iter().chain(&lp.b) {
+            buf.extend_from_slice(&f16::from_f32(v).to_bits().to_le_bytes());
         }
     }
     let crc = fnv1a(&buf);
-    buf.put_u64_le(crc);
-    buf.freeze()
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, GraphFileError> {
-    if buf.remaining() < 4 {
-        return Err(GraphFileError::Truncated);
+/// A cursor over untrusted graph-file bytes: every read checks the
+/// length left and fails with [`GraphFileError::Truncated`].
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], GraphFileError> {
+        let head = self.0.get(..n).ok_or(GraphFileError::Truncated)?;
+        self.0 = &self.0[n..];
+        Ok(head)
     }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(GraphFileError::Truncated);
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], GraphFileError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
     }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| GraphFileError::MalformedString)
+
+    fn u32(&mut self) -> Result<u32, GraphFileError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn string(&mut self) -> Result<String, GraphFileError> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| GraphFileError::MalformedString)
+    }
+
+    /// `n` binary16 values.
+    fn f16s(&mut self, n: usize) -> Result<Vec<f16>, GraphFileError> {
+        let raw = self.take(n.saturating_mul(2))?;
+        Ok(raw.chunks_exact(2).map(|c| f16::from_bits(u16::from_le_bytes([c[0], c[1]]))).collect())
+    }
 }
 
 /// Parse and validate a graph file blob.
@@ -147,48 +161,27 @@ pub fn parse(blob: &[u8]) -> Result<GraphFile, GraphFileError> {
     if fnv1a(body) != stored {
         return Err(GraphFileError::ChecksumMismatch);
     }
-    let mut buf = Bytes::copy_from_slice(body);
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut buf = Reader(body);
+    if buf.take(4)? != MAGIC {
         return Err(GraphFileError::BadMagic);
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(buf.array()?);
     if version != VERSION {
         return Err(GraphFileError::UnsupportedVersion(version));
     }
-    let _flags = buf.get_u16_le();
-    let name = get_string(&mut buf)?;
-    if buf.remaining() < 16 {
-        return Err(GraphFileError::Truncated);
-    }
-    let input = (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le());
-    if buf.remaining() < 4 {
-        return Err(GraphFileError::Truncated);
-    }
-    let count = buf.get_u32_le() as usize;
+    let _flags = buf.take(2)?;
+    let name = buf.string()?;
+    let input = (buf.u32()?, buf.u32()?, buf.u32()?, buf.u32()?);
+    let count = buf.u32()? as usize;
     // The count is untrusted: reserve no more layers than the remaining
     // bytes can hold (each takes at least its three u32 length fields).
-    let mut layers = Vec::with_capacity(count.min(buf.remaining() / 12));
+    let mut layers = Vec::with_capacity(count.min(buf.0.len() / 12));
     for _ in 0..count {
-        let lname = get_string(&mut buf)?;
-        if buf.remaining() < 8 {
-            return Err(GraphFileError::Truncated);
-        }
-        let wl = buf.get_u32_le() as usize;
-        let bl = buf.get_u32_le() as usize;
-        if buf.remaining() < 2 * (wl + bl) {
-            return Err(GraphFileError::Truncated);
-        }
-        let mut w = Vec::with_capacity(wl);
-        for _ in 0..wl {
-            w.push(f16::from_bits(buf.get_u16_le()));
-        }
-        let mut b = Vec::with_capacity(bl);
-        for _ in 0..bl {
-            b.push(f16::from_bits(buf.get_u16_le()));
-        }
-        layers.push(GraphLayer { name: lname, w, b });
+        let name = buf.string()?;
+        let (wl, bl) = (buf.u32()? as usize, buf.u32()? as usize);
+        let w = buf.f16s(wl)?;
+        let b = buf.f16s(bl)?;
+        layers.push(GraphLayer { name, w, b });
     }
     Ok(GraphFile { name, input, layers })
 }

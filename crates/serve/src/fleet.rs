@@ -2,7 +2,7 @@
 //! [`ServiceHook`] workers over one shared [`ModelBundle`].
 
 use ncsw::service::ServiceHook;
-use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle, ScalePlan};
+use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle, ScalePlan, MAX_STICKS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -20,10 +20,6 @@ pub enum WorkerSpec {
     /// (eight of these), where `8xvpu` is one eight-device pipeline.
     Stick,
 }
-
-/// Most elastic sticks one `N*vpu` term may add. The parser expands the
-/// term into `N` workers, so an unbounded `N` could exhaust memory.
-const MAX_STICKS: usize = 1024;
 
 /// An ordered set of workers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
