@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 pub use serde::{Error, Value};
+use std::borrow::Cow;
 
 /// Serialize to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -132,32 +133,62 @@ fn write_json_string(out: &mut String, s: &str) {
 
 /// Deepest nesting of values the parser follows (upstream serde_json's
 /// recursion limit): deeper input is an error, not a stack overflow.
-const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// The one JSON lexer. [`from_str`] builds a [`Value`] tree with it;
+/// readers that want typed rows instead walk the text themselves with
+/// [`peek`](Self::peek), [`seq`](Self::seq), [`map`](Self::map),
+/// [`string`](Self::string), [`number`](Self::number) and
+/// [`skip`](Self::skip), borrowing strings from the input and never
+/// building a tree. Every value the parser reads counts one level of
+/// nesting; a reader that opens a container itself brackets it with
+/// [`enter`](Self::enter) / [`leave`](Self::leave), so both walks share
+/// one depth limit and one set of error strings.
+pub struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser::new(s);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom(format!("trailing characters at byte {}", p.pos)));
-    }
+    p.end()?;
     Ok(v)
 }
 
 impl<'a> Parser<'a> {
+    /// A parser at the start of `text`, at depth 0.
+    pub fn new(text: &'a str) -> Parser<'a> {
+        Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 }
+    }
+
+    /// Byte offset of the next unread input.
+    #[inline]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Only whitespace may follow the value just read.
+    pub fn end(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(Error::custom(format!("trailing characters at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn peek(&mut self) -> Result<u8, Error> {
+    /// The next non-whitespace byte, not consumed.
+    #[inline]
+    pub fn peek(&mut self) -> Result<u8, Error> {
         self.skip_ws();
         self.bytes
             .get(self.pos)
@@ -165,7 +196,9 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| Error::custom("unexpected end of JSON input"))
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
+    /// Consume the next non-whitespace byte, which must be `b`.
+    #[inline]
+    pub fn expect(&mut self, b: u8) -> Result<(), Error> {
         if self.peek()? == b {
             self.pos += 1;
             Ok(())
@@ -174,16 +207,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(v)
-        } else {
-            Err(Error::custom(format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Count one level of nesting for the value about to be read; an
+    /// error past [`MAX_DEPTH`].
+    #[inline]
+    pub fn enter(&mut self) -> Result<(), Error> {
         if self.depth == MAX_DEPTH {
             return Err(Error::custom(format!(
                 "nesting deeper than {MAX_DEPTH} at byte {}",
@@ -191,125 +218,173 @@ impl<'a> Parser<'a> {
             )));
         }
         self.depth += 1;
-        let v = self.value_at_depth();
+        Ok(())
+    }
+
+    /// Close the level opened by [`enter`](Self::enter).
+    #[inline]
+    pub fn leave(&mut self) {
         self.depth -= 1;
+    }
+
+    /// Read one value into a [`Value`] tree.
+    pub fn value(&mut self) -> Result<Value, Error> {
+        self.enter()?;
+        let v = self.peek().and_then(|c| match c {
+            b'n' => self.keyword("null").map(|_| Value::Null),
+            b't' => self.keyword("true").map(|_| Value::Bool(true)),
+            b'f' => self.keyword("false").map(|_| Value::Bool(false)),
+            b'"' => self.string().map(|s| Value::Str(s.into_owned())),
+            b'[' => {
+                let mut items = Vec::new();
+                self.seq(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })
+                .map(|_| Value::Seq(items))
+            }
+            b'{' => {
+                let mut entries = Vec::new();
+                self.map(|p, key| {
+                    entries.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })
+                .map(|_| Value::Map(entries))
+            }
+            _ => self.number(),
+        });
+        self.leave();
         v
     }
 
-    fn value_at_depth(&mut self) -> Result<Value, Error> {
-        match self.peek()? {
-            b'n' => self.eat_keyword("null", Value::Null),
-            b't' => self.eat_keyword("true", Value::Bool(true)),
-            b'f' => self.eat_keyword("false", Value::Bool(false)),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        c => {
-                            return Err(Error::custom(format!(
-                                "expected `,` or `]`, found `{}`",
-                                c as char
-                            )))
-                        }
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    entries.push((key, self.value()?));
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        c => {
-                            return Err(Error::custom(format!(
-                                "expected `,` or `}}`, found `{}`",
-                                c as char
-                            )))
-                        }
-                    }
-                }
-            }
-            _ => self.number(),
+    /// Read and check one value without building it: the same grammar,
+    /// depth limit and errors as [`value`](Self::value), and no
+    /// allocation on valid input.
+    #[inline]
+    pub fn skip(&mut self) -> Result<(), Error> {
+        self.enter()?;
+        let r = self.peek().and_then(|c| match c {
+            b'n' => self.keyword("null"),
+            b't' => self.keyword("true"),
+            b'f' => self.keyword("false"),
+            b'"' => self.lex_string(false).map(drop),
+            b'[' => self.seq(Parser::skip),
+            b'{' => self.map(|p, _| p.skip()),
+            _ => self.number().map(drop),
+        });
+        self.leave();
+        r
+    }
+
+    #[inline]
+    fn keyword(&mut self, kw: &str) -> Result<(), Error> {
+        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+            self.pos += kw.len();
+            Ok(())
+        } else {
+            Err(Error::custom(format!("invalid literal at byte {}", self.pos)))
         }
     }
 
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// An array, `each` reading every element in order. The caller
+    /// counts the array's own level (see [`enter`](Self::enter)).
+    pub fn seq(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.expect(b'[')?;
+        if self.peek()? == b']' {
+            self.pos += 1;
+            return Ok(());
+        }
         loop {
-            let start = self.pos;
-            while self.pos < self.bytes.len() && !matches!(self.bytes[self.pos], b'"' | b'\\') {
-                self.pos += 1;
+            each(self)?;
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                c => {
+                    return Err(Error::custom(format!(
+                        "expected `,` or `]`, found `{}`",
+                        c as char
+                    )))
+                }
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
-            );
+        }
+    }
+
+    /// An object, `each` reading every value in order after its key.
+    /// The caller counts the object's own level.
+    pub fn map(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.expect(b'{')?;
+        if self.peek()? == b'}' {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.expect(b':')?;
+            each(self, key)?;
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                c => {
+                    return Err(Error::custom(format!(
+                        "expected `,` or `}}`, found `{}`",
+                        c as char
+                    )))
+                }
+            }
+        }
+    }
+
+    /// A string, borrowed from the input unless it holds an escape.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.lex_string(true)
+    }
+
+    /// The string grammar; `decode` false checks escapes without
+    /// building the decoded text.
+    #[inline]
+    fn lex_string(&mut self, decode: bool) -> Result<Cow<'a, str>, Error> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        let mut out: Option<String> = None;
+        loop {
+            let run = self.pos;
+            let rest = &self.bytes[run..];
+            self.pos += rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            // Runs end at ASCII bytes, so they are `str` boundaries.
+            let text = &self.text[run..self.pos];
             match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        Some(mut out) => {
+                            out.push_str(text);
+                            Cow::Owned(out)
+                        }
+                        None => Cow::Borrowed(&self.text[start..self.pos - 1]),
+                    });
                 }
                 Some(b'\\') => {
+                    if decode {
+                        out.get_or_insert_with(String::new).push_str(text);
+                    }
                     self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::custom("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            // Surrogate pairs are not needed by this
-                            // workspace's identifiers; map them to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        c => {
-                            return Err(Error::custom(format!("invalid escape `\\{}`", c as char)))
-                        }
+                    let c = self.escape()?;
+                    if let Some(out) = &mut out {
+                        out.push(c);
                     }
                 }
                 _ => return Err(Error::custom("unterminated string")),
@@ -317,7 +392,47 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, Error> {
+    /// The character of the escape after a backslash.
+    fn escape(&mut self) -> Result<char, Error> {
+        let esc = self
+            .bytes
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| Error::custom("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| Error::custom("truncated \\u escape"))?;
+                self.pos += 4;
+                let code = u32::from_str_radix(
+                    std::str::from_utf8(hex).map_err(|_| Error::custom("invalid \\u escape"))?,
+                    16,
+                )
+                .map_err(|_| Error::custom("invalid \\u escape"))?;
+                // Surrogate pairs are not needed by this workspace's
+                // identifiers; map them to U+FFFD.
+                char::from_u32(code).unwrap_or('\u{FFFD}')
+            }
+            c => return Err(Error::custom(format!("invalid escape `\\{}`", c as char))),
+        })
+    }
+
+    /// A number: [`Value::U64`], [`Value::I64`] when negative, or
+    /// [`Value::F64`] when it has a fraction or exponent.
+    #[inline]
+    pub fn number(&mut self) -> Result<Value, Error> {
+        self.skip_ws();
         let start = self.pos;
         if matches!(self.bytes.get(self.pos), Some(b'-')) {
             self.pos += 1;
@@ -333,24 +448,18 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if text.is_empty() || text == "-" {
             return Err(Error::custom(format!("invalid JSON value at byte {start}")));
         }
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::F64)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+        let v = if is_float {
+            text.parse::<f64>().ok().map(Value::F64)
         } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::I64)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+            text.parse::<i64>().ok().map(Value::I64)
         } else {
-            text.parse::<u64>()
-                .map(Value::U64)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        }
+            text.parse::<u64>().ok().map(Value::U64)
+        };
+        v.ok_or_else(|| Error::custom(format!("invalid number `{text}`")))
     }
 }
 
@@ -387,6 +496,41 @@ mod tests {
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("nul").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+    }
+
+    #[test]
+    fn skip_checks_what_value_reads() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let texts = [
+            "{\"a\": [1, -2, 3.5e1, \"x\\ny\", null, true], \"b\": {}}".to_string(),
+            "{\"a\": }".into(),
+            "[1, 2".into(),
+            "nul".into(),
+            "1 2".into(),
+            "\"\\x\"".into(),
+            "\"\\u12\"".into(),
+            "-".into(),
+            "18446744073709551616".into(),
+            "[1,]".into(),
+            "{\"a\" 1}".into(),
+            "{1: 2}".into(),
+            nested(MAX_DEPTH),
+            nested(MAX_DEPTH + 1),
+        ];
+        for text in &texts {
+            let read = parse_value(text).map(drop);
+            let mut p = Parser::new(text);
+            let skipped = p.skip().and_then(|()| p.end());
+            assert_eq!(format!("{read:?}"), format!("{skipped:?}"), "{text}");
+        }
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut p = Parser::new("\"plain\"");
+        assert!(matches!(p.string().unwrap(), Cow::Borrowed("plain")));
+        let mut p = Parser::new("\"a\\\"b\\u0041\"");
+        assert!(matches!(p.string().unwrap(), Cow::Owned(s) if s == "a\"bA"));
     }
 
     #[test]

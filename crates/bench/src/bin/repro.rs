@@ -20,8 +20,9 @@ use serde::Serialize;
 use std::process::ExitCode;
 use vpu_bench::{
     ab_bench, ablations, anchors, autoscale_bench, chaos_bench, csv, energy_bench, fault_bench,
-    fig6, fig7, fig8, future_work, gray_bench, layers, mdk_gemm, power_bench, report, sample_bench,
-    serve_bench, sim_bench, stream_bench, timeline, trace_check, whatif_bench, zoo_bench, Scale,
+    fig6, fig7, fig8, future_work, gray_bench, layers, mdk_gemm, power_bench, print, println,
+    report, sample_bench, serve_bench, sim_bench, stream_bench, timeline, trace_check,
+    whatif_bench, zoo_bench, Scale,
 };
 
 /// The machine-readable shape of `repro analyze --json`.
@@ -574,37 +575,38 @@ fn validate_trace(a: &Args) -> Outcome {
     })?;
     let wall_s = t.elapsed().as_secs_f64();
     let mb = json.len() as f64 / 1e6;
-    println!(
-        "{path}: ok — {} events, {} tracks, {} requests ({} fully chained), \
-         {} failovers, {} outage windows, {} sheds, {} power samples, \
-         {} drains / {} scale-downs / {} scale-ups, \
-         {} hedges ({} won), {} quarantines, {} integrity fails",
-        check.events,
-        check.tracks,
-        check.requests,
-        check.chained,
-        check.failovers,
-        check.outage_windows,
-        check.sheds,
-        check.power_samples,
-        check.drains,
-        check.scale_downs,
-        check.scale_ups,
-        check.hedges,
-        check.hedge_wins,
-        check.quarantines,
-        check.integrity_fails
-    );
-    if let Some(s) = &check.sampling {
-        println!("{path}: {}", s.render());
-    }
-    println!(
-        "{path}: parsed {:.2} MB in {:.1} ms ({:.1} MB/s)",
-        mb,
-        wall_s * 1e3,
-        if wall_s > 0.0 { mb / wall_s } else { 0.0 }
-    );
-    Ok(())
+    a.emit(&check, |check| {
+        println!(
+            "{path}: ok — {} events, {} tracks, {} requests ({} fully chained), \
+             {} failovers, {} outage windows, {} sheds, {} power samples, \
+             {} drains / {} scale-downs / {} scale-ups, \
+             {} hedges ({} won), {} quarantines, {} integrity fails",
+            check.events,
+            check.tracks,
+            check.requests,
+            check.chained,
+            check.failovers,
+            check.outage_windows,
+            check.sheds,
+            check.power_samples,
+            check.drains,
+            check.scale_downs,
+            check.scale_ups,
+            check.hedges,
+            check.hedge_wins,
+            check.quarantines,
+            check.integrity_fails
+        );
+        if let Some(s) = &check.sampling {
+            println!("{path}: {}", s.render());
+        }
+        println!(
+            "{path}: parsed {:.2} MB in {:.1} ms ({:.1} MB/s)",
+            mb,
+            wall_s * 1e3,
+            if wall_s > 0.0 { mb / wall_s } else { 0.0 }
+        );
+    })
 }
 
 fn explain(a: &Args) -> Outcome {

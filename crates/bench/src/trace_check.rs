@@ -13,9 +13,11 @@
 use desim::SimTime;
 use ncsw_analyze::parse_chrome_trace_sampled;
 use ncsw_obs::{request_chain, Event, Phase, SampleStats};
+use serde::Serialize;
 
-/// What [`validate`] measured about a trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// What [`validate`] measured about a trace (`repro validate-trace
+/// --json` prints it).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct TraceCheck {
     /// Trace events excluding metadata records.
     pub events: usize,

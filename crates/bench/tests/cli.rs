@@ -120,3 +120,63 @@ fn a_truncated_trace_fails_in_one_line() {
         assert!(!stderr.contains("Error {"), "{args:?} printed a Debug error: {stderr}");
     }
 }
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // The reader goes away before the first line is written, as
+    // `repro ... | head -1` does after its line.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["layers", "--json"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run repro");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "a closed pipe printed: {stderr}");
+}
+
+#[test]
+fn a_failing_stdout_is_one_error_line() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else { return };
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["layers"])
+        .stdout(full)
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "want one line, got {stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn validate_trace_json_writes_the_check() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (trace, report) = (dir.join("check.trace.json"), dir.join("check.json"));
+    let _ = std::fs::remove_file(&report);
+    let repro = |args: &[&std::ffi::OsStr]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let os = std::ffi::OsStr::new;
+    repro(&[os("serve"), os("--scale"), os("tiny"), os("--trace"), trace.as_os_str()]);
+    // --json PATH writes the check and keeps the text line.
+    let text = repro(&[os("validate-trace"), trace.as_os_str(), os("--json"), report.as_os_str()]);
+    assert!(text.contains(": ok — "), "{text}");
+    let written = std::fs::read_to_string(&report).expect("--json PATH writes PATH");
+    let json: serde_json::Value = serde_json::from_str(&written).expect("valid JSON");
+    let events = json.get("events").and_then(|v| match v {
+        serde_json::Value::U64(n) => Some(*n),
+        _ => None,
+    });
+    assert!(events.is_some_and(|n| n > 0), "no event count: {written}");
+    assert_eq!(json.get("sampling"), Some(&serde_json::Value::Null), "{written}");
+    // --json alone prints the same JSON and nothing else.
+    let printed = repro(&[os("validate-trace"), trace.as_os_str(), os("--json")]);
+    assert_eq!(printed, written);
+}

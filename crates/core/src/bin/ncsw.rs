@@ -161,7 +161,6 @@ fn classify(args: &Args) {
 
 fn benchmark(args: &Args) -> Result<(), Refusal> {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
-    let images = args.images.max(args.batch) / args.batch * args.batch;
     let host = |cfg: HostConfig| -> Result<Box<dyn TargetDevice>, Refusal> {
         let target = HostTarget::new(model.clone(), cfg);
         match target.device().max_batch(target.cost()) {
@@ -185,7 +184,8 @@ fn benchmark(args: &Args) -> Result<(), Refusal> {
         _ => Box::new(IntelVpu::new(model, args.batch)),
     };
     let batch = if args.target == "vpu" && args.devices > 1 { args.devices } else { args.batch };
-    let images = images.max(batch) / batch * batch;
+    // Whole batches of the batch actually run, at least one.
+    let images = args.images.max(batch) / batch * batch;
     let r = target.run_throughput(images, batch);
     println!(
         "target {} | batch {} | {} images: {:.1} img/s ({:.2} ms/image, {:.2} img/W)",

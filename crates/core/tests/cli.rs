@@ -46,3 +46,21 @@ fn counts_past_their_caps_are_rejected() {
     assert_rejected(&["benchmark", "--target", "vpu", "--batch", "2000"], "'2000'");
     assert_rejected(&["benchmark", "--devices", "1025"], "'1025'");
 }
+
+/// Stdout of a successful `ncsw` run.
+fn stdout_of(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_ncsw")).args(args).output().expect("run ncsw");
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+#[test]
+fn devices_set_the_vpu_batch_and_batch_no_longer_sets_the_run_length() {
+    // --devices replaces --batch on the VPU; the default 20 images are
+    // then rounded to whole batches of 4, whatever --batch said.
+    let base = ["benchmark", "--target", "vpu", "--devices", "4"];
+    let plain = stdout_of(&base);
+    assert!(plain.contains("batch 4 | 20 images"), "{plain}");
+    let with_batch = stdout_of(&[&base[..], &["--batch", "2000"]].concat());
+    assert_eq!(with_batch, plain);
+}

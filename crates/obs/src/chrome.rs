@@ -26,30 +26,36 @@ use crate::recorder::EventLog;
 use std::fmt::Write as _;
 use std::io;
 
-/// Microseconds with fixed 3-decimal nanosecond remainder — exact and
-/// deterministic (no float formatting).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Append `ns` as microseconds with a fixed 3-decimal nanosecond
+/// remainder — exact and deterministic (no float formatting).
+fn push_us(out: &mut String, ns: u64) {
+    let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
 }
 
-fn args_of(ev: &Event) -> String {
-    let mut parts = Vec::with_capacity(4);
+/// Append the `args` object of `ev`: its context, cause and reading.
+fn push_args(out: &mut String, ev: &Event) {
+    out.push_str(",\"args\":{");
+    let mut sep = "";
+    let mut field = |out: &mut String, key: &str, v: &dyn std::fmt::Display| {
+        let _ = write!(out, "{sep}\"{key}\":{v}");
+        sep = ",";
+    };
     if let Some(r) = ev.ctx.request_id {
-        parts.push(format!("\"request_id\":{r}"));
+        field(out, "request_id", &r);
     }
     if let Some(b) = ev.ctx.batch_id {
-        parts.push(format!("\"batch_id\":{b}"));
+        field(out, "batch_id", &b);
     }
     if let Some(w) = ev.ctx.worker {
-        parts.push(format!("\"worker\":{w}"));
+        field(out, "worker", &w);
     }
     if let Some(c) = ev.cause {
-        parts.push(format!("\"cause\":\"{}\"", c.name()));
+        field(out, "cause", &format_args!("\"{}\"", c.name()));
     }
     if let Some(v) = ev.value {
-        parts.push(format!("\"mw\":{v}"));
+        field(out, "mw", &v);
     }
-    format!("{{{}}}", parts.join(","))
+    out.push_str("}}");
 }
 
 /// Incremental Chrome-trace serializer over any [`io::Write`] sink.
@@ -108,38 +114,31 @@ impl<W: io::Write> ChromeWriter<W> {
                 format!("lane {} not declared to ChromeWriter", ev.lane.name()),
             )
         })?;
-        let name = ev.phase.name();
-        let ts = us(ev.start.nanos());
-        let args = args_of(ev);
-        self.row.clear();
-        if ev.phase == Phase::PowerSample {
-            // Counter event: Perfetto keys counter tracks by (pid, name),
-            // so the lane's own name doubles as the counter name.
-            let _ = write!(
-                self.row,
-                ",\n{{\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                 \"name\":\"{}\",\"args\":{args}}}",
-                ev.lane.name()
-            );
+        let row = &mut self.row;
+        row.clear();
+        // Counter events: Perfetto keys counter tracks by (pid, name), so
+        // the lane's own name doubles as the counter name.
+        let counter = ev.phase == Phase::PowerSample;
+        let ph = match ev.end {
+            _ if counter => 'C',
+            Some(_) => 'X',
+            None => 'i',
+        };
+        let _ = write!(row, ",\n{{\"ph\":\"{ph}\",\"pid\":0,\"tid\":{tid},\"ts\":");
+        push_us(row, ev.start.nanos());
+        if counter {
+            let _ = write!(row, ",\"name\":\"{}\"", ev.lane.name());
         } else {
             match ev.end {
                 Some(end) => {
-                    let dur = us(end.nanos() - ev.start.nanos());
-                    let _ = write!(
-                        self.row,
-                        ",\n{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                         \"dur\":{dur},\"name\":\"{name}\",\"args\":{args}}}"
-                    );
+                    row.push_str(",\"dur\":");
+                    push_us(row, end.nanos() - ev.start.nanos());
                 }
-                None => {
-                    let _ = write!(
-                        self.row,
-                        ",\n{{\"ph\":\"i\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                         \"s\":\"t\",\"name\":\"{name}\",\"args\":{args}}}"
-                    );
-                }
+                None => row.push_str(",\"s\":\"t\""),
             }
+            let _ = write!(row, ",\"name\":\"{}\"", ev.phase.name());
         }
+        push_args(row, ev);
         self.stats.peak_buffered = self.stats.peak_buffered.max(self.row.len() as u64);
         self.sink.write_all(self.row.as_bytes())?;
         self.stats.bytes += self.row.len() as u64;
@@ -273,6 +272,11 @@ mod tests {
 
     #[test]
     fn timestamps_are_exact_microseconds() {
+        let us = |ns| {
+            let mut out = String::new();
+            push_us(&mut out, ns);
+            out
+        };
         assert_eq!(us(0), "0.000");
         assert_eq!(us(999), "0.999");
         assert_eq!(us(12_345_678), "12345.678");
