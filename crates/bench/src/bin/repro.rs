@@ -15,14 +15,14 @@
 //! text report on stdout.
 
 use desim::Duration;
+use ncsw::{print, println};
 use ncsw_serve::DispatchPolicy;
 use serde::Serialize;
 use std::process::ExitCode;
 use vpu_bench::{
     ab_bench, ablations, anchors, autoscale_bench, chaos_bench, csv, energy_bench, fault_bench,
-    fig6, fig7, fig8, future_work, gray_bench, layers, mdk_gemm, power_bench, print, println,
-    report, sample_bench, serve_bench, sim_bench, stream_bench, timeline, trace_check,
-    whatif_bench, zoo_bench, Scale,
+    fig6, fig7, fig8, future_work, gray_bench, layers, mdk_gemm, power_bench, report, sample_bench,
+    serve_bench, sim_bench, stream_bench, timeline, trace_check, whatif_bench, zoo_bench, Scale,
 };
 
 /// The machine-readable shape of `repro analyze --json`.

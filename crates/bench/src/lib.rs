@@ -9,27 +9,10 @@
 //! (`repro`) maps one sub-command to each experiment; EXPERIMENTS.md
 //! records the paper-vs-measured comparison.
 
-/// `print!` for this crate and `repro`: report text goes through
-/// [`report::write_stdout`], the one writer of report output, which ends
-/// the process quietly on a closed pipe where std's `print!` panics.
-/// Defined before the modules so that it shadows std's in all of them.
-#[macro_export]
-macro_rules! print {
-    ($($arg:tt)*) => {
-        $crate::report::write_stdout(format_args!($($arg)*))
-    };
-}
-
-/// `println!` through [`report::write_stdout`], as [`print!`].
-#[macro_export]
-macro_rules! println {
-    () => {
-        $crate::report::write_stdout(format_args!("\n"))
-    };
-    ($($arg:tt)*) => {
-        $crate::report::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
+// Report text goes through `ncsw::write_stdout` (ncsw's `print!` and
+// `println!` shadow std's in every module of this crate).
+#[macro_use]
+extern crate ncsw;
 
 pub mod ab_bench;
 pub mod ablations;

@@ -32,20 +32,6 @@ pub fn write_csv_in(dir: &str, name: &str, content: &str) {
     eprintln!("wrote {path}");
 }
 
-/// Write report text to stdout. A reader that closed the pipe early
-/// (`repro ... | head -1`) ends the process quietly with status 0; any
-/// other write error prints one `error:` line and exits with status 1.
-pub fn write_stdout(text: std::fmt::Arguments) {
-    use std::io::Write as _;
-    if let Err(e) = std::io::stdout().write_fmt(text) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        eprintln!("error: cannot write to stdout: {e}");
-        std::process::exit(1);
-    }
-}
-
 /// Print a header line with a rule under it.
 pub fn header(title: &str) {
     println!("\n{title}");

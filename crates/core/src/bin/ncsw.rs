@@ -17,6 +17,7 @@ use std::sync::Arc;
 use hostsim::MAX_BATCH;
 use ilsvrc_sim::{pseudo_train, DatasetConfig, ValidationSet};
 use ncsw::runner::{predictions_fp16, predictions_fp32};
+use ncsw::{print, println};
 use ncsw::{HostConfig, HostTarget, ImageFolder, IntelVpu, ModelBundle, TargetDevice, MAX_STICKS};
 use vpu_nn::googlenet::Variant;
 

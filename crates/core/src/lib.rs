@@ -26,6 +26,42 @@
 //! [`runner::predictions_fp16`]. The [`runner`] module glues both into
 //! the experiment-shaped reports the figures use.
 
+/// `print!` for report text: it goes through [`write_stdout`], the one
+/// writer of CLI output, which ends the process quietly on a closed pipe
+/// where std's `print!` panics. The `ncsw` and `repro` binaries import
+/// it (`vpu-bench` with `#[macro_use]`), shadowing std's.
+#[macro_export]
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`], as [`print!`].
+#[macro_export]
+macro_rules! println {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write report text to stdout. A reader that closed the pipe early
+/// (`ncsw ... | head -1`) ends the process quietly with status 0; any
+/// other write error prints one `error:` line and exits with status 1.
+pub fn write_stdout(text: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 pub mod metrics;
 pub mod model;
 pub mod multivpu;

@@ -39,13 +39,13 @@ pub fn latency_curve(
 /// Classify a whole source on the FP32 path (rayon-parallel; real
 /// arithmetic, no timing).
 pub fn predictions_fp32(model: &ModelBundle, source: &dyn SourceImage) -> Vec<Prediction> {
-    predict_generic(model.net32.as_ref(), source, |img| img.clone())
+    predict_generic(model.net32(), source, |img| img.clone())
 }
 
 /// Classify a whole source on the FP16 path (the NCS graph-file
 /// quantization followed by binary16 inference).
 pub fn predictions_fp16(model: &ModelBundle, source: &dyn SourceImage) -> Vec<Prediction> {
-    predict_generic(model.net16.as_ref(), source, |img| img.quantize_fp16())
+    predict_generic(model.net16(), source, |img| img.quantize_fp16())
 }
 
 fn predict_generic<E: Element>(

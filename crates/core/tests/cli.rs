@@ -64,3 +64,35 @@ fn devices_set_the_vpu_batch_and_batch_no_longer_sets_the_run_length() {
     let with_batch = stdout_of(&[&base[..], &["--batch", "2000"]].concat());
     assert_eq!(with_batch, plain);
 }
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // The reader goes away before the first line is written, as
+    // `ncsw ... | head -c1` does after its byte.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ncsw"))
+        .args(["benchmark", "--target", "cpu"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run ncsw");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for ncsw");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_failing_stdout_is_one_error_line() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else { return };
+    let out = Command::new(env!("CARGO_BIN_EXE_ncsw"))
+        .args(["info"])
+        .stdout(full)
+        .output()
+        .expect("run ncsw");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "want one line, got {stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -10,12 +10,10 @@ use ncsw_faults::{FaultEvent, FaultPlan};
 use ncsw_serve::{serve, ArrivalProcess, FleetSpec, ServeConfig, ShedPolicy};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::OnceLock;
 use vpu_nn::googlenet::Variant;
 
-fn model() -> &'static ModelBundle {
-    static MODEL: OnceLock<ModelBundle> = OnceLock::new();
-    MODEL.get_or_init(|| ModelBundle::googlenet_untrained(Variant::Tiny, 1))
+fn model() -> ModelBundle {
+    ModelBundle::googlenet_untrained(Variant::Tiny, 1)
 }
 
 const FLEETS: [&str; 3] = ["cpu+gpu", "vpu+vpu", "cpu+vpu+vpu+vpu"];
@@ -61,7 +59,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let spec = FleetSpec::parse(FLEETS[fleet_idx]).unwrap();
-        let mut workers = spec.build(model());
+        let mut workers = spec.build(&model());
         let fleet_len = workers.len();
         let mut plan = FaultPlan::empty();
         for sample in &faults {

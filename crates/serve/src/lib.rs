@@ -69,20 +69,17 @@ mod tests {
     use super::*;
     use desim::Duration;
     use ncsw::ModelBundle;
-    use std::sync::OnceLock;
     use vpu_nn::googlenet::Variant;
 
-    /// Shared tiny model: properties here are structural, not anchored to
-    /// the paper's latencies, so the small cost profile is fine (and keeps
-    /// the suite fast).
-    fn model() -> &'static ModelBundle {
-        static MODEL: OnceLock<ModelBundle> = OnceLock::new();
-        MODEL.get_or_init(|| ModelBundle::googlenet_untrained(Variant::Tiny, 1))
+    /// Tiny model: properties here are structural, not anchored to the
+    /// paper's latencies, so the small cost profile is fine.
+    fn model() -> ModelBundle {
+        ModelBundle::googlenet_untrained(Variant::Tiny, 1)
     }
 
     fn run(fleet: &str, cfg: &ServeConfig, rate: f64, n: usize) -> (ServeOutcome, ServeReport) {
         let spec = FleetSpec::parse(fleet).unwrap();
-        let mut workers = spec.build(model());
+        let mut workers = spec.build(&model());
         let load = ArrivalProcess::Poisson { rate_per_sec: rate };
         let outcome = serve(&mut workers, cfg, &load, n);
         let report = ServeReport::of(&outcome, cfg);
@@ -182,7 +179,7 @@ mod tests {
         let cfg = ServeConfig { queue_capacity: 8, ..ServeConfig::default() };
         let (plain, _) = run("cpu+1xvpu", &cfg, 2_000.0, 200);
         let spec = FleetSpec::parse("cpu+1xvpu").unwrap();
-        let mut workers = spec.build(model());
+        let mut workers = spec.build(&model());
         let load = ArrivalProcess::Poisson { rate_per_sec: 2_000.0 };
         let (observed, _) =
             serve_observed(&mut workers, &cfg, &load, 200, &server::ObsConfig::default());
@@ -194,7 +191,7 @@ mod tests {
     fn observation_captures_chain_series_and_metrics() {
         let cfg = ServeConfig { queue_capacity: 8, ..ServeConfig::default() };
         let spec = FleetSpec::parse("cpu+2xvpu").unwrap();
-        let mut workers = spec.build(model());
+        let mut workers = spec.build(&model());
         let load = ArrivalProcess::Poisson { rate_per_sec: 2_000.0 };
         let (outcome, obs) =
             serve_observed(&mut workers, &cfg, &load, 200, &server::ObsConfig::default());
@@ -281,7 +278,7 @@ mod tests {
         policy: &mut dyn ScalingPolicy,
     ) -> ServeOutcome {
         let spec = FleetSpec::parse(fleet).unwrap();
-        let mut workers = spec.build(model());
+        let mut workers = spec.build(&model());
         let cfg = ServeConfig::default();
         let scaling = ScalingConfig { elastic: spec.elastic_workers(), ..Default::default() };
         let load = ArrivalProcess::Poisson { rate_per_sec: rate };

@@ -7,14 +7,11 @@ use ncsw::ModelBundle;
 use ncsw_serve::{serve, ArrivalProcess, FleetSpec, ServeConfig, ShedPolicy};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::OnceLock;
 use vpu_nn::googlenet::Variant;
 
-/// Structural properties hold for any model; the tiny variant keeps the
-/// suite fast in debug builds.
-fn model() -> &'static ModelBundle {
-    static MODEL: OnceLock<ModelBundle> = OnceLock::new();
-    MODEL.get_or_init(|| ModelBundle::googlenet_untrained(Variant::Tiny, 1))
+/// Structural properties hold for any model.
+fn model() -> ModelBundle {
+    ModelBundle::googlenet_untrained(Variant::Tiny, 1)
 }
 
 const FLEETS: [&str; 5] = ["cpu", "gpu", "cpu+gpu", "2xvpu", "cpu+gpu+2xvpu"];
@@ -44,7 +41,7 @@ proptest! {
             ..ServeConfig::default()
         };
         let spec = FleetSpec::parse(FLEETS[fleet_idx]).unwrap();
-        let mut workers = spec.build(model());
+        let mut workers = spec.build(&model());
         let load = ArrivalProcess::Poisson { rate_per_sec: rate };
         let outcome = serve(&mut workers, &cfg, &load, n);
 

@@ -99,7 +99,7 @@ fn main() {
     let input = Tensor::<f32>::from_fn(Shape::chw(3, 28, 28), |_, c, h, w| {
         ((h * 28 + w + c * 7) % 19) as f32 / 19.0 - 0.4
     });
-    let output = model.net16.forward(&input.quantize_fp16());
+    let output = model.net16().forward(&input.quantize_fp16());
     let loaded = api.load_tensor(graph, ready).expect("load");
     let res = api.get_result(graph, loaded).expect("result");
     let (pred, conf) = output.argmax_item(0);

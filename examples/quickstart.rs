@@ -52,7 +52,7 @@ fn main() {
     for i in 0..3 {
         let img = folder.fetch(i);
         // Real FP16 arithmetic — this is what the sticks compute.
-        let output = model.net16.forward(&img.pixels.quantize_fp16());
+        let output = model.net16().forward(&img.pixels.quantize_fp16());
         // mvncLoadTensor: returns once the input crossed USB.
         let loaded = api.load_tensor(graph, t).expect("load");
         // ... the host could overlap other work here ...

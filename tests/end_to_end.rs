@@ -33,7 +33,7 @@ fn weights_never_reach_a_timing_output() {
         |seed| ModelBundle::deploy(spec.clone(), vpu_coprocessor::nn::init::xavier(&spec, seed));
     let (a, b) = (deploy(1), deploy(2));
     let input = Tensor::<f32>::full(Shape::chw(3, 32, 32), 0.2).quantize_fp16();
-    assert_ne!(a.net16.forward(&input), b.net16.forward(&input), "the weights must differ");
+    assert_ne!(a.net16().forward(&input), b.net16().forward(&input), "the weights must differ");
 
     // The multi-stick pipeline: same result instants, same energy bits.
     let pipeline = |m: &ModelBundle| {
