@@ -20,6 +20,7 @@ use ncsw::runner::{predictions_fp16, predictions_fp32};
 use ncsw::{print, println};
 use ncsw::{HostConfig, HostTarget, ImageFolder, IntelVpu, ModelBundle, TargetDevice, MAX_STICKS};
 use vpu_nn::googlenet::Variant;
+use vpu_num::simd::Width;
 
 const USAGE: &str = "usage: ncsw <info|classify|benchmark> [--target cpu|gpu|vpu] [--devices N] [--images N] [--batch N] [--seed S]";
 
@@ -111,6 +112,8 @@ fn info() {
     );
     println!("  chip:    Myriad 2 MA2450 — 12 SHAVEs @ 600 MHz, 2 MB CMX, 4 GB LPDDR3");
     println!("  anchors: 26.0 / 25.9 / 100.7 ms batch-1 latency (cpu/gpu/vpu)");
+    let keystream = if rand_chacha::wide_refills() { "avx2" } else { "base" };
+    println!("  kernels: gemm {}, keystream {keystream}", Width::detect().name());
     println!("\npaper testbed topology (Fig. 5):");
     let fleet = ncs_platform::Fleet::new(
         8,

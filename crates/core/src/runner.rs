@@ -36,8 +36,8 @@ pub fn latency_curve(
         .collect()
 }
 
-/// Classify a whole source on the FP32 path (rayon-parallel; real
-/// arithmetic, no timing).
+/// Classify a whole source on the FP32 path (real arithmetic, no
+/// timing; one image after another).
 pub fn predictions_fp32(model: &ModelBundle, source: &dyn SourceImage) -> Vec<Prediction> {
     predict_generic(model.net32(), source, |img| img.clone())
 }

@@ -43,7 +43,7 @@ pub fn train_at_sigma(
     (gen, weights)
 }
 
-/// Probe error at one σ: balanced classes, rayon-parallel inference.
+/// Probe error at one σ: balanced classes, one image after another.
 pub fn probe_error(
     spec: &Arc<NetworkSpec>,
     weights: &Weights,

@@ -73,7 +73,7 @@ pub fn pseudo_train_with(
     let feature_node = spec.nodes[dense_idx].inputs[0];
 
     // Class centroids in trunk-feature space, averaged over the training
-    // draws (rayon-parallel across classes; each class is deterministic).
+    // draws (one class after another; each class is deterministic).
     let net = CompiledNetwork::<f32>::compile(spec.clone(), &weights, AccumMode::Widened);
     let features: Vec<Vec<f32>> = (0..classes)
         .into_par_iter()

@@ -501,9 +501,11 @@ mod reference {
 #[cfg(test)]
 mod differential {
     use super::*;
+    use crate::simd::Width;
 
-    /// One f32 input through all three fast paths, against the oracle.
-    fn check(x: u32) {
+    /// One f32 input through all three fast paths, against the oracle;
+    /// returns the oracle's `round_f32` bits.
+    fn check(x: u32) -> u32 {
         let v = f32::from_bits(x);
         let want = reference::from_f32(v);
         let got = f16::from_f32(v).to_bits();
@@ -511,6 +513,61 @@ mod differential {
         let want = reference::to_f32(want).to_bits();
         let got = f16::round_f32(v).to_bits();
         assert_eq!(got, want, "round_f32({x:#010x}): {got:#010x} != {want:#010x}");
+        want
+    }
+
+    /// `round_f32` over a slice, the loop shape the GEMM vectorizes.
+    #[inline(always)]
+    fn round_slice(xs: &mut [f32]) {
+        for x in xs {
+            *x = f16::round_f32(*x);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn round_slice_avx2(xs: &mut [f32]) {
+        round_slice(xs)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    fn round_slice_avx512(xs: &mut [f32]) {
+        round_slice(xs)
+    }
+
+    /// [`round_slice`] compiled for `width`, or for the baseline when
+    /// this CPU lacks it.
+    fn round_slice_at(width: Width, xs: &mut [f32]) {
+        match width {
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512 if width.is_supported() => {
+                // SAFETY: `is_supported` just confirmed AVX-512 F/BW/VL on this CPU.
+                unsafe { round_slice_avx512(xs) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2 if width.is_supported() => {
+                // SAFETY: `is_supported` just confirmed AVX2 on this CPU.
+                unsafe { round_slice_avx2(xs) }
+            }
+            _ => round_slice(xs),
+        }
+    }
+
+    /// [`check`] on every input, then `inputs` rounded as slices at every
+    /// width in `widths`, against the oracle, as bits.
+    fn check_widths(inputs: &[u32], widths: &[Width]) {
+        let want: Vec<u32> = inputs.iter().map(|&x| check(x)).collect();
+        let mut got: Vec<f32> = Vec::with_capacity(inputs.len());
+        for &w in widths {
+            got.clear();
+            got.extend(inputs.iter().map(|&x| f32::from_bits(x)));
+            round_slice_at(w, &mut got);
+            for ((&x, g), &want) in inputs.iter().zip(&got).zip(&want) {
+                let g = g.to_bits();
+                assert_eq!(g, want, "{} round_f32({x:#010x}): {g:#010x} != {want:#010x}", w.name());
+            }
+        }
     }
 
     #[test]
@@ -536,25 +593,27 @@ mod differential {
             }
         }
         let mut rng = crate::rng::seeded(0xF16);
+        let mut inputs = Vec::new();
         for sign in [0, 0x8000_0000u32] {
             for exp in 0..=0xFFu32 {
-                for &m in &mantissas {
-                    check(sign | exp << 23 | (m & 0x7F_FFFF));
-                }
-                for _ in 0..64 {
-                    check(sign | exp << 23 | rng.gen_range(0..0x80_0000u32));
-                }
+                inputs.extend(mantissas.iter().map(|&m| sign | exp << 23 | (m & 0x7F_FFFF)));
+                inputs.extend((0..64).map(|_| sign | exp << 23 | rng.gen_range(0..0x80_0000u32)));
             }
         }
+        check_widths(&inputs, &Width::supported());
     }
 
-    /// All 2^32 inputs; ~40 s in release:
-    /// `cargo test --release -p vpu-num -- --ignored`.
+    /// All 2^32 inputs, scalar and as slices at every width this CPU
+    /// runs; ~60 s in release: `cargo test --release -p vpu-num -- --ignored`.
     #[test]
     #[ignore]
     fn from_f32_matches_reference_on_every_input() {
-        for x in 0..=u32::MAX {
-            check(x);
+        let widths = Width::supported();
+        let mut chunk = Vec::with_capacity(1 << 16);
+        for hi in 0..=u16::MAX as u32 {
+            chunk.clear();
+            chunk.extend((0..=u16::MAX as u32).map(|lo| hi << 16 | lo));
+            check_widths(&chunk, &widths);
         }
     }
 }

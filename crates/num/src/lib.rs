@@ -10,10 +10,12 @@
 //!
 //! The crate also hosts the descriptive statistics used for the error bars
 //! in every figure ([`stats`]) and the deterministic seeded RNG streams
-//! ([`rng`]) that keep every experiment reproducible bit-for-bit.
+//! ([`rng`]) that keep every experiment reproducible bit-for-bit, and the
+//! run-time choice of the host's vector width ([`simd`]).
 
 pub mod half;
 pub mod rng;
+pub mod simd;
 pub mod stats;
 
 pub use half::f16;

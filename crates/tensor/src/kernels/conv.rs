@@ -2,7 +2,7 @@
 //! reference implementation used to cross-validate it.
 
 use crate::element::Element;
-use crate::kernels::gemm::{gemm, AccumMode};
+use crate::kernels::gemm::{gemm_bias, AccumMode};
 use crate::kernels::im2col::{im2col, Im2ColGeom};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -69,22 +69,19 @@ pub fn conv2d<E: Element>(
         Im2ColGeom::new(ishape.c, ishape.h, ishape.w, params.kernel, params.pad, params.stride);
     let (rows, cols) = (geom.rows(), geom.cols());
 
+    // A 1x1, stride-1, unpadded window unrolls each item to itself.
+    let pointwise = params.kernel == 1 && params.stride == 1 && params.pad == 0;
     let mut out = Tensor::<E>::zeros(oshape);
-    let mut scratch = vec![E::ZERO; rows * cols];
+    let mut scratch = vec![E::ZERO; if pointwise { 0 } else { rows * cols }];
     for n in 0..ishape.n {
-        im2col(&geom, input.item(n), &mut scratch);
+        let unrolled = if pointwise {
+            input.item(n)
+        } else {
+            im2col(&geom, input.item(n), &mut scratch);
+            &scratch
+        };
         let dst = out.item_mut(n);
-        gemm(params.out_channels, rows, cols, weights, &scratch, dst, mode);
-        for oc in 0..params.out_channels {
-            let b = bias[oc];
-            let plane = &mut dst[oc * cols..(oc + 1) * cols];
-            for v in plane.iter_mut() {
-                *v += b;
-                if fuse_relu {
-                    *v = v.maximum(E::ZERO);
-                }
-            }
-        }
+        gemm_bias(params.out_channels, rows, cols, weights, unrolled, dst, mode, bias, fuse_relu);
     }
     out
 }
@@ -166,6 +163,30 @@ mod tests {
         let out = conv2d(&input, &w, &[0.0; 3], &p, AccumMode::Widened, false);
         for (a, b) in out.as_slice().iter().zip(input.as_slice()) {
             assert!((a - b).abs() < 1e-6);
+        }
+    }
+
+    /// The 1x1 path hands the item to the GEMM as it is; the result is
+    /// bit-identical to unrolling it through im2col first.
+    #[test]
+    fn pointwise_conv_equals_the_im2col_path() {
+        let input: Tensor<f16> = rand_tensor(Shape::new(2, 5, 4, 3), 12).cast();
+        let p = ConvParams::new(4, 1, 1, 0);
+        let w: Vec<f16> = rand_tensor(Shape::vector(1, p.weight_len(5)), 13).cast().into_vec();
+        let b: Vec<f16> = rand_tensor(Shape::vector(1, 4), 14).cast().into_vec();
+        let geom = Im2ColGeom::new(5, 4, 3, 1, 0, 1);
+        for mode in [AccumMode::Widened, AccumMode::Native] {
+            for relu in [false, true] {
+                let out = conv2d(&input, &w, &b, &p, mode, relu);
+                for n in 0..2 {
+                    let mut cols = vec![f16::ZERO; 5 * 12];
+                    im2col(&geom, input.item(n), &mut cols);
+                    let mut want = vec![f16::ZERO; 4 * 12];
+                    gemm_bias(4, 5, 12, &w, &cols, &mut want, mode, &b, relu);
+                    let bits = |v: &[f16]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(out.item(n)), bits(&want), "{mode:?} relu {relu}");
+                }
+            }
         }
     }
 

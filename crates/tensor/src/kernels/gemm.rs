@@ -12,10 +12,15 @@
 //!   element type, modelling a pure-FP16 MAC chain. This is the
 //!   worst-case numerics the paper's FP16 experiments probe, and the
 //!   `ablation-accum` experiment compares the two.
+//!
+//! The row loop is compiled once per [`Width`] and [`gemm`] runs the widest
+//! version the CPU supports. Every version performs the same f32 adds and
+//! multiplies in the same order for each output element, so all of them
+//! return the same bits (`vpu_num::simd`).
 
 use crate::element::Element;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use vpu_num::simd::Width;
 
 /// Accumulation precision for dot-product style kernels.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -27,7 +32,9 @@ pub enum AccumMode {
     Native,
 }
 
-/// Sequential reference GEMM (used by tests to validate the row-split path).
+/// Row-at-a-time reference GEMM at the baseline width: each row of C
+/// through its own accumulator (used by tests to validate [`gemm`]'s
+/// width dispatch and the accumulator row it reuses across rows).
 pub fn gemm_seq<E: Element>(
     m: usize,
     k: usize,
@@ -38,14 +45,13 @@ pub fn gemm_seq<E: Element>(
     mode: AccumMode,
 ) {
     check_dims(m, k, n, a.len(), b.len(), c.len());
-    let bw = widen_for(b, mode);
-    for i in 0..m {
-        gemm_row(&a[i * k..(i + 1) * k], b, &bw, &mut c[i * n..(i + 1) * n], mode);
+    for (i, row) in c.chunks_exact_mut(n.max(1)).enumerate() {
+        let a = &a[i * k..(i + 1) * k];
+        rows(&Operands { k, n, a, b, mode, bias: None, relu: false }, row);
     }
 }
 
-/// GEMM over output rows, written as a `par_chunks_mut` loop. The
-/// offline `compat/rayon` shim runs it on one thread.
+/// `C = A · B`, at the widest vector width this CPU runs.
 pub fn gemm<E: Element>(
     m: usize,
     k: usize,
@@ -56,56 +62,137 @@ pub fn gemm<E: Element>(
     mode: AccumMode,
 ) {
     check_dims(m, k, n, a.len(), b.len(), c.len());
-    let bw = widen_for(b, mode);
-    // Each row owns a disjoint slice of C, so the result is bit-identical
-    // to the sequential kernel under any split.
-    c.par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(i, row)| gemm_row(&a[i * k..(i + 1) * k], b, &bw, row, mode));
+    gemm_at(Width::detect(), &Operands { k, n, a, b, mode, bias: None, relu: false }, c);
 }
 
-/// B widened to f32 once per call for [`AccumMode::Native`]; the widened
-/// loop converts as it reads, so it gets nothing.
-fn widen_for<E: Element>(b: &[E], mode: AccumMode) -> Vec<f32> {
-    match mode {
+/// [`gemm`], then row `i` of C plus `bias[i]`, then ReLU if `relu`: the
+/// epilogue of a convolution, applied to the f32 accumulator. Each step
+/// rounds once to the element type, as the element's own `+` and
+/// [`Element::maximum`] do, so the bits equal `c[i][j] += bias[i]` and
+/// `c[i][j] = c[i][j].maximum(E::ZERO)` after [`gemm`]: a NaN becomes +0
+/// and -0 is kept.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_bias<E: Element>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[E],
+    b: &[E],
+    c: &mut [E],
+    mode: AccumMode,
+    bias: &[E],
+    relu: bool,
+) {
+    check_dims(m, k, n, a.len(), b.len(), c.len());
+    assert_eq!(bias.len(), m, "bias must have {m} entries");
+    gemm_at(Width::detect(), &Operands { k, n, a, b, mode, bias: Some(bias), relu }, c);
+}
+
+/// One GEMM's inputs, as the per-width row loops read them.
+struct Operands<'a, E> {
+    k: usize,
+    n: usize,
+    a: &'a [E],
+    b: &'a [E],
+    mode: AccumMode,
+    bias: Option<&'a [E]>,
+    relu: bool,
+}
+
+/// The row loop compiled for `width`, or for the baseline when this CPU
+/// lacks `width`.
+fn gemm_at<E: Element>(width: Width, op: &Operands<'_, E>, c: &mut [E]) {
+    match width {
+        #[cfg(target_arch = "x86_64")]
+        Width::Avx512 if width.is_supported() => {
+            // SAFETY: `is_supported` just confirmed AVX-512 F/BW/VL on this CPU.
+            unsafe { rows_avx512(op, c) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Width::Avx2 if width.is_supported() => {
+            // SAFETY: `is_supported` just confirmed AVX2 on this CPU.
+            unsafe { rows_avx2(op, c) }
+        }
+        _ => rows(op, c),
+    }
+}
+
+/// [`rows`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rows_avx2<E: Element>(op: &Operands<'_, E>, c: &mut [E]) {
+    rows(op, c)
+}
+
+/// [`rows`] compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+fn rows_avx512<E: Element>(op: &Operands<'_, E>, c: &mut [E]) {
+    rows(op, c)
+}
+
+/// Every row of C, through one f32 accumulator row.
+#[inline(always)]
+fn rows<E: Element>(op: &Operands<'_, E>, c: &mut [E]) {
+    let (k, n) = (op.k, op.n);
+    if n == 0 {
+        return;
+    }
+    // B widened to f32 once per call for `Native`; the widened loop
+    // converts as it reads, so it gets nothing.
+    let bw: Vec<f32> = match op.mode {
         AccumMode::Widened => Vec::new(),
-        AccumMode::Native => b.iter().map(|x| x.to_f32()).collect(),
-    }
-}
-
-#[inline]
-fn gemm_row<E: Element>(arow: &[E], b: &[E], bw: &[f32], row: &mut [E], mode: AccumMode) {
-    let n = row.len();
+        AccumMode::Native => op.b.iter().map(|x| x.to_f32()).collect(),
+    };
     let mut acc = vec![0.0f32; n];
-    match mode {
-        AccumMode::Widened => {
-            for (kk, &aik) in arow.iter().enumerate() {
-                let aik = aik.to_f32();
-                if aik == 0.0 {
-                    continue;
+    for (i, row) in c.chunks_exact_mut(n).enumerate() {
+        let arow = &op.a[i * k..(i + 1) * k];
+        acc.fill(0.0);
+        match op.mode {
+            AccumMode::Widened => {
+                for (kk, &aik) in arow.iter().enumerate() {
+                    let aik = aik.to_f32();
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let brow = &op.b[kk * n..kk * n + n];
+                    for (s, &bj) in acc.iter_mut().zip(brow) {
+                        *s += aik * bj.to_f32();
+                    }
                 }
-                let brow = &b[kk * n..kk * n + n];
-                for (s, &bj) in acc.iter_mut().zip(brow) {
-                    *s += aik * bj.to_f32();
+            }
+            AccumMode::Native => {
+                // The accumulator holds element-type values in f32: one
+                // rounding for the product, one for the add, as a non-fused
+                // FP16 MAC does. An `f16` operator also computes in f32 and
+                // rounds once, so this matches `s += a * b` bit for bit.
+                for (kk, &aik) in arow.iter().enumerate() {
+                    let aik = aik.to_f32();
+                    let brow = &bw[kk * n..kk * n + n];
+                    for (s, &bj) in acc.iter_mut().zip(brow) {
+                        *s = E::round_f32(*s + E::round_f32(aik * bj));
+                    }
                 }
             }
         }
-        AccumMode::Native => {
-            // The accumulator holds element-type values in f32: one
-            // rounding for the product, one for the add, as a non-fused
-            // FP16 MAC does. An `f16` operator also computes in f32 and
-            // rounds once, so this matches `s += a * b` bit for bit.
-            for (kk, &aik) in arow.iter().enumerate() {
-                let aik = aik.to_f32();
-                let brow = &bw[kk * n..kk * n + n];
-                for (s, &bj) in acc.iter_mut().zip(brow) {
-                    *s = E::round_f32(*s + E::round_f32(aik * bj));
+        match op.bias {
+            None => {
+                for (dst, &s) in row.iter_mut().zip(&acc) {
+                    *dst = E::from_f32(s);
+                }
+            }
+            Some(bias) => {
+                let b = bias[i].to_f32();
+                for (dst, &s) in row.iter_mut().zip(&acc) {
+                    let v = E::round_f32(E::round_f32(s) + b);
+                    // ReLU as `max(v, +0)` with a NaN losing and a tie
+                    // keeping `v`: what `f16::max` and x86-64's `f32::max`
+                    // compute.
+                    let v = if !op.relu || v >= 0.0 { v } else { 0.0 };
+                    *dst = E::from_f32(v);
                 }
             }
         }
-    }
-    for (dst, s) in row.iter_mut().zip(acc) {
-        *dst = E::from_f32(s);
     }
 }
 
@@ -172,6 +259,20 @@ mod tests {
         assert_eq!(c, b);
     }
 
+    /// The dispatched kernel, one accumulator row reused across rows,
+    /// equals the row-at-a-time baseline.
+    #[test]
+    fn parallel_equals_sequential() {
+        let (m, k, n) = (33, 17, 21);
+        let a = rand_mat(m * k, 4);
+        let b = rand_mat(k * n, 5);
+        let mut cp = vec![0.0f32; m * n];
+        let mut cs = vec![0.0f32; m * n];
+        gemm(m, k, n, &a, &b, &mut cp, AccumMode::Widened);
+        gemm_seq(m, k, n, &a, &b, &mut cs, AccumMode::Widened);
+        assert_eq!(cp, cs);
+    }
+
     #[test]
     fn matches_naive_f64_reference() {
         let (m, k, n) = (7, 13, 9);
@@ -185,18 +286,6 @@ mod tests {
         for (x, y) in c.iter().zip(expect) {
             assert!((*x as f64 - y).abs() < 1e-4, "{x} vs {y}");
         }
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let (m, k, n) = (33, 17, 21);
-        let a = rand_mat(m * k, 4);
-        let b = rand_mat(k * n, 5);
-        let mut cp = vec![0.0f32; m * n];
-        let mut cs = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, &b, &mut cp, AccumMode::Widened);
-        gemm_seq(m, k, n, &a, &b, &mut cs, AccumMode::Widened);
-        assert_eq!(cp, cs);
     }
 
     #[test]
@@ -269,6 +358,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::CaseResult;
     use vpu_num::f16;
 
     /// The native kernel before its accumulator moved to f32: one f16
@@ -353,7 +443,8 @@ mod proptests {
             }
         }
 
-        /// Parallel and sequential kernels agree bit-for-bit for any size.
+        /// The dispatched kernel and the row-at-a-time baseline
+        /// ([`gemm_seq`]) agree bit-for-bit for any size.
         #[test]
         fn par_seq_agree(m in 1usize..12, k in 0usize..16, n in 1usize..12, seed in 0u64..1000) {
             use rand::Rng;
@@ -366,5 +457,126 @@ mod proptests {
             gemm_seq(m, k, n, &a, &b, &mut cs, AccumMode::Widened);
             prop_assert_eq!(cp, cs);
         }
+
+        /// Every width this CPU runs returns the baseline's bits: f32 and
+        /// f16, both accumulation modes, with and without the bias and
+        /// ReLU epilogue. Row 0 of A is all zeros (the widened loop skips
+        /// zero taps) and `n` crosses every vector tail up to 2 × 16 lanes.
+        #[test]
+        fn every_width_matches_the_baseline(
+            m in 1usize..12, k in 0usize..40, n in 1usize..40, seed in 0u64..1_000_000
+        ) {
+            use rand::Rng;
+            let mut rng = vpu_num::rng::seeded(seed);
+            let mut a = f16_inputs(m * k, &mut rng);
+            for x in &mut a[..k] {
+                *x = if rng.gen() { f16::ZERO } else { f16::NEG_ZERO };
+            }
+            let b = f16_inputs(k * n, &mut rng);
+            let bias = f16_inputs(m, &mut rng);
+            widths_agree(m, k, n, &a, &b, &bias)?;
+            let a: Vec<f32> = a.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            let b: Vec<f32> = b.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            let bias: Vec<f32> = bias.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            widths_agree(m, k, n, &a, &b, &bias)?;
+        }
+
+        /// The f32-domain epilogue of [`gemm_bias`] equals [`gemm`]
+        /// followed by the element's own `+=` and `maximum`, bit for bit,
+        /// on the adversarial inputs (NaN, ±Inf, ±0, subnormals, sums
+        /// past 65504) in both element types and modes.
+        #[test]
+        fn bias_epilogue_matches_the_element_operators(
+            m in 1usize..6, k in 0usize..24, n in 1usize..24, seed in 0u64..1_000_000
+        ) {
+            let mut rng = vpu_num::rng::seeded(seed);
+            let a = f16_inputs(m * k, &mut rng);
+            let b = f16_inputs(k * n, &mut rng);
+            let bias = f16_inputs(m, &mut rng);
+            epilogue_agrees(m, k, n, &a, &b, &bias)?;
+            let a: Vec<f32> = a.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            let b: Vec<f32> = b.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            let bias: Vec<f32> = bias.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            epilogue_agrees(m, k, n, &a, &b, &bias)?;
+        }
+    }
+
+    /// An f32 input from an f16 one: mostly its value, sometimes an f32
+    /// special (a NaN payload, a subnormal, a value near `f32::MAX`).
+    fn f32_input(x: f16, rng: &mut impl rand::Rng) -> f32 {
+        match rng.gen_range(0..8) {
+            0 => f32::from_bits(0x7F80_0001 | rng.gen_range(0..0x40_0000u32) << 1),
+            1 => f32::from_bits(rng.gen_range(1..0x80_0000u32) | rng.gen_range(0..2u32) << 31),
+            2 => f32::MAX * rng.gen_range(-1.0f32..1.0),
+            _ => x.to_f32(),
+        }
+    }
+
+    /// Output bits, every NaN as one value. Which NaN an add of two NaNs
+    /// returns is left to code generation (the operand order differs
+    /// between widths), as in `native_matches_the_per_op_f16_loop`.
+    /// `E::from_f32` returns quiet NaNs, so `to_f32` loses nothing else.
+    fn bits<E: Element>(c: &[E]) -> Vec<u32> {
+        c.iter().map(|x| if x.is_nan_e() { u32::MAX } else { x.to_f32().to_bits() }).collect()
+    }
+
+    fn widths_agree<E: Element>(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[E],
+        b: &[E],
+        bias: &[E],
+    ) -> CaseResult {
+        for mode in [AccumMode::Widened, AccumMode::Native] {
+            for (bias, relu) in [(None, false), (Some(bias), false), (Some(bias), true)] {
+                let run = |w: Width| {
+                    let mut c = vec![E::ZERO; m * n];
+                    gemm_at(w, &Operands { k, n, a, b, mode, bias, relu }, &mut c);
+                    bits(&c)
+                };
+                let want = run(Width::Base);
+                for w in Width::supported() {
+                    prop_assert_eq!(
+                        run(w),
+                        want.clone(),
+                        "{} {:?} bias {} relu {}",
+                        w.name(),
+                        mode,
+                        bias.is_some(),
+                        relu
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn epilogue_agrees<E: Element>(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[E],
+        b: &[E],
+        bias: &[E],
+    ) -> CaseResult {
+        for mode in [AccumMode::Widened, AccumMode::Native] {
+            for relu in [false, true] {
+                let mut want = vec![E::ZERO; m * n];
+                gemm(m, k, n, a, b, &mut want, mode);
+                for (row, &bi) in want.chunks_exact_mut(n).zip(bias) {
+                    for v in row {
+                        *v += bi;
+                        if relu {
+                            *v = v.maximum(E::ZERO);
+                        }
+                    }
+                }
+                let mut got = vec![E::ZERO; m * n];
+                gemm_bias(m, k, n, a, b, &mut got, mode, bias, relu);
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} relu {}", mode, relu);
+            }
+        }
+        Ok(())
     }
 }

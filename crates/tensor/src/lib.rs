@@ -3,7 +3,7 @@
 //! The crate is deliberately small and self-contained: NCHW dense tensors
 //! over a precision-generic [`Element`] type (f32 on the host devices, the
 //! software [`vpu_num::f16`] on the simulated Myriad 2), plus the exact set
-//! of kernels GoogLeNet needs — im2col + blocked GEMM convolution, max/avg
+//! of kernels GoogLeNet needs — im2col + GEMM convolution, max/avg
 //! pooling (with Caffe's ceil-mode), cross-channel LRN, fully-connected,
 //! ReLU and softmax.
 //!
@@ -14,9 +14,10 @@
 //!   exposes FP32 accumulation as the alternative the Myriad's VAU can also
 //!   do). The FP32-vs-FP16 deltas in the paper's Fig. 7 fall out of real
 //!   arithmetic, not injected noise.
-//! * **Host parallelism.** The f32 kernels are rayon-parallel blocked
-//!   implementations, which is what stands in for Caffe-MKL in the CPU
-//!   reference device.
+//! * **Host vector width.** The GEMM row loop is compiled once per
+//!   vector width (baseline, AVX2, AVX-512) and runs the widest this CPU
+//!   supports, with the same bits at every width. Everything runs on one
+//!   thread: the offline `compat/rayon` shim is sequential.
 
 pub mod element;
 pub mod kernels;
