@@ -10,26 +10,15 @@
 
 use desim::SimTime;
 use ncsw_obs::{Ctx, Event, Lane, Phase, TimeSeries};
-use serde::{Deserialize, Serialize};
 
-/// Thresholds for the two-window burn alert.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BurnConfig {
-    /// Samples in the fast (short) trailing window.
-    pub fast_samples: usize,
-    /// Samples in the slow (long) trailing window.
-    pub slow_samples: usize,
-    /// Minimum mean miss fraction over the fast window.
-    pub fast_burn: f64,
-    /// Minimum mean miss fraction over the slow window.
-    pub slow_burn: f64,
-}
-
-impl Default for BurnConfig {
-    fn default() -> Self {
-        BurnConfig { fast_samples: 3, slow_samples: 12, fast_burn: 0.5, slow_burn: 0.25 }
-    }
-}
+/// Samples in the fast (short) trailing window.
+pub const FAST_SAMPLES: usize = 3;
+/// Samples in the slow (long) trailing window.
+pub const SLOW_SAMPLES: usize = 12;
+/// Minimum mean miss fraction over the fast window.
+pub const FAST_BURN: f64 = 0.5;
+/// Minimum mean miss fraction over the slow window.
+pub const SLOW_BURN: f64 = 0.25;
 
 /// One merged alert window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,18 +39,20 @@ fn trailing_mean(v: &[f64], i: usize, n: usize) -> f64 {
     w.iter().sum::<f64>() / w.len() as f64
 }
 
-/// Compute merged burn-rate alert windows from a sampled series.
-pub fn burn_alerts(ts: &TimeSeries, cfg: &BurnConfig) -> Vec<AlertWindow> {
+/// Compute merged burn-rate alert windows from a sampled series: a
+/// sample fires when the mean burn over the last [`FAST_SAMPLES`] is at
+/// least [`FAST_BURN`] and over the last [`SLOW_SAMPLES`] at least
+/// [`SLOW_BURN`].
+pub fn burn_alerts(ts: &TimeSeries) -> Vec<AlertWindow> {
     let burns: Vec<f64> = ts.samples.iter().map(|s| s.slo_burn).collect();
     let mut out: Vec<AlertWindow> = Vec::new();
     let mut open = false;
-    // No verdict until the slower window has a full history — "has
-    // been burning for a while" is meaningless two samples in.
-    let need = cfg.fast_samples.max(cfg.slow_samples).max(1);
     for i in 0..burns.len() {
-        let fast = trailing_mean(&burns, i, cfg.fast_samples.max(1));
-        let slow = trailing_mean(&burns, i, cfg.slow_samples.max(1));
-        let firing = i + 1 >= need && fast >= cfg.fast_burn && slow >= cfg.slow_burn;
+        let fast = trailing_mean(&burns, i, FAST_SAMPLES);
+        let slow = trailing_mean(&burns, i, SLOW_SAMPLES);
+        // No verdict until the slower window has a full history — "has
+        // been burning for a while" is meaningless two samples in.
+        let firing = i + 1 >= SLOW_SAMPLES && fast >= FAST_BURN && slow >= SLOW_BURN;
         let t = ts.samples[i].t;
         if firing {
             if open {
@@ -113,24 +104,32 @@ mod tests {
 
     #[test]
     fn needs_both_windows_to_fire() {
-        let cfg = BurnConfig { fast_samples: 1, slow_samples: 3, fast_burn: 1.0, slow_burn: 0.5 };
-        // One hot sample amid cold ones: slow window rejects it.
-        let blip = series(&[0.0, 1.0, 0.0, 0.0]);
-        assert!(burn_alerts(&blip, &cfg).is_empty());
-        // Sustained burn fires once the slow window catches up.
-        let sustained = series(&[1.0, 1.0, 1.0, 1.0, 0.0]);
-        let alerts = burn_alerts(&sustained, &cfg);
+        assert_eq!((FAST_SAMPLES, SLOW_SAMPLES), (3, 12));
+        // A hot fast window amid cold history: the slow window (2/12 <
+        // 0.25 burn) rejects the blip.
+        let mut blip = vec![0.0; 12];
+        blip.extend([1.0, 1.0, 0.0, 0.0]);
+        assert!(burn_alerts(&series(&blip)).is_empty());
+        // Sustained burn fires once the slow window has a full history
+        // (the 12th sample, 120 ms) and stops when the fast window cools
+        // (two cold samples: 1/3 < 0.5).
+        let mut sustained = vec![1.0; 14];
+        sustained.extend([0.0, 0.0, 0.0]);
+        let alerts = burn_alerts(&series(&sustained));
         assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].from, SimTime::ZERO + Duration::from_millis(30.0));
-        assert_eq!(alerts[0].until, SimTime::ZERO + Duration::from_millis(40.0));
+        assert_eq!(alerts[0].from, SimTime::ZERO + Duration::from_millis(120.0));
+        assert_eq!(alerts[0].until, SimTime::ZERO + Duration::from_millis(150.0));
         assert!((alerts[0].peak_fast - 1.0).abs() < 1e-9);
+        assert!((alerts[0].peak_slow - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn consecutive_samples_merge_and_gaps_split() {
-        let cfg = BurnConfig { fast_samples: 1, slow_samples: 1, fast_burn: 0.9, slow_burn: 0.9 };
-        let ts = series(&[1.0, 1.0, 0.0, 1.0]);
-        let alerts = burn_alerts(&ts, &cfg);
+        // Twelve hot samples, two cold ones (fast burn 1/3), two hot
+        // ones (2/3 again): two windows.
+        let mut burns = vec![1.0; 12];
+        burns.extend([0.0, 0.0, 1.0, 1.0]);
+        let alerts = burn_alerts(&series(&burns));
         assert_eq!(alerts.len(), 2);
         let evs = alert_events(&alerts);
         assert_eq!(evs.len(), 2);

@@ -51,7 +51,7 @@ pub mod whatif;
 pub use attribution::{
     Analysis, AttributionTable, Breakdown, E2e, Segment, SegmentRow, ShedCounts,
 };
-pub use burn::{alert_events, burn_alerts, AlertWindow, BurnConfig};
+pub use burn::{alert_events, burn_alerts, AlertWindow};
 pub use diff::{diff, DiffConfig, MetricDelta, TraceDiff, Verdict};
 pub use energy::{BusySpan, EnergyAnalysis, RequestEnergy, WorkerLedger};
 pub use explain::{explain, explain_chrome, explain_chrome_json, explain_request, Explanation};

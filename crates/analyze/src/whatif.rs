@@ -24,14 +24,14 @@
 //!
 //! Segment mapping (the measured knob each component corresponds to):
 //!
-//! | component   | segment        | applies to            | measured knob               |
-//! |-------------|----------------|-----------------------|-----------------------------|
-//! | `usb-write` | UsbWrite       | VPU-class requests    | `UsbConfig::write_scale`    |
-//! | `usb-read`  | UsbRead        | VPU-class requests    | `UsbConfig::read_scale`     |
-//! | `exec`      | Exec           | VPU-class requests    | `NcsConfig::exec_scale`     |
-//! | `host`      | Exec           | host-class requests   | `HostConfig::service_scale` |
-//! | `batch-wait`| Formation      | all requests          | `ServeConfig::max_wait`     |
-//! | `dispatch`  | DispatchQueue  | all requests          | spawn/cmd/batch overheads   |
+//! | component   | segment        | applies to            | measured knob                 |
+//! |-------------|----------------|-----------------------|-------------------------------|
+//! | `usb-write` | UsbWrite       | VPU-class requests    | `UsbConfig::write_scale`      |
+//! | `usb-read`  | UsbRead        | VPU-class requests    | `UsbConfig::read_scale`       |
+//! | `exec`      | Exec           | VPU-class requests    | `Myriad2Config::time_scaled`  |
+//! | `host`      | Exec           | host-class requests   | `HostConfig::service_scale`   |
+//! | `batch-wait`| Formation      | all requests          | `ServeConfig::max_wait`       |
+//! | `dispatch`  | DispatchQueue  | all requests          | spawn/cmd/batch overheads     |
 //!
 //! A request is *VPU-class* when its successful attempt carried USB
 //! device detail (`dev.usb_write` present); host batches execute with

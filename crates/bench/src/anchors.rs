@@ -3,7 +3,7 @@
 
 use crate::report;
 use crate::scale::Scale;
-use ncs_platform::NcsConfig;
+use ncs_platform::PEAK_POWER_W;
 use ncsw::runner::latency_curve;
 use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle};
 use serde::{Deserialize, Serialize};
@@ -56,8 +56,7 @@ pub fn anchors(scale: Scale) -> Anchors {
     push("GPU batch-8 throughput (img/s)", 74.2, 1000.0 / gpu[1].1);
     push("8xVPU throughput (img/s)", 77.2, 1000.0 / vpu[1].1);
     push("single VPU vs CPU slowdown (x)", 4.0, vpu[0].1 / cpu[0].1);
-    let stick_w = NcsConfig::default().peak_power_w;
-    push("VPU img/W at batch 1 (Eq. 1)", 3.97, 1000.0 / vpu[0].1 / stick_w);
+    push("VPU img/W at batch 1 (Eq. 1)", 3.97, 1000.0 / vpu[0].1 / PEAK_POWER_W);
     push("CPU img/W at batch 8", 0.55, 1000.0 / cpu[1].1 / cpu_cfg.tdp_w);
     push("GPU img/W at batch 8", 0.93, 1000.0 / gpu[1].1 / gpu_cfg.tdp_w);
     // Against the 0.9 W chip TDP the paper quotes for the Myriad 2.

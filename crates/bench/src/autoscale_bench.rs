@@ -279,7 +279,7 @@ pub fn traced_autoscale(
 
     let rate = capacity_rps * AUTOSCALE_LOADS[0];
     let load = ArrivalProcess::Poisson { rate_per_sec: rate };
-    let ocfg = ObsConfig { sample_every, sample: sample.clone(), ..ObsConfig::default() };
+    let ocfg = ObsConfig { sample_every, sample: sample.clone() };
     let (outcome, mut obs) =
         serve_autoscaled_observed(&mut workers, &cfg, &load, n, &scaling, policy.as_mut(), &ocfg);
     let art = crate::serve_bench::observed_artifacts(&mut obs);

@@ -3,7 +3,7 @@
 
 use crate::report;
 use crate::scale::Scale;
-use ncs_platform::NcsConfig;
+use ncs_platform::PEAK_POWER_W;
 use ncsw::runner::latency_curve;
 use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle};
 use serde::{Deserialize, Serialize};
@@ -62,8 +62,7 @@ fn power_series(scale: Scale, batches: &[usize]) -> Vec<PowerSeries> {
         })
         .collect();
     let lat = latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), batches, images);
-    let stick_w = NcsConfig::default().peak_power_w;
-    series.push(series_of("vpu", &lat, |b| stick_w * b as f64, PAPER_8A[2].1));
+    series.push(series_of("vpu", &lat, |b| PEAK_POWER_W * b as f64, PAPER_8A[2].1));
     series
 }
 

@@ -8,6 +8,7 @@
 
 use crate::report;
 use crate::scale::Scale;
+use ncs_platform::PEAK_POWER_W;
 use ncsw::multivpu::{MultiVpu, MultiVpuConfig};
 use ncsw::{HostConfig, HostTarget, ModelBundle, TargetDevice};
 use serde::{Deserialize, Serialize};
@@ -55,7 +56,7 @@ pub fn future_work(scale: Scale) -> FutureWork {
     // experiment at the V100's power class.
     for sticks in [8usize, 32] {
         let cfg = MultiVpuConfig::paper_testbed(sticks);
-        let tdp = cfg.ncs.peak_power_w * sticks as f64;
+        let tdp = PEAK_POWER_W * sticks as f64;
         let mut mv = MultiVpu::new(cfg, &model);
         let run = mv.run_pipeline((images / 2).max(sticks * 3));
         rows.push(FutureWorkRow {

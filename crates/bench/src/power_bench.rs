@@ -8,6 +8,7 @@
 
 use crate::report;
 use crate::scale::Scale;
+use ncs_platform::PEAK_POWER_W;
 use ncsw::multivpu::{MultiVpu, MultiVpuConfig};
 use ncsw::ModelBundle;
 use serde::{Deserialize, Serialize};
@@ -38,7 +39,7 @@ pub fn power_bench(scale: Scale) -> PowerBench {
     for devices in [1usize, 2, 4, 8] {
         let images = scale.sweep_images().max(devices * 4);
         let cfg = MultiVpuConfig::paper_testbed(devices);
-        let tdp_w = cfg.ncs.peak_power_w * devices as f64;
+        let tdp_w = PEAK_POWER_W * devices as f64;
         let mut mv = MultiVpu::new(cfg, &model);
         let run = mv.run_pipeline(images);
         let ips = run.images_per_sec();

@@ -151,8 +151,7 @@ pub fn sample_exp(scale: Scale) -> SampleExp {
         let cfg = ServeConfig { max_batch, slo, ..ServeConfig::default() };
         let mut workers = plan.apply(spec.build(&model), cfg.seed);
         let load = ArrivalProcess::Poisson { rate_per_sec: rate };
-        let ocfg =
-            ObsConfig { sample_every: Duration::from_millis(10.0), sample, ..ObsConfig::default() };
+        let ocfg = ObsConfig { sample_every: Duration::from_millis(10.0), sample };
         // Profile each arm so the ledger carries recorder ns/event —
         // the wall cost of observing, not of serving.
         prof::start();

@@ -230,7 +230,7 @@ pub(crate) fn observed_artifacts(obs: &mut ncsw_serve::ServeObservation) -> Obse
     // Burn-rate alerting runs over the sampled series; windows that
     // fire land in the trace as spans on their own lane, so Perfetto
     // shows the alert right above the phase activity that caused it.
-    let alerts = ncsw_analyze::burn_alerts(&obs.series, &ncsw_analyze::BurnConfig::default());
+    let alerts = ncsw_analyze::burn_alerts(&obs.series);
     {
         for ev in ncsw_analyze::alert_events(&alerts) {
             obs.events.record(ev);
@@ -307,7 +307,7 @@ pub fn traced_serve(
     }
     let rate = capacity_rps * TRACED_LOAD_FRACTION;
     let load = ArrivalProcess::Poisson { rate_per_sec: rate };
-    let ocfg = ObsConfig { sample_every, sample: sample.clone(), ..ObsConfig::default() };
+    let ocfg = ObsConfig { sample_every, sample: sample.clone() };
     let (outcome, mut obs) = serve_observed(&mut workers, &cfg, &load, n, &ocfg);
     let art = observed_artifacts(&mut obs);
 

@@ -110,7 +110,14 @@ fn info() {
         cost.total_macs as f64 / 1e9,
         cost.total_weight_bytes() as f64 / 1e6
     );
-    println!("  chip:    Myriad 2 MA2450 — 12 SHAVEs @ 600 MHz, 2 MB CMX, 4 GB LPDDR3");
+    let chip = myriad2::Myriad2Config::default();
+    println!(
+        "  chip:    Myriad 2 MA2450 — {} SHAVEs @ {} MHz, {} MB CMX, {} GB LPDDR3",
+        chip.shaves,
+        chip.clock_hz / 1e6,
+        myriad2::cmx::CMX_BYTES >> 20,
+        myriad2::ddr::DDR_CAPACITY >> 30
+    );
     println!("  anchors: 26.0 / 25.9 / 100.7 ms batch-1 latency (cpu/gpu/vpu)");
     let keystream = if rand_chacha::wide_refills() { "avx2" } else { "base" };
     println!("  kernels: gemm {}, keystream {keystream}", Width::detect().name());

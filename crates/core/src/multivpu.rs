@@ -27,11 +27,11 @@ pub struct MultiVpuConfig {
     /// OpenMP thread spawn/wake overhead charged when the pipeline
     /// starts, per thread (the paper's "thread-management overhead").
     pub thread_spawn: Duration,
-    /// Host scheduling jitter bound per API call (uniform 0..bound).
-    pub host_jitter: Duration,
-    /// Seed for the jitter stream.
-    pub seed: u64,
 }
+
+/// Host scheduling jitter bound per API call (uniform `0..bound`), drawn
+/// from one stream seeded with [`rng::DEFAULT_SEED`].
+pub const HOST_JITTER: Duration = Duration(120_000);
 
 impl MultiVpuConfig {
     pub fn paper_testbed(devices: usize) -> Self {
@@ -41,8 +41,6 @@ impl MultiVpuConfig {
             ncs: NcsConfig::default(),
             usb: UsbConfig::default(),
             thread_spawn: Duration::from_micros(60.0),
-            host_jitter: Duration::from_micros(120.0),
-            seed: rng::DEFAULT_SEED,
         }
     }
 }
@@ -108,7 +106,7 @@ impl MultiVpu {
             handles.push(h);
             ready = SimTime::max_of(ready, t);
         }
-        let jitter = rng::stream(cfg.seed, "host-jitter");
+        let jitter = rng::stream(rng::DEFAULT_SEED, "host-jitter");
         MultiVpu { api, handles, cfg, ready, last_end: ready, jitter }
     }
 
@@ -180,8 +178,8 @@ impl MultiVpu {
 
         let start = threads.iter().map(|t| t.cursor).min().unwrap();
         let mut result_times = vec![SimTime::ZERO; count];
-        let depth = self.cfg.ncs.fifo_depth;
-        let max_jitter = self.cfg.host_jitter.nanos();
+        let depth = ncs_platform::device::FIFO_DEPTH;
+        let max_jitter = HOST_JITTER.nanos();
         let mut energy = 0.0f64;
 
         /// Records the USB-fabric legs the bus tapped since the last drain.
@@ -387,15 +385,11 @@ mod tests {
     }
 
     #[test]
-    fn jitter_makes_runs_differ_but_reruns_identical() {
+    fn jittered_reruns_are_identical() {
         let m = model();
         let r1 = MultiVpu::new(MultiVpuConfig::paper_testbed(2), &m).run_pipeline(8);
         let r2 = MultiVpu::new(MultiVpuConfig::paper_testbed(2), &m).run_pipeline(8);
         assert_eq!(r1.result_times, r2.result_times, "same seed must reproduce");
-        let mut cfg = MultiVpuConfig::paper_testbed(2);
-        cfg.seed = 999;
-        let r3 = MultiVpu::new(cfg, &m).run_pipeline(8);
-        assert_ne!(r1.result_times, r3.result_times, "different seed must differ");
     }
 
     #[test]

@@ -232,14 +232,13 @@ impl ServiceHook for IntelVpu {
     /// islands between batches (172 mW/chip), whole-stick peak power as
     /// the Eq. 1 TDP (2.5 W/stick, the paper's conservative framing).
     fn energy_profile(&self) -> EnergyProfile {
-        let ncs = &self.pipeline().config().ncs;
-        let pm = PowerModel { shave_islands: ncs.chip.shaves, ..PowerModel::default() };
+        let pm = PowerModel::of(&self.pipeline().config().ncs.chip);
         let d = self.devices() as u64;
         EnergyProfile::new(
             self.label(),
             d * pm.busy_mw(),
             d * pm.gated_mw(),
-            d * mw(ncs.peak_power_w),
+            d * mw(ncs_platform::PEAK_POWER_W),
         )
     }
 }
@@ -366,7 +365,7 @@ impl ScalePlan {
         match self.component {
             ScaleComponent::UsbWrite => base.usb.write_scale = self.factor,
             ScaleComponent::UsbRead => base.usb.read_scale = self.factor,
-            ScaleComponent::Exec => base.ncs.exec_scale = self.factor,
+            ScaleComponent::Exec => base.ncs.chip = base.ncs.chip.time_scaled(self.factor),
             ScaleComponent::Dispatch => {
                 base.thread_spawn = base.thread_spawn * self.factor;
                 base.ncs.risc_cmd_overhead_ns =

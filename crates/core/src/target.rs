@@ -134,7 +134,7 @@ impl TargetDevice for IntelVpu {
 
     fn tdp_w(&self, batch: usize) -> f64 {
         // One stick's peak TDP per active VPU (Fig. 8a's accounting).
-        self.mv.api().fleet().devices[0].config().peak_power_w * batch as f64
+        ncs_platform::PEAK_POWER_W * batch as f64
     }
 
     fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport {

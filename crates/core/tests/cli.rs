@@ -96,3 +96,12 @@ fn a_failing_stdout_is_one_error_line() {
     assert!(stderr.starts_with("error: "), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn info_prints_the_calibrated_chip() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ncsw")).args(["info"]).output().expect("run ncsw");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let chip = "  chip:    Myriad 2 MA2450 — 12 SHAVEs @ 600 MHz, 2 MB CMX, 4 GB LPDDR3";
+    assert!(stdout.lines().any(|l| l == chip), "{stdout}");
+}

@@ -150,64 +150,34 @@ fn rate_over(arrivals: &[SimTime], from: SimTime, window: Duration) -> f64 {
 // Reactive
 // ---------------------------------------------------------------------
 
-/// Knobs for [`Reactive`]. The burn thresholds mirror the two-window
-/// alert defaults in `ncsw-analyze` (fast 0.5, slow 0.25); the rest
-/// encode classic autoscaler hysteresis: scale up eagerly, scale down
-/// one stick at a time after a calm streak, never flap inside the
-/// cooldown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReactiveConfig {
-    /// Utilization target the observed rate is provisioned against.
-    /// Lowest of the three policies — reaction lag is paid for with
-    /// standing headroom.
-    pub target_util: f64,
-    /// Spare sticks on top of the computed requirement.
-    pub spare: usize,
-    /// Fast-window burn rate that forces a scale-up.
-    pub fast_burn: f64,
-    /// Slow-window burn rate that forces a scale-up.
-    pub slow_burn: f64,
-    /// Consecutive calm ticks before one stick may drain.
-    pub calm_ticks: u32,
-    /// Minimum spacing between scale-downs.
-    pub cooldown: Duration,
-    /// Consecutive ticks with open circuits before replacements spin up.
-    pub outage_ticks: u32,
-}
+// The burn thresholds mirror the two-window alert in `ncsw-analyze`
+// (fast 0.5, slow 0.25); the rest encode classic autoscaler hysteresis:
+// scale up eagerly, scale down one stick at a time after a calm streak,
+// never flap inside the cooldown.
 
-impl Default for ReactiveConfig {
-    fn default() -> Self {
-        ReactiveConfig {
-            target_util: 0.55,
-            spare: 1,
-            fast_burn: 0.5,
-            slow_burn: 0.25,
-            calm_ticks: 3,
-            cooldown: Duration::from_millis(100.0),
-            outage_ticks: 2,
-        }
-    }
-}
+/// Utilization target the observed rate is provisioned against. Lowest
+/// of the three policies — reaction lag is paid for with standing
+/// headroom.
+pub const REACTIVE_TARGET_UTIL: f64 = 0.55;
+/// Spare sticks on top of the computed requirement.
+pub const REACTIVE_SPARE: usize = 1;
+/// Fast-window burn rate that forces a scale-up.
+pub const REACTIVE_FAST_BURN: f64 = 0.5;
+/// Slow-window burn rate that forces a scale-up.
+pub const REACTIVE_SLOW_BURN: f64 = 0.25;
+/// Consecutive calm ticks before one stick may drain.
+pub const REACTIVE_CALM_TICKS: u32 = 3;
+/// Minimum spacing between scale-downs.
+pub const REACTIVE_COOLDOWN: Duration = Duration(100_000_000);
+/// Consecutive ticks with open circuits before replacements spin up.
+pub const REACTIVE_OUTAGE_TICKS: u32 = 2;
 
 /// Burn-rate thresholds with hysteresis and cooldown; no foresight.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Reactive {
-    cfg: ReactiveConfig,
     calm: u32,
     cooldown_until: SimTime,
     outage_streak: u32,
-}
-
-impl Reactive {
-    pub fn new(cfg: ReactiveConfig) -> Reactive {
-        Reactive { cfg, calm: 0, cooldown_until: SimTime::ZERO, outage_streak: 0 }
-    }
-}
-
-impl Default for Reactive {
-    fn default() -> Self {
-        Reactive::new(ReactiveConfig::default())
-    }
 }
 
 impl ScalingPolicy for Reactive {
@@ -225,7 +195,7 @@ impl ScalingPolicy for Reactive {
         let unusable = s.open_circuits + s.quarantined;
         if unusable > 0 {
             self.outage_streak += 1;
-            if self.outage_streak >= self.cfg.outage_ticks && s.gated > 0 {
+            if self.outage_streak >= REACTIVE_OUTAGE_TICKS && s.gated > 0 {
                 self.calm = 0;
                 return ScaleDecision::Up(unusable.min(s.gated));
             }
@@ -233,12 +203,12 @@ impl ScalingPolicy for Reactive {
             self.outage_streak = 0;
         }
 
-        let needed = required_sticks(s.arrival_rps, s.base_rps, s.stick_rps, self.cfg.target_util)
-            + self.cfg.spare;
+        let needed = required_sticks(s.arrival_rps, s.base_rps, s.stick_rps, REACTIVE_TARGET_UTIL)
+            + REACTIVE_SPARE;
 
         // Pressure: the SLO is burning on both windows, or admission is
         // about to shed. Scale straight to the requirement.
-        let burning = s.fast_burn >= self.cfg.fast_burn && s.slow_burn >= self.cfg.slow_burn;
+        let burning = s.fast_burn >= REACTIVE_FAST_BURN && s.slow_burn >= REACTIVE_SLOW_BURN;
         let pressured = burning || s.queue_depth * 2 >= s.queue_capacity || s.shed_rate > 0.0;
         if pressured && s.gated > 0 {
             self.calm = 0;
@@ -255,9 +225,9 @@ impl ScalingPolicy for Reactive {
         // cooldown — hysteresis against flapping on arrival noise.
         if needed < committed && !pressured {
             self.calm += 1;
-            if self.calm >= self.cfg.calm_ticks && s.now >= self.cooldown_until {
+            if self.calm >= REACTIVE_CALM_TICKS && s.now >= self.cooldown_until {
                 self.calm = 0;
-                self.cooldown_until = s.now + self.cfg.cooldown;
+                self.cooldown_until = s.now + REACTIVE_COOLDOWN;
                 return ScaleDecision::Down(1);
             }
         } else {

@@ -35,10 +35,7 @@ pub fn train_at_sigma(
     base: &DatasetConfig,
     sigma: f64,
 ) -> (ImageGen, Weights) {
-    let mut gen_cfg = ImageGenConfig::new(base.classes, base.image_shape, base.seed);
-    gen_cfg.sigma = sigma;
-    gen_cfg.distractor_mix = base.distractor_mix;
-    let gen = ImageGen::new(gen_cfg);
+    let gen = ImageGen::new(ImageGenConfig { sigma, ..base.image_gen() });
     let weights = pseudo_train(spec, &gen, base.seed);
     (gen, weights)
 }
@@ -52,10 +49,7 @@ pub fn probe_error(
     probe_images: usize,
 ) -> f64 {
     let net = CompiledNetwork::<f32>::compile(spec.clone(), weights, AccumMode::Widened);
-    let mut gen_cfg = ImageGenConfig::new(base.classes, base.image_shape, base.seed);
-    gen_cfg.sigma = sigma;
-    gen_cfg.distractor_mix = base.distractor_mix;
-    let gen = ImageGen::new(gen_cfg);
+    let gen = ImageGen::new(ImageGenConfig { sigma, ..base.image_gen() });
     let wrong: usize = (0..probe_images)
         .into_par_iter()
         .map(|i| {

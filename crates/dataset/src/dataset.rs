@@ -35,6 +35,17 @@ impl DatasetConfig {
         }
     }
 
+    /// The image generator this set draws from.
+    pub fn image_gen(&self) -> ImageGenConfig {
+        ImageGenConfig {
+            classes: self.classes,
+            shape: self.image_shape,
+            sigma: self.sigma,
+            distractor_mix: self.distractor_mix,
+            seed: self.seed,
+        }
+    }
+
     pub fn images_per_subset(&self) -> usize {
         self.total_images / self.subsets
     }
@@ -72,10 +83,7 @@ impl ValidationSet {
             "total_images must divide evenly into subsets"
         );
         let synsets = SynsetTable::generate(cfg.classes);
-        let mut gen_cfg = ImageGenConfig::new(cfg.classes, cfg.image_shape, cfg.seed);
-        gen_cfg.sigma = cfg.sigma;
-        gen_cfg.distractor_mix = cfg.distractor_mix;
-        let generator = ImageGen::new(gen_cfg);
+        let generator = ImageGen::new(cfg.image_gen());
         // Balanced labels, shuffled deterministically (validation order in
         // ILSVRC is not sorted by class).
         let mut labels: Vec<usize> = (0..cfg.total_images).map(|i| i % cfg.classes).collect();

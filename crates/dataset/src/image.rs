@@ -22,8 +22,6 @@ pub struct ImageGenConfig {
     pub classes: usize,
     /// Output image shape (one item, NCHW with n=1).
     pub shape: Shape,
-    /// Low-res prototype lattice extent (upsampled to `shape`).
-    pub lattice: usize,
     /// Gaussian pixel noise σ.
     pub sigma: f64,
     /// Blend weight of a distractor class prototype.
@@ -34,9 +32,13 @@ pub struct ImageGenConfig {
 
 impl ImageGenConfig {
     pub fn new(classes: usize, shape: Shape, seed: u64) -> Self {
-        ImageGenConfig { classes, shape, lattice: 8, sigma: 0.35, distractor_mix: 0.25, seed }
+        ImageGenConfig { classes, shape, sigma: 0.35, distractor_mix: 0.25, seed }
     }
 }
+
+/// Extent of the low-res prototype lattice upsampled to each class's
+/// prototype.
+pub const LATTICE: usize = 8;
 
 /// Per-channel means subtracted after generation (the ILSVRC-2012 BGR
 /// means 104/117/123 rescaled to \[0,1\]).
@@ -52,7 +54,6 @@ pub struct ImageGen {
 impl ImageGen {
     pub fn new(cfg: ImageGenConfig) -> Self {
         assert!(cfg.classes > 0, "need at least one class");
-        assert!(cfg.lattice >= 2, "lattice must be at least 2");
         let prototypes = (0..cfg.classes).map(|c| prototype(&cfg, c)).collect();
         ImageGen { cfg, prototypes }
     }
@@ -133,7 +134,7 @@ fn center(mut img: Tensor<f32>) -> Tensor<f32> {
 /// Build the smooth prototype field for one class.
 fn prototype(cfg: &ImageGenConfig, class: usize) -> Tensor<f32> {
     let mut stream = rng::indexed_stream(cfg.seed, "prototype", class as u64);
-    let l = cfg.lattice;
+    let l = LATTICE;
     let shape = cfg.shape;
     // Low-res control lattice in [0, 1].
     let lattice: Vec<f32> = (0..shape.c * l * l).map(|_| stream.gen_range(0.0..1.0)).collect();

@@ -89,7 +89,7 @@ pub fn gemm_on_chip(
     precision: GemmPrecision,
     ready: SimTime,
 ) -> GemmRun {
-    let slice = (chip.config().cmx_bytes() / chip.config().shaves as u64) as usize;
+    let slice = (myriad2::cmx::CMX_BYTES / chip.config().shaves as u64) as usize;
     let plan = TilingPlan::plan(m, k, n, precision.elem_bytes(), slice);
     let work = kernel_for(&plan, precision);
     let run = chip.run_kernels(&[work], ready);

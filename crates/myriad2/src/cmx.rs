@@ -10,33 +10,37 @@
 use crate::arch::Myriad2Config;
 use desim::{Duration, FifoResource, SimTime};
 
+/// Independently arbitrated CMX banks (16).
+pub const CMX_BANKS: usize = 16;
+
+/// Bytes per CMX bank (128 KB).
+pub const CMX_BANK_BYTES: u64 = 128 * 1024;
+
+/// Total CMX capacity: 16 × 128 KB = 2 MB.
+pub const CMX_BYTES: u64 = CMX_BANKS as u64 * CMX_BANK_BYTES;
+
+/// CMX port width in bytes per cycle per bank (64-bit words).
+pub const CMX_BYTES_PER_CYCLE: u64 = 8;
+
 /// The banked scratchpad: per-bank timing.
 #[derive(Debug, Clone)]
 pub struct Cmx {
-    bank_bytes: u64,
     pub(crate) banks: Vec<FifoResource>,
-    bytes_per_cycle: u64,
     clock_hz: f64,
 }
 
 impl Cmx {
     pub fn new(cfg: &Myriad2Config) -> Self {
         Cmx {
-            bank_bytes: cfg.cmx_bank_bytes,
-            banks: (0..cfg.cmx_banks).map(|i| FifoResource::new(format!("cmx{i}"))).collect(),
-            bytes_per_cycle: cfg.cmx_bytes_per_cycle,
+            banks: (0..CMX_BANKS).map(|i| FifoResource::new(format!("cmx{i}"))).collect(),
             clock_hz: cfg.clock_hz,
         }
-    }
-
-    pub fn capacity(&self) -> u64 {
-        self.bank_bytes * self.banks.len() as u64
     }
 
     /// Which bank a byte address falls in (byte-interleaved by 128 KB
     /// blocks, matching the 16 × 128 KB organization).
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((addr / self.bank_bytes) as usize) % self.banks.len()
+        ((addr / CMX_BANK_BYTES) as usize) % CMX_BANKS
     }
 
     /// Move `len` bytes starting at `addr` through the crossbar: the
@@ -53,8 +57,8 @@ impl Cmx {
         let mut end = SimTime::ZERO;
         while remaining > 0 {
             let bank = self.bank_of(cursor);
-            let in_bank = (self.bank_bytes - cursor % self.bank_bytes).min(remaining);
-            let cycles = in_bank.div_ceil(self.bytes_per_cycle);
+            let in_bank = (CMX_BANK_BYTES - cursor % CMX_BANK_BYTES).min(remaining);
+            let cycles = in_bank.div_ceil(CMX_BYTES_PER_CYCLE);
             let busy = self.banks[bank].acquire(ready, Duration::for_cycles(cycles, self.clock_hz));
             start = start.min(busy.start);
             end = SimTime::max_of(end, busy.end);
@@ -80,7 +84,7 @@ mod tests {
 
     #[test]
     fn capacity_is_2mb() {
-        assert_eq!(cmx().capacity(), 2 * 1024 * 1024);
+        assert_eq!(CMX_BYTES, 2 * 1024 * 1024);
     }
 
     #[test]

@@ -10,13 +10,15 @@ use crate::arch::Myriad2Config;
 use desim::resource::Busy;
 use desim::{Duration, FifoResource, SimTime};
 
+/// LPDDR3 capacity in bytes (4 GB on the NCS variant).
+pub const DDR_CAPACITY: u64 = 4 << 30;
+
 /// The DDR channel plus a simple footprint accountant.
 #[derive(Debug, Clone)]
 pub struct DdrChannel {
     pub(crate) chan: FifoResource,
     bandwidth: f64,
     latency: Duration,
-    capacity: u64,
     allocated: u64,
 }
 
@@ -26,7 +28,6 @@ impl DdrChannel {
             chan: FifoResource::new("lpddr3"),
             bandwidth: cfg.ddr_bandwidth,
             latency: Duration::from_nanos(cfg.ddr_latency_ns),
-            capacity: cfg.ddr_capacity,
             allocated: 0,
         }
     }
@@ -44,7 +45,7 @@ impl DdrChannel {
     /// Record a resident allocation (graph file, activation arenas).
     /// Returns false if the 4 GB stack would overflow.
     pub fn reserve(&mut self, bytes: u64) -> bool {
-        if self.allocated + bytes > self.capacity {
+        if self.allocated + bytes > DDR_CAPACITY {
             return false;
         }
         self.allocated += bytes;

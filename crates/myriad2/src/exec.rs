@@ -19,10 +19,10 @@
 //! shifted to its start (see [`Myriad2::run_cost`]).
 
 use crate::arch::Myriad2Config;
-use crate::cmx::Cmx;
+use crate::cmx::{Cmx, CMX_BYTES};
 use crate::ddr::DdrChannel;
 use crate::power::{ActivitySummary, PowerModel};
-use crate::shave;
+use crate::shave::{self, ISSUE_EFFICIENCY, VAU_LANES};
 use crate::sipp::{SippKernel, SippPipeline};
 use desim::{Duration, ServerPool, SimTime};
 use serde::{Deserialize, Serialize};
@@ -115,10 +115,10 @@ pub struct KernelWork {
     /// Bytes streamed over the LPDDR3 channel.
     pub ddr_bytes: u64,
     /// VAU lanes used per issue (8 for FP16, 4 for FP32); `None` uses
-    /// the chip default.
+    /// [`VAU_LANES`].
     pub vau_lanes: Option<usize>,
-    /// Sustained issue efficiency; `None` uses the chip default (tuned
-    /// for NCSDK conv kernels). Hand-written GEMM sustains more.
+    /// Sustained issue efficiency; `None` uses [`ISSUE_EFFICIENCY`]
+    /// (the NCSDK conv kernels'). Hand-written GEMM sustains more.
     pub issue_efficiency: Option<f64>,
 }
 
@@ -177,7 +177,7 @@ impl Myriad2 {
             cmx: Cmx::new(&cfg),
             ddr: DdrChannel::new(&cfg),
             sipp: SippPipeline::new(&cfg),
-            power: PowerModel { shave_islands: cfg.shaves, ..PowerModel::default() },
+            power: PowerModel::of(&cfg),
             cfg,
             now: SimTime::ZERO,
             replay: None,
@@ -315,22 +315,21 @@ impl Myriad2 {
         let mut t = start;
         let mut layers = Vec::with_capacity(works.len());
         for w in works {
-            let mut cfg = self.cfg.clone();
-            if let Some(l) = w.vau_lanes {
-                cfg.vau_lanes = l;
-            }
-            if let Some(e) = w.issue_efficiency {
-                cfg.issue_efficiency = e;
-            }
             let t0 = t + Duration::from_nanos(self.cfg.risc_dispatch_ns);
             let ddr_busy = self.ddr.transfer(t0, w.ddr_bytes);
-            let cmx_busy = self.cmx.access(t0, 0, w.cmx_bytes.min(self.cmx.capacity()));
-            let wc = shave::layer_cycles(&cfg, w.macs, w.aux_ops, w.cmx_bytes);
-            let total = Duration::for_cycles(wc.total(), cfg.clock_hz);
+            let cmx_busy = self.cmx.access(t0, 0, w.cmx_bytes.min(CMX_BYTES));
+            let wc = shave::layer_cycles(
+                w.macs,
+                w.aux_ops,
+                w.cmx_bytes,
+                w.vau_lanes.unwrap_or(VAU_LANES),
+                w.issue_efficiency.unwrap_or(ISSUE_EFFICIENCY),
+            );
+            let total = Duration::for_cycles(wc.total(), self.cfg.clock_hz);
             let compute_busy = if total == Duration::ZERO {
                 desim::resource::Busy { start: t0, end: t0 }
             } else {
-                self.shaves.acquire_parallel(t0, total, cfg.shaves)
+                self.shaves.acquire_parallel(t0, total, self.cfg.shaves)
             };
             let end = compute_busy.end.max(ddr_busy.end).max(cmx_busy.end);
             layers.push(LayerTiming {
@@ -404,7 +403,7 @@ impl Myriad2 {
         // cannot live in the 2 MB CMX); activations spill only when the
         // layer's working set exceeds the scratchpad.
         let working_set = layer.in_bytes + layer.out_bytes;
-        let spill = working_set.saturating_sub(self.cmx.capacity());
+        let spill = working_set.saturating_sub(CMX_BYTES);
         let ddr_bytes = layer.weight_bytes + spill;
         // Weight streaming may be issued early (prefetch); activation
         // spill cannot (it depends on this layer's input), so it keeps
@@ -412,15 +411,21 @@ impl Myriad2 {
         let ddr_busy = self.ddr.transfer(dma_from.min(t0), ddr_bytes);
 
         // CMX crossbar traffic for the activation stream.
-        let cmx_busy = self.cmx.access(t0, 0, working_set.min(self.cmx.capacity()));
+        let cmx_busy = self.cmx.access(t0, 0, working_set.min(CMX_BYTES));
 
-        // Compute: SIPP for window ops when enabled, SHAVEs otherwise.
+        // Compute: SIPP for window ops, SHAVEs otherwise.
         let on_sipp = self.sipp.eligible(&layer.mnemonic);
         let compute_busy = if on_sipp {
             let pixels = layer.out_shape.len() as u64;
             self.sipp.run(t0, SippKernel::WindowReduce, pixels)
         } else {
-            let w = shave::layer_cycles(&self.cfg, layer.macs, layer.aux_ops, working_set);
+            let w = shave::layer_cycles(
+                layer.macs,
+                layer.aux_ops,
+                working_set,
+                VAU_LANES,
+                ISSUE_EFFICIENCY,
+            );
             let total = Duration::for_cycles(w.total(), self.cfg.clock_hz);
             if total == Duration::ZERO {
                 desim::resource::Busy { start: t0, end: t0 }
@@ -527,18 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_sipp_shifts_pool_work_to_shaves() {
-        let cost = full_cost();
-        let mut with = Myriad2::new(Myriad2Config::default());
-        let mut without = Myriad2::new(Myriad2Config::default().without_sipp());
-        let a = with.run_cost(&cost, SimTime::ZERO);
-        let b = without.run_cost(&cost, SimTime::ZERO);
-        assert!(b.activity.sipp_busy == Duration::ZERO);
-        assert!(a.activity.sipp_busy > Duration::ZERO);
-        assert!(b.activity.shave_busy > a.activity.shave_busy);
-    }
-
-    #[test]
     fn graph_loading_respects_ddr_capacity() {
         let mut vpu = Myriad2::new(Myriad2Config::default());
         assert!(vpu.load_graph(14 << 20)); // GoogLeNet fp16 graph ~13.4 MB
@@ -613,7 +606,7 @@ mod tests {
             let cfg = match config {
                 0 => Myriad2Config::default(),
                 1 => Myriad2Config::default().time_scaled(0.7),
-                2 => Myriad2Config::default().with_shaves(5).without_sipp(),
+                2 => Myriad2Config::default().with_shaves(5),
                 _ => Myriad2Config::default().with_prefetch().time_scaled(1.3),
             };
             let graphs = [full_cost(), Arc::new(NetworkCost::of::<f16>(&googlenet::tiny()))];

@@ -14,7 +14,7 @@
 //! come from `vpu-nn` directly.
 //!
 //! Calibration: a single free parameter (the VLIW issue efficiency,
-//! [`arch::Myriad2Config::issue_efficiency`]) is set so that one full
+//! [`shave::ISSUE_EFFICIENCY`]) is set so that one full
 //! GoogLeNet inference lands at the paper's measured ~100.7 ms (including
 //! the NCS platform overheads added by the `ncs-platform` crate). Every
 //! other number — batch scaling, multi-VPU scaling, crossovers — emerges

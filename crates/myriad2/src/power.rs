@@ -7,41 +7,29 @@
 //! yielding per-inference energy alongside the paper's TDP-based
 //! throughput/W metric.
 
+use crate::arch::Myriad2Config;
 use desim::Duration;
 use serde::{Deserialize, Serialize};
 
-/// Static power parameters (Watts). Defaults decompose the chip's 0.9 W
-/// TDP across islands in proportion to published die-area estimates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PowerModel {
-    /// Active power of one SHAVE island.
-    pub shave_active_w: f64,
-    /// Gated (idle) power of one SHAVE island.
-    pub shave_idle_w: f64,
-    /// CMX + crossbar active power.
-    pub cmx_active_w: f64,
-    /// DDR interface active power.
-    pub ddr_active_w: f64,
-    /// SIPP pipeline active power.
-    pub sipp_active_w: f64,
-    /// Always-on islands: 2× LEON RISC, clocks, peripherals.
-    pub base_w: f64,
-    /// Number of SHAVE islands.
-    pub shave_islands: usize,
-}
+/// Active power of one SHAVE island, W. The island constants decompose
+/// the chip's 0.9 W TDP in proportion to published die-area estimates.
+pub const SHAVE_ACTIVE_W: f64 = 0.045;
+/// Gated (idle) power of one SHAVE island, W.
+pub const SHAVE_IDLE_W: f64 = 0.001;
+/// CMX + crossbar active power, W.
+pub const CMX_ACTIVE_W: f64 = 0.08;
+/// DDR interface active power, W.
+pub const DDR_ACTIVE_W: f64 = 0.12;
+/// SIPP pipeline active power, W.
+pub const SIPP_ACTIVE_W: f64 = 0.05;
+/// Always-on islands: 2× LEON RISC, clocks, peripherals, W.
+pub const BASE_W: f64 = 0.16;
 
-impl Default for PowerModel {
-    fn default() -> Self {
-        PowerModel {
-            shave_active_w: 0.045,
-            shave_idle_w: 0.001,
-            cmx_active_w: 0.08,
-            ddr_active_w: 0.12,
-            sipp_active_w: 0.05,
-            base_w: 0.16,
-            shave_islands: 12,
-        }
-    }
+/// The power islands of one chip: the constants above, with one SHAVE
+/// island per SHAVE of its [`Myriad2Config`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerModel {
+    shave_islands: usize,
 }
 
 /// Busy-time summary of one simulated interval, produced by the executor.
@@ -57,14 +45,19 @@ pub struct ActivitySummary {
 }
 
 impl PowerModel {
+    /// The islands of a chip built from `cfg`.
+    pub fn of(cfg: &Myriad2Config) -> PowerModel {
+        PowerModel { shave_islands: cfg.shaves }
+    }
+
     /// Worst-case chip power with everything switching: the TDP the
     /// paper quotes as 0.9 W.
     pub fn tdp(&self) -> f64 {
-        self.base_w
-            + self.shave_islands as f64 * self.shave_active_w
-            + self.cmx_active_w
-            + self.ddr_active_w
-            + self.sipp_active_w
+        BASE_W
+            + self.shave_islands as f64 * SHAVE_ACTIVE_W
+            + CMX_ACTIVE_W
+            + DDR_ACTIVE_W
+            + SIPP_ACTIVE_W
     }
 
     /// Energy in Joules consumed over one activity summary.
@@ -72,12 +65,12 @@ impl PowerModel {
         let span_s = a.span.as_secs();
         let shave_busy_s = a.shave_busy.as_secs();
         let shave_idle_s = (span_s * self.shave_islands as f64 - shave_busy_s).max(0.0);
-        self.base_w * span_s
-            + self.shave_active_w * shave_busy_s
-            + self.shave_idle_w * shave_idle_s
-            + self.cmx_active_w * a.cmx_busy.as_secs()
-            + self.ddr_active_w * a.ddr_busy.as_secs()
-            + self.sipp_active_w * a.sipp_busy.as_secs()
+        BASE_W * span_s
+            + SHAVE_ACTIVE_W * shave_busy_s
+            + SHAVE_IDLE_W * shave_idle_s
+            + CMX_ACTIVE_W * a.cmx_busy.as_secs()
+            + DDR_ACTIVE_W * a.ddr_busy.as_secs()
+            + SIPP_ACTIVE_W * a.sipp_busy.as_secs()
     }
 
     /// Average power over the summary's span (Watts).
@@ -94,11 +87,11 @@ impl PowerModel {
     /// gated — the steady-state draw of a partially occupied chip.
     pub fn steady_power(&self, active_shaves: usize) -> f64 {
         assert!(active_shaves <= self.shave_islands);
-        self.base_w
-            + active_shaves as f64 * self.shave_active_w
-            + (self.shave_islands - active_shaves) as f64 * self.shave_idle_w
-            + self.cmx_active_w
-            + self.ddr_active_w
+        BASE_W
+            + active_shaves as f64 * SHAVE_ACTIVE_W
+            + (self.shave_islands - active_shaves) as f64 * SHAVE_IDLE_W
+            + CMX_ACTIVE_W
+            + DDR_ACTIVE_W
     }
 
     /// Chip draw while an inference batch occupies it, in integer
@@ -113,7 +106,7 @@ impl PowerModel {
     /// Gated draw between batches, in integer milliwatts: always-on
     /// islands plus every SHAVE island power-gated (172 mW default).
     pub fn gated_mw(&self) -> u64 {
-        ((self.base_w + self.shave_islands as f64 * self.shave_idle_w) * 1e3).round() as u64
+        ((BASE_W + self.shave_islands as f64 * SHAVE_IDLE_W) * 1e3).round() as u64
     }
 }
 
@@ -123,24 +116,24 @@ mod tests {
 
     #[test]
     fn tdp_close_to_published() {
-        let p = PowerModel::default();
+        let p = PowerModel::of(&Myriad2Config::default());
         // Paper: 0.9 W TDP for the Myriad 2.
         assert!((p.tdp() - 0.95).abs() < 0.1, "TDP {} too far from 0.9W", p.tdp());
     }
 
     #[test]
     fn idle_chip_draws_base_power() {
-        let p = PowerModel::default();
+        let p = PowerModel::of(&Myriad2Config::default());
         let a = ActivitySummary { span: Duration::from_secs(1.0), ..Default::default() };
         let e = p.energy(&a);
         // Base + 12 gated SHAVEs.
-        let expect = p.base_w + 12.0 * p.shave_idle_w;
+        let expect = BASE_W + 12.0 * SHAVE_IDLE_W;
         assert!((e - expect).abs() < 1e-9, "{e} vs {expect}");
     }
 
     #[test]
     fn busy_chip_draws_near_tdp() {
-        let p = PowerModel::default();
+        let p = PowerModel::of(&Myriad2Config::default());
         let s = Duration::from_secs(1.0);
         let a = ActivitySummary {
             shave_busy: Duration::from_secs(12.0),
@@ -156,7 +149,7 @@ mod tests {
 
     #[test]
     fn energy_scales_with_activity() {
-        let p = PowerModel::default();
+        let p = PowerModel::of(&Myriad2Config::default());
         let half = ActivitySummary {
             shave_busy: Duration::from_secs(6.0),
             span: Duration::from_secs(1.0),
@@ -172,7 +165,7 @@ mod tests {
 
     #[test]
     fn steady_power_monotone_in_shaves() {
-        let p = PowerModel::default();
+        let p = PowerModel::of(&Myriad2Config::default());
         let mut last = 0.0;
         for k in 0..=12 {
             let w = p.steady_power(k);
@@ -184,7 +177,7 @@ mod tests {
 
     #[test]
     fn milliwatt_rates_match_the_island_decomposition() {
-        let p = PowerModel::default();
+        let p = PowerModel::of(&Myriad2Config::default());
         // 160 + 12×45 + 80 + 120 = 900 mW busy; 160 + 12×1 = 172 gated.
         assert_eq!(p.busy_mw(), 900);
         assert_eq!(p.gated_mw(), 172);
@@ -209,7 +202,7 @@ mod tests {
 
     #[test]
     fn zero_span_power_is_zero() {
-        let p = PowerModel::default();
+        let p = PowerModel::of(&Myriad2Config::default());
         assert_eq!(p.avg_power(&ActivitySummary::default()), 0.0);
     }
 }

@@ -13,6 +13,10 @@ use desim::resource::Busy;
 use desim::{Duration, FifoResource, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// Output pixels the filter pipeline retires per cycle (one per cycle per
+/// local controller, paper §II-A).
+pub const SIPP_PIXELS_PER_CYCLE: f64 = 1.0;
+
 /// Hardware filter kinds exposed by the pipeline (subset relevant to CNN
 /// layer offload plus the classic ISP ones for completeness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -33,26 +37,19 @@ pub enum SippKernel {
 #[derive(Debug, Clone)]
 pub struct SippPipeline {
     pub(crate) engine: FifoResource,
-    pixels_per_cycle: f64,
     clock_hz: f64,
-    enabled: bool,
 }
 
 impl SippPipeline {
     pub fn new(cfg: &Myriad2Config) -> Self {
-        SippPipeline {
-            engine: FifoResource::new("sipp"),
-            pixels_per_cycle: cfg.sipp_pixels_per_cycle,
-            clock_hz: cfg.clock_hz,
-            enabled: cfg.sipp_enabled,
-        }
+        SippPipeline { engine: FifoResource::new("sipp"), clock_hz: cfg.clock_hz }
     }
 
     /// Can this layer kind be routed to the pipeline? Only local
     /// fixed-window operations qualify; GEMM-lowered convolutions and
     /// fully-connected layers stay on the SHAVEs.
     pub fn eligible(&self, mnemonic: &str) -> bool {
-        self.enabled && matches!(mnemonic, "maxpool" | "avgpool" | "lrn")
+        matches!(mnemonic, "maxpool" | "avgpool" | "lrn")
     }
 
     /// Stream `pixels` output pixels through one kernel.
@@ -60,7 +57,7 @@ impl SippPipeline {
         if pixels == 0 {
             return Busy { start: ready, end: ready };
         }
-        let cycles = (pixels as f64 / self.pixels_per_cycle).ceil() as u64;
+        let cycles = (pixels as f64 / SIPP_PIXELS_PER_CYCLE).ceil() as u64;
         self.engine.acquire(ready, Duration::for_cycles(cycles, self.clock_hz))
     }
 
@@ -102,13 +99,6 @@ mod tests {
         assert!(!s.eligible("conv"));
         assert!(!s.eligible("fc"));
         assert!(!s.eligible("softmax"));
-    }
-
-    #[test]
-    fn disabled_pipeline_rejects_offload() {
-        let cfg = Myriad2Config::default().without_sipp();
-        let s = SippPipeline::new(&cfg);
-        assert!(!s.eligible("maxpool"));
     }
 
     #[test]

@@ -20,24 +20,14 @@
 use crate::device::{DeviceError, Pending};
 use crate::fleet::Fleet;
 use desim::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
 
-/// Host-side API timing parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NcapiConfig {
-    /// User-space + kernel driver overhead per API call, ns.
-    pub call_overhead_ns: u64,
-    /// Firmware image size uploaded by `open_device`, bytes.
-    pub firmware_bytes: u64,
-}
+/// User-space + kernel driver overhead per API call, ns.
+pub const CALL_OVERHEAD_NS: u64 = 250_000;
 
-impl Default for NcapiConfig {
-    fn default() -> Self {
-        NcapiConfig { call_overhead_ns: 250_000, firmware_bytes: 1_800_000 }
-    }
-}
+/// Firmware image size uploaded by `open_device`, bytes.
+pub const FIRMWARE_BYTES: u64 = 1_800_000;
 
 /// Errors surfaced to the application (mirrors `mvncStatus`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,18 +76,13 @@ pub struct InferenceResult {
 #[derive(Debug, Clone)]
 pub struct Ncapi {
     fleet: Fleet,
-    cfg: NcapiConfig,
     io_bytes: Vec<Option<(u64, u64)>>,
 }
 
 impl Ncapi {
     pub fn new(fleet: Fleet) -> Self {
-        Ncapi::with_config(fleet, NcapiConfig::default())
-    }
-
-    pub fn with_config(fleet: Fleet, cfg: NcapiConfig) -> Self {
         let n = fleet.len();
-        Ncapi { fleet, cfg, io_bytes: vec![None; n] }
+        Ncapi { fleet, io_bytes: vec![None; n] }
     }
 
     /// Device count (the NCSDK exposes names; indices suffice here).
@@ -114,7 +99,7 @@ impl Ncapi {
     }
 
     fn call(&self, at: SimTime) -> SimTime {
-        at + Duration::from_nanos(self.cfg.call_overhead_ns)
+        at + Duration::from_nanos(CALL_OVERHEAD_NS)
     }
 
     /// Open a device: upload firmware over USB, boot the RTOS. Returns
@@ -122,7 +107,7 @@ impl Ncapi {
     pub fn open_device(&mut self, device: usize, at: SimTime) -> Result<SimTime, NcsError> {
         let port = self.device(device)?.port();
         let t = self.call(at);
-        let xfer = self.fleet.bus.transfer(port, t, self.cfg.firmware_bytes);
+        let xfer = self.fleet.bus.transfer(port, t, FIRMWARE_BYTES);
         Ok(self.fleet.devices[device].boot(xfer.end))
     }
 
@@ -176,7 +161,7 @@ impl Ncapi {
         let port = self.device(dev)?.port();
         let (in_bytes, _) = self.io_bytes[dev].ok_or(NcsError::NoGraph)?;
         let t = self.call(at);
-        // Block while the device FIFO is full (depth 2 in NCSDK v1).
+        // Block while the device FIFO is full (`FIFO_DEPTH`, 2 in NCSDK v1).
         let accept = self.fleet.devices[dev].accept_ready(t);
         let scale = self.fleet.bus.config().write_scale;
         let xfer = self.fleet.bus.transfer_scaled(port, accept, in_bytes, scale);
@@ -211,7 +196,7 @@ impl Ncapi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::NcsConfig;
+    use crate::device::{NcsConfig, FIFO_DEPTH};
     use crate::fleet::Topology;
     use vpu_nn::googlenet;
     use vpu_num::f16;
@@ -321,24 +306,21 @@ mod tests {
 
     #[test]
     fn fifo_depth_gates_burst_loads() {
-        // Depth 1 serializes fully, 2 is the NCSDK v1 default, and a
-        // deeper FIFO admits a longer burst.
-        for depth in [1, 2, 4] {
-            let cfg = NcsConfig { fifo_depth: depth, ..NcsConfig::default() };
-            let mut api = Ncapi::new(Fleet::new(1, Topology::PaperTestbed, cfg));
-            let (handles, ready) = setup(&mut api);
-            let h = handles[0];
-            // The first `depth` loads go through without waiting on a
-            // completion...
-            let mut t = ready;
-            for _ in 0..depth {
-                t = api.load_tensor(h, t).unwrap();
-            }
-            assert!((t - ready).as_millis() < 20.0, "depth {depth}: burst blocked");
-            // ...the next one waits for the first inference to finish.
-            let blocked = api.load_tensor(h, t).unwrap();
-            assert!((blocked - ready).as_millis() > 90.0, "depth {depth}: load returned too early");
+        // NCSDK v1 keeps `FIFO_DEPTH` = 2 inferences in flight.
+        assert_eq!(FIFO_DEPTH, 2);
+        let mut api = api(1);
+        let (handles, ready) = setup(&mut api);
+        let h = handles[0];
+        // The first `FIFO_DEPTH` loads go through without waiting on a
+        // completion...
+        let mut t = ready;
+        for _ in 0..FIFO_DEPTH {
+            t = api.load_tensor(h, t).unwrap();
         }
+        assert!((t - ready).as_millis() < 20.0, "burst blocked");
+        // ...the next one waits for the first inference to finish.
+        let blocked = api.load_tensor(h, t).unwrap();
+        assert!((blocked - ready).as_millis() > 90.0, "load returned too early");
     }
 
     #[test]

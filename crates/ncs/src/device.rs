@@ -3,45 +3,35 @@
 use crate::usb::UsbPort;
 use desim::{Duration, FifoResource, SimTime};
 use myriad2::exec::NetworkRun;
-use myriad2::{Myriad2, Myriad2Config};
+use myriad2::{thermal, Myriad2, Myriad2Config};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
 
+/// Firmware upload + RTOS boot after `mvncOpenDevice` (~0.9 s).
+pub const FIRMWARE_BOOT: Duration = Duration(900_000_000);
+
+/// Maximum inferences in flight on one stick (NCSDK v1 allows 2).
+pub const FIFO_DEPTH: usize = 2;
+
+/// Stick peak power (USB interface + DDR + chip), Watts: the TDP the
+/// paper's Eq. 1 charges per stick. The paper quotes 2.5 W peak for the
+/// NCS versus 0.9 W chip TDP.
+pub const PEAK_POWER_W: f64 = 2.5;
+
 /// Stick-level parameters (on top of the chip's own config).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NcsConfig {
     pub chip: Myriad2Config,
-    /// Firmware upload + RTOS boot after `mvncOpenDevice` (~0.9 s).
-    pub firmware_boot: Duration,
     /// LEON command processing per queue operation, ns. **Calibrated**
     /// with the USB constants so one GoogLeNet inference totals 100.7 ms.
     pub risc_cmd_overhead_ns: u64,
-    /// Maximum inferences in flight (NCSDK v1 allows 2).
-    pub fifo_depth: usize,
-    /// Stick peak power (USB interface + DDR + chip), Watts. The paper
-    /// quotes 2.5 W peak for the NCS versus 0.9 W chip TDP.
-    pub peak_power_w: f64,
-    /// What-if scaling of on-chip execution time (`0.5` = a chip twice
-    /// as fast), applied by constructing the Myriad with
-    /// [`Myriad2Config::time_scaled`] so every internal unit clock
-    /// agrees. Chip energy follows the shorter busy spans. `1.0` is
-    /// byte-identical to a config without the knob — the causal
-    /// profiler's passivity guarantee.
-    pub exec_scale: f64,
 }
 
 impl Default for NcsConfig {
     fn default() -> Self {
-        NcsConfig {
-            chip: Myriad2Config::default(),
-            firmware_boot: Duration::from_millis(900.0),
-            risc_cmd_overhead_ns: 550_000,
-            fifo_depth: 2,
-            peak_power_w: 2.5,
-            exec_scale: 1.0,
-        }
+        NcsConfig { chip: Myriad2Config::default(), risc_cmd_overhead_ns: 550_000 }
     }
 }
 
@@ -91,7 +81,7 @@ pub struct NcsDevice {
 impl NcsDevice {
     pub fn new(index: usize, port: UsbPort, cfg: NcsConfig) -> Self {
         NcsDevice {
-            chip: Myriad2::new(cfg.chip.time_scaled(cfg.exec_scale)),
+            chip: Myriad2::new(cfg.chip.clone()),
             risc: FifoResource::new(format!("risc{index}")),
             cfg,
             port,
@@ -111,10 +101,6 @@ impl NcsDevice {
         self.state
     }
 
-    pub fn config(&self) -> &NcsConfig {
-        &self.cfg
-    }
-
     pub fn chip(&self) -> &Myriad2 {
         &self.chip
     }
@@ -131,7 +117,7 @@ impl NcsDevice {
     /// charged by the API layer); device is usable from the returned time.
     pub fn boot(&mut self, at: SimTime) -> SimTime {
         self.state = DeviceState::Ready;
-        self.ready_at = at + self.cfg.firmware_boot;
+        self.ready_at = at + FIRMWARE_BOOT;
         self.ready_at
     }
 
@@ -158,8 +144,8 @@ impl NcsDevice {
     /// depth: with the queue full, the host blocks until a slot frees.
     pub fn accept_ready(&self, at: SimTime) -> SimTime {
         let mut t = SimTime::max_of(at, self.ready_at);
-        if self.pending.len() >= self.cfg.fifo_depth {
-            let idx = self.pending.len() - self.cfg.fifo_depth;
+        if self.pending.len() >= FIFO_DEPTH {
+            let idx = self.pending.len() - FIFO_DEPTH;
             t = SimTime::max_of(t, self.pending[idx].completion);
         }
         t
@@ -197,17 +183,16 @@ impl NcsDevice {
     /// power — the `NC_DEVICE_THERMAL_STATS` analogue. Ambient when the
     /// device has not run yet.
     pub fn thermal_c(&self) -> f64 {
-        let thermal = myriad2::thermal::ThermalModel::default();
         let activity = self.chip.lifetime_activity();
         if activity.span == Duration::ZERO {
-            return thermal.t_ambient;
+            return thermal::T_AMBIENT;
         }
-        thermal.steady_state_of(&activity, self.chip.power_model())
+        thermal::steady_state_of(&activity, self.chip.power_model())
     }
 
     /// True if the stick is at or past the vendor throttle threshold.
     pub fn thermal_throttled(&self) -> bool {
-        self.thermal_c() >= myriad2::thermal::ThermalModel::default().t_throttle
+        self.thermal_c() >= thermal::T_THROTTLE
     }
 }
 

@@ -27,6 +27,6 @@ pub mod graphfile;
 pub mod usb;
 
 pub use api::{GraphHandle, Ncapi, NcsError};
-pub use device::{NcsConfig, NcsDevice};
+pub use device::{NcsConfig, NcsDevice, PEAK_POWER_W};
 pub use fleet::{Fleet, Topology};
 pub use usb::{TapSpan, UsbBus, UsbPort};

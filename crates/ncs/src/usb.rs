@@ -20,26 +20,34 @@ pub enum UsbPort {
     Hub(usize),
 }
 
-/// Timing parameters of the bus.
+/// Effective bulk throughput of the root controller, bytes/s (5 Gb/s
+/// signalling lands near 450 MB/s of bulk payload).
+pub const ROOT_BANDWIDTH: f64 = 450e6;
+
+/// Effective bulk throughput of a hub uplink, bytes/s.
+pub const HUB_BANDWIDTH: f64 = 450e6;
+
+/// Per-transfer protocol/command overhead on the root, ns.
+pub const COMMAND_OVERHEAD_NS: u64 = 100_000;
+
+/// Extra per-transfer latency added by a hub hop, ns.
+pub const HUB_LATENCY_NS: u64 = 50_000;
+
+/// Driver backoff before retrying a transfer that hit a transient
+/// error, ns.
+pub const RETRY_PENALTY_NS: u64 = 2_000_000;
+
+/// Seed of the transient-error stream.
+pub const FAULT_SEED: u64 = 2012;
+
+/// The settable part of the bus: transient errors (ablation A4) and the
+/// what-if scaling of tensor transfers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UsbConfig {
-    /// Effective bulk throughput of the root controller, bytes/s.
-    /// (5 Gb/s signalling lands near 450 MB/s of bulk payload.)
-    pub root_bandwidth: f64,
-    /// Effective bulk throughput of a hub uplink, bytes/s.
-    pub hub_bandwidth: f64,
-    /// Per-transfer protocol/command overhead on the root, ns.
-    pub command_overhead_ns: u64,
-    /// Extra per-transfer latency added by a hub hop, ns.
-    pub hub_latency_ns: u64,
     /// Probability a bulk transfer hits a transient error and the driver
     /// retries it (NCS sticks are known for these under hub contention).
     /// 0 disables fault injection (the default).
     pub error_rate: f64,
-    /// Driver backoff before a retry, ns.
-    pub retry_penalty_ns: u64,
-    /// Seed of the fault-injection stream.
-    pub fault_seed: u64,
     /// What-if scaling of host→device tensor transfers (`0.5` = a bus
     /// twice as fast on writes). Applies to the wire + command time of
     /// scaled transfers only; boot-time firmware/graph uploads always
@@ -52,17 +60,7 @@ pub struct UsbConfig {
 
 impl Default for UsbConfig {
     fn default() -> Self {
-        UsbConfig {
-            root_bandwidth: 450e6,
-            hub_bandwidth: 450e6,
-            command_overhead_ns: 100_000,
-            hub_latency_ns: 50_000,
-            error_rate: 0.0,
-            retry_penalty_ns: 2_000_000,
-            fault_seed: 2012,
-            write_scale: 1.0,
-            read_scale: 1.0,
-        }
+        UsbConfig { error_rate: 0.0, write_scale: 1.0, read_scale: 1.0 }
     }
 }
 
@@ -137,7 +135,7 @@ impl UsbBus {
     ///
     /// With fault injection enabled, a transfer may hit up to three
     /// transient errors, each costing the retry backoff plus a second
-    /// pass over the wire — deterministic per `(fault_seed, transfer#)`.
+    /// pass over the wire — deterministic per `(FAULT_SEED, transfer#)`.
     pub fn transfer(&mut self, port: UsbPort, ready: SimTime, bytes: u64) -> Busy {
         self.transfer_scaled(port, ready, bytes, 1.0)
     }
@@ -152,13 +150,13 @@ impl UsbBus {
         self.transfers += 1;
         let mut busy = self.transfer_once(port, ready, bytes, f);
         if self.cfg.error_rate > 0.0 {
-            let mut stream = vpu_num::rng::indexed_stream(self.cfg.fault_seed, "usb-fault", seq);
+            let mut stream = vpu_num::rng::indexed_stream(FAULT_SEED, "usb-fault", seq);
             for _attempt in 0..3 {
                 if stream.gen::<f64>() >= self.cfg.error_rate {
                     break;
                 }
                 self.errors += 1;
-                let retry_at = busy.end + Duration::from_nanos(self.cfg.retry_penalty_ns);
+                let retry_at = busy.end + Duration::from_nanos(RETRY_PENALTY_NS);
                 let retry = self.transfer_once(port, retry_at, bytes, f);
                 busy = Busy { start: busy.start, end: retry.end };
             }
@@ -182,8 +180,7 @@ impl UsbBus {
         if let UsbPort::Hub(h) = port {
             assert!(h < self.hubs.len(), "hub {h} not present (have {})", self.hubs.len());
             let service = Self::scaled(
-                Duration::from_nanos(self.cfg.hub_latency_ns)
-                    + Duration::for_bytes(bytes, self.cfg.hub_bandwidth),
+                Duration::from_nanos(HUB_LATENCY_NS) + Duration::for_bytes(bytes, HUB_BANDWIDTH),
                 f,
             );
             let busy = self.hubs[h].acquire(t, service);
@@ -194,8 +191,7 @@ impl UsbBus {
             t = busy.end;
         }
         let service = Self::scaled(
-            Duration::from_nanos(self.cfg.command_overhead_ns)
-                + Duration::for_bytes(bytes, self.cfg.root_bandwidth),
+            Duration::from_nanos(COMMAND_OVERHEAD_NS) + Duration::for_bytes(bytes, ROOT_BANDWIDTH),
             f,
         );
         let busy = self.root.acquire(t, service);

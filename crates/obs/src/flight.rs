@@ -22,32 +22,20 @@ use desim::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Bounds and trigger damping for the [`FlightRecorder`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightConfig {
-    /// Virtual-clock width of the ring: events older than `window`
-    /// behind the newest start time are evicted.
-    pub window: Duration,
-    /// Hard cap on ring length, whatever the window says.
-    pub capacity: usize,
-    /// Stop snapshotting after this many incidents (bounds memory on
-    /// pathological runs).
-    pub max_incidents: usize,
-    /// Minimum virtual time between snapshots — a flapping circuit
-    /// produces one bundle per flap window, not one per flap.
-    pub cooldown: Duration,
-}
+/// Virtual-clock width of the ring: events older than this behind the
+/// newest start time are evicted.
+pub const WINDOW: Duration = Duration(250_000_000);
 
-impl Default for FlightConfig {
-    fn default() -> FlightConfig {
-        FlightConfig {
-            window: Duration::from_millis(250.0),
-            capacity: 4096,
-            max_incidents: 8,
-            cooldown: Duration::from_millis(250.0),
-        }
-    }
-}
+/// Hard cap on ring length, whatever the window says.
+pub const CAPACITY: usize = 4096;
+
+/// Snapshots stop after this many incidents (bounds memory on
+/// pathological runs).
+pub const MAX_INCIDENTS: usize = 8;
+
+/// Minimum virtual time between in-stream snapshots: a flapping circuit
+/// produces one bundle per flap window, not one per flap.
+pub const COOLDOWN: Duration = Duration(250_000_000);
 
 /// A frozen copy of the ring at the moment a trigger fired.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,10 +51,12 @@ pub struct IncidentSnapshot {
     pub events: Vec<Event>,
 }
 
-/// Always-on bounded ring buffer of recent events (see module docs).
-#[derive(Debug)]
+/// Always-on bounded ring buffer of recent events (see module docs),
+/// bounded by [`WINDOW`] and [`CAPACITY`]. It snapshots at most
+/// [`MAX_INCIDENTS`] times, in-stream triggers at least [`COOLDOWN`]
+/// apart.
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    cfg: FlightConfig,
     ring: VecDeque<Event>,
     /// High-water mark of virtual time seen so far — spans are recorded
     /// at varying points, so the newest *start* drives eviction.
@@ -76,16 +66,6 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    pub fn new(cfg: FlightConfig) -> FlightRecorder {
-        FlightRecorder {
-            cfg,
-            ring: VecDeque::new(),
-            now_ns: 0,
-            incidents: Vec::new(),
-            last_snapshot_ns: None,
-        }
-    }
-
     /// Incidents snapshotted so far.
     pub fn incidents(&self) -> &[IncidentSnapshot] {
         &self.incidents
@@ -97,9 +77,9 @@ impl FlightRecorder {
     }
 
     fn evict(&mut self) {
-        let horizon = self.now_ns.saturating_sub(self.cfg.window.nanos());
+        let horizon = self.now_ns.saturating_sub(WINDOW.nanos());
         while let Some(front) = self.ring.front() {
-            if front.start.nanos() >= horizon && self.ring.len() <= self.cfg.capacity {
+            if front.start.nanos() >= horizon && self.ring.len() <= CAPACITY {
                 break;
             }
             self.ring.pop_front();
@@ -107,21 +87,21 @@ impl FlightRecorder {
     }
 
     fn may_snapshot(&self, at: SimTime) -> bool {
-        self.incidents.len() < self.cfg.max_incidents
+        self.incidents.len() < MAX_INCIDENTS
             && self
                 .last_snapshot_ns
-                .is_none_or(|last| at.nanos().saturating_sub(last) >= self.cfg.cooldown.nanos())
+                .is_none_or(|last| at.nanos().saturating_sub(last) >= COOLDOWN.nanos())
     }
 
     /// Freeze the ring now, regardless of cooldown. Used by the bench
     /// layer for post-run triggers (burn-rate alerts); still respects
-    /// `max_incidents`. Returns the snapshot ordinal if one was taken.
+    /// [`MAX_INCIDENTS`]. Returns the snapshot ordinal if one was taken.
     pub fn force_snapshot(&mut self, trigger: &str, at: SimTime) -> Option<usize> {
         // E23 hot path: clones the whole ring — the expensive part of
         // the flight recorder, covering both in-stream triggers (via
         // `record`) and the bench layer's post-run forces.
         let _prof = crate::prof::scope("flight.snapshot");
-        if self.incidents.len() >= self.cfg.max_incidents {
+        if self.incidents.len() >= MAX_INCIDENTS {
             return None;
         }
         let n = self.incidents.len();
@@ -164,25 +144,39 @@ mod tests {
         Event::instant(phase, Lane::Server, SimTime(ms * 1_000_000), Ctx::NONE)
     }
 
+    fn ev_ns(phase: Phase, ns: u64) -> Event {
+        Event::instant(phase, Lane::Server, SimTime(ns), Ctx::NONE)
+    }
+
     #[test]
-    fn ring_is_bounded_by_window_and_capacity() {
-        let cfg = FlightConfig {
-            window: Duration::from_millis(10.0),
-            capacity: 5,
-            ..FlightConfig::default()
-        };
-        let mut fr = FlightRecorder::new(cfg);
-        for ms in 0..100 {
+    fn ring_is_bounded_by_window() {
+        assert_eq!(WINDOW, Duration::from_millis(250.0));
+        let mut fr = FlightRecorder::default();
+        for ms in 0..1000 {
             fr.record(ev(Phase::Arrive, ms));
         }
         let ring: Vec<u64> = fr.window().map(|e| e.start.nanos() / 1_000_000).collect();
-        assert!(ring.len() <= 5, "{ring:?}");
-        assert!(ring.iter().all(|&ms| ms >= 89), "window eviction: {ring:?}");
+        // The newest start is 999 ms: everything from 749 ms on stays.
+        assert_eq!(ring.len(), 251, "{ring:?}");
+        assert_eq!(ring.first(), Some(&749), "window eviction");
+    }
+
+    #[test]
+    fn ring_is_bounded_by_capacity() {
+        assert_eq!(CAPACITY, 4096);
+        // 10 000 events 1 µs apart all fit the 250 ms window.
+        let mut fr = FlightRecorder::default();
+        for us in 0..10_000 {
+            fr.record(ev_ns(Phase::Arrive, us * 1_000));
+        }
+        let ring: Vec<u64> = fr.window().map(|e| e.start.nanos() / 1_000).collect();
+        assert_eq!(ring.len(), CAPACITY);
+        assert_eq!(ring.first(), Some(&(10_000 - CAPACITY as u64)), "oldest evicted first");
     }
 
     #[test]
     fn circuit_open_snapshots_the_ring() {
-        let mut fr = FlightRecorder::new(FlightConfig::default());
+        let mut fr = FlightRecorder::default();
         for ms in 0..20 {
             fr.record(ev(Phase::Arrive, ms));
         }
@@ -197,7 +191,7 @@ mod tests {
     #[test]
     fn snapshot_is_a_named_profiler_scope() {
         crate::prof::start();
-        let mut fr = FlightRecorder::new(FlightConfig::default());
+        let mut fr = FlightRecorder::default();
         for ms in 0..10 {
             fr.record(ev(Phase::Arrive, ms));
         }
@@ -210,28 +204,23 @@ mod tests {
 
     #[test]
     fn cooldown_damps_flapping_triggers_and_cap_holds() {
-        let cfg = FlightConfig {
-            cooldown: Duration::from_millis(50.0),
-            max_incidents: 3,
-            ..FlightConfig::default()
-        };
-        let mut fr = FlightRecorder::new(cfg);
-        for ms in 0..500 {
+        assert_eq!((COOLDOWN, MAX_INCIDENTS), (Duration::from_millis(250.0), 8));
+        let mut fr = FlightRecorder::default();
+        for ms in 0..5000 {
             fr.record(ev(Phase::IntegrityFail, ms));
         }
-        // One per 50 ms cooldown window, stopped by the cap of 3.
-        assert_eq!(fr.incidents().len(), 3);
+        // One per 250 ms cooldown window, stopped by the cap of 8.
         let times: Vec<u64> = fr.incidents().iter().map(|s| s.at.nanos() / 1_000_000).collect();
-        assert_eq!(times, vec![0, 50, 100]);
+        assert_eq!(times, vec![0, 250, 500, 750, 1000, 1250, 1500, 1750]);
     }
 
     #[test]
     fn forced_snapshot_respects_only_the_cap() {
-        let cfg = FlightConfig { max_incidents: 2, ..FlightConfig::default() };
-        let mut fr = FlightRecorder::new(cfg);
+        let mut fr = FlightRecorder::default();
         fr.record(ev(Phase::Arrive, 1));
-        assert_eq!(fr.force_snapshot("burn-rate-alert", SimTime(2_000_000)), Some(0));
-        assert_eq!(fr.force_snapshot("burn-rate-alert", SimTime(2_000_000)), Some(1));
+        for n in 0..MAX_INCIDENTS {
+            assert_eq!(fr.force_snapshot("burn-rate-alert", SimTime(2_000_000)), Some(n));
+        }
         assert_eq!(fr.force_snapshot("burn-rate-alert", SimTime(2_000_000)), None);
         assert_eq!(fr.incidents()[0].events.len(), 1);
     }

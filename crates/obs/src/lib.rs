@@ -61,7 +61,7 @@ pub mod series;
 pub use chrome::{chrome_trace, chrome_trace_to, ChromeWriter};
 pub use energy::{joules, watts, EnergyMeter, EnergyProfile, EnergyTotals, MeterSpan};
 pub use event::{Ctx, Event, Lane, Phase, ShedCause};
-pub use flight::{FlightConfig, FlightRecorder, IncidentSnapshot};
+pub use flight::{FlightRecorder, IncidentSnapshot};
 pub use histogram::LogHistogram;
 pub use prof::{
     CountingWrite, OverheadLedger, ProfReport, ProfiledRecorder, Throughput, WriteStats,

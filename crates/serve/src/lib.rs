@@ -53,9 +53,7 @@ pub use metrics::{
 /// The decision half of the autoscaling loop lives in `ncsw-ctrl`;
 /// re-exported so callers can build policies without a direct dep.
 pub use ncsw_ctrl::{self as ctrl, ScaleDecision, ScaleSignals, ScalingPolicy};
-pub use ncsw_obs::{
-    FlightConfig, FlightRecorder, IncidentSnapshot, LogHistogram, SamplePolicy, SampleStats,
-};
+pub use ncsw_obs::{FlightRecorder, IncidentSnapshot, LogHistogram, SamplePolicy, SampleStats};
 pub use server::{
     serve, serve_autoscaled, serve_autoscaled_observed, serve_observed, DispatchPolicy, FaultStats,
     GrayConfig, GrayStats, ObsConfig, OutageRecord, RequestRecord, RobustConfig, ScalingConfig,

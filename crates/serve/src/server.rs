@@ -63,9 +63,9 @@ use desim::{Duration, SimTime};
 use ncsw::service::{BatchRun, FailureKind, ServeError, ServiceHook};
 use ncsw_ctrl::{PrimeContext, ScaleDecision, ScaleSignals, ScalingPolicy};
 use ncsw_obs::{
-    prof, BatchObs, CounterId, Ctx, EnergyMeter, Event, EventLog, FlightConfig, FlightRecorder,
-    GaugeId, HistogramId, Lane, NullRecorder, Phase, ProfiledRecorder, Recorder, Registry,
-    SamplePolicy, SampleStats, SamplingRecorder, Tee, TimeSeries, TimeSeriesBuilder,
+    prof, BatchObs, CounterId, Ctx, EnergyMeter, Event, EventLog, FlightRecorder, GaugeId,
+    HistogramId, Lane, NullRecorder, Phase, ProfiledRecorder, Recorder, Registry, SamplePolicy,
+    SampleStats, SamplingRecorder, Tee, TimeSeries, TimeSeriesBuilder,
 };
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -477,17 +477,11 @@ pub struct ObsConfig {
     /// and drops most of the happy path (see
     /// [`ncsw_obs::SamplingRecorder`]).
     pub sample: Option<SamplePolicy>,
-    /// Bounds of the always-on [`FlightRecorder`] incident ring.
-    pub flight: FlightConfig,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            sample_every: Duration::from_millis(10.0),
-            sample: None,
-            flight: FlightConfig::default(),
-        }
+        ObsConfig { sample_every: Duration::from_millis(10.0), sample: None }
     }
 }
 
@@ -1258,7 +1252,7 @@ fn observed_core(
     // identical whichever stack is active.
     let mut full_log: Option<EventLog> = None;
     let mut sampler: Option<SamplingRecorder> = None;
-    let mut flight = FlightRecorder::new(ocfg.flight.clone());
+    let mut flight = FlightRecorder::default();
     let outcome = {
         let base: &mut dyn Recorder = match &ocfg.sample {
             Some(policy) => {

@@ -57,53 +57,143 @@ impl PoolParams {
 }
 
 /// Apply pooling over a whole batch.
+///
+/// Each `(n, c)` plane is widened to f32 once, and each window reads its
+/// rows as contiguous slices of that plane. The taps of a window fold in
+/// row-major order from the same seed as the per-tap loop kept in the
+/// tests (`reference::pool2d`), so every output bit is the same.
 pub fn pool2d<E: Element>(input: &Tensor<E>, params: &PoolParams) -> Tensor<E> {
     let ishape = input.shape();
     let oshape = params.out_shape(ishape);
-    let mut out = Tensor::<E>::zeros(oshape);
-    let (ih, iw) = (ishape.h as isize, ishape.w as isize);
-    for n in 0..ishape.n {
-        for c in 0..ishape.c {
-            for oy in 0..oshape.h {
-                for ox in 0..oshape.w {
-                    let y0 = (oy * params.stride) as isize - params.pad as isize;
-                    let x0 = (ox * params.stride) as isize - params.pad as isize;
-                    let y1 = (y0 + params.kernel as isize).min(ih);
-                    let x1 = (x0 + params.kernel as isize).min(iw);
-                    let y0 = y0.max(0);
-                    let x0 = x0.max(0);
-                    let v = match params.kind {
-                        PoolKind::Max => {
-                            let mut m = f32::NEG_INFINITY;
-                            for y in y0..y1 {
-                                for x in x0..x1 {
-                                    m = m.max(input.at(n, c, y as usize, x as usize).to_f32());
-                                }
-                            }
-                            E::from_f32(m)
-                        }
-                        PoolKind::Avg => {
-                            let mut s = 0.0f32;
-                            for y in y0..y1 {
-                                for x in x0..x1 {
-                                    s += input.at(n, c, y as usize, x as usize).to_f32();
-                                }
-                            }
-                            let count = ((y1 - y0) * (x1 - x0)).max(1) as f32;
-                            E::from_f32(s / count)
-                        }
-                    };
-                    out.set(n, c, oy, ox, v);
-                }
+    // The window of output row/column `o`, clipped to `0..extent`; empty
+    // (`hi <= lo`) when it lies wholly outside the input.
+    let window = |o: usize, extent: usize| {
+        let lo = (o * params.stride) as isize - params.pad as isize;
+        (lo.max(0), (lo + params.kernel as isize).min(extent as isize))
+    };
+    let rows: Vec<(isize, isize)> = (0..oshape.h).map(|oy| window(oy, ishape.h)).collect();
+    let cols: Vec<(isize, isize)> = (0..oshape.w).map(|ox| window(ox, ishape.w)).collect();
+    let (iw, plane_len) = (ishape.w, ishape.h * ishape.w);
+    let mut plane = vec![0.0f32; plane_len];
+    let mut out = Vec::with_capacity(oshape.len());
+    for src in (0..ishape.n * ishape.c).map(|p| &input.as_slice()[p * plane_len..][..plane_len]) {
+        for (dst, &v) in plane.iter_mut().zip(src) {
+            *dst = v.to_f32();
+        }
+        for &(y0, y1) in &rows {
+            for &(x0, x1) in &cols {
+                let b = x1.max(0) as usize;
+                let a = (x0 as usize).min(b);
+                let taps = (y0..y1).flat_map(|y| &plane[y as usize * iw..][a..b]);
+                let v = match params.kind {
+                    PoolKind::Max => taps.fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
+                    PoolKind::Avg => {
+                        let s = taps.fold(0.0f32, |s, &v| s + v);
+                        s / ((y1 - y0) * (x1 - x0)).max(1) as f32
+                    }
+                };
+                out.push(E::from_f32(v));
             }
         }
     }
-    out
+    Tensor::from_vec(oshape, out)
+}
+
+/// The reference [`pool2d`] must match bit for bit: every tap read
+/// through [`Tensor::at`], every output written through [`Tensor::set`].
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn pool2d<E: Element>(input: &Tensor<E>, params: &PoolParams) -> Tensor<E> {
+        let ishape = input.shape();
+        let oshape = params.out_shape(ishape);
+        let mut out = Tensor::<E>::zeros(oshape);
+        let (ih, iw) = (ishape.h as isize, ishape.w as isize);
+        for n in 0..ishape.n {
+            for c in 0..ishape.c {
+                for oy in 0..oshape.h {
+                    for ox in 0..oshape.w {
+                        let y0 = (oy * params.stride) as isize - params.pad as isize;
+                        let x0 = (ox * params.stride) as isize - params.pad as isize;
+                        let y1 = (y0 + params.kernel as isize).min(ih);
+                        let x1 = (x0 + params.kernel as isize).min(iw);
+                        let y0 = y0.max(0);
+                        let x0 = x0.max(0);
+                        let v = match params.kind {
+                            PoolKind::Max => {
+                                let mut m = f32::NEG_INFINITY;
+                                for y in y0..y1 {
+                                    for x in x0..x1 {
+                                        m = m.max(input.at(n, c, y as usize, x as usize).to_f32());
+                                    }
+                                }
+                                E::from_f32(m)
+                            }
+                            PoolKind::Avg => {
+                                let mut s = 0.0f32;
+                                for y in y0..y1 {
+                                    for x in x0..x1 {
+                                        s += input.at(n, c, y as usize, x as usize).to_f32();
+                                    }
+                                }
+                                let count = ((y1 - y0) * (x1 - x0)).max(1) as f32;
+                                E::from_f32(s / count)
+                            }
+                        };
+                        out.set(n, c, oy, ox, v);
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use vpu_num::f16;
+
+    /// Bits of every output, so NaN payloads and signed zeros count.
+    fn bits<E: Element>(t: &Tensor<E>) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_f32().to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random shapes, kernels, strides and paddings, ceil-mode partial
+        /// windows and windows wholly in the padding included; inputs mix
+        /// signed zeros, infinities and NaNs into random values.
+        #[test]
+        fn matches_the_per_tap_loop(
+            (n, c, h, w) in (1usize..3, 1usize..4, 1usize..12, 1usize..12),
+            (kernel, stride, pad) in (1usize..6, 1usize..4, 0usize..4),
+            avg in any::<bool>(),
+            seed in prop::collection::vec((any::<u32>(), 0u8..12), 1..64),
+        ) {
+            let shape = Shape::new(n, c, h, w);
+            let kind = if avg { PoolKind::Avg } else { PoolKind::Max };
+            let params = PoolParams::new(kind, kernel, stride, pad);
+            prop_assume!(params.try_out_shape(shape).is_ok());
+            let values: Vec<f32> = (0..shape.len())
+                .map(|i| match seed[i % seed.len()] {
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    (_, 2) => f32::INFINITY,
+                    (_, 3) => f32::NEG_INFINITY,
+                    (_, 4) => f32::NAN,
+                    (r, _) => (r as f32 / u32::MAX as f32 - 0.5) * 200.0 + i as f32 * 0.37,
+                })
+                .collect();
+            let t32 = Tensor::<f32>::from_f32_slice(shape, &values);
+            prop_assert_eq!(bits(&pool2d(&t32, &params)), bits(&reference::pool2d(&t32, &params)));
+            let t16 = Tensor::<f16>::from_f32_slice(shape, &values);
+            prop_assert_eq!(bits(&pool2d(&t16, &params)), bits(&reference::pool2d(&t16, &params)));
+        }
+    }
 
     #[test]
     fn googlenet_pool_geometries() {

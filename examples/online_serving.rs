@@ -251,11 +251,7 @@ fn main() {
             &cfg,
             &steady,
             n,
-            &ObsConfig {
-                sample_every: Duration::from_millis(10.0),
-                sample,
-                ..ObsConfig::default()
-            },
+            &ObsConfig { sample_every: Duration::from_millis(10.0), sample },
         )
     };
     let (_, full) = observed(None);

@@ -149,11 +149,7 @@ fn tail_sampling_is_passive_and_keeps_anomalous_chains_in_full() {
             &cfg,
             &load,
             200,
-            &ObsConfig {
-                sample_every: Duration::from_millis(10.0),
-                sample,
-                ..ObsConfig::default()
-            },
+            &ObsConfig { sample_every: Duration::from_millis(10.0), sample },
         )
     };
     let (full_out, full_obs) = run(None);
