@@ -31,17 +31,6 @@ pub struct AbExp {
     pub diff: TraceDiff,
 }
 
-/// Run E18 with the default pairing: round-robin baseline vs the
-/// cost-aware candidate, at the default SLO.
-pub fn ab_exp(scale: Scale) -> AbExp {
-    ab_exp_with(
-        scale,
-        Duration::from_millis(500.0),
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::CostAware,
-    )
-}
-
 pub fn ab_exp_with(
     scale: Scale,
     slo: Duration,
@@ -90,12 +79,20 @@ mod tests {
 
     #[test]
     fn tiny_ab_diff_is_deterministic_and_joins_the_runs() {
-        let e = ab_exp(Scale::Tiny);
+        let run = || {
+            ab_exp_with(
+                Scale::Tiny,
+                Duration::from_millis(500.0),
+                DispatchPolicy::RoundRobin,
+                DispatchPolicy::CostAware,
+            )
+        };
+        let e = run();
         // Same seeded arrivals: the paired join must cover requests.
         assert!(e.diff.joined > 0, "{:?}", e.diff);
         // The verdict artifact CI gates on is byte-identical across
         // repeats of the same comparison.
-        let again = ab_exp(Scale::Tiny);
+        let again = run();
         assert_eq!(
             serde_json::to_string(&e.diff).unwrap(),
             serde_json::to_string(&again.diff).unwrap()

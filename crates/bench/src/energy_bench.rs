@@ -74,11 +74,6 @@ fn requests_per_point(scale: Scale) -> usize {
     }
 }
 
-/// Run E19 with the default SLO (500 ms) and cost-aware dispatch.
-pub fn energy_exp(scale: Scale) -> EnergyExp {
-    energy_exp_with(scale, Duration::from_millis(500.0))
-}
-
 pub fn energy_exp_with(scale: Scale, slo: Duration) -> EnergyExp {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let n = requests_per_point(scale);
@@ -186,7 +181,7 @@ mod tests {
 
     #[test]
     fn energy_sweep_shows_the_cost_of_headroom() {
-        let e = energy_exp(Scale::Tiny);
+        let e = energy_exp_with(Scale::Tiny, Duration::from_millis(500.0));
         assert_eq!(e.fleets.len(), FLEETS.len());
         for f in &e.fleets {
             assert_eq!(f.points.len(), LOAD_FRACTIONS.len());
@@ -216,7 +211,7 @@ mod tests {
         // gated) is far below the 2.5 W stick TDP Eq. 1 charges, so
         // the measured img/W must beat the TDP-based number at every
         // load point.
-        let e = energy_exp(Scale::Tiny);
+        let e = energy_exp_with(Scale::Tiny, Duration::from_millis(500.0));
         for name in ["1xvpu", "8xvpu"] {
             let f = e.fleets.iter().find(|f| f.fleet == name).unwrap();
             for p in &f.points {

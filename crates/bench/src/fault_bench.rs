@@ -85,10 +85,6 @@ pub fn staggered_unplugs(k: usize, horizon_secs: f64) -> FaultPlan {
     plan
 }
 
-pub fn failover_exp(scale: Scale) -> FailoverExp {
-    failover_exp_with(scale, Duration::from_millis(500.0))
-}
-
 pub fn failover_exp_with(scale: Scale, slo: Duration) -> FailoverExp {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let n = requests(scale);
@@ -182,7 +178,7 @@ mod tests {
 
     #[test]
     fn tiny_failover_sweep_is_conservative_and_reports_faults() {
-        let e = failover_exp(Scale::Tiny);
+        let e = failover_exp_with(Scale::Tiny, Duration::from_millis(500.0));
         assert_eq!(e.points.len(), FAILURE_COUNTS.len() * 2);
         for p in &e.points {
             let r = &p.report;

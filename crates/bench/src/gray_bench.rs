@@ -115,10 +115,6 @@ pub fn wire_plan(per_image_prob: f64) -> FaultPlan {
     plan
 }
 
-pub fn gray_exp(scale: Scale) -> GrayExp {
-    gray_exp_with(scale, Duration::from_millis(500.0))
-}
-
 pub fn gray_exp_with(scale: Scale, slo: Duration) -> GrayExp {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let n = requests(scale);
@@ -254,7 +250,7 @@ mod tests {
 
     #[test]
     fn tiny_gray_sweep_defends_against_gray_failures() {
-        let e = gray_exp(Scale::Tiny);
+        let e = gray_exp_with(Scale::Tiny, Duration::from_millis(500.0));
         assert_eq!(e.scenarios.len(), FAILSLOW_FACTORS.len() + CORRUPT_PROBS.len() + 1);
         for s in &e.scenarios {
             for cell in [&s.baseline, &s.defenseless, &s.defended] {

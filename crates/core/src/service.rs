@@ -6,6 +6,10 @@
 //! and learn when each image's result returns to the host. This module
 //! exposes that contract as [`ServiceHook`]:
 //!
+//! * a device implements **one submit call**,
+//!   [`ServiceHook::try_serve_obs`]: fallible and observed. The
+//!   infallible [`ServiceHook::serve_obs`] and unobserved
+//!   [`ServiceHook::serve`] are provided wrappers over it;
 //! * every device **self-serializes**: a submission at `ready` queues
 //!   behind the device's earlier work (`FifoResource` timelines on the
 //!   hosts, the `last_end` sequencing of [`MultiVpu`]);
@@ -78,7 +82,7 @@ impl WireReport {
 }
 
 /// Timing record of one served batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchRun {
     /// Instant the device actually began (>= the submission instant).
     pub start: SimTime,
@@ -94,15 +98,29 @@ pub struct BatchRun {
     pub wire: Option<WireReport>,
 }
 
-/// A device a dynamic batcher can drive one batch at a time.
+/// A device a dynamic batcher can drive one batch at a time. Implement
+/// [`ServiceHook::try_serve_obs`] and the queries; the two other submit
+/// methods are wrappers over it.
 pub trait ServiceHook {
     /// Display label, e.g. `cpu`, `gpu`, `vpu x8`.
     fn label(&self) -> String;
 
-    /// Submit `batch` images no earlier than `ready`; the device
-    /// serializes with its own prior work and returns when each image's
-    /// result lands back on the host.
-    fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun;
+    /// The one device call: submit `batch` images no earlier than
+    /// `ready`. The device serializes with its own prior work and
+    /// returns when each image's result lands back on the host, emitting
+    /// its busy spans through `obs.rec` tagged with `obs`'s
+    /// batch/request context (nothing when `obs` is disabled; the timing
+    /// is the same either way). Host devices report one batch-level
+    /// `Exec` span on their worker lane; the VPU fleet reports per-image
+    /// host, chip and USB-fabric spans. The built-in devices never fail;
+    /// fault-injection wrappers (`ncsw-faults`) return a [`ServeError`]
+    /// so the serving loop can retry, fail over and trip breakers.
+    fn try_serve_obs(
+        &mut self,
+        batch: usize,
+        ready: SimTime,
+        obs: &mut BatchObs<'_>,
+    ) -> Result<BatchRun, ServeError>;
 
     /// Jitter-free service-time estimate for a batch of this size (the
     /// calibrated cost model dispatch policies plan with).
@@ -130,13 +148,34 @@ pub trait ServiceHook {
         EnergyProfile::new(self.label(), 0, 0, 0)
     }
 
-    /// [`ServiceHook::serve`] with observability: identical timing, but
-    /// the device also emits its busy spans through `obs.rec` tagged
-    /// with `obs`'s batch/request context. Host devices report one
-    /// batch-level `Exec` span on their worker lane; the VPU fleet
-    /// overrides this to emit per-image host, chip and USB-fabric spans.
+    /// [`ServiceHook::try_serve_obs`] on a device that must not fail.
+    ///
+    /// # Panics
+    /// If the submission fails.
     fn serve_obs(&mut self, batch: usize, ready: SimTime, obs: &mut BatchObs<'_>) -> BatchRun {
-        let run = self.serve(batch, ready);
+        self.try_serve_obs(batch, ready, obs)
+            .unwrap_or_else(|e| panic!("fault fired on the infallible serve path: {:?}", e.kind))
+    }
+
+    /// [`ServiceHook::serve_obs`], unobserved.
+    fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
+        self.serve_obs(batch, ready, &mut BatchObs::disabled(&mut NullRecorder))
+    }
+}
+
+impl ServiceHook for HostTarget {
+    fn label(&self) -> String {
+        self.device().config().name.to_string()
+    }
+
+    fn try_serve_obs(
+        &mut self,
+        batch: usize,
+        ready: SimTime,
+        obs: &mut BatchObs<'_>,
+    ) -> Result<BatchRun, ServeError> {
+        let cost = self.cost().clone();
+        let run = self.device_mut().run_batch(&cost, batch, ready);
         if obs.enabled() {
             let ctx =
                 Ctx { request_id: None, batch_id: Some(obs.batch_id), worker: Some(obs.worker) };
@@ -148,33 +187,7 @@ pub trait ServiceHook {
                 ctx,
             ));
         }
-        run
-    }
-
-    /// Fallible [`ServiceHook::serve_obs`]: the submission may fail with
-    /// a [`ServeError`] instead of producing results. The built-in
-    /// devices never fail (the default is infallible); fault-injection
-    /// wrappers override this, and the serving loop dispatches through
-    /// it so every worker is injectable without modification.
-    fn try_serve_obs(
-        &mut self,
-        batch: usize,
-        ready: SimTime,
-        obs: &mut BatchObs<'_>,
-    ) -> Result<BatchRun, ServeError> {
-        Ok(self.serve_obs(batch, ready, obs))
-    }
-}
-
-impl ServiceHook for HostTarget {
-    fn label(&self) -> String {
-        self.device().config().name.to_string()
-    }
-
-    fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
-        let cost = self.cost().clone();
-        let run = self.device_mut().run_batch(&cost, batch, ready);
-        BatchRun { start: run.start, end: run.end, done: vec![run.end; batch], wire: None }
+        Ok(BatchRun { start: run.start, end: run.end, done: vec![run.end; batch], wire: None })
     }
 
     fn estimate(&self, batch: usize) -> Duration {
@@ -204,13 +217,14 @@ impl ServiceHook for IntelVpu {
         format!("vpu x{}", self.devices())
     }
 
-    fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
-        self.serve_obs(batch, ready, &mut BatchObs::disabled(&mut NullRecorder))
-    }
-
-    fn serve_obs(&mut self, batch: usize, ready: SimTime, obs: &mut BatchObs<'_>) -> BatchRun {
+    fn try_serve_obs(
+        &mut self,
+        batch: usize,
+        ready: SimTime,
+        obs: &mut BatchObs<'_>,
+    ) -> Result<BatchRun, ServeError> {
         let report = self.pipeline_mut().run_pipeline_obs(batch, ready, obs);
-        BatchRun { start: report.start, end: report.end, done: report.result_times, wire: None }
+        Ok(BatchRun { start: report.start, end: report.end, done: report.result_times, wire: None })
     }
 
     fn estimate(&self, batch: usize) -> Duration {

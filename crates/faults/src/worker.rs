@@ -200,17 +200,6 @@ impl ServiceHook for FaultyWorker {
         self.inner.label()
     }
 
-    fn serve(&mut self, batch: usize, ready: SimTime) -> BatchRun {
-        let mut null = ncsw_obs::NullRecorder;
-        self.try_serve_obs(batch, ready, &mut BatchObs::disabled(&mut null))
-            .unwrap_or_else(|e| panic!("fault fired on the infallible serve path: {:?}", e.kind))
-    }
-
-    fn serve_obs(&mut self, batch: usize, ready: SimTime, obs: &mut BatchObs<'_>) -> BatchRun {
-        self.try_serve_obs(batch, ready, obs)
-            .unwrap_or_else(|e| panic!("fault fired on the infallible serve path: {:?}", e.kind))
-    }
-
     fn try_serve_obs(
         &mut self,
         batch: usize,
@@ -256,7 +245,7 @@ impl ServiceHook for FaultyWorker {
         }
 
         let factor = self.stretch_factor(t0);
-        let mut run = self.inner.serve_obs(batch, t0, obs);
+        let mut run = self.inner.try_serve_obs(batch, t0, obs)?;
         if factor > 1.0 {
             // Stretch the host-visible completion instants around the
             // true start. The inner device's sub-spans (USB legs, SHAVE
@@ -487,6 +476,41 @@ mod tests {
                 .collect()
         };
         assert_eq!(exec_only(false), exec_only(true), "wire stream must not perturb exec stream");
+    }
+
+    /// The provided `serve`/`serve_obs` wrappers return exactly what the
+    /// one device call returns on a twin worker, for each device bare
+    /// and inside an empty-plan wrapper.
+    #[test]
+    fn provided_wrappers_match_the_device_call() {
+        let devices: [fn() -> Box<dyn ServiceHook>; 3] = [
+            || Box::new(HostTarget::new(model(), HostConfig::xeon_e5())),
+            || Box::new(HostTarget::new(model(), HostConfig::k4000())),
+            || Box::new(IntelVpu::new(model(), 2)),
+        ];
+        let mut null = ncsw_obs::NullRecorder;
+        for device in devices {
+            for faulty in [false, true] {
+                let build = || -> Box<dyn ServiceHook> {
+                    let inner = device();
+                    if !faulty {
+                        return inner;
+                    }
+                    let epoch = inner.busy_until();
+                    Box::new(FaultyWorker::new(inner, &[], epoch, 7, 0))
+                };
+                let (mut call, mut plain, mut observed) = (build(), build(), build());
+                let at = call.busy_until();
+                for batch in [1, 3, 8] {
+                    let want =
+                        call.try_serve_obs(batch, at, &mut BatchObs::disabled(&mut null)).unwrap();
+                    let label = call.label();
+                    assert_eq!(plain.serve(batch, at), want, "{label} (wrapped: {faulty}): serve");
+                    let got = observed.serve_obs(batch, at, &mut BatchObs::disabled(&mut null));
+                    assert_eq!(got, want, "{label} (wrapped: {faulty}): serve_obs");
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl TilingPlan {
         self.n.div_ceil(self.tile)
     }
 
-    /// K strips per tile pass.
-    pub fn k_strips(&self) -> usize {
-        self.k.div_ceil(self.tile_k)
-    }
-
     /// Total multiply-accumulates.
     pub fn macs(&self) -> u64 {
         self.m as u64 * self.k as u64 * self.n as u64
@@ -119,7 +114,6 @@ mod tests {
         let p = TilingPlan::plan(300, 200, 500, 4, SLICE);
         assert!(p.tiles_m() * p.tile >= 300);
         assert!(p.tiles_n() * p.tile >= 500);
-        assert!(p.k_strips() * p.tile_k >= 200);
     }
 
     #[test]

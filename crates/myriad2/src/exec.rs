@@ -23,7 +23,7 @@ use crate::cmx::{Cmx, CMX_BYTES};
 use crate::ddr::DdrChannel;
 use crate::power::{ActivitySummary, PowerModel};
 use crate::shave::{self, ISSUE_EFFICIENCY, VAU_LANES};
-use crate::sipp::{SippKernel, SippPipeline};
+use crate::sipp::SippPipeline;
 use desim::{Duration, ServerPool, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -417,7 +417,7 @@ impl Myriad2 {
         let on_sipp = self.sipp.eligible(&layer.mnemonic);
         let compute_busy = if on_sipp {
             let pixels = layer.out_shape.len() as u64;
-            self.sipp.run(t0, SippKernel::WindowReduce, pixels)
+            self.sipp.run(t0, pixels)
         } else {
             let w = shave::layer_cycles(
                 layer.macs,

@@ -11,29 +11,12 @@
 use crate::arch::Myriad2Config;
 use desim::resource::Busy;
 use desim::{Duration, FifoResource, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Output pixels the filter pipeline retires per cycle (one per cycle per
 /// local controller, paper §II-A).
 pub const SIPP_PIXELS_PER_CYCLE: f64 = 1.0;
 
-/// Hardware filter kinds exposed by the pipeline (subset relevant to CNN
-/// layer offload plus the classic ISP ones for completeness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SippKernel {
-    /// Sliding-window reduce (used for max/avg pooling offload).
-    WindowReduce,
-    /// Separable 5×5 convolution filter (ISP-style).
-    Conv5x5,
-    /// Tone mapping / LUT.
-    ToneMap,
-    /// Harris corner response.
-    Harris,
-    /// Luma/chroma denoise.
-    Denoise,
-}
-
-/// The filter pipeline: a chain of kernels sharing one streaming engine.
+/// The filter pipeline: one streaming engine the window layers share.
 #[derive(Debug, Clone)]
 pub struct SippPipeline {
     pub(crate) engine: FifoResource,
@@ -52,8 +35,8 @@ impl SippPipeline {
         matches!(mnemonic, "maxpool" | "avgpool" | "lrn")
     }
 
-    /// Stream `pixels` output pixels through one kernel.
-    pub fn run(&mut self, ready: SimTime, _kernel: SippKernel, pixels: u64) -> Busy {
+    /// Stream `pixels` output pixels through the window-reduce filter.
+    pub fn run(&mut self, ready: SimTime, pixels: u64) -> Busy {
         if pixels == 0 {
             return Busy { start: ready, end: ready };
         }
@@ -78,15 +61,15 @@ mod tests {
     fn pixel_throughput() {
         let mut s = sipp();
         // 600k pixels at 1 px/cycle @600 MHz = 1 ms.
-        let b = s.run(SimTime(0), SippKernel::WindowReduce, 600_000);
+        let b = s.run(SimTime(0), 600_000);
         assert_eq!(b.end - b.start, Duration::from_millis(1.0));
     }
 
     #[test]
-    fn filters_share_the_engine() {
+    fn runs_share_the_engine() {
         let mut s = sipp();
-        let a = s.run(SimTime(0), SippKernel::Harris, 1_000);
-        let b = s.run(SimTime(0), SippKernel::Denoise, 1_000);
+        let a = s.run(SimTime(0), 1_000);
+        let b = s.run(SimTime(0), 1_000);
         assert_eq!(b.start, a.end);
     }
 
@@ -104,7 +87,7 @@ mod tests {
     #[test]
     fn zero_pixels_instant() {
         let mut s = sipp();
-        let b = s.run(SimTime(3), SippKernel::ToneMap, 0);
+        let b = s.run(SimTime(3), 0);
         assert_eq!(b.start, b.end);
     }
 }

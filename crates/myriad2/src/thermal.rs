@@ -9,8 +9,9 @@
 //! stick never approaches throttling at inference load, unlike the 80 W
 //! hosts it replaces.
 //!
-//! Model: `C_th · dT/dt = P(t) − (T − T_amb)/R_th`; at a sustained
-//! power draw the junction settles at `T_amb + R_th · P`.
+//! Model: a lumped RC, `C_th · dT/dt = P(t) − (T − T_amb)/R_th`. Only
+//! its steady state is computed: at a sustained power draw the junction
+//! settles at `T_amb + R_th · P`, whatever `C_th` is.
 
 use crate::power::{ActivitySummary, PowerModel};
 
@@ -18,8 +19,6 @@ use crate::power::{ActivitySummary, PowerModel};
 /// case, free convection), K/W. Small passive USB sticks land near
 /// 25–35 K/W; the NCS's aluminium case is at the good end.
 pub const R_TH: f64 = 28.0;
-/// Lumped thermal capacitance, J/K (a few grams of silicon + board).
-pub const C_TH: f64 = 6.0;
 /// Ambient, °C.
 pub const T_AMBIENT: f64 = 25.0;
 /// Vendor throttle threshold, °C (the NCSDK reports a thermal warning
@@ -29,11 +28,6 @@ pub const T_THROTTLE: f64 = 80.0;
 /// Steady-state junction temperature at a constant power draw.
 pub fn steady_state(power_w: f64) -> f64 {
     T_AMBIENT + R_TH * power_w
-}
-
-/// Thermal time constant in seconds.
-pub fn tau() -> f64 {
-    R_TH * C_TH
 }
 
 /// Temperature after running one activity summary in a loop
@@ -55,7 +49,6 @@ mod tests {
         assert_eq!(steady_state(0.0), 25.0);
         // 1 W through 28 K/W: 53 °C.
         assert!((steady_state(1.0) - 53.0).abs() < 1e-12);
-        assert!((tau() - 168.0).abs() < 1e-9);
     }
 
     #[test]

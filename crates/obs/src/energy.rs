@@ -308,7 +308,7 @@ impl EnergyMeter {
         }
     }
 
-    /// Register fleet + per-worker energy counters (exact picojoules).
+    /// Append fleet + per-worker energy counters (exact picojoules).
     pub fn register(&self, reg: &mut Registry, horizon: SimTime) {
         let t = self.totals(horizon);
         for (name, v) in [
@@ -317,12 +317,10 @@ impl EnergyMeter {
             ("energy.idle_pj", t.idle_pj),
             ("energy.fleet_pj", t.fleet_pj()),
         ] {
-            let id = reg.counter(name);
-            reg.add(id, v);
+            reg.push_counter(name, v);
         }
         for w in 0..self.profiles.len() {
-            let id = reg.counter(&format!("energy.w{w}.pj"));
-            reg.add(id, self.worker_pj(w, horizon));
+            reg.push_counter(format!("energy.w{w}.pj"), self.worker_pj(w, horizon));
         }
     }
 }

@@ -26,6 +26,14 @@ impl Default for LogHistogram {
     }
 }
 
+impl FromIterator<Duration> for LogHistogram {
+    fn from_iter<I: IntoIterator<Item = Duration>>(iter: I) -> Self {
+        let mut h = LogHistogram::new();
+        iter.into_iter().for_each(|d| h.record(d));
+        h
+    }
+}
+
 impl LogHistogram {
     pub fn new() -> Self {
         // Octaves 0..=63, SUB sub-buckets each; values below SUB land in

@@ -16,8 +16,9 @@
 //!   from its host and VPU spans), [`Tee`] fans out to two sinks at
 //!   once. [`request_chain`] is the one full-phase-chain rule, applied
 //!   to a request's events (`EventLog::group_by` groups them).
-//! - [`Registry`] — named counters, gauges and log-bucketed
-//!   [`LogHistogram`]s with typed handles.
+//! - [`Registry`] — an append-only table of named counters, gauges and
+//!   log-bucketed [`LogHistogram`]s, built once after a run from its
+//!   outcome.
 //! - [`TimeSeriesBuilder`]/[`TimeSeries`] — periodic samples of queue
 //!   depth, in-flight batches, per-worker utilization and SLO burn
 //!   rate, exported as CSV.
@@ -67,6 +68,6 @@ pub use prof::{
     CountingWrite, OverheadLedger, ProfReport, ProfiledRecorder, Throughput, WriteStats,
 };
 pub use recorder::{request_chain, BatchObs, EventLog, NullRecorder, Recorder, Tee};
-pub use registry::{CounterId, GaugeId, HistogramId, Registry};
+pub use registry::Registry;
 pub use sample::{SamplePolicy, SampleStats, SamplingRecorder};
 pub use series::{Sample, TimeSeries, TimeSeriesBuilder};

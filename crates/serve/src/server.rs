@@ -31,8 +31,10 @@
 //!
 //! Every request ends through one method per outcome: `deliver`,
 //! `retry_or_shed` or `shed`. Busy energy is booked through `charge`.
-//! Recorder, time series and metrics are fed through `record` and
-//! `observe`, which do nothing on an unobserved run.
+//! Recorder and time series are fed through `record` and `observe`,
+//! which do nothing on an unobserved run. The metric registry is not
+//! fed in the loop: an observed run folds it from the outcome
+//! afterwards (`registry_of`).
 //!
 //! ## Fault tolerance
 //!
@@ -63,9 +65,9 @@ use desim::{Duration, SimTime};
 use ncsw::service::{BatchRun, FailureKind, ServeError, ServiceHook};
 use ncsw_ctrl::{PrimeContext, ScaleDecision, ScaleSignals, ScalingPolicy};
 use ncsw_obs::{
-    prof, BatchObs, CounterId, Ctx, EnergyMeter, Event, EventLog, FlightRecorder, GaugeId,
-    HistogramId, Lane, NullRecorder, Phase, ProfiledRecorder, Recorder, Registry, SamplePolicy,
-    SampleStats, SamplingRecorder, Tee, TimeSeries, TimeSeriesBuilder,
+    prof, BatchObs, Ctx, EnergyMeter, Event, EventLog, FlightRecorder, Lane, NullRecorder, Phase,
+    ProfiledRecorder, Recorder, Registry, SamplePolicy, SampleStats, SamplingRecorder, Tee,
+    TimeSeries, TimeSeriesBuilder,
 };
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -508,77 +510,36 @@ pub struct ServeObservation {
     pub flight: FlightRecorder,
 }
 
-/// Registered metric handles of one observed run.
-struct Meters {
-    reg: Registry,
-    arrived: CounterId,
-    completed: CounterId,
-    rejected: CounterId,
-    evicted: CounterId,
-    deadline: CounterId,
-    exhausted: CounterId,
-    batches: CounterId,
-    faults: CounterId,
-    retries: CounterId,
-    circuit_opens: CounterId,
-    depth_peak: GaugeId,
-    evicted_wait: HistogramId,
-    latency: HistogramId,
-    formation: HistogramId,
-    queue_wait: HistogramId,
-    service: HistogramId,
-    peak: usize,
-}
-
-impl Meters {
-    fn new() -> Meters {
-        let mut reg = Registry::new();
-        Meters {
-            arrived: reg.counter("requests.arrived"),
-            completed: reg.counter("requests.completed"),
-            rejected: reg.counter("requests.shed.rejected"),
-            evicted: reg.counter("requests.shed.evicted"),
-            deadline: reg.counter("requests.shed.deadline"),
-            exhausted: reg.counter("requests.shed.retries_exhausted"),
-            batches: reg.counter("batches.dispatched"),
-            faults: reg.counter("faults.injected"),
-            retries: reg.counter("faults.retries"),
-            circuit_opens: reg.counter("faults.circuit_opens"),
-            depth_peak: reg.gauge("queue.depth.peak"),
-            evicted_wait: reg.histogram("shed.evicted.wait"),
-            latency: reg.histogram("latency.e2e"),
-            formation: reg.histogram("latency.formation_wait"),
-            queue_wait: reg.histogram("latency.queue_wait"),
-            service: reg.histogram("latency.service"),
-            peak: 0,
-            reg,
-        }
+/// The metric registry of an observed run, folded from its outcome
+/// (`peak` is the queue's depth high-water mark, which failover
+/// requeues make underivable from the records). Rows keep the order
+/// and names the summary and incident bundles print.
+fn registry_of(o: &ServeOutcome, peak: usize) -> Registry {
+    let mut reg = Registry::new();
+    let sheds = |cause| o.shed.iter().filter(|s| s.cause == cause).count() as u64;
+    for (name, v) in [
+        ("requests.arrived", o.generated as u64),
+        ("requests.completed", o.completed.len() as u64),
+        ("requests.shed.rejected", sheds(ShedCause::Rejected)),
+        ("requests.shed.evicted", sheds(ShedCause::Evicted)),
+        ("requests.shed.deadline", sheds(ShedCause::Deadline)),
+        ("requests.shed.retries_exhausted", sheds(ShedCause::RetriesExhausted)),
+        ("batches.dispatched", o.workers.iter().map(|w| w.batches).sum()),
+        ("faults.injected", o.faults.injected),
+        ("faults.retries", o.faults.retries),
+        ("faults.circuit_opens", o.faults.outages.len() as u64),
+    ] {
+        reg.push_counter(name, v);
     }
-
-    fn shed(&mut self, cause: ShedCause, wait: Duration) {
-        match cause {
-            ShedCause::Rejected => self.reg.inc(self.rejected),
-            ShedCause::Deadline => self.reg.inc(self.deadline),
-            ShedCause::RetriesExhausted => self.reg.inc(self.exhausted),
-            ShedCause::Evicted => {
-                self.reg.inc(self.evicted);
-                self.reg.observe(self.evicted_wait, wait);
-            }
-        }
-    }
-
-    fn complete(&mut self, r: &RequestRecord) {
-        self.reg.inc(self.completed);
-        self.reg.observe(self.latency, r.latency());
-        self.reg.observe(self.formation, r.formation_wait());
-        self.reg.observe(self.queue_wait, r.queue_wait());
-        self.reg.observe(self.service, r.service_time());
-    }
-
-    fn finish(mut self) -> Registry {
-        self.reg.set(self.depth_peak, self.peak as f64);
-        self.reg
-    }
+    reg.push_gauge("queue.depth.peak", peak as f64);
+    let evicted = o.shed.iter().filter(|s| s.cause == ShedCause::Evicted);
+    reg.push_histogram("shed.evicted.wait", evicted.map(ShedRecord::wait).collect());
+    let per_request = |f: fn(&RequestRecord) -> Duration| o.completed.iter().map(f).collect();
+    reg.push_histogram("latency.e2e", per_request(RequestRecord::latency));
+    reg.push_histogram("latency.formation_wait", per_request(RequestRecord::formation_wait));
+    reg.push_histogram("latency.queue_wait", per_request(RequestRecord::queue_wait));
+    reg.push_histogram("latency.service", per_request(RequestRecord::service_time));
+    reg
 }
 
 /// Drives the [`TimeSeriesBuilder`] from the serving loop's in-order
@@ -618,7 +579,8 @@ impl SamplerDrive {
 /// Live observability state of an observed [`Run`].
 struct ObsAccum {
     sampler: SamplerDrive,
-    meters: Meters,
+    /// Queue-depth high-water mark.
+    peak: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -1240,10 +1202,8 @@ fn observed_core(
         // Every worker starts live; scale events adjust from there.
         builder.enable_scaling(workers.len());
     }
-    let mut obs = ObsAccum {
-        sampler: SamplerDrive { b: builder, pending: BinaryHeap::new() },
-        meters: Meters::new(),
-    };
+    let mut obs =
+        ObsAccum { sampler: SamplerDrive { b: builder, pending: BinaryHeap::new() }, peak: 0 };
     // Recorder stack, all passive: the base sink is either the full
     // event log or a tail-sampling recorder, teed into the always-on
     // flight-recorder ring; with the profiler on, the stack is wrapped
@@ -1276,7 +1236,7 @@ fn observed_core(
         None => (full_log.unwrap_or_default(), None),
     };
     let series = obs.sampler.finish(outcome.end());
-    let mut registry = obs.meters.finish();
+    let mut registry = registry_of(&outcome, obs.peak);
     // Power lanes + energy counters come straight off the run's ledger,
     // so the exported trace alone re-integrates the exact same
     // picojoule totals the server reports.
@@ -1298,7 +1258,7 @@ struct Run<'a> {
     workers: &'a mut [Box<dyn ServiceHook>],
     cfg: &'a ServeConfig,
     rec: &'a mut dyn Recorder,
-    /// Time series and metrics (observed runs only).
+    /// Time series and queue-depth peak (observed runs only).
     obs: Option<&'a mut ObsAccum>,
     /// The autoscaling controller (autoscaled runs only).
     ctrl: Option<CtrlState<'a>>,
@@ -1436,7 +1396,7 @@ impl<'a> Run<'a> {
         self.record(Event::instant(phase, Lane::Worker(w as u32), at, worker_ctx(w, batch)));
     }
 
-    /// Feed the time series and metrics of an observed run.
+    /// Feed the time series of an observed run.
     fn observe(&mut self, f: impl FnOnce(&mut ObsAccum)) {
         if let Some(o) = self.obs.as_deref_mut() {
             f(o);
@@ -1598,7 +1558,6 @@ impl<'a> Run<'a> {
         self.observe(|o| {
             o.sampler.advance(at, depth);
             o.sampler.b.on_arrival();
-            o.meters.reg.inc(o.meters.arrived);
         });
         if let Some(c) = &mut self.ctrl {
             c.cur.arrived += 1;
@@ -1632,7 +1591,7 @@ impl<'a> Run<'a> {
         }
         self.queue.push_back(Pending { id, arrival: at, attempts: 0, earliest: at });
         let depth = self.queue.len();
-        self.observe(|o| o.meters.peak = o.meters.peak.max(depth));
+        self.observe(|o| o.peak = o.peak.max(depth));
         self.record(Event::instant(Phase::Admit, Lane::Server, at, Ctx::request(id)));
         self.record(Event::instant(Phase::Enqueue, Lane::Queue, at, Ctx::request(id)));
     }
@@ -1886,10 +1845,7 @@ impl<'a> Run<'a> {
         health.consecutive_failures = 0;
         health.circuit = Circuit::Closed;
         self.charge(w, run.start, run.end, bid, false);
-        self.observe(|o| {
-            o.meters.reg.inc(o.meters.batches);
-            o.sampler.b.on_batch(w, run.start, run.end);
-        });
+        self.observe(|o| o.sampler.b.on_batch(w, run.start, run.end));
         // Wire-integrity processing: the device may have corrupted,
         // duplicated or dropped individual result slots
         // ([`ncsw::service::WireReport`]). With verification on,
@@ -1946,10 +1902,7 @@ impl<'a> Run<'a> {
 
     /// One result reaches its client.
     fn deliver(&mut self, r: RequestRecord, bid: u64) {
-        self.observe(|o| {
-            o.meters.complete(&r);
-            o.sampler.complete_later(r.completed, r.latency());
-        });
+        self.observe(|o| o.sampler.complete_later(r.completed, r.latency()));
         if let Some(c) = &mut self.ctrl {
             let kind = if r.latency() > self.cfg.slo { OUTCOME_MISS } else { OUTCOME_GOOD };
             c.outcome(r.completed, kind);
@@ -1974,7 +1927,6 @@ impl<'a> Run<'a> {
         }
         self.fo.stats.injected += 1;
         self.stats[w].failures += 1;
-        self.observe(|o| o.meters.reg.inc(o.meters.faults));
         self.record_on_worker(Phase::Failover, w, detect, Some(bid));
         self.trip_breaker(w, detect, bid);
         let max_attempt = members.iter().map(|m| m.attempts).max().unwrap_or(0) + 1;
@@ -2012,10 +1964,7 @@ impl<'a> Run<'a> {
         health.cooldown = (cooldown * BREAKER_BACKOFF).min(BREAKER_COOLDOWN_MAX);
         self.fo.stats.outages.push(OutageRecord { worker: w, from: detect, until: None });
         self.recompute_degradation();
-        self.observe(|o| {
-            o.meters.reg.inc(o.meters.circuit_opens);
-            o.sampler.b.circuit_event(w, 1.0, detect);
-        });
+        self.observe(|o| o.sampler.b.circuit_event(w, 1.0, detect));
         self.record_on_worker(Phase::CircuitOpen, w, detect, Some(bid));
     }
 
@@ -2037,22 +1986,18 @@ impl<'a> Run<'a> {
             return None;
         }
         self.fo.stats.retries += 1;
-        self.observe(|o| o.meters.reg.inc(o.meters.retries));
         let ctx = Ctx::request(m.id).with_batch(bid);
         self.record(Event::instant(Phase::RetryAttempt, Lane::Server, at, ctx));
         Some(Pending { id: m.id, arrival: m.arrival, attempts, earliest })
     }
 
-    /// Shed one request: record the `Shed` event, feed the sampler,
-    /// meters and controller, and keep the record. Admission refusals
+    /// Shed one request: record the `Shed` event, feed the sampler
+    /// and controller, and keep the record. Admission refusals
     /// (`Rejected`, `Deadline`) are an instant on the server lane;
     /// evictions and exhausted retries are a queue span from arrival,
     /// its length the wait burned before the decision.
     fn shed(&mut self, r: ShedRecord, batch: Option<u64>) {
-        self.observe(|o| {
-            o.sampler.b.on_shed();
-            o.meters.shed(r.cause, r.wait());
-        });
+        self.observe(|o| o.sampler.b.on_shed());
         if let Some(c) = &mut self.ctrl {
             c.outcome(r.shed_at, OUTCOME_SHED);
         }

@@ -455,15 +455,18 @@ struct PinnedCase {
     /// The counter that must be non-zero for the case to cover its path.
     covers: fn(&vpu_coprocessor::serving::ServeOutcome) -> u64,
     digest: u64,
+    /// FNV-1a of the observed run's `registry.summary()`.
+    registry: u64,
 }
 
 /// Requests per pinned case.
 const PINNED_REQUESTS: usize = 300;
 
 /// FNV-1a of one case's Chrome trace, series CSV and the `{:?}` of its
-/// outcome, plus the outcome itself. Also checks that the unobserved
-/// entry point returns the same outcome.
-fn pinned_run(c: &PinnedCase) -> (u64, vpu_coprocessor::serving::ServeOutcome) {
+/// outcome, FNV-1a of its registry summary, and the outcome itself.
+/// Also checks that the unobserved entry point returns the same
+/// outcome.
+fn pinned_run(c: &PinnedCase) -> (u64, u64, vpu_coprocessor::serving::ServeOutcome) {
     use vpu_coprocessor::faults::FaultPlan;
     use vpu_coprocessor::obs::chrome_trace;
     use vpu_coprocessor::serving::{
@@ -513,16 +516,13 @@ fn pinned_run(c: &PinnedCase) -> (u64, vpu_coprocessor::serving::ServeOutcome) {
         obs.series.csv().as_bytes(),
         debug.as_bytes(),
     ]);
-    (digest, outcome)
+    (digest, fnv1a(&[obs.registry.summary().as_bytes()]), outcome)
 }
 
-#[test]
-fn serving_loop_outputs_match_pinned_digests() {
-    // Literal digests of the serving loop's three outputs on seven
-    // scenarios, one per loop path: eviction, deadline shedding,
-    // verified and unverified wire faults, retry exhaustion, hedging
-    // with quarantine, and autoscaling. A change to any event, its
-    // order, a series sample or an outcome field moves a digest.
+/// Seven scenarios, one per serving-loop path: eviction, deadline
+/// shedding, verified and unverified wire faults, retry exhaustion,
+/// hedging with quarantine, and autoscaling.
+fn pinned_cases() -> [PinnedCase; 7] {
     use vpu_coprocessor::serving::server::ShedCause;
     use vpu_coprocessor::serving::{
         GrayConfig, RobustConfig, ServeConfig, ServeOutcome, ShedPolicy,
@@ -532,7 +532,7 @@ fn serving_loop_outputs_match_pinned_digests() {
     fn sheds(o: &ServeOutcome, cause: ShedCause) -> u64 {
         o.shed.iter().filter(|s| s.cause == cause).count() as u64
     }
-    let cases = [
+    [
         PinnedCase {
             name: "drop-oldest",
             fleet: "cpu+gpu+2*vpu",
@@ -547,6 +547,7 @@ fn serving_loop_outputs_match_pinned_digests() {
             autoscale: None,
             covers: |o| sheds(o, ShedCause::Evicted),
             digest: 0x0faf_93b6_5aea_d0b4,
+            registry: 0x907f_2bea_df8b_c22f,
         },
         PinnedCase {
             name: "deadline-unplug",
@@ -562,6 +563,7 @@ fn serving_loop_outputs_match_pinned_digests() {
             autoscale: None,
             covers: |o| sheds(o, ShedCause::Deadline),
             digest: 0x796f_a9be_5674_ec6b,
+            registry: 0x184d_3367_3385_c22a,
         },
         PinnedCase {
             name: "wire-verified",
@@ -576,6 +578,7 @@ fn serving_loop_outputs_match_pinned_digests() {
             autoscale: None,
             covers: |o| o.gray.integrity_fails,
             digest: 0xf73f_31b6_f51c_7f04,
+            registry: 0x80a9_b3a1_2a66_61fe,
         },
         PinnedCase {
             name: "wire-unverified",
@@ -586,6 +589,7 @@ fn serving_loop_outputs_match_pinned_digests() {
             autoscale: None,
             covers: |o| o.gray.corrupt_surfaced,
             digest: 0x67ff_790d_8479_3f35,
+            registry: 0x2d49_5771_aff7_48bf,
         },
         PinnedCase {
             name: "unplug-exhausted",
@@ -600,6 +604,7 @@ fn serving_loop_outputs_match_pinned_digests() {
             autoscale: None,
             covers: |o| o.faults.exhausted,
             digest: 0x3611_77c9_cda3_3d4a,
+            registry: 0xaf50_2681_fa1d_3e69,
         },
         PinnedCase {
             name: "failslow-defended",
@@ -614,6 +619,7 @@ fn serving_loop_outputs_match_pinned_digests() {
             autoscale: None,
             covers: |o| o.gray.hedges.min(o.gray.quarantines),
             digest: 0x6bd0_10dc_76ac_3725,
+            registry: 0x64d4_eb30_a26b_53af,
         },
         PinnedCase {
             name: "reactive-autoscale",
@@ -624,15 +630,37 @@ fn serving_loop_outputs_match_pinned_digests() {
             autoscale: Some("reactive"),
             covers: |o| o.scaling.as_ref().map_or(0, |s| s.scale_downs),
             digest: 0xd755_a4ba_98db_2462,
+            registry: 0xd49d_30f3_99f6_96a8,
         },
-    ];
+    ]
+}
+
+#[test]
+fn serving_loop_outputs_match_pinned_digests() {
+    // Literal digests of the serving loop's three outputs. A change to
+    // any event, its order, a series sample or an outcome field moves
+    // a digest.
     let mut moved = Vec::new();
-    for c in &cases {
-        let (digest, outcome) = pinned_run(c);
+    for c in &pinned_cases() {
+        let (digest, _, outcome) = pinned_run(c);
         assert!((c.covers)(&outcome) > 0, "{}: the case must exercise the path it pins", c.name);
         if digest != c.digest {
             moved.push(format!("{}: {digest:#018x}", c.name));
         }
     }
     assert!(moved.is_empty(), "serving-loop digests moved: {moved:?}");
+}
+
+#[test]
+fn registry_summaries_match_pinned_digests() {
+    // Literal digests of each case's metric registry summary: every
+    // counter, gauge and histogram row, by name and in order.
+    let mut moved = Vec::new();
+    for c in &pinned_cases() {
+        let (_, registry, _) = pinned_run(c);
+        if registry != c.registry {
+            moved.push(format!("{}: {registry:#018x}", c.name));
+        }
+    }
+    assert!(moved.is_empty(), "registry digests moved: {moved:?}");
 }
