@@ -30,12 +30,6 @@ pub struct ImageGenConfig {
     pub seed: u64,
 }
 
-impl ImageGenConfig {
-    pub fn new(classes: usize, shape: Shape, seed: u64) -> Self {
-        ImageGenConfig { classes, shape, sigma: 0.35, distractor_mix: 0.25, seed }
-    }
-}
-
 /// Extent of the low-res prototype lattice upsampled to each class's
 /// prototype.
 pub const LATTICE: usize = 8;
@@ -104,14 +98,11 @@ impl ImageGen {
         let mix = self.cfg.distractor_mix;
         let sigma = self.cfg.sigma;
         let mut img = Tensor::<f32>::zeros(self.cfg.shape);
-        {
-            let dst = img.as_mut_slice();
-            let p = proto.as_slice();
-            let d = dproto.as_slice();
-            for i in 0..dst.len() {
-                let noise = rng::normal(&mut stream) as f32 * sigma as f32;
-                dst[i] = ((1.0 - mix) * p[i] + mix * d[i] + noise).clamp(0.0, 1.0);
-            }
+        let mut noise = vec![0.0; img.len()];
+        rng::fill_normal(&mut stream, &mut noise);
+        let pixels = img.as_mut_slice().iter_mut().zip(proto.as_slice()).zip(dproto.as_slice());
+        for (((x, &p), &d), &z) in pixels.zip(&noise) {
+            *x = ((1.0 - mix) * p + mix * d + z as f32 * sigma as f32).clamp(0.0, 1.0);
         }
         center(img)
     }
@@ -156,9 +147,10 @@ fn prototype(cfg: &ImageGenConfig, class: usize) -> Tensor<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::DatasetConfig;
 
     fn gen() -> ImageGen {
-        ImageGen::new(ImageGenConfig::new(10, Shape::chw(3, 32, 32), 7))
+        ImageGen::new(DatasetConfig::ilsvrc_like(10, 0, Shape::chw(3, 32, 32), 7).image_gen())
     }
 
     #[test]
@@ -220,9 +212,8 @@ mod tests {
 
     #[test]
     fn noise_level_scales_with_sigma() {
-        let mut cfg = ImageGenConfig::new(4, Shape::chw(3, 16, 16), 9);
-        cfg.distractor_mix = 0.0;
-        cfg.sigma = 0.0;
+        let (shape, sigma) = (Shape::chw(3, 16, 16), 0.0);
+        let mut cfg = ImageGenConfig { classes: 4, shape, sigma, distractor_mix: 0.0, seed: 9 };
         let clean = ImageGen::new(cfg.clone());
         cfg.sigma = 0.5;
         let noisy = ImageGen::new(cfg);
@@ -247,7 +238,7 @@ mod tests {
 
     #[test]
     fn single_class_dataset_works() {
-        let g = ImageGen::new(ImageGenConfig::new(1, Shape::chw(3, 8, 8), 1));
+        let g = ImageGen::new(DatasetConfig::ilsvrc_like(1, 0, Shape::chw(3, 8, 8), 1).image_gen());
         let img = g.sample(0, 0);
         assert!(!img.has_nan());
     }

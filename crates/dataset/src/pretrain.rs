@@ -168,16 +168,14 @@ pub fn top1_error<E: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::ImageGenConfig;
+    use crate::DatasetConfig;
     use vpu_nn::googlenet;
     use vpu_tensor::Shape;
 
     fn setup(sigma: f64, mix: f32) -> (Arc<NetworkSpec>, ImageGen, Weights) {
         let spec = Arc::new(googlenet::tiny());
-        let mut cfg = ImageGenConfig::new(10, Shape::chw(3, 32, 32), 5);
-        cfg.sigma = sigma;
-        cfg.distractor_mix = mix;
-        let gen = ImageGen::new(cfg);
+        let data = DatasetConfig::ilsvrc_like(10, 0, Shape::chw(3, 32, 32), 5);
+        let gen = ImageGen::new(DatasetConfig { sigma, distractor_mix: mix, ..data }.image_gen());
         let w = pseudo_train(&spec, &gen, 5);
         (spec, gen, w)
     }
@@ -233,7 +231,8 @@ mod tests {
     #[should_panic(expected = "classifier width")]
     fn class_count_mismatch_rejected() {
         let spec = Arc::new(googlenet::tiny()); // 10-way classifier
-        let gen = ImageGen::new(ImageGenConfig::new(7, Shape::chw(3, 32, 32), 1));
+        let gen =
+            ImageGen::new(DatasetConfig::ilsvrc_like(7, 0, Shape::chw(3, 32, 32), 1).image_gen());
         pseudo_train(&spec, &gen, 1);
     }
 

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vpu_tensor::kernels::activation::{relu, softmax};
 use vpu_tensor::kernels::conv::conv2d;
-use vpu_tensor::kernels::dense::dense;
+use vpu_tensor::kernels::dense::{dense, dense_layout};
 use vpu_tensor::kernels::gemm::AccumMode;
 use vpu_tensor::kernels::lrn::lrn;
 use vpu_tensor::kernels::pool::pool2d;
@@ -98,7 +98,8 @@ impl NetworkSpec {
 ///
 /// Exposed so device simulators can execute the graph layer-at-a-time,
 /// interleaving compute with their timing models, while sharing the exact
-/// numerics of [`CompiledNetwork::forward`].
+/// numerics of [`CompiledNetwork::forward`]. Dense weights are laid out
+/// for `accum` by [`dense_layout`], as [`CompiledNetwork::compile`] does.
 pub fn eval_node<E: Element>(
     kind: &LayerKind,
     inputs: &[&Tensor<E>],
@@ -174,7 +175,10 @@ impl<E: Element> CompiledNetwork<E> {
                 .unwrap_or_else(|| panic!("missing weights for layer {}", node.name));
             assert_eq!(lp.w.len(), wlen, "layer {} weight length", node.name);
             assert_eq!(lp.b.len(), blen, "layer {} bias length", node.name);
-            let w: Vec<E> = lp.w.iter().map(|&x| E::from_f32(x)).collect();
+            let mut w: Vec<E> = lp.w.iter().map(|&x| E::from_f32(x)).collect();
+            if let LayerKind::Dense { out_features } = node.kind {
+                w = dense_layout(w, out_features, accum);
+            }
             let b: Vec<E> = lp.b.iter().map(|&x| E::from_f32(x)).collect();
             params.push(Some((w, b)));
         }

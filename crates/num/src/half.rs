@@ -30,6 +30,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Rem, Sub, Su
 #[allow(non_camel_case_types)]
 #[derive(Clone, Copy, Default, Serialize, Deserialize)]
 #[serde(transparent)]
+#[repr(transparent)]
 pub struct f16(pub u16);
 
 /// All exponent bits set (Inf/NaN marker).
@@ -541,7 +542,7 @@ mod differential {
     fn round_slice_at(width: Width, xs: &mut [f32]) {
         match width {
             #[cfg(target_arch = "x86_64")]
-            Width::Avx512 if width.is_supported() => {
+            Width::Avx512 | Width::Avx512Fp16 if width.is_supported() => {
                 // SAFETY: `is_supported` just confirmed AVX-512 F/BW/VL on this CPU.
                 unsafe { round_slice_avx512(xs) }
             }
@@ -614,6 +615,65 @@ mod differential {
             chunk.clear();
             chunk.extend((0..=u16::MAX as u32).map(|lo| hi << 16 | lo));
             check_widths(&chunk, &widths);
+        }
+    }
+
+    /// `a[i] + b[i]` (or `*`) into `out[i]` with one `vaddph` (`vmulph`)
+    /// per 32 lanes: the two instructions the `Native` GEMM runs at
+    /// [`Width::Avx512Fp16`]. The lengths are multiples of 32.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512fp16")]
+    fn native_op(mul: bool, a: &[u16], b: &[u16], out: &mut [u16]) {
+        use std::arch::x86_64::*;
+        assert!(a.len().is_multiple_of(32) && b.len() == a.len() && out.len() == a.len());
+        for ((a, b), out) in
+            a.chunks_exact(32).zip(b.chunks_exact(32)).zip(out.chunks_exact_mut(32))
+        {
+            // SAFETY: each chunk holds 32 u16, the 64 bytes a load or
+            // store moves.
+            unsafe {
+                let a = _mm512_castsi512_ph(_mm512_loadu_epi16(a.as_ptr() as *const i16));
+                let b = _mm512_castsi512_ph(_mm512_loadu_epi16(b.as_ptr() as *const i16));
+                let c = if mul { _mm512_mul_ph(a, b) } else { _mm512_add_ph(a, b) };
+                _mm512_storeu_epi16(out.as_mut_ptr() as *mut i16, _mm512_castph_si512(c));
+            }
+        }
+    }
+
+    /// `vaddph` and `vmulph` on all 2^32 binary16 operand pairs against
+    /// the reference: each operand widened, added or multiplied in f32
+    /// and rounded once. Where both operands are NaN, which of the two
+    /// (quieted) comes back is left to code generation, as for the
+    /// emulated ops. ~1 min in release:
+    /// `cargo test --release -p vpu-num -- --ignored`.
+    #[test]
+    #[ignore]
+    fn native_add_and_mul_match_reference_on_every_pair() {
+        if !Width::supported().contains(&Width::Avx512Fp16) {
+            return;
+        }
+        let wide: Vec<f32> = (0..=u16::MAX).map(reference::to_f32).collect();
+        let quiet = |x: u16| x | 0x0200;
+        let all: Vec<u16> = (0..=u16::MAX).collect();
+        let mut got = vec![0u16; all.len()];
+        for mul in [false, true] {
+            for a in 0..=u16::MAX {
+                let lhs = vec![a; all.len()];
+                // SAFETY: `supported` just confirmed AVX-512 and AVX512-FP16.
+                #[cfg(target_arch = "x86_64")]
+                unsafe {
+                    native_op(mul, &lhs, &all, &mut got)
+                };
+                let x = wide[a as usize];
+                for (&b, &g) in all.iter().zip(&got) {
+                    let y = wide[b as usize];
+                    let want = reference::from_f32(if mul { x * y } else { x + y });
+                    let both_nan = f16(a).is_nan() && f16(b).is_nan();
+                    let ok = g == want || both_nan && (g == quiet(a) || g == quiet(b));
+                    let op = if mul { "mul" } else { "add" };
+                    assert!(ok, "{op}({a:#06x}, {b:#06x}): {g:#06x} != {want:#06x}");
+                }
+            }
         }
     }
 }

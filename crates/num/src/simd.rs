@@ -1,12 +1,19 @@
 //! The host's vector width, chosen at run time.
 //!
-//! The hot numeric loops (the GEMM rows in `vpu-tensor`) are written once
-//! in plain Rust and compiled once per [`Width`] with
-//! `#[target_feature]`; the caller picks the widest version this CPU runs.
-//! The versions differ only in which instructions LLVM may select. Each
-//! runs the same IEEE adds and multiplies in the same order for every
-//! element (Rust never contracts them into FMA), so every width returns
-//! the same bits.
+//! The hot numeric loops (the GEMM rows in `vpu-tensor`) pick the widest
+//! [`Width`] this CPU runs. The first three widths are the same plain
+//! Rust compiled once per width with `#[target_feature]`: they differ
+//! only in which instructions LLVM may select. Each runs the same IEEE
+//! adds and multiplies in the same order for every element (Rust never
+//! contracts them into FMA), so every width returns the same bits.
+//!
+//! [`Width::Avx512Fp16`] is different code: hand-written intrinsics that
+//! keep binary16 values in binary16 registers and compute with the
+//! CPU's own half-precision `vmulph` and `vaddph`, never a fused
+//! multiply-add. Each rounds once to binary16, which is the result the
+//! f32 emulation (`f16::round_f32` after an f32 op) gives, so this width
+//! returns the same bits too. The exhaustive pair check in `half.rs`
+//! holds the two instructions to the reference on all 2^32 operand pairs.
 
 /// A vector instruction set a kernel can be compiled for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -17,11 +24,14 @@ pub enum Width {
     Avx2,
     /// AVX-512 F, BW and VL: 512-bit lanes and mask registers.
     Avx512,
+    /// AVX-512 as above plus AVX512-FP16: native binary16 arithmetic,
+    /// 32 lanes per register.
+    Avx512Fp16,
 }
 
 impl Width {
     /// Every width, narrowest first.
-    pub const ALL: [Width; 3] = [Width::Base, Width::Avx2, Width::Avx512];
+    pub const ALL: [Width; 4] = [Width::Base, Width::Avx2, Width::Avx512, Width::Avx512Fp16];
 
     /// The widest version this CPU runs.
     pub fn detect() -> Width {
@@ -41,6 +51,10 @@ impl Width {
                     && std::arch::is_x86_feature_detected!("avx512bw")
                     && std::arch::is_x86_feature_detected!("avx512vl")
             }
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512Fp16 => {
+                Width::Avx512.is_supported() && std::arch::is_x86_feature_detected!("avx512fp16")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -52,6 +66,7 @@ impl Width {
             Width::Base => "base",
             Width::Avx2 => "avx2",
             Width::Avx512 => "avx512",
+            Width::Avx512Fp16 => "avx512fp16",
         }
     }
 

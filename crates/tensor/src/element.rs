@@ -43,6 +43,15 @@ pub trait Element:
     fn is_nan_e(self) -> bool;
     fn exp_e(self) -> Self;
     fn powf_e(self, p: f32) -> Self;
+    /// `s` as binary16 values when `Self` is [`struct@f16`], for the kernels
+    /// that compute on the host's own binary16 units.
+    fn as_f16(_s: &[Self]) -> Option<&[f16]> {
+        None
+    }
+    /// [`Element::as_f16`], writable.
+    fn as_f16_mut(_s: &mut [Self]) -> Option<&mut [f16]> {
+        None
+    }
 }
 
 impl Element for f32 {
@@ -140,6 +149,14 @@ impl Element for f16 {
     #[inline]
     fn powf_e(self, p: f32) -> f16 {
         self.powf(p)
+    }
+
+    fn as_f16(s: &[f16]) -> Option<&[f16]> {
+        Some(s)
+    }
+
+    fn as_f16_mut(s: &mut [f16]) -> Option<&mut [f16]> {
+        Some(s)
     }
 }
 

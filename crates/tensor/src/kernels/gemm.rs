@@ -16,10 +16,14 @@
 //! The row loop is compiled once per [`Width`] and [`gemm`] runs the widest
 //! version the CPU supports. Every version performs the same f32 adds and
 //! multiplies in the same order for each output element, so all of them
-//! return the same bits (`vpu_num::simd`).
+//! return the same bits (`vpu_num::simd`). At [`Width::Avx512Fp16`] a
+//! binary16 `Native` GEMM runs on the host's binary16 units instead
+//! (`fp16::rows`): one `vmulph` and one `vaddph` per MAC, in the same
+//! order, each rounding once as the f32 emulation does.
 
 use crate::element::Element;
 use serde::{Deserialize, Serialize};
+use vpu_num::f16;
 use vpu_num::simd::Width;
 
 /// Accumulation precision for dot-product style kernels.
@@ -99,10 +103,43 @@ struct Operands<'a, E> {
     relu: bool,
 }
 
+impl<'a, E: Element> Operands<'a, E> {
+    /// These operands as binary16 values, when they are binary16 and
+    /// accumulate natively.
+    fn native_f16(&self) -> Option<Operands<'a, f16>> {
+        if self.mode != AccumMode::Native {
+            return None;
+        }
+        Some(Operands {
+            k: self.k,
+            n: self.n,
+            a: E::as_f16(self.a)?,
+            b: E::as_f16(self.b)?,
+            mode: self.mode,
+            bias: match self.bias {
+                Some(bias) => Some(E::as_f16(bias)?),
+                None => None,
+            },
+            relu: self.relu,
+        })
+    }
+}
+
 /// The row loop compiled for `width`, or for the baseline when this CPU
 /// lacks `width`.
 fn gemm_at<E: Element>(width: Width, op: &Operands<'_, E>, c: &mut [E]) {
     match width {
+        #[cfg(target_arch = "x86_64")]
+        Width::Avx512Fp16 if width.is_supported() => {
+            if let (Some(op), Some(c)) = (op.native_f16(), E::as_f16_mut(c)) {
+                // SAFETY: `is_supported` just confirmed AVX-512 F/BW/VL and
+                // AVX512-FP16 on this CPU.
+                unsafe { fp16::rows(&op, c) };
+                return;
+            }
+            // SAFETY: `is_supported` confirmed AVX-512 F/BW/VL with FP16.
+            unsafe { rows_avx512(op, c) }
+        }
         #[cfg(target_arch = "x86_64")]
         Width::Avx512 if width.is_supported() => {
             // SAFETY: `is_supported` just confirmed AVX-512 F/BW/VL on this CPU.
@@ -129,6 +166,120 @@ fn rows_avx2<E: Element>(op: &Operands<'_, E>, c: &mut [E]) {
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
 fn rows_avx512<E: Element>(op: &Operands<'_, E>, c: &mut [E]) {
     rows(op, c)
+}
+
+/// The binary16 `Native` row loop on AVX512-FP16. A, B, the accumulators
+/// and the bias/ReLU epilogue stay binary16. Each MAC is a `vmulph` then
+/// a `vaddph` (never the fused `vfmadd*ph`, which rounds once and would
+/// change bits), over `k` in order from +0, so every output has the bits
+/// [`rows`] computes in f32 and rounds with [`Element::round_f32`].
+///
+/// The loads and stores are masked 16-bit moves: a tail needs a mask,
+/// and the binary16 loads (`_mm512_loadu_ph`) take the unstable `f16`
+/// type.
+#[cfg(target_arch = "x86_64")]
+mod fp16 {
+    use super::Operands;
+    use std::arch::x86_64::*;
+    use vpu_num::f16;
+
+    /// Binary16 lanes per register.
+    const LANES: usize = 32;
+    /// Registers of a C row one pass over A's row fills: independent
+    /// add chains, so the adds do not wait on each other.
+    const REGS: usize = 4;
+
+    /// Every row of C. Panics unless A, B and C hold `m × k`, `k × n`
+    /// and `m × n` values and the bias (if any) `m`, for `m` rows of C.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512fp16")]
+    pub(super) fn rows(op: &Operands<'_, f16>, c: &mut [f16]) {
+        let (k, n) = (op.k, op.n);
+        if n == 0 {
+            return;
+        }
+        let m = c.len() / n;
+        assert!(c.len() == m * n && op.a.len() == m * k && op.b.len() == k * n);
+        assert!(op.bias.is_none_or(|bias| bias.len() == m));
+        for (i, row) in c.chunks_exact_mut(n).enumerate() {
+            let arow = &op.a[i * k..(i + 1) * k];
+            let bias = op.bias.map(|bias| splat(bias[i]));
+            let mut j = 0;
+            while j < n {
+                let left = n - j;
+                // SAFETY: `j < n`, and each call reads and writes columns
+                // `j..j + min(left, V * LANES)` only, as `strip` requires.
+                unsafe {
+                    match left.div_ceil(LANES) {
+                        1 => strip::<1>(op, arow, j, left, bias, row),
+                        2 => strip::<2>(op, arow, j, left, bias, row),
+                        3 => strip::<3>(op, arow, j, left, bias, row),
+                        _ => strip::<REGS>(op, arow, j, left, bias, row),
+                    }
+                }
+                j += REGS * LANES;
+            }
+        }
+    }
+
+    /// `x` in every lane.
+    #[target_feature(enable = "avx512f,avx512fp16")]
+    #[inline]
+    fn splat(x: f16) -> __m512h {
+        _mm512_castsi512_ph(_mm512_set1_epi16(x.to_bits() as i16))
+    }
+
+    /// Columns `j..j + min(left, V * LANES)` of one row of C, in `V`
+    /// registers; lanes past `left` are masked off.
+    ///
+    /// # Safety
+    ///
+    /// The CPU runs AVX-512 BW and AVX512-FP16; `j < n`, `b` holds
+    /// `arow.len() × n` values, and `row` holds `n`, so every masked-in
+    /// lane and every pointer formed is in bounds.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512fp16")]
+    #[inline]
+    unsafe fn strip<const V: usize>(
+        op: &Operands<'_, f16>,
+        arow: &[f16],
+        j: usize,
+        left: usize,
+        bias: Option<__m512h>,
+        row: &mut [f16],
+    ) {
+        // Lanes of register `v` that hold columns of C.
+        let mask = |v: usize| -> __mmask32 {
+            let lanes = left.saturating_sub(v * LANES).min(LANES);
+            ((1u64 << lanes) - 1) as __mmask32
+        };
+        let n = op.n;
+        let mut acc = [_mm512_setzero_ph(); V];
+        for (kk, &aik) in arow.iter().enumerate() {
+            let a = splat(aik);
+            // SAFETY: `kk * n + j` is below `b.len()` (caller's contract).
+            let brow = unsafe { op.b.as_ptr().add(kk * n + j) } as *const i16;
+            for (v, s) in acc.iter_mut().enumerate() {
+                // SAFETY: lanes masked in hold columns below `n` of B's row
+                // `kk`; `v * LANES < left`, so the pointer is in bounds.
+                let b = unsafe { _mm512_maskz_loadu_epi16(mask(v), brow.add(v * LANES)) };
+                *s = _mm512_add_ph(*s, _mm512_mul_ph(a, _mm512_castsi512_ph(b)));
+            }
+        }
+        let out = row[j..].as_mut_ptr() as *mut i16;
+        for (v, mut s) in acc.into_iter().enumerate() {
+            if let Some(bias) = bias {
+                s = _mm512_add_ph(s, bias);
+                if op.relu {
+                    // `max(v, +0)` with a NaN losing and -0 kept, as in `rows`.
+                    let keep = _mm512_cmp_ph_mask::<_CMP_GE_OQ>(s, _mm512_setzero_ph());
+                    s = _mm512_castsi512_ph(_mm512_maskz_mov_epi16(keep, _mm512_castph_si512(s)));
+                }
+            }
+            // SAFETY: as for the loads, within `row[j..n]`.
+            unsafe {
+                _mm512_mask_storeu_epi16(out.add(v * LANES), mask(v), _mm512_castph_si512(s))
+            };
+        }
+    }
 }
 
 /// Every row of C, through one f32 accumulator row.
@@ -461,10 +612,10 @@ mod proptests {
         /// Every width this CPU runs returns the baseline's bits: f32 and
         /// f16, both accumulation modes, with and without the bias and
         /// ReLU epilogue. Row 0 of A is all zeros (the widened loop skips
-        /// zero taps) and `n` crosses every vector tail up to 2 × 16 lanes.
+        /// zero taps) and `n` crosses every vector tail up to 4 × 32 lanes.
         #[test]
         fn every_width_matches_the_baseline(
-            m in 1usize..12, k in 0usize..40, n in 1usize..40, seed in 0u64..1_000_000
+            m in 1usize..12, k in 0usize..40, n in 1usize..140, seed in 0u64..1_000_000
         ) {
             use rand::Rng;
             let mut rng = vpu_num::rng::seeded(seed);

@@ -38,41 +38,96 @@ impl LrnParams {
 }
 
 /// Apply across-channel LRN over a whole batch.
+///
+/// Each item is widened to f32 once. The sliding sum of squares then runs
+/// over whole channel planes: one running sum per pixel, updated a plane
+/// at a time with the same adds and subtracts, in the same order, as the
+/// per-pixel loop kept in the tests (`reference::lrn`). Each item is
+/// narrowed to the element type once at the end, so every output bit is
+/// the same, up to which NaN an add of two NaNs returns.
 pub fn lrn<E: Element>(input: &Tensor<E>, params: &LrnParams) -> Tensor<E> {
     assert!(params.local_size % 2 == 1, "local_size must be odd");
     let shape = input.shape();
     let half = params.local_size / 2;
     let scale = params.alpha / params.local_size as f32;
-    let mut out = Tensor::<E>::zeros(shape);
+    let plane = shape.h * shape.w;
+    let mut x = vec![0.0f32; shape.item_len()];
+    let mut y = vec![0.0f32; shape.item_len()];
+    let mut sumsq = vec![0.0f32; plane];
+    let mut out = Vec::with_capacity(shape.len());
+    let at = |c: usize| c * plane..(c + 1) * plane;
     for n in 0..shape.n {
-        for h in 0..shape.h {
-            for w in 0..shape.w {
-                // Sliding sum of squares along the channel axis.
-                let mut sumsq = 0.0f32;
-                for c in 0..(half + 1).min(shape.c) {
-                    let v = input.at(n, c, h, w).to_f32();
-                    sumsq += v * v;
+        for (dst, v) in x.iter_mut().zip(input.item(n)) {
+            *dst = v.to_f32();
+        }
+        sumsq.fill(0.0);
+        let add = |sumsq: &mut [f32], c: usize| {
+            for (s, &v) in sumsq.iter_mut().zip(&x[at(c)]) {
+                *s += v * v;
+            }
+        };
+        for c in 0..(half + 1).min(shape.c) {
+            add(&mut sumsq, c);
+        }
+        for c in 0..shape.c {
+            for ((dst, &v), &s) in y[at(c)].iter_mut().zip(&x[at(c)]).zip(&sumsq) {
+                *dst = v / (params.k + scale * s).powf(params.beta);
+            }
+            // Slide the window: add the entering channel, drop the
+            // leaving one.
+            if c + half + 1 < shape.c {
+                add(&mut sumsq, c + half + 1);
+            }
+            if c >= half {
+                for (s, &v) in sumsq.iter_mut().zip(&x[at(c - half)]) {
+                    *s -= v * v;
                 }
-                for c in 0..shape.c {
-                    let denom = (params.k + scale * sumsq).powf(params.beta);
-                    let v = input.at(n, c, h, w).to_f32();
-                    out.set(n, c, h, w, E::from_f32(v / denom));
-                    // Slide the window: add the entering channel, drop the
-                    // leaving one.
-                    let entering = c + half + 1;
-                    if entering < shape.c {
-                        let e = input.at(n, entering, h, w).to_f32();
-                        sumsq += e * e;
+            }
+        }
+        out.extend(y.iter().map(|&v| E::from_f32(v)));
+    }
+    Tensor::from_vec(shape, out)
+}
+
+/// The reference [`lrn`] must match bit for bit: one pixel at a time,
+/// every value read through [`Tensor::at`] and written through
+/// [`Tensor::set`].
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn lrn<E: Element>(input: &Tensor<E>, params: &LrnParams) -> Tensor<E> {
+        let shape = input.shape();
+        let half = params.local_size / 2;
+        let scale = params.alpha / params.local_size as f32;
+        let mut out = Tensor::<E>::zeros(shape);
+        for n in 0..shape.n {
+            for h in 0..shape.h {
+                for w in 0..shape.w {
+                    let mut sumsq = 0.0f32;
+                    for c in 0..(half + 1).min(shape.c) {
+                        let v = input.at(n, c, h, w).to_f32();
+                        sumsq += v * v;
                     }
-                    if c >= half {
-                        let l = input.at(n, c - half, h, w).to_f32();
-                        sumsq -= l * l;
+                    for c in 0..shape.c {
+                        let denom = (params.k + scale * sumsq).powf(params.beta);
+                        let v = input.at(n, c, h, w).to_f32();
+                        out.set(n, c, h, w, E::from_f32(v / denom));
+                        let entering = c + half + 1;
+                        if entering < shape.c {
+                            let e = input.at(n, entering, h, w).to_f32();
+                            sumsq += e * e;
+                        }
+                        if c >= half {
+                            let l = input.at(n, c - half, h, w).to_f32();
+                            sumsq -= l * l;
+                        }
                     }
                 }
             }
         }
+        out
     }
-    out
 }
 
 #[cfg(test)]
@@ -116,6 +171,50 @@ mod tests {
         let slow = naive_lrn(&t, &p);
         for (a, b) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
+    }
+
+    /// Bits of every output, so signed zeros count, with every NaN as one
+    /// value: which NaN an add of two NaNs returns is left to code
+    /// generation, and the plane loop and the per-pixel loop compile to
+    /// different operand orders (`Inf - Inf` in the sliding sum makes a
+    /// NaN of its own).
+    fn bits<E: Element>(t: &Tensor<E>) -> Vec<u32> {
+        t.as_slice()
+            .iter()
+            .map(|v| if v.is_nan_e() { u32::MAX } else { v.to_f32().to_bits() })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random shapes, odd windows wider and narrower than the channel
+        /// count, and random parameters; inputs mix signed zeros,
+        /// infinities and NaNs into values whose squares pass 65504.
+        #[test]
+        fn matches_the_per_pixel_loop(
+            (n, c, h, w) in (1usize..3, 1usize..12, 1usize..6, 1usize..6),
+            half in 0usize..4,
+            (alpha, beta, k) in (0.0f32..2.0, 0.1f32..1.5, 0.0f32..3.0),
+            seed in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u8..12), 1..64),
+        ) {
+            let shape = Shape::new(n, c, h, w);
+            let params = LrnParams { local_size: 2 * half + 1, alpha, beta, k };
+            let values: Vec<f32> = (0..shape.len())
+                .map(|i| match seed[i % seed.len()] {
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    (_, 2) => f32::INFINITY,
+                    (_, 3) => f32::NEG_INFINITY,
+                    (_, 4) => f32::NAN,
+                    (r, _) => (r as f32 / u32::MAX as f32 - 0.5) * 600.0 + i as f32 * 0.37,
+                })
+                .collect();
+            let t32 = Tensor::<f32>::from_f32_slice(shape, &values);
+            proptest::prop_assert_eq!(bits(&lrn(&t32, &params)), bits(&reference::lrn(&t32, &params)));
+            let t16 = Tensor::<vpu_num::f16>::from_f32_slice(shape, &values);
+            proptest::prop_assert_eq!(bits(&lrn(&t16, &params)), bits(&reference::lrn(&t16, &params)));
         }
     }
 
