@@ -1,6 +1,7 @@
 //! Microbenchmarks of the compute kernels that carry the real numerics:
 //! GEMM at both precisions and accumulation modes, im2col + convolution,
-//! pooling/LRN/softmax, and binary16 conversion throughput.
+//! pooling/LRN/softmax, the Tiny GoogLeNet kernels at their own shapes,
+//! and binary16 conversion throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration as StdDuration;
@@ -92,6 +93,52 @@ fn bench_pool_lrn_softmax(c: &mut Criterion) {
     });
 }
 
+/// The kernels of one Tiny GoogLeNet forward at their Tiny shapes, the
+/// `accuracy` workload's hot path: `inception_2b`'s 8×8 s1 p1 max pool
+/// and its 3×3 and 5×5 convs, `pool1`'s 16×16 s2 ceil-mode max pool, and
+/// one synthetic image.
+fn bench_tiny_shapes(c: &mut Criterion) {
+    use ilsvrc_sim::image::ImageGen;
+    use ilsvrc_sim::DatasetConfig;
+    let mut g = c.benchmark_group("tiny");
+    for (name, shape, stride, pad) in [
+        ("maxpool-3x3s1p1/28x8x8", Shape::chw(28, 8, 8), 1, 1),
+        ("maxpool-3x3s2/8x16x16", Shape::chw(8, 16, 16), 2, 0),
+    ] {
+        let input = Tensor::<f32>::from_f32_slice(shape, &rand_vec(shape.len(), 10));
+        let input16 = input.quantize_fp16();
+        let p = PoolParams::new(PoolKind::Max, 3, stride, pad);
+        g.bench_function(format!("{name}/fp32"), |b| b.iter(|| pool2d(black_box(&input), &p)));
+        g.bench_function(format!("{name}/fp16"), |b| b.iter(|| pool2d(black_box(&input16), &p)));
+    }
+    for (ic, oc, k) in [(8usize, 16usize, 3usize), (4, 8, 5)] {
+        let input = Tensor::<f32>::from_f32_slice(Shape::chw(ic, 8, 8), &rand_vec(ic * 64, 11));
+        let p = ConvParams::new(oc, k, 1, k / 2);
+        let w = rand_vec(p.weight_len(ic), 12);
+        let bias = rand_vec(oc, 13);
+        let input16 = input.quantize_fp16();
+        let w16: Vec<f16> = w.iter().map(|&x| f16::from_f32(x)).collect();
+        let bias16: Vec<f16> = bias.iter().map(|&x| f16::from_f32(x)).collect();
+        let name = format!("conv-{k}x{k}/{ic}x8x8-oc{oc}");
+        g.bench_function(format!("{name}/fp32"), |b| {
+            b.iter(|| conv2d(black_box(&input), &w, &bias, &p, AccumMode::Widened, true))
+        });
+        g.bench_function(format!("{name}/fp16"), |b| {
+            b.iter(|| conv2d(black_box(&input16), &w16, &bias16, &p, AccumMode::Native, true))
+        });
+    }
+    let gen =
+        ImageGen::new(DatasetConfig::ilsvrc_like(10, 500, Shape::chw(3, 32, 32), 2012).image_gen());
+    let mut index = 0u64;
+    g.bench_function("image-sample/3x32x32", |b| {
+        b.iter(|| {
+            index += 1;
+            gen.sample(black_box(index as usize % 10), index)
+        })
+    });
+    g.finish();
+}
+
 fn bench_f16(c: &mut Criterion) {
     let xs = rand_vec(4096, 8);
     let hs: Vec<f16> = xs.iter().map(|&x| f16::from_f32(x)).collect();
@@ -135,6 +182,7 @@ fn bench_network_forward(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_gemm, bench_conv, bench_pool_lrn_softmax, bench_f16, bench_network_forward
+    targets = bench_gemm, bench_conv, bench_pool_lrn_softmax, bench_tiny_shapes, bench_f16,
+        bench_network_forward
 }
 criterion_main!(benches);

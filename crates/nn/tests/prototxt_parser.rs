@@ -151,6 +151,16 @@ fn a_kernel_larger_than_its_padded_input_is_an_error_naming_the_layer() {
 }
 
 #[test]
+fn a_pooling_pad_not_below_its_kernel_is_an_error_naming_both() {
+    let text = format!(
+        "{HEADER}layer {{\n  name: \"pool1\"\n  type: \"Pooling\"\n  bottom: \"input\"\n  \
+         kernel_size: 2\n  stride: 2\n  pad: 2\n}}\n"
+    );
+    let err = parse(&text).unwrap_err();
+    assert_eq!(err.0, "layer 'pool1': pad 2 must be below kernel 2");
+}
+
+#[test]
 fn a_quote_inside_a_bare_value_is_an_error() {
     // `emit` quotes names, so a name holding a quote would print as
     // text that does not parse.

@@ -16,7 +16,9 @@
 //! The row loop is compiled once per [`Width`] and [`gemm`] runs the widest
 //! version the CPU supports. Every version performs the same f32 adds and
 //! multiplies in the same order for each output element, so all of them
-//! return the same bits (`vpu_num::simd`). At [`Width::Avx512Fp16`] a
+//! return the same bits (`vpu_num::simd`). A `Widened` row runs in strips
+//! of four vector registers of columns, each strip's accumulators held
+//! in registers across all of `k`. At [`Width::Avx512Fp16`] a
 //! binary16 `Native` GEMM runs on the host's binary16 units instead
 //! (`fp16::rows`): one `vmulph` and one `vaddph` per MAC, in the same
 //! order, each rounding once as the f32 emulation does.
@@ -36,9 +38,9 @@ pub enum AccumMode {
     Native,
 }
 
-/// Row-at-a-time reference GEMM at the baseline width: each row of C
-/// through its own accumulator (used by tests to validate [`gemm`]'s
-/// width dispatch and the accumulator row it reuses across rows).
+/// Row-at-a-time GEMM at the baseline width: each row of C through its
+/// own call of the row loop (used by tests to check [`gemm`]'s width
+/// dispatch and the buffers it reuses across rows).
 pub fn gemm_seq<E: Element>(
     m: usize,
     k: usize,
@@ -51,7 +53,7 @@ pub fn gemm_seq<E: Element>(
     check_dims(m, k, n, a.len(), b.len(), c.len());
     for (i, row) in c.chunks_exact_mut(n.max(1)).enumerate() {
         let a = &a[i * k..(i + 1) * k];
-        rows(&Operands { k, n, a, b, mode, bias: None, relu: false }, row);
+        rows::<E, 16>(&Operands { k, n, a, b, mode, bias: None, relu: false }, row);
     }
 }
 
@@ -150,7 +152,7 @@ fn gemm_at<E: Element>(width: Width, op: &Operands<'_, E>, c: &mut [E]) {
             // SAFETY: `is_supported` just confirmed AVX2 on this CPU.
             unsafe { rows_avx2(op, c) }
         }
-        _ => rows(op, c),
+        _ => rows::<E, 16>(op, c),
     }
 }
 
@@ -158,14 +160,14 @@ fn gemm_at<E: Element>(width: Width, op: &Operands<'_, E>, c: &mut [E]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn rows_avx2<E: Element>(op: &Operands<'_, E>, c: &mut [E]) {
-    rows(op, c)
+    rows::<E, 32>(op, c)
 }
 
 /// [`rows`] compiled for AVX-512.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
 fn rows_avx512<E: Element>(op: &Operands<'_, E>, c: &mut [E]) {
-    rows(op, c)
+    rows::<E, 64>(op, c)
 }
 
 /// The binary16 `Native` row loop on AVX512-FP16. A, B, the accumulators
@@ -282,66 +284,95 @@ mod fp16 {
     }
 }
 
-/// Every row of C, through one f32 accumulator row.
+/// Every row of C. `Widened` runs each row in strips of `STRIP` columns,
+/// four vector registers at the width it is compiled for, and keeps a
+/// strip's f32 accumulators across all of `k`; `Native` runs each row
+/// through one f32 accumulator row.
 #[inline(always)]
-fn rows<E: Element>(op: &Operands<'_, E>, c: &mut [E]) {
+fn rows<E: Element, const STRIP: usize>(op: &Operands<'_, E>, c: &mut [E]) {
     let (k, n) = (op.k, op.n);
     if n == 0 {
         return;
     }
-    // B widened to f32 once per call for `Native`; the widened loop
-    // converts as it reads, so it gets nothing.
-    let bw: Vec<f32> = match op.mode {
-        AccumMode::Widened => Vec::new(),
-        AccumMode::Native => op.b.iter().map(|x| x.to_f32()).collect(),
-    };
+    let bias = |i: usize| op.bias.map(|bias| bias[i].to_f32());
+    if op.mode == AccumMode::Widened {
+        for (i, row) in c.chunks_exact_mut(n).enumerate() {
+            let arow = &op.a[i * k..(i + 1) * k];
+            for (s, dst) in row.chunks_mut(STRIP).enumerate() {
+                // A full strip gets an array of its own: indexed only by
+                // constants once inlined, it stays in registers.
+                if let Ok(dst) = <&mut [E; STRIP]>::try_from(&mut *dst) {
+                    let mut acc = [0.0f32; STRIP];
+                    widened_strip(arow, op.b, n, s * STRIP, &mut acc);
+                    store(dst, &acc, bias(i), op.relu);
+                } else {
+                    let mut acc = [0.0f32; STRIP];
+                    let acc = &mut acc[..dst.len()];
+                    widened_strip(arow, op.b, n, s * STRIP, acc);
+                    store(dst, acc, bias(i), op.relu);
+                }
+            }
+        }
+        return;
+    }
+    // B widened to f32 once per call.
+    let bw: Vec<f32> = op.b.iter().map(|x| x.to_f32()).collect();
     let mut acc = vec![0.0f32; n];
     for (i, row) in c.chunks_exact_mut(n).enumerate() {
         let arow = &op.a[i * k..(i + 1) * k];
         acc.fill(0.0);
-        match op.mode {
-            AccumMode::Widened => {
-                for (kk, &aik) in arow.iter().enumerate() {
-                    let aik = aik.to_f32();
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &op.b[kk * n..kk * n + n];
-                    for (s, &bj) in acc.iter_mut().zip(brow) {
-                        *s += aik * bj.to_f32();
-                    }
-                }
-            }
-            AccumMode::Native => {
-                // The accumulator holds element-type values in f32: one
-                // rounding for the product, one for the add, as a non-fused
-                // FP16 MAC does. An `f16` operator also computes in f32 and
-                // rounds once, so this matches `s += a * b` bit for bit.
-                for (kk, &aik) in arow.iter().enumerate() {
-                    let aik = aik.to_f32();
-                    let brow = &bw[kk * n..kk * n + n];
-                    for (s, &bj) in acc.iter_mut().zip(brow) {
-                        *s = E::round_f32(*s + E::round_f32(aik * bj));
-                    }
-                }
+        // The accumulator holds element-type values in f32: one rounding
+        // for the product, one for the add, as a non-fused FP16 MAC does.
+        // An `f16` operator also computes in f32 and rounds once, so this
+        // matches `s += a * b` bit for bit.
+        for (kk, &aik) in arow.iter().enumerate() {
+            let aik = aik.to_f32();
+            let brow = &bw[kk * n..kk * n + n];
+            for (s, &bj) in acc.iter_mut().zip(brow) {
+                *s = E::round_f32(*s + E::round_f32(aik * bj));
             }
         }
-        match op.bias {
-            None => {
-                for (dst, &s) in row.iter_mut().zip(&acc) {
-                    *dst = E::from_f32(s);
-                }
+        store(row, &acc, bias(i), op.relu);
+    }
+}
+
+/// Columns `j..j + acc.len()` of one `Widened` row of C: over `k` in
+/// order from +0, `acc += a[kk] * b[kk][..]` as a multiply then an add,
+/// skipping the zero taps of A. Inlined, so a full strip's length is a
+/// constant and its accumulators stay in registers.
+#[inline(always)]
+fn widened_strip<E: Element>(arow: &[E], b: &[E], n: usize, j: usize, acc: &mut [f32]) {
+    for (kk, &aik) in arow.iter().enumerate() {
+        let aik = aik.to_f32();
+        if aik == 0.0 {
+            continue;
+        }
+        let brow = &b[kk * n + j..][..acc.len()];
+        for (s, &bj) in acc.iter_mut().zip(brow) {
+            *s += aik * bj.to_f32();
+        }
+    }
+}
+
+/// Accumulators `acc` rounded into `dst`, with the epilogue: plus `bias`
+/// (rounding the sum and the bias add once each, as the element's `+`
+/// does), then ReLU if `relu`.
+#[inline(always)]
+fn store<E: Element>(dst: &mut [E], acc: &[f32], bias: Option<f32>, relu: bool) {
+    match bias {
+        None => {
+            for (dst, &s) in dst.iter_mut().zip(acc) {
+                *dst = E::from_f32(s);
             }
-            Some(bias) => {
-                let b = bias[i].to_f32();
-                for (dst, &s) in row.iter_mut().zip(&acc) {
-                    let v = E::round_f32(E::round_f32(s) + b);
-                    // ReLU as `max(v, +0)` with a NaN losing and a tie
-                    // keeping `v`: what `f16::max` and x86-64's `f32::max`
-                    // compute.
-                    let v = if !op.relu || v >= 0.0 { v } else { 0.0 };
-                    *dst = E::from_f32(v);
-                }
+        }
+        Some(b) => {
+            for (dst, &s) in dst.iter_mut().zip(acc) {
+                let v = E::round_f32(E::round_f32(s) + b);
+                // ReLU as `max(v, +0)` with a NaN losing and a tie
+                // keeping `v`: what `f16::max` and x86-64's `f32::max`
+                // compute.
+                let v = if !relu || v >= 0.0 { v } else { 0.0 };
+                *dst = E::from_f32(v);
             }
         }
     }
@@ -410,8 +441,7 @@ mod tests {
         assert_eq!(c, b);
     }
 
-    /// The dispatched kernel, one accumulator row reused across rows,
-    /// equals the row-at-a-time baseline.
+    /// The dispatched kernel equals the row-at-a-time baseline.
     #[test]
     fn parallel_equals_sequential() {
         let (m, k, n) = (33, 17, 21);
@@ -632,6 +662,31 @@ mod proptests {
             widths_agree(m, k, n, &a, &b, &bias)?;
         }
 
+        /// The `Widened` column strips equal the accumulator-row loop,
+        /// f32 and f16, at every width: `n` spans one to three strips
+        /// of the widest width plus tails, and a quarter of A is ±0, so
+        /// the skipped taps meet the Inf and NaN in B.
+        #[test]
+        fn widened_strips_match_the_accumulator_row_loop(
+            m in 1usize..5, k in 0usize..24, n in 1usize..200, seed in 0u64..1_000_000
+        ) {
+            use rand::Rng;
+            let mut rng = vpu_num::rng::seeded(seed);
+            let mut a = f16_inputs(m * k, &mut rng);
+            for x in &mut a {
+                if rng.gen_range(0..4) == 0 {
+                    *x = if rng.gen() { f16::ZERO } else { f16::NEG_ZERO };
+                }
+            }
+            let b = f16_inputs(k * n, &mut rng);
+            let bias = f16_inputs(m, &mut rng);
+            strips_agree(m, k, n, &a, &b, &bias)?;
+            let a: Vec<f32> = a.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            let b: Vec<f32> = b.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            let bias: Vec<f32> = bias.iter().map(|&x| f32_input(x, &mut rng)).collect();
+            strips_agree(m, k, n, &a, &b, &bias)?;
+        }
+
         /// The f32-domain epilogue of [`gemm_bias`] equals [`gemm`]
         /// followed by the element's own `+=` and `maximum`, bit for bit,
         /// on the adversarial inputs (NaN, ±Inf, ±0, subnormals, sums
@@ -650,6 +705,65 @@ mod proptests {
             let bias: Vec<f32> = bias.iter().map(|&x| f32_input(x, &mut rng)).collect();
             epilogue_agrees(m, k, n, &a, &b, &bias)?;
         }
+    }
+
+    /// The `Widened` row loop before the column strips, which the strips
+    /// must match: one f32 accumulator row per row of C, swept once per
+    /// nonzero tap of A, then the epilogue.
+    fn widened_rows<E: Element>(
+        m: usize,
+        k: usize,
+        n: usize,
+        op: (&[E], &[E]),
+        bias: Option<&[E]>,
+        relu: bool,
+    ) -> Vec<E> {
+        let (a, b) = op;
+        let mut c = vec![E::ZERO; m * n];
+        let mut acc = vec![0.0f32; n];
+        for (i, row) in c.chunks_exact_mut(n).enumerate() {
+            acc.fill(0.0);
+            for (kk, &aik) in a[i * k..(i + 1) * k].iter().enumerate() {
+                let aik = aik.to_f32();
+                if aik == 0.0 {
+                    continue;
+                }
+                for (s, &bj) in acc.iter_mut().zip(&b[kk * n..kk * n + n]) {
+                    *s += aik * bj.to_f32();
+                }
+            }
+            store(row, &acc, bias.map(|bias| bias[i].to_f32()), relu);
+        }
+        c
+    }
+
+    /// Every width's `Widened` strips equal [`widened_rows`], with and
+    /// without the epilogue.
+    fn strips_agree<E: Element>(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[E],
+        b: &[E],
+        bias: &[E],
+    ) -> CaseResult {
+        for (bias, relu) in [(None, false), (Some(bias), false), (Some(bias), true)] {
+            let want = bits(&widened_rows(m, k, n, (a, b), bias, relu));
+            for w in Width::supported() {
+                let mut c = vec![E::ZERO; m * n];
+                let mode = AccumMode::Widened;
+                gemm_at(w, &Operands { k, n, a, b, mode, bias, relu }, &mut c);
+                prop_assert_eq!(
+                    bits(&c),
+                    want.clone(),
+                    "{} bias {} relu {}",
+                    w.name(),
+                    bias.is_some(),
+                    relu
+                );
+            }
+        }
+        Ok(())
     }
 
     /// An f32 input from an f16 one: mostly its value, sometimes an f32

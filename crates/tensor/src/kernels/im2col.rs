@@ -61,35 +61,34 @@ impl Im2ColGeom {
 
 /// Unroll one batch item (`input` of length `C·H·W`) into `out`
 /// (length `rows() · cols()`). Out-of-image taps read as zero.
+///
+/// Each channel is copied once into a plane with `pad` zeros on every
+/// side, so every tap of every window is in bounds: row `oy` of the row
+/// for `(c, ky, kx)` is `out_w` values of padded row `oy·stride + ky`,
+/// from column `kx`, every `stride`-th one.
 pub fn im2col<E: Element>(geom: &Im2ColGeom, input: &[E], out: &mut [E]) {
     assert_eq!(input.len(), geom.channels * geom.in_h * geom.in_w, "input length");
     assert_eq!(out.len(), geom.rows() * geom.cols(), "output length");
-    let cols = geom.cols();
+    let (ih, iw, pad, stride) = (geom.in_h, geom.in_w, geom.pad, geom.stride);
+    let (ow, pw) = (geom.out_w, iw + 2 * pad);
+    let mut padded = vec![E::ZERO; (ih + 2 * pad) * pw];
     let mut row = 0usize;
-    for c in 0..geom.channels {
-        let plane = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
+    for plane in (0..geom.channels).map(|c| &input[c * ih * iw..(c + 1) * ih * iw]) {
+        for y in 0..ih {
+            padded[(y + pad) * pw + pad..][..iw].copy_from_slice(&plane[y * iw..(y + 1) * iw]);
+        }
         for ky in 0..geom.kernel_h {
             for kx in 0..geom.kernel_w {
-                let dst = &mut out[row * cols..(row + 1) * cols];
-                let mut col = 0usize;
+                let dst = &mut out[row * geom.cols()..(row + 1) * geom.cols()];
                 for oy in 0..geom.out_h {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= geom.in_h as isize {
-                        for _ in 0..geom.out_w {
-                            dst[col] = E::ZERO;
-                            col += 1;
+                    let src = &padded[(oy * stride + ky) * pw + kx..];
+                    let dst = &mut dst[oy * ow..(oy + 1) * ow];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..ow]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
                         }
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * geom.in_w..(iy as usize + 1) * geom.in_w];
-                    for ox in 0..geom.out_w {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        dst[col] = if ix < 0 || ix >= geom.in_w as isize {
-                            E::ZERO
-                        } else {
-                            src_row[ix as usize]
-                        };
-                        col += 1;
                     }
                 }
                 row += 1;
@@ -98,9 +97,92 @@ pub fn im2col<E: Element>(geom: &Im2ColGeom, input: &[E], out: &mut [E]) {
     }
 }
 
+/// The reference [`im2col`] must match: a bounds test on every tap.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn im2col<E: Element>(geom: &Im2ColGeom, input: &[E], out: &mut [E]) {
+        let cols = geom.cols();
+        let mut row = 0usize;
+        for c in 0..geom.channels {
+            let plane = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
+            for ky in 0..geom.kernel_h {
+                for kx in 0..geom.kernel_w {
+                    let dst = &mut out[row * cols..(row + 1) * cols];
+                    let mut col = 0usize;
+                    for oy in 0..geom.out_h {
+                        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                        if iy < 0 || iy >= geom.in_h as isize {
+                            for _ in 0..geom.out_w {
+                                dst[col] = E::ZERO;
+                                col += 1;
+                            }
+                            continue;
+                        }
+                        let src_row =
+                            &plane[iy as usize * geom.in_w..(iy as usize + 1) * geom.in_w];
+                        for ox in 0..geom.out_w {
+                            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                            dst[col] = if ix < 0 || ix >= geom.in_w as isize {
+                                E::ZERO
+                            } else {
+                                src_row[ix as usize]
+                            };
+                            col += 1;
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+    use vpu_num::f16;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random channel counts, extents, kernels, paddings and strides,
+        /// strides past the kernel included: the padded-plane copy and the
+        /// per-element loop write the same bits, in f32 and in f16.
+        #[test]
+        fn matches_the_per_element_loop(
+            (channels, h, w) in (1usize..4, 1usize..14, 1usize..14),
+            (kernel, pad, stride) in (1usize..6, 0usize..4, 1usize..5),
+            seed in any::<u64>(),
+        ) {
+            prop_assume!(Shape::try_conv_extent(h, kernel, pad, stride, false).is_ok());
+            prop_assume!(Shape::try_conv_extent(w, kernel, pad, stride, false).is_ok());
+            let geom = Im2ColGeom::new(channels, h, w, kernel, pad, stride);
+            let mut rng = vpu_num::rng::seeded(seed);
+            let input: Vec<u32> = (0..channels * h * w).map(|_| rng.gen()).collect();
+            let x32: Vec<f32> = input.iter().map(|&b| f32::from_bits(b)).collect();
+            let x16: Vec<f16> = input.iter().map(|&b| f16::from_bits(b as u16)).collect();
+            let b32 = |f| unroll(&geom, &x32, f).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let b16 = |f| unroll(&geom, &x16, f).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(b32(im2col), b32(reference::im2col));
+            prop_assert_eq!(b16(im2col), b16(reference::im2col));
+        }
+    }
+
+    /// What `f` writes for `input`, into a buffer that starts as NaN so
+    /// an element left unwritten shows.
+    fn unroll<E: Element>(
+        geom: &Im2ColGeom,
+        input: &[E],
+        f: fn(&Im2ColGeom, &[E], &mut [E]),
+    ) -> Vec<E> {
+        let mut out = vec![E::from_f32(f32::NAN); geom.rows() * geom.cols()];
+        f(geom, input, &mut out);
+        out
+    }
 
     #[test]
     fn geometry() {

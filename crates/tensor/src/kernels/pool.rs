@@ -42,10 +42,23 @@ impl PoolParams {
 
     /// [`PoolParams::out_shape`], with a window that does not fit the
     /// input (a zero stride or kernel, a kernel larger than the padded
-    /// input, padding that overflows) as an error.
+    /// input, padding that overflows, padding not below the kernel) as an
+    /// error.
+    ///
+    /// As in Caffe's `PoolingLayer`, a padded pooling drops the last
+    /// ceil-mode window when it would start in the padding, so every
+    /// window covers some of the input.
     pub fn try_out_shape(&self, input: Shape) -> Result<Shape, String> {
-        let oh = Shape::try_conv_extent(input.h, self.kernel, self.pad, self.stride, true)?;
-        let ow = Shape::try_conv_extent(input.w, self.kernel, self.pad, self.stride, true)?;
+        let extent = |len: usize| -> Result<usize, String> {
+            let out = Shape::try_conv_extent(len, self.kernel, self.pad, self.stride, true)?;
+            let start = (out - 1).checked_mul(self.stride);
+            let starts_in_padding = start.is_none_or(|start| start >= len + self.pad);
+            Ok(if self.pad > 0 && starts_in_padding { out - 1 } else { out })
+        };
+        let (oh, ow) = (extent(input.h)?, extent(input.w)?);
+        if self.pad >= self.kernel {
+            return Err(format!("pad {} must be below kernel {}", self.pad, self.kernel));
+        }
         Ok(Shape::new(input.n, input.c, oh, ow))
     }
 
@@ -58,11 +71,90 @@ impl PoolParams {
 
 /// Apply pooling over a whole batch.
 ///
-/// Each `(n, c)` plane is widened to f32 once, and each window reads its
-/// rows as contiguous slices of that plane. The taps of a window fold in
-/// row-major order from the same seed as the per-tap loop kept in the
-/// tests (`reference::pool2d`), so every output bit is the same.
+/// Each `(n, c)` plane is widened to f32 once. Every output folds its
+/// window's taps in row-major order from the same seed as the per-tap
+/// loop kept in the tests (`reference::pool2d`), so every output bit is
+/// the same.
 pub fn pool2d<E: Element>(input: &Tensor<E>, params: &PoolParams) -> Tensor<E> {
+    match params.kind {
+        PoolKind::Max => max_pool(input, params),
+        PoolKind::Avg => avg_pool(input, params),
+    }
+}
+
+/// Max pooling, one pass over the whole output plane per tap `(dy, dx)`,
+/// taps in row-major order.
+///
+/// The widened plane is padded with −inf to span every tap of every
+/// window, so clipped, ceil-mode and all-padding windows need no bounds
+/// test: the fold starts at −inf and never holds a NaN (`max` returns the
+/// other operand), so a −inf tap leaves it as it is. The padded plane is
+/// stored as `stride²` phase planes: padded row `py` and column `px` sit
+/// at `(py / stride, px / stride)` of phase `(py % stride, px % stride)`.
+/// Output `(oy, ox)` accumulates at `oy · phase_w + ox`, so each tap reads
+/// one run of consecutive values of one phase, at every stride; the
+/// accumulators between `out_w` and `phase_w` are never read out.
+fn max_pool<E: Element>(input: &Tensor<E>, params: &PoolParams) -> Tensor<E> {
+    let ishape = input.shape();
+    let oshape = params.out_shape(ishape);
+    let (kernel, stride, pad) = (params.kernel, params.stride, params.pad);
+    let (ih, iw, oh, ow) = (ishape.h, ishape.w, oshape.h, oshape.w);
+    // The padded extent `(o - 1) * stride + kernel`, divided into phases.
+    let phase_h = oh - 1 + kernel.div_ceil(stride);
+    let phase_w = ow - 1 + kernel.div_ceil(stride);
+    let phase_len = phase_h * phase_w;
+    let mut padded = vec![f32::NEG_INFINITY; stride * stride * phase_len];
+    let mut acc = vec![f32::NEG_INFINITY; (oh - 1) * phase_w + ow];
+    let mut out = Vec::with_capacity(oshape.len());
+    // The first phase index whose padded index `q * stride + r` is in the
+    // input, and that input index.
+    let first = |r: usize| {
+        let q = pad.saturating_sub(r).div_ceil(stride);
+        (q, q * stride + r - pad)
+    };
+    let mut plane = vec![0.0f32; ih * iw];
+    for src in (0..ishape.n * ishape.c).map(|p| &input.as_slice()[p * ih * iw..][..ih * iw]) {
+        for (d, &v) in plane.iter_mut().zip(src) {
+            *d = v.to_f32();
+        }
+        for (p, phase) in padded.chunks_exact_mut(phase_len).enumerate() {
+            let ((qy, y0), (qx, x0)) = (first(p / stride), first(p % stride));
+            let ys = (y0..ih).step_by(stride);
+            for (dst, y) in phase.chunks_exact_mut(phase_w).skip(qy).zip(ys) {
+                let row = plane[y * iw..(y + 1) * iw].get(x0..).unwrap_or_default();
+                let dst = &mut dst[qx..];
+                if stride == 1 {
+                    dst[..row.len()].copy_from_slice(row);
+                } else {
+                    for (d, &v) in dst.iter_mut().zip(row.iter().step_by(stride)) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+        acc.fill(f32::NEG_INFINITY);
+        for dy in 0..kernel {
+            for dx in 0..kernel {
+                let phase = &padded[((dy % stride) * stride + dx % stride) * phase_len..];
+                let taps = &phase[(dy / stride) * phase_w + dx / stride..][..acc.len()];
+                for (m, &v) in acc.iter_mut().zip(taps) {
+                    *m = m.max(v);
+                }
+            }
+        }
+        for row in acc.chunks(phase_w) {
+            out.extend(row[..ow].iter().map(|&v| E::from_f32(v)));
+        }
+    }
+    Tensor::from_vec(oshape, out)
+}
+
+/// Average pooling: each window reads its rows as contiguous slices of
+/// the widened plane and divides by its clipped size. It keeps one fold
+/// per output: vectorized adds may swap operands, and which NaN an add
+/// of two NaNs returns (an `Inf + -Inf` meeting a NaN tap) follows the
+/// operand order.
+fn avg_pool<E: Element>(input: &Tensor<E>, params: &PoolParams) -> Tensor<E> {
     let ishape = input.shape();
     let oshape = params.out_shape(ishape);
     // The window of output row/column `o`, clipped to `0..extent`; empty
@@ -85,14 +177,8 @@ pub fn pool2d<E: Element>(input: &Tensor<E>, params: &PoolParams) -> Tensor<E> {
                 let b = x1.max(0) as usize;
                 let a = (x0 as usize).min(b);
                 let taps = (y0..y1).flat_map(|y| &plane[y as usize * iw..][a..b]);
-                let v = match params.kind {
-                    PoolKind::Max => taps.fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
-                    PoolKind::Avg => {
-                        let s = taps.fold(0.0f32, |s, &v| s + v);
-                        s / ((y1 - y0) * (x1 - x0)).max(1) as f32
-                    }
-                };
-                out.push(E::from_f32(v));
+                let s = taps.fold(0.0f32, |s, &v| s + v);
+                out.push(E::from_f32(s / ((y1 - y0) * (x1 - x0)).max(1) as f32));
             }
         }
     }
@@ -161,12 +247,42 @@ mod tests {
         t.as_slice().iter().map(|v| v.to_f32().to_bits()).collect()
     }
 
+    /// Values for `shape` drawn from `seed`: signed zeros, infinities and
+    /// NaNs mixed into random values.
+    fn values(shape: Shape, seed: &[(u32, u8)]) -> Vec<f32> {
+        (0..shape.len())
+            .map(|i| match seed[i % seed.len()] {
+                (_, 0) => 0.0,
+                (_, 1) => -0.0,
+                (_, 2) => f32::INFINITY,
+                (_, 3) => f32::NEG_INFINITY,
+                (_, 4) => f32::NAN,
+                (r, _) => (r as f32 / u32::MAX as f32 - 0.5) * 200.0 + i as f32 * 0.37,
+            })
+            .collect()
+    }
+
+    /// `pool2d` and the per-tap loop agree bit for bit on `values`, in
+    /// f32 and in f16.
+    fn agree(shape: Shape, params: &PoolParams, values: &[f32]) -> Result<(), String> {
+        let t32 = Tensor::<f32>::from_f32_slice(shape, values);
+        if bits(&pool2d(&t32, params)) != bits(&reference::pool2d(&t32, params)) {
+            return Err(format!("f32 {shape} {params:?}"));
+        }
+        let t16 = Tensor::<f16>::from_f32_slice(shape, values);
+        if bits(&pool2d(&t16, params)) != bits(&reference::pool2d(&t16, params)) {
+            return Err(format!("f16 {shape} {params:?}"));
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random shapes, kernels, strides and paddings, ceil-mode partial
-        /// windows and windows wholly in the padding included; inputs mix
-        /// signed zeros, infinities and NaNs into random values.
+        /// windows included; inputs mix signed zeros, infinities and NaNs
+        /// into random values. Padding not below the kernel is an error,
+        /// so those draws are skipped.
         #[test]
         fn matches_the_per_tap_loop(
             (n, c, h, w) in (1usize..3, 1usize..4, 1usize..12, 1usize..12),
@@ -178,20 +294,30 @@ mod tests {
             let kind = if avg { PoolKind::Avg } else { PoolKind::Max };
             let params = PoolParams::new(kind, kernel, stride, pad);
             prop_assume!(params.try_out_shape(shape).is_ok());
-            let values: Vec<f32> = (0..shape.len())
-                .map(|i| match seed[i % seed.len()] {
-                    (_, 0) => 0.0,
-                    (_, 1) => -0.0,
-                    (_, 2) => f32::INFINITY,
-                    (_, 3) => f32::NEG_INFINITY,
-                    (_, 4) => f32::NAN,
-                    (r, _) => (r as f32 / u32::MAX as f32 - 0.5) * 200.0 + i as f32 * 0.37,
-                })
-                .collect();
-            let t32 = Tensor::<f32>::from_f32_slice(shape, &values);
-            prop_assert_eq!(bits(&pool2d(&t32, &params)), bits(&reference::pool2d(&t32, &params)));
-            let t16 = Tensor::<f16>::from_f32_slice(shape, &values);
-            prop_assert_eq!(bits(&pool2d(&t16, &params)), bits(&reference::pool2d(&t16, &params)));
+            prop_assert_eq!(agree(shape, &params, &values(shape, &seed)), Ok(()));
+        }
+    }
+
+    /// The network planes the proptest's extents cannot reach: Tiny's
+    /// 16×16 s2 ceil-mode and 8×8 s1 p1 pools, and the Mini and Full
+    /// GoogLeNet extents up to 112×112 s2.
+    #[test]
+    fn max_pool_matches_the_per_tap_loop_on_network_planes() {
+        use rand::Rng;
+        let mut rng = vpu_num::rng::seeded(28);
+        let seed: Vec<(u32, u8)> = (0..997).map(|_| (rng.gen(), rng.gen_range(0..12))).collect();
+        for (hw, kernel, stride, pad) in [
+            (16, 3, 2, 0),
+            (8, 3, 1, 1),
+            (112, 3, 2, 0),
+            (56, 3, 2, 0),
+            (28, 3, 1, 1),
+            (14, 3, 2, 0),
+            (7, 3, 1, 1),
+        ] {
+            let shape = Shape::new(1, 2, hw, hw);
+            let params = PoolParams::new(PoolKind::Max, kernel, stride, pad);
+            assert_eq!(agree(shape, &params, &values(shape, &seed)), Ok(()));
         }
     }
 
@@ -206,6 +332,23 @@ mod tests {
         // inception in-module pool: k3 s1 p1 keeps extent
         let ip = PoolParams::new(PoolKind::Max, 3, 1, 1);
         assert_eq!(ip.out_shape(Shape::new(1, 192, 28, 28)), Shape::new(1, 192, 28, 28));
+    }
+
+    /// Caffe's `PoolingLayer` geometry: with padding, a last ceil-mode
+    /// window that would start in the padding is dropped, and padding
+    /// must be below the kernel.
+    #[test]
+    fn padded_pooling_follows_caffe() {
+        let s = Shape::new(1, 1, 5, 5);
+        // Windows start at -1, 1, 3; a fourth would start at 5 = in + pad - 1.
+        assert_eq!(PoolParams::new(PoolKind::Max, 2, 2, 1).out_shape(s), Shape::new(1, 1, 3, 3));
+        // Unpadded, the ceil-mode window at 4 stays.
+        assert_eq!(PoolParams::new(PoolKind::Max, 2, 2, 0).out_shape(s), Shape::new(1, 1, 3, 3));
+        assert_eq!(PoolParams::new(PoolKind::Avg, 3, 2, 1).out_shape(s), Shape::new(1, 1, 3, 3));
+        assert_eq!(
+            PoolParams::new(PoolKind::Max, 2, 1, 2).try_out_shape(s),
+            Err("pad 2 must be below kernel 2".to_string())
+        );
     }
 
     #[test]
