@@ -1,7 +1,7 @@
 //! Microbenchmarks of the compute kernels that carry the real numerics:
 //! GEMM at both precisions and accumulation modes, im2col + convolution,
 //! pooling/LRN/softmax, the Tiny GoogLeNet kernels at their own shapes,
-//! and binary16 conversion throughput.
+//! image noise, and binary16 conversion throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration as StdDuration;
@@ -139,6 +139,31 @@ fn bench_tiny_shapes(c: &mut Criterion) {
     g.finish();
 }
 
+/// Image noise: [`vpu_num::rng::fill_normal_f32`] against the libm
+/// reference it must match (repeated `rng::normal`, rounded to f32), at
+/// the Tiny and Mini image sizes.
+fn bench_normals(c: &mut Criterion) {
+    use vpu_num::rng;
+    let mut g = c.benchmark_group("normals");
+    for len in [3 * 32 * 32, 3 * 64 * 64] {
+        let mut out = vec![0.0f32; len];
+        g.throughput(Throughput::Elements(len as u64));
+        let mut stream = rng::seeded(7);
+        g.bench_function(format!("fill_normal_f32/{len}"), |b| {
+            b.iter(|| rng::fill_normal_f32(&mut stream, black_box(&mut out)))
+        });
+        let mut stream = rng::seeded(7);
+        g.bench_function(format!("reference/{len}"), |b| {
+            b.iter(|| {
+                for x in black_box(&mut out).iter_mut() {
+                    *x = rng::normal(&mut stream) as f32;
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_f16(c: &mut Criterion) {
     let xs = rand_vec(4096, 8);
     let hs: Vec<f16> = xs.iter().map(|&x| f16::from_f32(x)).collect();
@@ -182,7 +207,8 @@ fn bench_network_forward(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_gemm, bench_conv, bench_pool_lrn_softmax, bench_tiny_shapes, bench_f16,
+    targets = bench_gemm, bench_conv, bench_pool_lrn_softmax, bench_tiny_shapes, bench_normals,
+        bench_f16,
         bench_network_forward
 }
 criterion_main!(benches);

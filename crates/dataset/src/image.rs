@@ -98,11 +98,12 @@ impl ImageGen {
         let mix = self.cfg.distractor_mix;
         let sigma = self.cfg.sigma;
         let mut img = Tensor::<f32>::zeros(self.cfg.shape);
-        let mut noise = vec![0.0; img.len()];
-        rng::fill_normal(&mut stream, &mut noise);
+        // The noise goes into the image first; each pixel then becomes
+        // the blend plus its noise.
+        rng::fill_normal_f32(&mut stream, img.as_mut_slice());
         let pixels = img.as_mut_slice().iter_mut().zip(proto.as_slice()).zip(dproto.as_slice());
-        for (((x, &p), &d), &z) in pixels.zip(&noise) {
-            *x = ((1.0 - mix) * p + mix * d + z as f32 * sigma as f32).clamp(0.0, 1.0);
+        for ((x, &p), &d) in pixels {
+            *x = ((1.0 - mix) * p + mix * d + *x * sigma as f32).clamp(0.0, 1.0);
         }
         center(img)
     }

@@ -1,6 +1,7 @@
 //! The host's vector width, chosen at run time.
 //!
-//! The hot numeric loops (the GEMM rows in `vpu-tensor`) pick the widest
+//! The hot numeric loops (the GEMM rows in `vpu-tensor` and the
+//! Box–Muller transform of image noise in [`crate::rng`]) pick the widest
 //! [`Width`] this CPU runs. The first three widths are the same plain
 //! Rust compiled once per width with `#[target_feature]`: they differ
 //! only in which instructions LLVM may select. Each runs the same IEEE
@@ -14,6 +15,9 @@
 //! f32 emulation (`f16::round_f32` after an f32 op) gives, so this width
 //! returns the same bits too. The exhaustive pair check in `half.rs`
 //! holds the two instructions to the reference on all 2^32 operand pairs.
+//!
+//! The Box–Muller loop in [`crate::rng`] also dispatches on [`Width`],
+//! and runs its AVX-512 build at [`Width::Avx512Fp16`].
 
 /// A vector instruction set a kernel can be compiled for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -52,6 +52,11 @@ pub trait Element:
     fn as_f16_mut(_s: &mut [Self]) -> Option<&mut [f16]> {
         None
     }
+    /// `s` as f32 values when `Self` is `f32`, so a kernel that widens
+    /// its operands can read them in place.
+    fn as_f32(_s: &[Self]) -> Option<&[f32]> {
+        None
+    }
 }
 
 impl Element for f32 {
@@ -100,6 +105,10 @@ impl Element for f32 {
     #[inline]
     fn powf_e(self, p: f32) -> f32 {
         self.powf(p)
+    }
+
+    fn as_f32(s: &[f32]) -> Option<&[f32]> {
+        Some(s)
     }
 }
 

@@ -284,10 +284,10 @@ mod fp16 {
     }
 }
 
-/// Every row of C. `Widened` runs each row in strips of `STRIP` columns,
-/// four vector registers at the width it is compiled for, and keeps a
-/// strip's f32 accumulators across all of `k`; `Native` runs each row
-/// through one f32 accumulator row.
+/// Every row of C, over B widened to f32 once. `Widened` runs each row
+/// in strips of `STRIP` columns, four vector registers at the width it
+/// is compiled for, and keeps a strip's f32 accumulators across all of
+/// `k`; `Native` runs each row through one f32 accumulator row.
 #[inline(always)]
 fn rows<E: Element, const STRIP: usize>(op: &Operands<'_, E>, c: &mut [E]) {
     let (k, n) = (op.k, op.n);
@@ -295,6 +295,15 @@ fn rows<E: Element, const STRIP: usize>(op: &Operands<'_, E>, c: &mut [E]) {
         return;
     }
     let bias = |i: usize| op.bias.map(|bias| bias[i].to_f32());
+    // B widened to f32 once per call; an f32 B is read in place.
+    let widened: Vec<f32>;
+    let bw = match E::as_f32(op.b) {
+        Some(b) => b,
+        None => {
+            widened = op.b.iter().map(|x| x.to_f32()).collect();
+            &widened
+        }
+    };
     if op.mode == AccumMode::Widened {
         for (i, row) in c.chunks_exact_mut(n).enumerate() {
             let arow = &op.a[i * k..(i + 1) * k];
@@ -303,20 +312,18 @@ fn rows<E: Element, const STRIP: usize>(op: &Operands<'_, E>, c: &mut [E]) {
                 // constants once inlined, it stays in registers.
                 if let Ok(dst) = <&mut [E; STRIP]>::try_from(&mut *dst) {
                     let mut acc = [0.0f32; STRIP];
-                    widened_strip(arow, op.b, n, s * STRIP, &mut acc);
+                    widened_strip(arow, bw, n, s * STRIP, &mut acc);
                     store(dst, &acc, bias(i), op.relu);
                 } else {
                     let mut acc = [0.0f32; STRIP];
                     let acc = &mut acc[..dst.len()];
-                    widened_strip(arow, op.b, n, s * STRIP, acc);
+                    widened_strip(arow, bw, n, s * STRIP, acc);
                     store(dst, acc, bias(i), op.relu);
                 }
             }
         }
         return;
     }
-    // B widened to f32 once per call.
-    let bw: Vec<f32> = op.b.iter().map(|x| x.to_f32()).collect();
     let mut acc = vec![0.0f32; n];
     for (i, row) in c.chunks_exact_mut(n).enumerate() {
         let arow = &op.a[i * k..(i + 1) * k];
@@ -338,10 +345,11 @@ fn rows<E: Element, const STRIP: usize>(op: &Operands<'_, E>, c: &mut [E]) {
 
 /// Columns `j..j + acc.len()` of one `Widened` row of C: over `k` in
 /// order from +0, `acc += a[kk] * b[kk][..]` as a multiply then an add,
-/// skipping the zero taps of A. Inlined, so a full strip's length is a
-/// constant and its accumulators stay in registers.
+/// with B already widened, skipping the zero taps of A. Inlined, so a
+/// full strip's length is a constant and its accumulators stay in
+/// registers.
 #[inline(always)]
-fn widened_strip<E: Element>(arow: &[E], b: &[E], n: usize, j: usize, acc: &mut [f32]) {
+fn widened_strip<E: Element>(arow: &[E], b: &[f32], n: usize, j: usize, acc: &mut [f32]) {
     for (kk, &aik) in arow.iter().enumerate() {
         let aik = aik.to_f32();
         if aik == 0.0 {
@@ -349,7 +357,7 @@ fn widened_strip<E: Element>(arow: &[E], b: &[E], n: usize, j: usize, acc: &mut 
         }
         let brow = &b[kk * n + j..][..acc.len()];
         for (s, &bj) in acc.iter_mut().zip(brow) {
-            *s += aik * bj.to_f32();
+            *s += aik * bj;
         }
     }
 }
