@@ -6,7 +6,9 @@
 //! measurement loop (median-free: warm-up, then `sample_size` timed batches,
 //! report mean per iteration and derived throughput). No plots, no stats
 //! engine; the benches exist to catch regressions, and this keeps them
-//! runnable without a registry.
+//! runnable without a registry. As in criterion, the first argument that
+//! is not a flag (`cargo bench --bench NAME -- FILTER`) is a substring
+//! filter: only benchmarks whose label contains it run.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -18,6 +20,8 @@ pub struct Criterion {
     sample_size: usize,
     warm_up_time: Duration,
     measurement_time: Duration,
+    /// Substring a label must contain to run (`None` runs every one).
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -26,6 +30,7 @@ impl Default for Criterion {
             sample_size: 100,
             warm_up_time: Duration::from_secs(3),
             measurement_time: Duration::from_secs(5),
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -165,6 +170,9 @@ fn run_one(
     throughput: Option<Throughput>,
     f: &mut dyn FnMut(&mut Bencher),
 ) {
+    if c.filter.as_ref().is_some_and(|filter| !label.contains(filter.as_str())) {
+        return;
+    }
     // Warm-up: run single-iteration batches until the budget is spent, and
     // estimate the per-iteration cost to size measurement batches.
     let warm_start = Instant::now();
@@ -250,5 +258,26 @@ mod tests {
         g.throughput(Throughput::Elements(10));
         g.bench_with_input(BenchmarkId::new("with-input", 4), &4u32, |b, &x| b.iter(|| x * 2));
         g.finish();
+    }
+
+    #[test]
+    fn only_labels_containing_the_filter_run() {
+        let mut c = Criterion::default()
+            .sample_size(1)
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_millis(1));
+        c.filter = Some("normals".into());
+        let mut ran = Vec::new();
+        c.bench_function("gemm", |b| {
+            ran.push("gemm");
+            b.iter(|| 1)
+        });
+        let mut g = c.benchmark_group("normals");
+        g.bench_function("fill", |b| {
+            ran.push("normals/fill");
+            b.iter(|| 1)
+        });
+        g.finish();
+        assert!(!ran.is_empty() && ran.iter().all(|&l| l == "normals/fill"), "{ran:?}");
     }
 }

@@ -84,22 +84,20 @@ pub fn alert_events(alerts: &[AlertWindow]) -> Vec<Event> {
 mod tests {
     use super::*;
     use desim::Duration;
-    use ncsw_obs::TimeSeriesBuilder;
+    use ncsw_obs::{EnergyMeter, TimeSeriesBuilder};
 
     fn series(burns: &[f64]) -> TimeSeries {
-        // Build a series with the given per-window burn values by
-        // feeding one completion per window (miss or hit).
+        // Build a series with the given per-window burn values from one
+        // completion per window (miss or hit).
         let iv = Duration::from_millis(10.0);
         let slo = Duration::from_millis(5.0);
-        let mut b = TimeSeriesBuilder::new(vec![], SimTime::ZERO, iv, slo);
-        let mut t = SimTime::ZERO;
-        for &burn in burns {
+        let b = TimeSeriesBuilder::new(vec![], SimTime::ZERO, iv, slo);
+        let done = burns.iter().enumerate().map(|(k, &burn)| {
             let lat = if burn > 0.5 { Duration::from_millis(9.0) } else { Duration::ZERO };
-            b.on_complete(lat);
-            t += iv;
-            b.advance(t, 0);
-        }
-        b.finish(t, 0)
+            (SimTime::ZERO + iv * k as u64, lat)
+        });
+        let end = SimTime::ZERO + iv * burns.len() as u64;
+        b.finish(end, done, [], [], &[], &EnergyMeter::new(vec![], SimTime::ZERO))
     }
 
     #[test]

@@ -174,6 +174,11 @@ impl EnergyMeter {
         self.charged_until.iter().copied().fold(self.epoch, SimTime::max_of)
     }
 
+    /// Worker `w`'s charged spans, disjoint and time-ordered.
+    pub fn spans(&self, w: usize) -> impl Iterator<Item = &MeterSpan> {
+        self.spans.iter().filter(move |sp| sp.worker as usize == w)
+    }
+
     /// Busy (served + wasted) nanoseconds charged to worker `w`.
     pub fn busy_ns(&self, w: usize) -> u64 {
         self.served_ns[w] + self.wasted_ns[w]
@@ -275,7 +280,7 @@ impl EnergyMeter {
             let worker = w as u32;
             let lane = Lane::Power(worker);
             let ctx = Ctx::NONE.with_worker(worker);
-            let mut spans = self.spans.iter().filter(|sp| sp.worker == worker).peekable();
+            let mut spans = self.spans(w).peekable();
             for &(on, off) in &self.powered[w] {
                 if on > horizon {
                     break;

@@ -20,8 +20,11 @@
 //!   log-bucketed [`LogHistogram`]s, built once after a run from its
 //!   outcome.
 //! - [`TimeSeriesBuilder`]/[`TimeSeries`] — periodic samples of queue
-//!   depth, in-flight batches, per-worker utilization and SLO burn
-//!   rate, exported as CSV.
+//!   depth, in-flight batches, completions, sheds, SLO burn, and
+//!   per-worker utilization, circuit state and power, exported as CSV.
+//!   The builder snapshots only queue depth live; `finish` derives
+//!   every other column in one pass from the run's books (request
+//!   records, [`OutageRecord`]s, the [`EnergyMeter`]).
 //! - [`EnergyMeter`]/[`EnergyProfile`] — integer-exact energy
 //!   integration (milliwatts × nanoseconds = picojoules) over charged
 //!   busy spans, exported as counters, series columns and per-worker
@@ -70,4 +73,4 @@ pub use prof::{
 pub use recorder::{request_chain, BatchObs, EventLog, NullRecorder, Recorder, Tee};
 pub use registry::Registry;
 pub use sample::{SamplePolicy, SampleStats, SamplingRecorder};
-pub use series::{Sample, TimeSeries, TimeSeriesBuilder};
+pub use series::{OutageRecord, Sample, TimeSeries, TimeSeriesBuilder};

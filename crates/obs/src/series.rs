@@ -1,46 +1,75 @@
 //! Periodic time-series sampling on the virtual clock.
 //!
 //! End-of-run percentiles hide the shape of a run: a queue that spikes
-//! and drains, a worker that saturates halfway through a burst. The
-//! [`TimeSeriesBuilder`] is fed by the serving loop as it processes
-//! events and emits one row per sampling interval: queue depth,
-//! in-flight batches, cumulative completions/sheds, the SLO burn rate
-//! over the window, and per-worker utilization since epoch.
+//! and drains, a worker that saturates halfway through a burst, a stick
+//! whose circuit opens and the joules it burns meanwhile. A
+//! [`TimeSeries`] holds one row per sampling interval, built in two
+//! phases by a [`TimeSeriesBuilder`]:
+//!
+//! - **during the run** the builder keeps only what the serving loop
+//!   alone knows: the queue depth as each boundary passes (the one live
+//!   snapshot — no record of the run can rebuild it), the spans of
+//!   served batches, and autoscaling transitions;
+//! - **at [`TimeSeriesBuilder::finish`]** it fills every other column in
+//!   one pass over the run's own books: completions, latencies, arrivals
+//!   and sheds from the request records, circuit state from the
+//!   breaker's [`OutageRecord`]s, and energy from the [`EnergyMeter`].
+//!
+//! Each fact lands in the row its own timestamp puts it in, however late
+//! the loop learned of it. The window rules, for boundaries
+//! `s = epoch + k·interval` (`k ≥ 1`):
+//!
+//! - an event at `x` counts in row `⌊(x − epoch)/interval⌋`, the first
+//!   boundary after `x` — an event exactly on a boundary counts in the
+//!   next row;
+//! - a state that changes at `x` (circuit, power, live sticks) reads
+//!   the new value at every boundary `s ≥ x`;
+//! - a span straddling `s` is credited up to `s`.
 
+use crate::energy::EnergyMeter;
 use crate::prof::WriteStats;
 use desim::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io;
 
-/// One sampled row.
+/// One sampled row. Only `queue_depth` is a live snapshot; every other
+/// column is derived from the run's books when the builder finishes
+/// (each field names its source).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sample {
     pub t: SimTime,
-    /// Requests waiting in the bounded queue.
+    /// Requests waiting in the bounded queue when the serving loop first
+    /// passed this boundary.
     pub queue_depth: usize,
-    /// Batches dispatched but not yet fully returned.
+    /// Served batches whose span covers the boundary (the builder's
+    /// batch spans).
     pub inflight_batches: usize,
-    /// Cumulative completions so far.
+    /// Cumulative completions before the boundary (the completion
+    /// records).
     pub completed: u64,
-    /// Cumulative shed requests so far.
+    /// Cumulative sheds before the boundary, each at its decision
+    /// instant (the shed records).
     pub shed: u64,
     /// Fraction of the window's completions that missed the SLO
     /// (error-budget burn rate; 0 when the window saw no completions).
     pub slo_burn: f64,
-    /// Fraction of the window's arrivals that were shed (0 when the
-    /// window saw no arrivals).
+    /// Window sheds over window arrivals, every request counted at its
+    /// own arrival (0 when the window saw no arrivals).
     pub shed_rate: f64,
-    /// Per-worker busy fraction of the epoch→t interval.
+    /// Per-worker busy fraction of the epoch→t interval (the builder's
+    /// batch spans).
     pub worker_util: Vec<f64>,
     /// Per-worker circuit-breaker state as of this boundary: 0.0
-    /// closed, 1.0 open (matches the CircuitOpen/CircuitClose events).
+    /// closed, 1.0 open (the breaker's outage records, so it matches
+    /// the CircuitOpen/CircuitClose events).
     pub circuit: Vec<f64>,
-    /// Per-worker average power draw in watts over epoch→t (busy spans
-    /// at the busy rate, the rest gated/idle; zero until the builder is
-    /// given power profiles).
+    /// Per-worker average power draw in watts over epoch→t: the energy
+    /// meter's charged spans at the busy rate (failed attempts
+    /// included), the rest of its powered windows at the idle rate.
     pub worker_power: Vec<f64>,
-    /// Cumulative fleet energy in joules since the epoch.
+    /// Cumulative fleet energy in joules since the epoch, integrated
+    /// from the meter in exact pJ (mW × ns).
     pub energy_j: f64,
     /// Cumulative completions per joule — numerically identical to
     /// img/s/W, the paper's Eq. 1 axis, but over *integrated* energy
@@ -51,6 +80,31 @@ pub struct Sample {
     pub live_sticks: usize,
     /// Cumulative autoscaling decisions applied so far.
     pub scale_events: u64,
+}
+
+/// One worker outage as seen by the circuit breaker: opened at `from`,
+/// closed at `until` when the breaker re-admitted traffic (`None` =
+/// still open when the run ended). Defined here so the series reads
+/// circuit state from the breaker's own record; re-exported by
+/// `ncsw-serve`, whose failover path keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OutageRecord {
+    pub worker: usize,
+    pub from: SimTime,
+    pub until: Option<SimTime>,
+}
+
+impl OutageRecord {
+    /// Time to recovery, measuring an unclosed outage to `end`.
+    pub fn ttr(&self, end: SimTime) -> Duration {
+        self.until.unwrap_or(end).max(self.from) - self.from
+    }
+
+    /// True when the circuit is open at `s`: a circuit reopened at the
+    /// instant it closed reads open.
+    fn open_at(&self, s: SimTime) -> bool {
+        self.from <= s && self.until.is_none_or(|u| s < u)
+    }
 }
 
 /// A complete sampled series with its worker column labels.
@@ -139,329 +193,214 @@ impl TimeSeries {
     }
 }
 
-/// Incremental builder the serving loop drives. `advance` must be
-/// called with non-decreasing instants (the loop's event times); each
-/// crossing of a sample boundary emits a row using the state as of
-/// that boundary.
+/// Two-phase series builder. The serving loop calls [`advance`] with
+/// non-decreasing instants (its event times), which snapshots the queue
+/// depth at each boundary passed, plus [`on_batch`] for each served
+/// batch and, on autoscaled runs, [`scale_event`]. [`finish`] then
+/// derives every other column from the run's books.
+///
+/// [`advance`]: TimeSeriesBuilder::advance
+/// [`on_batch`]: TimeSeriesBuilder::on_batch
+/// [`scale_event`]: TimeSeriesBuilder::scale_event
+/// [`finish`]: TimeSeriesBuilder::finish
 #[derive(Debug)]
 pub struct TimeSeriesBuilder {
     epoch: SimTime,
     interval: Duration,
     slo: Duration,
     labels: Vec<String>,
-    next: SimTime,
-    /// Per-worker service spans in dispatch order (each worker
-    /// self-serializes, so spans are non-overlapping and time-ordered).
+    /// Queue depth at each boundary passed so far, one per row.
+    depth: Vec<usize>,
+    /// Per-worker served-batch spans in dispatch order (each worker
+    /// self-serializes, so spans are disjoint and time-ordered).
     spans: Vec<Vec<(SimTime, SimTime)>>,
-    /// Per-worker cursor + busy time of fully consumed spans.
-    cursor: Vec<usize>,
-    consumed: Vec<Duration>,
-    /// Per-worker `(busy_mw, idle_mw)` power rates; all-zero until
-    /// [`TimeSeriesBuilder::set_power`] is called.
-    power: Vec<(u64, u64)>,
-    /// Per-worker *charged* busy spans (clipped, so disjoint and
-    /// time-ordered) — unlike `spans`, these include failed attempts,
-    /// whose energy is real even though they serve nothing.
-    espans: Vec<Vec<(SimTime, SimTime)>>,
-    ecursor: Vec<usize>,
-    econsumed: Vec<Duration>,
-    /// Outstanding batch spans (pruned as samples pass their end).
-    active: Vec<(SimTime, SimTime)>,
-    completed: u64,
-    shed: u64,
-    win_done: u64,
-    win_miss: u64,
-    win_arrived: u64,
-    win_shed: u64,
-    /// Current per-worker circuit state (0.0 closed, 1.0 open).
-    circuit: Vec<f64>,
-    /// Future circuit transitions `(at, worker, state)` — failure
-    /// detection lands after the loop instant that dispatched the
-    /// batch, so transitions are buffered and applied in time order as
-    /// sample boundaries pass them (mirrors completion buffering in the
-    /// serving loop).
-    circuit_pending: Vec<(SimTime, usize, f64)>,
-    /// `Some` once an autoscaler attached: current live-worker count
-    /// and cumulative decisions, with buffered future transitions
-    /// `(at, live_delta, decision_delta)` — a scale-up's live increment
-    /// lands at the end of its provisioning delay, past the tick that
-    /// decided it.
-    scaling: Option<ScalingCols>,
-    /// Per-worker powered state, the instant it last changed, and the
-    /// powered nanoseconds accumulated before that instant — drives the
-    /// energy columns for workers that are dark for part of the run.
-    pstate: Vec<bool>,
-    pmark: Vec<SimTime>,
-    pconsumed: Vec<u64>,
-    /// Buffered future power transitions `(at, worker, powered)` — a
-    /// drain's power-off lands when its in-flight batches finish.
-    power_pending: Vec<(SimTime, usize, bool)>,
-    samples: Vec<Sample>,
+    /// `Some` once an autoscaler attached.
+    scaling: Option<Scaling>,
 }
 
 #[derive(Debug)]
-struct ScalingCols {
+struct Scaling {
+    /// Live workers at the epoch.
     live: usize,
-    events: u64,
-    pending: Vec<(SimTime, i64, u64)>,
+    /// Transitions `(at, live_delta, decisions)` in call order.
+    moves: Vec<(SimTime, i64, u64)>,
 }
 
 impl TimeSeriesBuilder {
     pub fn new(labels: Vec<String>, epoch: SimTime, interval: Duration, slo: Duration) -> Self {
         assert!(interval > Duration::ZERO, "sampling interval must be positive");
-        let n = labels.len();
-        TimeSeriesBuilder {
-            epoch,
-            interval,
-            slo,
-            labels,
-            next: epoch + interval,
-            spans: vec![Vec::new(); n],
-            cursor: vec![0; n],
-            consumed: vec![Duration::ZERO; n],
-            power: vec![(0, 0); n],
-            espans: vec![Vec::new(); n],
-            ecursor: vec![0; n],
-            econsumed: vec![Duration::ZERO; n],
-            active: Vec::new(),
-            completed: 0,
-            shed: 0,
-            win_done: 0,
-            win_miss: 0,
-            win_arrived: 0,
-            win_shed: 0,
-            circuit: vec![0.0; n],
-            circuit_pending: Vec::new(),
-            scaling: None,
-            pstate: vec![true; n],
-            pmark: vec![epoch; n],
-            pconsumed: vec![0; n],
-            power_pending: Vec::new(),
-            samples: Vec::new(),
-        }
+        let spans = vec![Vec::new(); labels.len()];
+        TimeSeriesBuilder { epoch, interval, slo, labels, depth: Vec::new(), spans, scaling: None }
     }
 
     /// Attach autoscaling columns: samples carry `live_sticks` (from
     /// `initial_live`) and cumulative `scale_events`. Without this call
     /// the series keeps the exact pre-autoscaling CSV shape.
     pub fn enable_scaling(&mut self, initial_live: usize) {
-        self.scaling = Some(ScalingCols { live: initial_live, events: 0, pending: Vec::new() });
+        self.scaling = Some(Scaling { live: initial_live, moves: Vec::new() });
     }
 
     /// An autoscaling transition: at `at`, the live-worker count moves
     /// by `live_delta` and the cumulative decision count by
-    /// `decisions`. Buffered and applied in time order at sample
-    /// boundaries, like circuit transitions.
+    /// `decisions`. `at` may lie ahead of the loop (a scale-up goes live
+    /// after its provisioning delay).
     pub fn scale_event(&mut self, at: SimTime, live_delta: i64, decisions: u64) {
         if let Some(sc) = self.scaling.as_mut() {
-            sc.pending.push((at, live_delta, decisions));
+            sc.moves.push((at, live_delta, decisions));
         }
-    }
-
-    /// Worker `worker` powered off (`false`) or back on (`true`) at
-    /// `at`: from that instant its energy column integrates zero draw
-    /// (respectively its idle/busy rates again).
-    pub fn power_event(&mut self, worker: usize, at: SimTime, powered: bool) {
-        self.power_pending.push((at, worker, powered));
     }
 
     /// A batch was dispatched to `worker`, occupying it over
     /// `start..end`.
     pub fn on_batch(&mut self, worker: usize, start: SimTime, end: SimTime) {
-        self.spans[worker].push((start, end));
-        self.active.push((start, end));
+        let spans = &mut self.spans[worker];
+        debug_assert!(spans.last().is_none_or(|&(_, e)| e <= start), "worker spans overlap");
+        spans.push((start, end));
     }
 
-    /// Provide per-worker `(busy_mw, idle_mw)` rates so samples carry
-    /// power/energy columns (zero otherwise).
-    pub fn set_power(&mut self, rates: Vec<(u64, u64)>) {
-        assert_eq!(rates.len(), self.power.len(), "one power rate per worker");
-        self.power = rates;
-    }
-
-    /// Energy was charged to `worker` over `start..end` (an already
-    /// clipped meter span — includes failed attempts, which don't count
-    /// toward utilization but do burn joules).
-    pub fn on_energy_span(&mut self, worker: usize, start: SimTime, end: SimTime) {
-        self.espans[worker].push((start, end));
-    }
-
-    /// A request completed with end-to-end `latency`.
-    pub fn on_complete(&mut self, latency: Duration) {
-        self.completed += 1;
-        self.win_done += 1;
-        if latency > self.slo {
-            self.win_miss += 1;
-        }
-    }
-
-    /// A request arrived (drives the windowed shed-rate denominator).
-    pub fn on_arrival(&mut self) {
-        self.win_arrived += 1;
-    }
-
-    /// A request was shed.
-    pub fn on_shed(&mut self) {
-        self.shed += 1;
-        self.win_shed += 1;
-    }
-
-    /// Worker `worker`'s circuit breaker transitioned to `state` (1.0
-    /// open, 0.0 closed) at instant `at`, which may lie beyond the
-    /// loop's current time — applied when a sample boundary passes it.
-    pub fn circuit_event(&mut self, worker: usize, state: f64, at: SimTime) {
-        self.circuit_pending.push((at, worker, state));
-    }
-
-    /// Emit any samples whose boundary falls at or before `now`, using
-    /// `queue_depth` as the queue state (constant between loop events).
+    /// Snapshot `queue_depth` (the queue state, constant between loop
+    /// events) for every boundary at or before `now` not yet passed.
     pub fn advance(&mut self, now: SimTime, queue_depth: usize) {
-        while self.next <= now {
-            let s = self.next;
-            self.next += self.interval;
-            self.emit(s, queue_depth);
+        let passed = now.nanos().saturating_sub(self.epoch.nanos()) / self.interval.nanos();
+        if passed as usize > self.depth.len() {
+            self.depth.resize(passed as usize, queue_depth);
         }
     }
 
-    fn emit(&mut self, s: SimTime, queue_depth: usize) {
-        // Apply circuit transitions up to this boundary in time order
-        // (stable sort keeps same-instant transitions in push order).
-        self.circuit_pending.sort_by_key(|&(at, _, _)| at);
-        let mut applied = 0;
-        for &(at, w, state) in self.circuit_pending.iter() {
-            if at > s {
-                break;
+    /// Sample through `end` (the queue is empty by then) and fill the
+    /// derived columns in one pass over the run's books: `completions`
+    /// as `(instant, latency)`, the `arrivals` of every request, the
+    /// `sheds` at their decision instants, the breaker's `outages`, and
+    /// the run's `energy` meter.
+    pub fn finish(
+        mut self,
+        end: SimTime,
+        completions: impl IntoIterator<Item = (SimTime, Duration)>,
+        arrivals: impl IntoIterator<Item = SimTime>,
+        sheds: impl IntoIterator<Item = SimTime>,
+        outages: &[OutageRecord],
+        energy: &EnergyMeter,
+    ) -> TimeSeries {
+        self.advance(end, 0);
+        let n = self.labels.len();
+        assert_eq!(energy.profiles().len(), n, "one energy profile per worker");
+        let (epoch, interval) = (self.epoch, self.interval);
+        // Per-row window tallies: completions, SLO misses, arrivals, sheds.
+        let mut win = vec![[0u64; 4]; self.depth.len()];
+        let mut tally = |x: SimTime, col: usize| {
+            if let Some(row) = win.get_mut(((x - epoch).nanos() / interval.nanos()) as usize) {
+                row[col] += 1;
             }
-            self.circuit[w] = state;
-            applied += 1;
-        }
-        self.circuit_pending.drain(..applied);
-        // Apply power transitions up to this boundary, accumulating
-        // each worker's powered time piecewise.
-        self.power_pending.sort_by_key(|&(at, _, _)| at);
-        let mut applied = 0;
-        for &(at, w, powered) in self.power_pending.iter() {
-            if at > s {
-                break;
-            }
-            if self.pstate[w] {
-                self.pconsumed[w] += (at - self.pmark[w]).nanos();
-            }
-            self.pmark[w] = at;
-            self.pstate[w] = powered;
-            applied += 1;
-        }
-        self.power_pending.drain(..applied);
-        // Apply scaling transitions up to this boundary.
-        if let Some(sc) = self.scaling.as_mut() {
-            sc.pending.sort_by_key(|&(at, _, _)| at);
-            let mut applied = 0;
-            for &(at, live_delta, decisions) in sc.pending.iter() {
-                if at > s {
-                    break;
-                }
-                sc.live = (sc.live as i64 + live_delta).max(0) as usize;
-                sc.events += decisions;
-                applied += 1;
-            }
-            sc.pending.drain(..applied);
-        }
-        let horizon = (s - self.epoch).as_secs();
-        let util: Vec<f64> = (0..self.labels.len())
-            .map(|w| {
-                let spans = &self.spans[w];
-                let (mut cur, mut busy) = (self.cursor[w], self.consumed[w]);
-                while cur < spans.len() && spans[cur].1 <= s {
-                    busy += spans[cur].1 - spans[cur].0;
-                    cur += 1;
-                }
-                self.cursor[w] = cur;
-                self.consumed[w] = busy;
-                // Partial credit for the span straddling the boundary.
-                if cur < spans.len() && spans[cur].0 < s {
-                    busy += s - spans[cur].0;
-                }
-                if horizon <= 0.0 {
-                    0.0
-                } else {
-                    busy.as_secs() / horizon
-                }
-            })
-            .collect();
-        // Energy: integrate each worker's charged-span ledger to this
-        // boundary (integer pJ = mW × ns, same discipline as the
-        // EnergyMeter, so the last row agrees with the meter exactly).
-        let elapsed_ns = (s - self.epoch).nanos();
-        let mut fleet_pj = 0u64;
-        let worker_power: Vec<f64> = (0..self.labels.len())
-            .map(|w| {
-                let spans = &self.espans[w];
-                let (mut cur, mut busy) = (self.ecursor[w], self.econsumed[w]);
-                while cur < spans.len() && spans[cur].1 <= s {
-                    busy += spans[cur].1 - spans[cur].0;
-                    cur += 1;
-                }
-                self.ecursor[w] = cur;
-                self.econsumed[w] = busy;
-                if cur < spans.len() && spans[cur].0 < s {
-                    busy += s - spans[cur].0;
-                }
-                let busy_ns = busy.nanos().min(elapsed_ns);
-                let (busy_mw, idle_mw) = self.power[w];
-                // Idle draw accrues only over powered time: a gated
-                // worker's lane is dark, exactly as in the EnergyMeter.
-                let powered_ns = self.pconsumed[w]
-                    + if self.pstate[w] { (s - self.pmark[w]).nanos() } else { 0 };
-                let pj = busy_mw * busy_ns + idle_mw * (powered_ns.saturating_sub(busy_ns));
-                fleet_pj += pj;
-                if elapsed_ns == 0 {
-                    0.0
-                } else {
-                    pj as f64 / elapsed_ns as f64 / 1e3
-                }
-            })
-            .collect();
-        let energy_j = fleet_pj as f64 / 1e12;
-        self.active.retain(|&(_, end)| end > s);
-        let inflight = self.active.iter().filter(|&&(start, _)| start <= s).count();
-        let burn =
-            if self.win_done == 0 { 0.0 } else { self.win_miss as f64 / self.win_done as f64 };
-        let shed_rate = if self.win_arrived == 0 {
-            0.0
-        } else {
-            self.win_shed as f64 / self.win_arrived as f64
         };
-        self.win_done = 0;
-        self.win_miss = 0;
-        self.win_arrived = 0;
-        self.win_shed = 0;
-        self.samples.push(Sample {
-            t: s,
-            queue_depth,
-            inflight_batches: inflight,
-            completed: self.completed,
-            shed: self.shed,
-            slo_burn: burn,
-            shed_rate,
-            worker_util: util,
-            circuit: self.circuit.clone(),
-            worker_power,
-            energy_j,
-            img_per_watt: if energy_j > 0.0 { self.completed as f64 / energy_j } else { 0.0 },
-            live_sticks: self.scaling.as_ref().map_or(self.labels.len(), |sc| sc.live),
-            scale_events: self.scaling.as_ref().map_or(0, |sc| sc.events),
-        });
+        for (at, latency) in completions {
+            tally(at, 0);
+            if latency > self.slo {
+                tally(at, 1);
+            }
+        }
+        arrivals.into_iter().for_each(|at| tally(at, 2));
+        sheds.into_iter().for_each(|at| tally(at, 3));
+        let mut served: Vec<_> =
+            self.spans.iter().map(|sp| Busy::new(sp.iter().copied())).collect();
+        let mut charged: Vec<_> =
+            (0..n).map(|w| Busy::new(energy.spans(w).map(|sp| (sp.start, sp.end)))).collect();
+        let scaling = self.scaling.is_some();
+        let Scaling { mut live, mut moves } =
+            self.scaling.unwrap_or(Scaling { live: n, moves: Vec::new() });
+        moves.sort_by_key(|&(at, _, _)| at);
+        let mut moves = moves.into_iter().peekable();
+        let (mut completed, mut shed, mut decisions) = (0, 0, 0);
+        let mut samples = Vec::with_capacity(self.depth.len());
+        for (k, (&queue_depth, &[done, miss, arrived, dropped])) in
+            self.depth.iter().zip(&win).enumerate()
+        {
+            let s = epoch + interval * (k as u64 + 1);
+            let elapsed = s - epoch;
+            completed += done;
+            shed += dropped;
+            let mut inflight = 0;
+            let worker_util = served
+                .iter_mut()
+                .map(|b| {
+                    let (busy, open) = b.to(s);
+                    inflight += open as usize;
+                    Duration::from_nanos(busy).as_secs() / elapsed.as_secs()
+                })
+                .collect();
+            let mut fleet_pj = 0;
+            let worker_power = charged
+                .iter_mut()
+                .zip(energy.profiles())
+                .enumerate()
+                .map(|(w, (b, p))| {
+                    let busy = b.to(s).0;
+                    let pj = p.energy_pj(busy, energy.powered_ns(w, s).saturating_sub(busy));
+                    fleet_pj += pj;
+                    pj as f64 / elapsed.nanos() as f64 / 1e3
+                })
+                .collect();
+            let mut circuit = vec![0.0; n];
+            for o in outages.iter().filter(|o| o.open_at(s)) {
+                circuit[o.worker] = 1.0;
+            }
+            while let Some((_, delta, d)) = moves.next_if(|&(at, _, _)| at <= s) {
+                live = (live as i64 + delta).max(0) as usize;
+                decisions += d;
+            }
+            let energy_j = fleet_pj as f64 / 1e12;
+            samples.push(Sample {
+                t: s,
+                queue_depth,
+                inflight_batches: inflight,
+                completed,
+                shed,
+                slo_burn: ratio(miss, done),
+                shed_rate: ratio(dropped, arrived),
+                worker_util,
+                circuit,
+                worker_power,
+                energy_j,
+                img_per_watt: if energy_j > 0.0 { completed as f64 / energy_j } else { 0.0 },
+                live_sticks: live,
+                scale_events: decisions,
+            });
+        }
+        TimeSeries { epoch, interval, worker_labels: self.labels, samples, scaling }
+    }
+}
+
+/// `num / den`, or 0 for an empty window.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// One worker's disjoint, time-ordered spans, walked at non-decreasing
+/// boundaries.
+struct Busy<I: Iterator<Item = (SimTime, SimTime)>> {
+    spans: std::iter::Peekable<I>,
+    /// Nanoseconds of the spans that ended at or before the last
+    /// boundary.
+    done: u64,
+}
+
+impl<I: Iterator<Item = (SimTime, SimTime)>> Busy<I> {
+    fn new(spans: I) -> Self {
+        Busy { spans: spans.peekable(), done: 0 }
     }
 
-    /// Sample through `end` and return the finished series.
-    pub fn finish(mut self, end: SimTime, queue_depth: usize) -> TimeSeries {
-        self.advance(end, queue_depth);
-        TimeSeries {
-            epoch: self.epoch,
-            interval: self.interval,
-            worker_labels: self.labels,
-            samples: self.samples,
-            scaling: self.scaling.is_some(),
+    /// Busy nanoseconds before `s` (a straddling span credited up to
+    /// `s`), and whether a span covers `s`.
+    fn to(&mut self, s: SimTime) -> (u64, bool) {
+        while let Some((start, end)) = self.spans.next_if(|&(_, end)| end <= s) {
+            self.done += (end - start).nanos();
+        }
+        match self.spans.peek() {
+            Some(&(start, _)) if start <= s => (self.done + (s - start).nanos(), true),
+            _ => (self.done, false),
         }
     }
 }
@@ -469,6 +408,7 @@ impl TimeSeriesBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::EnergyProfile;
 
     fn ms(v: f64) -> Duration {
         Duration::from_millis(v)
@@ -478,11 +418,28 @@ mod tests {
         SimTime::ZERO + ms(v)
     }
 
+    /// A meter over one `(busy_mw, idle_mw)` profile per worker.
+    fn meter(rates: &[(u64, u64)]) -> EnergyMeter {
+        let profiles = rates.iter().map(|&(b, i)| EnergyProfile::new("w", b, i, b)).collect();
+        EnergyMeter::new(profiles, SimTime::ZERO)
+    }
+
+    /// A 10 ms series over `workers` workers with a 5 ms SLO.
+    fn builder(workers: usize) -> TimeSeriesBuilder {
+        let labels = (0..workers).map(|w| format!("w{w}")).collect();
+        TimeSeriesBuilder::new(labels, SimTime::ZERO, ms(10.0), ms(5.0))
+    }
+
+    /// Finish with nothing but the given energy meter in the books.
+    fn finish_quiet(b: TimeSeriesBuilder, end: f64, energy: &EnergyMeter) -> TimeSeries {
+        b.finish(at(end), [], [], [], &[], energy)
+    }
+
     #[test]
     fn samples_fall_on_interval_boundaries() {
-        let mut b = TimeSeriesBuilder::new(vec!["cpu".into()], SimTime::ZERO, ms(10.0), ms(100.0));
+        let mut b = builder(1);
         b.advance(at(35.0), 2);
-        let ts = b.finish(at(50.0), 0);
+        let ts = finish_quiet(b, 50.0, &meter(&[(0, 0)]));
         let times: Vec<f64> = ts.samples.iter().map(|s| s.t.as_millis()).collect();
         assert_eq!(times, vec![10.0, 20.0, 30.0, 40.0, 50.0]);
         assert_eq!(ts.samples[0].queue_depth, 2);
@@ -490,36 +447,95 @@ mod tests {
     }
 
     #[test]
-    fn utilization_counts_busy_time_up_to_the_boundary() {
-        let mut b = TimeSeriesBuilder::new(vec!["w".into()], SimTime::ZERO, ms(10.0), ms(100.0));
-        // Busy 0..15 ms: util at 10 ms = 1.0, at 20 ms = 0.75.
+    fn a_straddling_span_gets_partial_credit() {
+        let mut b = builder(1);
+        // Served 0..15 ms: util at 10 ms = 1.0, at 20 ms = 0.75.
         b.on_batch(0, at(0.0), at(15.0));
-        let ts = b.finish(at(20.0), 0);
+        let mut m = meter(&[(900, 172)]);
+        m.charge(0, at(0.0), at(15.0), 0, false);
+        let ts = finish_quiet(b, 20.0, &m);
         assert!((ts.samples[0].worker_util[0] - 1.0).abs() < 1e-9);
         assert!((ts.samples[1].worker_util[0] - 0.75).abs() < 1e-9);
         assert_eq!(ts.samples[0].inflight_batches, 1);
         assert_eq!(ts.samples[1].inflight_batches, 0);
+        // Energy to 10 ms is all busy draw; to 20 ms, 15 busy + 5 idle.
+        assert_eq!(ts.samples[0].energy_j, (900u64 * 10_000_000) as f64 / 1e12);
+        let want = (900u64 * 15_000_000 + 172 * 5_000_000) as f64 / 1e12;
+        assert_eq!(ts.samples[1].energy_j, want);
+        assert!((ts.samples[1].worker_power[0] - want / 0.020).abs() < 1e-12);
     }
 
     #[test]
-    fn burn_rate_is_windowed() {
-        let mut b = TimeSeriesBuilder::new(vec![], SimTime::ZERO, ms(10.0), ms(5.0));
-        b.on_complete(ms(2.0)); // within SLO
-        b.on_complete(ms(9.0)); // miss
-        b.advance(at(10.0), 0);
-        b.on_complete(ms(9.0)); // miss, second window
-        let ts = b.finish(at(20.0), 0);
+    fn a_completion_on_a_boundary_counts_in_the_next_row() {
+        let b = builder(0);
+        // Hit at 2 ms, miss at 9 ms, and a miss exactly on the 10 ms
+        // boundary, which belongs to the second window.
+        let done = [(at(2.0), ms(1.0)), (at(9.0), ms(9.0)), (at(10.0), ms(9.0))];
+        let ts = b.finish(at(20.0), done, [], [], &[], &meter(&[]));
+        assert_eq!(ts.samples[0].completed, 2);
         assert!((ts.samples[0].slo_burn - 0.5).abs() < 1e-9);
-        assert!((ts.samples[1].slo_burn - 1.0).abs() < 1e-9);
         assert_eq!(ts.samples[1].completed, 3);
+        assert!((ts.samples[1].slo_burn - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shed_rate_is_windowed_over_arrivals() {
+        let b = builder(0);
+        let arrivals = [at(1.0), at(2.0), at(3.0), at(4.0), at(12.0)];
+        // The 4 ms arrival is shed at 4 ms; the 12 ms shed is of a
+        // request that arrived in the first window.
+        let sheds = [at(4.0), at(12.0)];
+        let ts = b.finish(at(30.0), [], arrivals, sheds, &[], &meter(&[]));
+        assert!((ts.samples[0].shed_rate - 0.25).abs() < 1e-9);
+        assert_eq!(ts.samples[1].shed_rate, 1.0);
+        assert_eq!(ts.samples[2].shed_rate, 0.0, "window resets");
+        assert_eq!(ts.samples[2].shed, 2, "cumulative column unaffected");
+    }
+
+    #[test]
+    fn a_circuit_reopened_at_the_instant_it_closed_reads_open() {
+        let b = builder(2);
+        let outages = [
+            OutageRecord { worker: 1, from: at(25.0), until: None },
+            OutageRecord { worker: 0, from: at(5.0), until: Some(at(20.0)) },
+            OutageRecord { worker: 0, from: at(20.0), until: Some(at(30.0)) },
+        ];
+        let ts = b.finish(at(30.0), [], [], [], &outages, &meter(&[(0, 0), (0, 0)]));
+        assert_eq!(ts.samples[0].circuit, vec![1.0, 0.0]); // t=10
+        assert_eq!(ts.samples[1].circuit, vec![1.0, 0.0]); // t=20: reopened
+        assert_eq!(ts.samples[2].circuit, vec![0.0, 1.0]); // t=30: closed
+    }
+
+    #[test]
+    fn a_power_off_on_a_boundary_stops_idle_draw_there() {
+        let mut m = meter(&[(900, 172)]);
+        m.power_off(0, at(10.0));
+        let ts = finish_quiet(builder(1), 20.0, &m);
+        let idle_10ms = (172u64 * 10_000_000) as f64 / 1e12;
+        assert_eq!(ts.samples[0].energy_j, idle_10ms);
+        assert_eq!(ts.samples[1].energy_j, idle_10ms);
+    }
+
+    #[test]
+    fn a_power_on_on_a_boundary_adds_nothing_to_it() {
+        let mut m = meter(&[(900, 172)]);
+        m.power_off(0, at(5.0));
+        m.power_on(0, at(10.0));
+        let ts = finish_quiet(builder(1), 20.0, &m);
+        let idle = |ns: u64| (172 * ns) as f64 / 1e12;
+        assert_eq!(ts.samples[0].energy_j, idle(5_000_000));
+        assert_eq!(ts.samples[1].energy_j, idle(15_000_000));
+        // No completions, so img/W stays zero rather than NaN.
+        assert_eq!(ts.samples[1].img_per_watt, 0.0);
     }
 
     #[test]
     fn csv_has_stable_header_and_rows() {
         let mut b =
             TimeSeriesBuilder::new(vec!["vpu x8".into()], SimTime::ZERO, ms(10.0), ms(100.0));
+        b.advance(at(10.0), 3);
         b.on_batch(0, at(0.0), at(4.0));
-        let ts = b.finish(at(10.0), 3);
+        let ts = finish_quiet(b, 10.0, &meter(&[(0, 0)]));
         let csv = ts.csv();
         let mut lines = csv.lines();
         assert_eq!(
@@ -534,77 +550,21 @@ mod tests {
     }
 
     #[test]
-    fn power_columns_integrate_charged_spans() {
-        let mut b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(100.0));
-        b.set_power(vec![(900, 172)]);
-        // Charged 0..5 ms, gated 5..10 ms.
-        b.on_energy_span(0, at(0.0), at(5.0));
-        let ts = b.finish(at(10.0), 0);
-        let s = &ts.samples[0];
-        // Average power: (900 mW × 5 ms + 172 mW × 5 ms) / 10 ms = 536 mW.
-        assert!((s.worker_power[0] - 0.536).abs() < 1e-12, "{}", s.worker_power[0]);
-        let want_j = (900u64 * 5_000_000 + 172 * 5_000_000) as f64 / 1e12;
-        assert!((s.energy_j - want_j).abs() < 1e-15, "{}", s.energy_j);
-        // No completions yet, so img/W stays zero rather than NaN.
-        assert_eq!(s.img_per_watt, 0.0);
-        // Utilization is untouched by energy-only spans.
-        assert_eq!(s.worker_util[0], 0.0);
-    }
-
-    #[test]
-    fn shed_rate_is_windowed_over_arrivals() {
-        let mut b = TimeSeriesBuilder::new(vec![], SimTime::ZERO, ms(10.0), ms(100.0));
-        for _ in 0..4 {
-            b.on_arrival();
-        }
-        b.on_shed();
-        b.advance(at(10.0), 0);
-        b.on_arrival();
-        let ts = b.finish(at(20.0), 0);
-        assert!((ts.samples[0].shed_rate - 0.25).abs() < 1e-9);
-        assert_eq!(ts.samples[1].shed_rate, 0.0, "window resets");
-        assert_eq!(ts.samples[1].shed, 1, "cumulative column unaffected");
-    }
-
-    #[test]
-    fn circuit_transitions_apply_at_their_own_instant() {
-        let mut b = TimeSeriesBuilder::new(
-            vec!["a".into(), "b".into()],
-            SimTime::ZERO,
-            ms(10.0),
-            ms(100.0),
-        );
-        // Buffered out of order; each must land in its own sample.
-        b.circuit_event(1, 1.0, at(25.0));
-        b.circuit_event(0, 1.0, at(5.0));
-        b.circuit_event(0, 0.0, at(15.0));
-        let ts = b.finish(at(30.0), 0);
-        assert_eq!(ts.samples[0].circuit, vec![1.0, 0.0]); // t=10
-        assert_eq!(ts.samples[1].circuit, vec![0.0, 0.0]); // t=20
-        assert_eq!(ts.samples[2].circuit, vec![0.0, 1.0]); // t=30
-    }
-
-    #[test]
     fn scaling_columns_appear_only_when_enabled() {
         // Without an autoscaler the header is byte-identical to the
         // pre-autoscaling shape.
-        let b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(100.0));
-        let ts = b.finish(at(10.0), 0);
+        let ts = finish_quiet(builder(1), 10.0, &meter(&[(0, 0)]));
         assert!(ts.csv().lines().next().unwrap().ends_with(",energy_j,img_per_watt"));
 
-        let mut b = TimeSeriesBuilder::new(
-            vec!["a".into(), "b".into(), "c".into()],
-            SimTime::ZERO,
-            ms(10.0),
-            ms(100.0),
-        );
+        let mut b = builder(3);
         b.enable_scaling(3);
         // Drain c at 5 ms (decision + live drop), power it back with a
-        // provisioning delay ending at 25 ms (decision at 12 ms).
+        // provisioning delay ending at 25 ms (decision at 12 ms), told
+        // out of order.
         b.scale_event(at(5.0), -1, 1);
-        b.scale_event(at(12.0), 0, 1);
         b.scale_event(at(25.0), 1, 0);
-        let ts = b.finish(at(30.0), 0);
+        b.scale_event(at(12.0), 0, 1);
+        let ts = finish_quiet(b, 30.0, &meter(&[(0, 0); 3]));
         let header = ts.csv().lines().next().unwrap().to_string();
         assert!(header.ends_with(",energy_j,img_per_watt,live_sticks,scale_events"));
         let live: Vec<usize> = ts.samples.iter().map(|s| s.live_sticks).collect();
@@ -614,33 +574,12 @@ mod tests {
     }
 
     #[test]
-    fn energy_column_goes_dark_while_a_worker_is_gated() {
-        let mut b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(100.0));
-        b.set_power(vec![(900, 172)]);
-        // Powered idle 0..5 ms, gated 5..10 ms: only 5 ms of idle draw.
-        b.power_event(0, at(5.0), false);
-        let ts = b.finish(at(10.0), 0);
-        let want_j = (172u64 * 5_000_000) as f64 / 1e12;
-        assert!((ts.samples[0].energy_j - want_j).abs() < 1e-15, "{}", ts.samples[0].energy_j);
-        // Power back on at 12 ms: the second window adds idle draw again.
-        let mut b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(100.0));
-        b.set_power(vec![(900, 172)]);
-        b.power_event(0, at(5.0), false);
-        b.power_event(0, at(12.0), true);
-        let ts = b.finish(at(20.0), 0);
-        let want_j = (172u64 * (5_000_000 + 8_000_000)) as f64 / 1e12;
-        assert!((ts.samples[1].energy_j - want_j).abs() < 1e-15, "{}", ts.samples[1].energy_j);
-    }
-
-    #[test]
     fn csv_to_streams_byte_identically_with_bounded_buffer() {
-        let mut b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(5.0));
-        b.set_power(vec![(900, 172)]);
+        let mut b = builder(1);
         b.on_batch(0, at(0.0), at(4.0));
-        b.on_energy_span(0, at(0.0), at(4.0));
-        b.on_arrival();
-        b.on_complete(ms(9.0));
-        let ts = b.finish(at(50.0), 2);
+        let mut m = meter(&[(900, 172)]);
+        m.charge(0, at(0.0), at(4.0), 0, false);
+        let ts = b.finish(at(50.0), [(at(4.0), ms(9.0))], [at(0.0)], [], &[], &m);
         let buffered = ts.csv();
         let mut sink = Vec::new();
         let stats = ts.csv_to(&mut sink).unwrap();

@@ -30,11 +30,15 @@
 //!   `complete` or `fail` (`trip_breaker`).
 //!
 //! Every request ends through one method per outcome: `deliver`,
-//! `retry_or_shed` or `shed`. Busy energy is booked through `charge`.
-//! Recorder and time series are fed through `record` and `observe`,
-//! which do nothing on an unobserved run. The metric registry is not
-//! fed in the loop: an observed run folds it from the outcome
-//! afterwards (`registry_of`).
+//! `retry_or_shed` or `shed`. Busy energy is booked straight on the
+//! `EnergyMeter`. The recorder is fed through `record`, and the time
+//! series through `observe` with only what the loop alone knows: the
+//! queue depth as each sample boundary passes, served batch spans, and
+//! autoscaling transitions. Both do nothing on an unobserved run.
+//! Everything else an observed run reports is folded from the outcome
+//! afterwards, in one pass each: the metric registry (`registry_of`),
+//! and the series' completions, sheds, circuit states and energy
+//! ([`TimeSeriesBuilder::finish`]).
 //!
 //! ## Fault tolerance
 //!
@@ -347,22 +351,10 @@ pub struct WorkerStats {
     pub failures: u64,
 }
 
-/// One worker outage as seen by the circuit breaker: opened at `from`,
-/// closed at `until` when the breaker re-admitted traffic (`None` =
-/// still open when the run ended).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OutageRecord {
-    pub worker: usize,
-    pub from: SimTime,
-    pub until: Option<SimTime>,
-}
-
-impl OutageRecord {
-    /// Time to recovery, measuring an unclosed outage to `end`.
-    pub fn ttr(&self, end: SimTime) -> Duration {
-        self.until.unwrap_or(end).max(self.from) - self.from
-    }
-}
+/// One worker outage as seen by the circuit breaker. Defined in
+/// `ncsw-obs` so the time series reads circuit state from it;
+/// re-exported here because the failover path keeps it.
+pub use ncsw_obs::OutageRecord;
 
 /// Fault/failover accounting of one run (all zero on a healthy run).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -542,43 +534,9 @@ fn registry_of(o: &ServeOutcome, peak: usize) -> Registry {
     reg
 }
 
-/// Drives the [`TimeSeriesBuilder`] from the serving loop's in-order
-/// events while re-ordering *completions*, which land after the batch
-/// dispatch that produced them, back into their true sample windows.
-struct SamplerDrive {
-    b: TimeSeriesBuilder,
-    /// Not-yet-sampled completions as `(completion ns, latency ns)`.
-    pending: BinaryHeap<Reverse<(u64, u64)>>,
-}
-
-impl SamplerDrive {
-    fn advance(&mut self, now: SimTime, queue_depth: usize) {
-        while let Some(&Reverse((done, lat))) = self.pending.peek() {
-            if done > now.nanos() {
-                break;
-            }
-            self.pending.pop();
-            self.b.advance(SimTime(done), queue_depth);
-            self.b.on_complete(Duration::from_nanos(lat));
-        }
-        self.b.advance(now, queue_depth);
-    }
-
-    fn complete_later(&mut self, done: SimTime, latency: Duration) {
-        self.pending.push(Reverse((done.nanos(), latency.nanos())));
-    }
-
-    fn finish(mut self, end: SimTime) -> TimeSeries {
-        // The queue is empty once the loop exits; only straggling
-        // completions remain.
-        self.advance(end, 0);
-        self.b.finish(end, 0)
-    }
-}
-
 /// Live observability state of an observed [`Run`].
 struct ObsAccum {
-    sampler: SamplerDrive,
+    series: TimeSeriesBuilder,
     /// Queue-depth high-water mark.
     peak: usize,
 }
@@ -1194,16 +1152,13 @@ fn observed_core(
     assert!(!workers.is_empty(), "need at least one worker");
     let epoch = workers.iter().map(|w| w.busy_until()).max().expect("fleet is non-empty");
     let labels = workers.iter().map(|w| w.label()).collect();
-    let mut builder = TimeSeriesBuilder::new(labels, epoch, ocfg.sample_every, cfg.slo);
-    let profiles = workers.iter().map(|w| w.energy_profile());
-    builder.set_power(profiles.map(|p| (p.busy_mw, p.idle_mw)).collect());
+    let mut series = TimeSeriesBuilder::new(labels, epoch, ocfg.sample_every, cfg.slo);
     let ctrl = scaling.map(|(s, policy)| CtrlState::new(s, workers, policy));
     if ctrl.is_some() {
         // Every worker starts live; scale events adjust from there.
-        builder.enable_scaling(workers.len());
+        series.enable_scaling(workers.len());
     }
-    let mut obs =
-        ObsAccum { sampler: SamplerDrive { b: builder, pending: BinaryHeap::new() }, peak: 0 };
+    let mut obs = ObsAccum { series, peak: 0 };
     // Recorder stack, all passive: the base sink is either the full
     // event log or a tail-sampling recorder, teed into the always-on
     // flight-recorder ring; with the profiler on, the stack is wrapped
@@ -1235,7 +1190,17 @@ fn observed_core(
         }
         None => (full_log.unwrap_or_default(), None),
     };
-    let series = obs.sampler.finish(outcome.end());
+    // Every column but queue depth comes off the run's books. Each
+    // request ends in exactly one record, which carries its arrival.
+    let o = &outcome;
+    let series = obs.series.finish(
+        o.end(),
+        o.completed.iter().map(|r| (r.completed, r.latency())),
+        o.completed.iter().map(|r| r.arrival).chain(o.shed.iter().map(|r| r.arrival)),
+        o.shed.iter().map(|r| r.shed_at),
+        &o.faults.outages,
+        &o.energy,
+    );
     let mut registry = registry_of(&outcome, obs.peak);
     // Power lanes + energy counters come straight off the run's ledger,
     // so the exported trace alone re-integrates the exact same
@@ -1396,7 +1361,8 @@ impl<'a> Run<'a> {
         self.record(Event::instant(phase, Lane::Worker(w as u32), at, worker_ctx(w, batch)));
     }
 
-    /// Feed the time series of an observed run.
+    /// Feed the live half of an observed run's time series (queue depth,
+    /// batch spans, scale transitions) and its queue-depth peak.
     fn observe(&mut self, f: impl FnOnce(&mut ObsAccum)) {
         if let Some(o) = self.obs.as_deref_mut() {
             f(o);
@@ -1405,21 +1371,6 @@ impl<'a> Run<'a> {
 
     fn recompute_degradation(&mut self) {
         self.fo.recompute_degradation(self.workers, self.cfg);
-    }
-
-    /// Charge worker `w` busy energy over `[from, to)` and feed the
-    /// power series. Returns the charged (clipped) span in ns, if any.
-    fn charge(
-        &mut self,
-        w: usize,
-        from: SimTime,
-        to: SimTime,
-        batch: u64,
-        wasted: bool,
-    ) -> Option<u64> {
-        let sp = self.meter.charge(w as u32, from, to, batch, wasted)?;
-        self.observe(|o| o.sampler.b.on_energy_span(w, sp.start, sp.end));
-        Some(sp.end.nanos() - sp.start.nanos())
     }
 
     /// Earliest instant the queue head could be dispatched, and to
@@ -1498,10 +1449,9 @@ impl<'a> Run<'a> {
             ctrl.stats.scale_downs += 1;
             self.record_on_worker(Phase::Drain, w, tk, None);
             self.record_on_worker(Phase::ScaleDown, w, gate_at, None);
-            self.observe(|o| o.sampler.b.power_event(w, gate_at, false));
         }
         if !victims.is_empty() {
-            self.observe(|o| o.sampler.b.scale_event(tk, -(victims.len() as i64), 1));
+            self.observe(|o| o.series.scale_event(tk, -(victims.len() as i64), 1));
             self.recompute_degradation();
         }
     }
@@ -1538,13 +1488,10 @@ impl<'a> Run<'a> {
                 ready_at,
                 worker_ctx(w, None),
             ));
-            self.observe(|o| {
-                o.sampler.b.power_event(w, tk, true);
-                o.sampler.b.scale_event(ready_at, 1, 0);
-            });
+            self.observe(|o| o.series.scale_event(ready_at, 1, 0));
         }
         if !picks.is_empty() {
-            self.observe(|o| o.sampler.b.scale_event(tk, 0, 1));
+            self.observe(|o| o.series.scale_event(tk, 0, 1));
             self.recompute_degradation();
         }
     }
@@ -1555,10 +1502,7 @@ impl<'a> Run<'a> {
         let _sa = prof::scope("serve.arrival");
         self.sim_events += 1;
         let depth = self.queue.len();
-        self.observe(|o| {
-            o.sampler.advance(at, depth);
-            o.sampler.b.on_arrival();
-        });
+        self.observe(|o| o.series.advance(at, depth));
         if let Some(c) = &mut self.ctrl {
             c.cur.arrived += 1;
         }
@@ -1619,7 +1563,7 @@ impl<'a> Run<'a> {
         debug_assert!(eligible >= 1, "batch closed before its oldest member was ready");
         let size = clamp_batch(eligible, self.workers[w].as_ref());
         let depth = self.queue.len();
-        self.observe(|o| o.sampler.advance(t, depth));
+        self.observe(|o| o.series.advance(t, depth));
         let members: Vec<Pending> = self.queue.drain(..size).collect();
         let bid = self.batch_seq;
         self.batch_seq += 1;
@@ -1647,7 +1591,7 @@ impl<'a> Run<'a> {
         let run = match run {
             Ok(r) if r.end > timeout_at => {
                 self.stats[w].busy += r.end - r.start;
-                self.charge(w, r.start, r.end, bid, true);
+                self.meter.charge(w as u32, r.start, r.end, bid, true);
                 Err(ServeError { at: timeout_at, kind: FailureKind::Timeout })
             }
             other => other,
@@ -1673,7 +1617,6 @@ impl<'a> Run<'a> {
                 o.until = Some(t);
             }
             self.recompute_degradation();
-            self.observe(|o| o.sampler.b.circuit_event(w, 0.0, t));
             self.record_on_worker(Phase::CircuitClose, w, t, None);
         }
         // Quarantine expiry: this dispatch is the probation probe. The
@@ -1778,7 +1721,8 @@ impl<'a> Run<'a> {
     /// and its energy, as wasted.
     fn waste(&mut self, w: usize, from: SimTime, to: SimTime, bid: u64) {
         self.stats[w].busy += to - from;
-        if let Some(span_ns) = self.charge(w, from, to, bid, true) {
+        if let Some(sp) = self.meter.charge(w as u32, from, to, bid, true) {
+            let span_ns = (sp.end - sp.start).nanos();
             self.fo.gray.hedge_wasted_pj += self.meter.profiles()[w].energy_pj(span_ns, 0);
         }
     }
@@ -1844,8 +1788,8 @@ impl<'a> Run<'a> {
         }
         health.consecutive_failures = 0;
         health.circuit = Circuit::Closed;
-        self.charge(w, run.start, run.end, bid, false);
-        self.observe(|o| o.sampler.b.on_batch(w, run.start, run.end));
+        self.meter.charge(w as u32, run.start, run.end, bid, false);
+        self.observe(|o| o.series.on_batch(w, run.start, run.end));
         // Wire-integrity processing: the device may have corrupted,
         // duplicated or dropped individual result slots
         // ([`ncsw::service::WireReport`]). With verification on,
@@ -1902,7 +1846,6 @@ impl<'a> Run<'a> {
 
     /// One result reaches its client.
     fn deliver(&mut self, r: RequestRecord, bid: u64) {
-        self.observe(|o| o.sampler.complete_later(r.completed, r.latency()));
         if let Some(c) = &mut self.ctrl {
             let kind = if r.latency() > self.cfg.slo { OUTCOME_MISS } else { OUTCOME_GOOD };
             c.outcome(r.completed, kind);
@@ -1923,7 +1866,7 @@ impl<'a> Run<'a> {
         // deaths) burn the host-visible detection span at busy power.
         // Timeouts were already charged for the span the device ran.
         if err.kind != FailureKind::Timeout {
-            self.charge(w, t, detect, bid, true);
+            self.meter.charge(w as u32, t, detect, bid, true);
         }
         self.fo.stats.injected += 1;
         self.stats[w].failures += 1;
@@ -1964,7 +1907,6 @@ impl<'a> Run<'a> {
         health.cooldown = (cooldown * BREAKER_BACKOFF).min(BREAKER_COOLDOWN_MAX);
         self.fo.stats.outages.push(OutageRecord { worker: w, from: detect, until: None });
         self.recompute_degradation();
-        self.observe(|o| o.sampler.b.circuit_event(w, 1.0, detect));
         self.record_on_worker(Phase::CircuitOpen, w, detect, Some(bid));
     }
 
@@ -1991,13 +1933,12 @@ impl<'a> Run<'a> {
         Some(Pending { id: m.id, arrival: m.arrival, attempts, earliest })
     }
 
-    /// Shed one request: record the `Shed` event, feed the sampler
-    /// and controller, and keep the record. Admission refusals
-    /// (`Rejected`, `Deadline`) are an instant on the server lane;
-    /// evictions and exhausted retries are a queue span from arrival,
-    /// its length the wait burned before the decision.
+    /// Shed one request: record the `Shed` event, feed the controller,
+    /// and keep the record. Admission refusals (`Rejected`, `Deadline`)
+    /// are an instant on the server lane; evictions and exhausted
+    /// retries are a queue span from arrival, its length the wait
+    /// burned before the decision.
     fn shed(&mut self, r: ShedRecord, batch: Option<u64>) {
-        self.observe(|o| o.sampler.b.on_shed());
         if let Some(c) = &mut self.ctrl {
             c.outcome(r.shed_at, OUTCOME_SHED);
         }

@@ -562,7 +562,7 @@ fn pinned_cases() -> [PinnedCase; 7] {
             },
             autoscale: None,
             covers: |o| sheds(o, ShedCause::Deadline),
-            digest: 0x796f_a9be_5674_ec6b,
+            digest: 0xf141_75dc_da00_b7cf,
             registry: 0x184d_3367_3385_c22a,
         },
         PinnedCase {
@@ -577,7 +577,7 @@ fn pinned_cases() -> [PinnedCase; 7] {
             },
             autoscale: None,
             covers: |o| o.gray.integrity_fails,
-            digest: 0xf73f_31b6_f51c_7f04,
+            digest: 0x2c9e_38d7_3056_b665,
             registry: 0x80a9_b3a1_2a66_61fe,
         },
         PinnedCase {
@@ -603,7 +603,7 @@ fn pinned_cases() -> [PinnedCase; 7] {
             },
             autoscale: None,
             covers: |o| o.faults.exhausted,
-            digest: 0x3611_77c9_cda3_3d4a,
+            digest: 0x6238_5b4f_56ff_8c84,
             registry: 0xaf50_2681_fa1d_3e69,
         },
         PinnedCase {

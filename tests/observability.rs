@@ -8,7 +8,8 @@
 //! chain with non-decreasing virtual timestamps for at least one
 //! request; (3) the sampled time series carries queue-depth and
 //! per-worker-utilization columns; (4) the exported Chrome JSON passes
-//! the structural validator CI runs.
+//! the structural validator CI runs; (5) on a faulted run, every series
+//! row agrees with the trace and the energy meter at its boundary.
 
 use vpu_coprocessor::obs::{request_chain, Phase};
 use vpu_coprocessor::serving::{
@@ -222,4 +223,79 @@ fn overhead_ledger_is_conserved_on_disk() {
     std::fs::remove_file(&path).ok();
     assert_eq!(written, on_disk, "counted bytes must equal the file size on disk");
     assert_eq!(written, t.overhead.trace_bytes);
+}
+
+/// Check every row of an observed run's series against the run's other
+/// books at its boundary `s`: the circuit state of the last
+/// CircuitOpen/CircuitClose at or before `s`, the Complete events and
+/// the Shed events ending before `s`, and the meter's power step
+/// function integrated to `s`, to the picojoule.
+fn assert_series_agrees_with_trace_and_meter(
+    outcome: &ServeOutcome,
+    obs: &vpu_coprocessor::serving::ServeObservation,
+) {
+    use vpu_coprocessor::obs::{Event, Lane};
+    use vpu_coprocessor::sim::SimTime;
+    let events = obs.events.events();
+    let count = |phase: Phase, before: &dyn Fn(&Event) -> bool| {
+        events.iter().filter(|e| e.phase == phase && before(e)).count() as u64
+    };
+    let power = outcome.energy.events(outcome.energy_horizon());
+    let lanes = obs.series.worker_labels.len();
+    for row in &obs.series.samples {
+        let s = row.t;
+        let at = (s - obs.series.epoch).as_millis();
+        for w in 0..lanes {
+            let last = events.iter().rev().find(|e| {
+                matches!(e.phase, Phase::CircuitOpen | Phase::CircuitClose)
+                    && e.ctx.worker == Some(w as u32)
+                    && e.start <= s
+            });
+            let open = last.is_some_and(|e| e.phase == Phase::CircuitOpen);
+            assert_eq!(row.circuit[w], f64::from(u8::from(open)), "circuit of w{w} at {at} ms");
+        }
+        assert_eq!(row.completed, count(Phase::Complete, &|e| e.start < s), "at {at} ms");
+        assert_eq!(row.shed, count(Phase::Shed, &|e| e.finish() < s), "at {at} ms");
+        let mut pj = 0;
+        for w in 0..lanes as u32 {
+            let steps: Vec<&Event> = power.iter().filter(|e| e.lane == Lane::Power(w)).collect();
+            for pair in steps.windows(2) {
+                let clip = |t: SimTime| t.min(s).nanos();
+                pj += pair[0].value.unwrap() * (clip(pair[1].start) - clip(pair[0].start));
+            }
+        }
+        assert_eq!(row.energy_j, pj as f64 / 1e12, "energy at {at} ms");
+    }
+}
+
+#[test]
+fn faulted_series_agrees_with_the_trace_and_the_meter_at_every_row() {
+    // Failover replans dispatches, so the loop learns of completions,
+    // sheds, circuit transitions and charged spans after it has passed
+    // their boundaries. Every row must still read what held at it.
+    use vpu_coprocessor::faults::FaultPlan;
+    use vpu_coprocessor::serving::{DispatchPolicy, RobustConfig};
+    let model = vpu_coprocessor::framework::ModelBundle::googlenet_untrained(
+        vpu_coprocessor::nn::googlenet::Variant::Full,
+        1,
+    );
+    let run = |fleet: &str, faults: &str, n: usize, cfg: ServeConfig| {
+        let spec = FleetSpec::parse(fleet).unwrap();
+        let workers = spec.build(&model);
+        let cfg = ServeConfig { max_batch: spec.preferred_batch(&workers), ..cfg };
+        let load = ArrivalProcess::Poisson { rate_per_sec: spec.capacity_rps(&workers) * 0.8 };
+        let mut workers = FaultPlan::parse(faults).unwrap().apply(workers, cfg.seed);
+        serve_observed(&mut workers, &cfg, &load, n, &ObsConfig::default())
+    };
+    // The run of `repro serve --scale tiny --faults '...'`: a circuit
+    // that reopens traffic while replanned dispatches land early.
+    let cfg = ServeConfig { policy: DispatchPolicy::CostAware, ..ServeConfig::default() };
+    let (outcome, obs) = run("cpu+gpu+8xvpu", "unplug@50ms:reconnect@150ms,execerr@0.1", 160, cfg);
+    assert!(outcome.faults.outages.iter().any(|o| o.until.is_some()), "a circuit must close");
+    assert_series_agrees_with_trace_and_meter(&outcome, &obs);
+    // A stick that never comes back: requests shed once out of attempts.
+    let cfg = ServeConfig { robust: RobustConfig { max_attempts: 2 }, ..ServeConfig::default() };
+    let (outcome, obs) = run("2*vpu", "unplug@30ms", 300, cfg);
+    assert!(outcome.faults.exhausted > 0, "requests must exhaust their attempts");
+    assert_series_agrees_with_trace_and_meter(&outcome, &obs);
 }
