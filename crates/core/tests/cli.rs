@@ -105,3 +105,27 @@ fn info_prints_the_calibrated_chip() {
     let chip = "  chip:    Myriad 2 MA2450 — 12 SHAVEs @ 600 MHz, 2 MB CMX, 4 GB LPDDR3";
     assert!(stdout.lines().any(|l| l == chip), "{stdout}");
 }
+
+#[test]
+fn benchmark_reports_are_pinned() {
+    for (args, line) in [
+        (
+            &["--target", "cpu"][..],
+            "target cpu | batch 8 | 16 images: 44.0 img/s (22.72 ms/image, 0.55 img/W)\n",
+        ),
+        (
+            &["--target", "gpu"],
+            "target gpu | batch 8 | 16 images: 73.7 img/s (13.56 ms/image, 0.92 img/W)\n",
+        ),
+        (
+            &["--target", "vpu"],
+            "target vpu | batch 8 | 16 images: 76.9 img/s (13.01 ms/image, 3.84 img/W)\n",
+        ),
+        (
+            &["--target", "vpu", "--devices", "4"],
+            "target vpu | batch 4 | 20 images: 39.5 img/s (25.35 ms/image, 3.95 img/W)\n",
+        ),
+    ] {
+        assert_eq!(stdout_of(&[&["benchmark"], args].concat()), line, "{args:?}");
+    }
+}
