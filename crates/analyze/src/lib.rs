@@ -57,5 +57,5 @@ pub use energy::{BusySpan, EnergyAnalysis, RequestEnergy, WorkerLedger};
 pub use explain::{explain, explain_chrome, explain_chrome_json, explain_request, Explanation};
 pub use flame::{folded, folded_energy};
 pub use parse::{parse_chrome_trace, parse_chrome_trace_sampled};
-pub use span::{DeviceSpans, OutageWindow, Outcome, RequestSpan, SpanForest};
+pub use span::{DeviceSpans, Outcome, RequestSpan, SpanForest};
 pub use whatif::{predict, rank, Component, Prediction};

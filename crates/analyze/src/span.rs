@@ -17,7 +17,7 @@
 //!   the request's transfer; the fabric copies are ignored here.
 
 use desim::{Duration, SimTime};
-use ncsw_obs::{EventLog, Lane, Phase, ShedCause};
+use ncsw_obs::{EventLog, Lane, OutageRecord, Phase, ShedCause};
 use std::collections::BTreeMap;
 
 /// Host-visible device spans of one request's successful attempt.
@@ -90,15 +90,6 @@ impl RequestSpan {
     }
 }
 
-/// One circuit-breaker outage window (`None` until = never re-closed
-/// within the trace).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OutageWindow {
-    pub worker: u32,
-    pub from: SimTime,
-    pub until: Option<SimTime>,
-}
-
 /// Every request's span tree plus the run-level side structures.
 #[derive(Debug, Clone, Default)]
 pub struct SpanForest {
@@ -106,8 +97,9 @@ pub struct SpanForest {
     /// Batch-level `Exec` spans (host devices execute whole batches
     /// with no per-image device detail): batch id → span.
     pub batch_exec: BTreeMap<u64, (SimTime, SimTime)>,
-    /// Circuit-breaker outage windows, in open order.
-    pub outages: Vec<OutageWindow>,
+    /// Circuit-breaker outage windows, in open order (`None` until =
+    /// never re-closed within the trace).
+    pub outages: Vec<OutageRecord>,
     /// `SloAlert` windows present in the trace.
     pub alerts: Vec<(SimTime, SimTime)>,
     /// Latest event finish in the log.
@@ -124,17 +116,15 @@ impl SpanForest {
             match (ev.phase, ev.ctx.request_id) {
                 (Phase::SloAlert, _) => f.alerts.push((ev.start, ev.finish())),
                 (Phase::CircuitOpen, _) => {
-                    if let Some(w) = ev.ctx.worker {
-                        f.outages.push(OutageWindow { worker: w, from: ev.start, until: None });
+                    if let Some(worker) = ev.ctx.worker.map(|w| w as usize) {
+                        f.outages.push(OutageRecord { worker, from: ev.start, until: None });
                     }
                 }
                 (Phase::CircuitClose, _) => {
-                    if let Some(w) = ev.ctx.worker {
-                        if let Some(o) =
-                            f.outages.iter_mut().rev().find(|o| o.worker == w && o.until.is_none())
-                        {
-                            o.until = Some(ev.start);
-                        }
+                    let worker = ev.ctx.worker.map(|w| w as usize);
+                    let mut open = f.outages.iter_mut().rev().filter(|o| o.until.is_none());
+                    if let Some(o) = open.find(|o| Some(o.worker) == worker) {
+                        o.until = Some(ev.start);
                     }
                 }
                 (Phase::Exec, None) => {

@@ -1,11 +1,10 @@
 //! E7 — the scalar anchors quoted in the paper's text (§IV–§V),
 //! measured from the simulation and compared side by side.
 
+use crate::fig6::{host_curve, vpu_curve};
 use crate::report;
 use crate::scale::Scale;
-use ncs_platform::PEAK_POWER_W;
-use ncsw::runner::latency_curve;
-use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle};
+use ncsw::{HostConfig, ModelBundle};
 use serde::{Deserialize, Serialize};
 use vpu_nn::googlenet::Variant;
 
@@ -37,30 +36,29 @@ pub fn anchors(scale: Scale) -> Anchors {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let images = scale.sweep_images();
     let b18 = [1usize, 8];
-    let (cpu_cfg, gpu_cfg) = (HostConfig::xeon_e5(), HostConfig::k4000());
-    let host = |cfg| latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), &b18, images);
-    let (cpu, gpu) = (host(cpu_cfg), host(gpu_cfg));
-    let vpu = latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), &b18, images);
+    let cpu = host_curve(&model, HostConfig::xeon_e5(), &b18, images);
+    let gpu = host_curve(&model, HostConfig::k4000(), &b18, images);
+    let vpu = vpu_curve(&model, &b18, images);
 
     let mut rows = Vec::new();
     let mut push = |what: &str, paper: f64, measured: f64| {
         rows.push(Anchor { what: what.into(), paper, measured });
     };
-    push("CPU batch-1 latency (ms)", 26.0, cpu[0].1);
-    push("GPU batch-1 latency (ms)", 25.9, gpu[0].1);
-    push("VPU single-stick latency (ms)", 100.7, vpu[0].1);
-    push("CPU batch-8 per-inference (ms)", 22.7, cpu[1].1);
-    push("GPU batch-8 per-inference (ms)", 13.5, gpu[1].1);
-    push("8xVPU per-inference (ms)", 12.9, vpu[1].1);
-    push("CPU batch-8 throughput (img/s)", 44.0, 1000.0 / cpu[1].1);
-    push("GPU batch-8 throughput (img/s)", 74.2, 1000.0 / gpu[1].1);
-    push("8xVPU throughput (img/s)", 77.2, 1000.0 / vpu[1].1);
-    push("single VPU vs CPU slowdown (x)", 4.0, vpu[0].1 / cpu[0].1);
-    push("VPU img/W at batch 1 (Eq. 1)", 3.97, 1000.0 / vpu[0].1 / PEAK_POWER_W);
-    push("CPU img/W at batch 8", 0.55, 1000.0 / cpu[1].1 / cpu_cfg.tdp_w);
-    push("GPU img/W at batch 8", 0.93, 1000.0 / gpu[1].1 / gpu_cfg.tdp_w);
+    push("CPU batch-1 latency (ms)", 26.0, cpu[0].ms);
+    push("GPU batch-1 latency (ms)", 25.9, gpu[0].ms);
+    push("VPU single-stick latency (ms)", 100.7, vpu[0].ms);
+    push("CPU batch-8 per-inference (ms)", 22.7, cpu[1].ms);
+    push("GPU batch-8 per-inference (ms)", 13.5, gpu[1].ms);
+    push("8xVPU per-inference (ms)", 12.9, vpu[1].ms);
+    push("CPU batch-8 throughput (img/s)", 44.0, 1000.0 / cpu[1].ms);
+    push("GPU batch-8 throughput (img/s)", 74.2, 1000.0 / gpu[1].ms);
+    push("8xVPU throughput (img/s)", 77.2, 1000.0 / vpu[1].ms);
+    push("single VPU vs CPU slowdown (x)", 4.0, vpu[0].ms / cpu[0].ms);
+    push("VPU img/W at batch 1 (Eq. 1)", 3.97, 1000.0 / vpu[0].ms / vpu[0].tdp_w);
+    push("CPU img/W at batch 8", 0.55, 1000.0 / cpu[1].ms / cpu[1].tdp_w);
+    push("GPU img/W at batch 8", 0.93, 1000.0 / gpu[1].ms / gpu[1].tdp_w);
     // Against the 0.9 W chip TDP the paper quotes for the Myriad 2.
-    push("CPU-to-8-chip TDP ratio (x)", 11.1, cpu_cfg.tdp_w / (8.0 * 0.9));
+    push("CPU-to-8-chip TDP ratio (x)", 11.1, cpu[1].tdp_w / (8.0 * 0.9));
     Anchors { rows }
 }
 

@@ -551,7 +551,7 @@ fn bench_diff(a: &Args) -> Outcome {
     let load = |path: &String| {
         serde_json::from_str::<sim_bench::SimBench>(&read_file(path)).map_err(|e| {
             eprintln!("{path}: not a BENCH_sim.json: {e}");
-            2
+            1
         })
     };
     let d = sim_bench::sim_bench_diff(

@@ -3,8 +3,8 @@
 
 use crate::report;
 use crate::scale::Scale;
-use ncsw::runner::{latency_curve, throughput_per_subset};
-use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle, TargetDevice, ThroughputReport};
+use ncsw::runner::{latency_curve, throughput_per_subset, CurvePoint, Feed};
+use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle, ServiceHook, ThroughputReport};
 use serde::{Deserialize, Serialize};
 use vpu_nn::googlenet::Variant;
 use vpu_num::stats;
@@ -42,18 +42,14 @@ pub fn fig6a(scale: Scale) -> Fig6a {
     let n = scale.throughput_images_per_subset();
     let batch = 8;
     let mut series = Vec::new();
-    let targets: Vec<(Box<dyn TargetDevice>, f64)> = vec![
-        (Box::new(HostTarget::new(model.clone(), HostConfig::xeon_e5())), PAPER_6A[0].1),
-        (Box::new(HostTarget::new(model.clone(), HostConfig::k4000())), PAPER_6A[1].1),
-        (Box::new(IntelVpu::new(model.clone(), batch)), PAPER_6A[2].1),
+    let targets: [(Box<dyn ServiceHook>, Feed); 3] = [
+        (Box::new(HostTarget::new(model.clone(), HostConfig::xeon_e5())), Feed::Batches),
+        (Box::new(HostTarget::new(model.clone(), HostConfig::k4000())), Feed::Batches),
+        (Box::new(IntelVpu::new(model.clone(), batch)), Feed::Stream),
     ];
-    for (mut target, paper) in targets {
-        let subsets = throughput_per_subset(target.as_mut(), 5, n, batch);
-        series.push(Fig6aSeries {
-            target: target.name().to_string(),
-            subsets,
-            paper_img_per_sec: paper,
-        });
+    for ((mut target, feed), (name, paper)) in targets.into_iter().zip(PAPER_6A) {
+        let subsets = throughput_per_subset(target.as_mut(), name, feed, 5, n, batch);
+        series.push(Fig6aSeries { target: name.into(), subsets, paper_img_per_sec: paper });
     }
     Fig6a { scale, batch, series }
 }
@@ -98,33 +94,45 @@ pub struct Fig6b {
     pub series: Vec<Fig6bSeries>,
 }
 
+/// A host preset's latency curve over `batches` (Figs. 6b and 8).
+pub(crate) fn host_curve(
+    model: &ModelBundle,
+    cfg: HostConfig,
+    batches: &[usize],
+    images: usize,
+) -> Vec<CurvePoint> {
+    latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), Feed::Batches, batches, images)
+}
+
+/// The VPU fleet's latency curve, one stick per image of each batch.
+pub(crate) fn vpu_curve(model: &ModelBundle, batches: &[usize], images: usize) -> Vec<CurvePoint> {
+    latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), Feed::Stream, batches, images)
+}
+
 /// Run Fig. 6b: batch ∈ {1,2,4,8}; the number of active VPUs is coupled
 /// to the batch size, each device type normalized to its own batch-1
 /// latency.
-/// A named per-batch latency curve with its paper reference scalar.
-type LatencyCurve = (String, Vec<(usize, f64)>, f64);
-
 pub fn fig6b(scale: Scale) -> Fig6b {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let batches = vec![1usize, 2, 4, 8];
     let images = scale.sweep_images();
     let mut series = Vec::new();
 
-    let host =
-        |cfg| latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), &batches, images);
-    let curves: Vec<LatencyCurve> = vec![
-        ("cpu".into(), host(HostConfig::xeon_e5()), PAPER_6B[0].1),
-        ("gpu".into(), host(HostConfig::k4000()), PAPER_6B[1].1),
-        (
-            "vpu".into(),
-            latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), &batches, images),
-            PAPER_6B[2].1,
-        ),
+    let curves = [
+        host_curve(&model, HostConfig::xeon_e5(), &batches, images),
+        host_curve(&model, HostConfig::k4000(), &batches, images),
+        vpu_curve(&model, &batches, images),
     ];
-    for (target, latency_ms, paper) in curves {
+    for (curve, (target, paper)) in curves.into_iter().zip(PAPER_6B) {
+        let latency_ms: Vec<(usize, f64)> = curve.iter().map(|p| (p.batch, p.ms)).collect();
         let t1 = latency_ms[0].1;
         let normalized = latency_ms.iter().map(|&(b, t)| (b, t1 / t)).collect();
-        series.push(Fig6bSeries { target, latency_ms, normalized, paper_norm_at_8: paper });
+        series.push(Fig6bSeries {
+            target: target.into(),
+            latency_ms,
+            normalized,
+            paper_norm_at_8: paper,
+        });
     }
     Fig6b { scale, batches, series }
 }

@@ -1,11 +1,11 @@
 //! Fig. 8a — throughput per Watt (Eq. 1) per batch size, and
 //! Fig. 8b — projected inference performance for batch sizes 1–16.
 
+use crate::fig6::{host_curve, vpu_curve};
 use crate::report;
 use crate::scale::Scale;
-use ncs_platform::PEAK_POWER_W;
-use ncsw::runner::latency_curve;
-use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle};
+use ncsw::runner::CurvePoint;
+use ncsw::{HostConfig, ModelBundle};
 use serde::{Deserialize, Serialize};
 use vpu_nn::googlenet::Variant;
 
@@ -29,40 +29,30 @@ pub struct Fig8a {
     pub series: Vec<PowerSeries>,
 }
 
-/// Fig. 8a's series for one target: Eq. (1) with the TDP charged at
-/// each batch size.
-fn series_of(
-    target: &str,
-    latency: &[(usize, f64)],
-    tdp_w: impl Fn(usize) -> f64,
-    paper: f64,
-) -> PowerSeries {
-    let points = latency
+/// Fig. 8a's series for one target: Eq. (1) with the TDP the device
+/// charges at each batch size.
+fn series_of(target: &str, curve: &[CurvePoint], paper: f64) -> PowerSeries {
+    let points = curve
         .iter()
-        .map(|&(b, ms)| {
-            let ips = 1000.0 / ms;
-            (b, ips, ips / tdp_w(b))
+        .map(|p| {
+            let ips = 1000.0 / p.ms;
+            (p.batch, ips, ips / p.tdp_w)
         })
         .collect();
     PowerSeries { target: target.into(), points, paper_img_per_watt: paper }
 }
 
-/// Fig. 8a's accounting: whole-package TDP for the hosts, one stick's
-/// peak per active VPU — each read from the device's own config.
+/// Fig. 8a's accounting, each TDP read from the device's energy profile:
+/// whole-package TDP for the hosts, one stick's peak per active VPU.
 fn power_series(scale: Scale, batches: &[usize]) -> Vec<PowerSeries> {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
     let images = scale.sweep_images();
     let hosts = [(HostConfig::xeon_e5(), PAPER_8A[0].1), (HostConfig::k4000(), PAPER_8A[1].1)];
     let mut series: Vec<PowerSeries> = hosts
         .into_iter()
-        .map(|(cfg, paper)| {
-            let lat =
-                latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), batches, images);
-            series_of(cfg.name, &lat, |_| cfg.tdp_w, paper)
-        })
+        .map(|(cfg, paper)| series_of(cfg.name, &host_curve(&model, cfg, batches, images), paper))
         .collect();
-    let lat = latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), batches, images);
-    series.push(series_of("vpu", &lat, |b| PEAK_POWER_W * b as f64, PAPER_8A[2].1));
+    series.push(series_of("vpu", &vpu_curve(&model, batches, images), PAPER_8A[2].1));
     series
 }
 
@@ -123,18 +113,17 @@ pub fn fig8b(scale: Scale) -> Fig8b {
     let mut series = Vec::new();
     let hosts = [(HostConfig::xeon_e5(), PAPER_8B[0].1), (HostConfig::k4000(), PAPER_8B[1].1)];
     for (cfg, paper_max) in hosts {
-        let lat =
-            latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), &batches, images);
+        let curve = host_curve(&model, cfg, &batches, images);
         series.push(Fig8bSeries {
             target: cfg.name.into(),
-            simulated: lat.iter().map(|&(b, ms)| (b, 1000.0 / ms)).collect(),
+            simulated: curve.iter().map(|p| (p.batch, 1000.0 / p.ms)).collect(),
             projected: vec![],
             paper_max,
         });
     }
     // VPU: simulate every fleet size.
-    let lat = latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), &batches, images);
-    let simulated: Vec<(usize, f64)> = lat.iter().map(|&(b, ms)| (b, 1000.0 / ms)).collect();
+    let curve = vpu_curve(&model, &batches, images);
+    let simulated: Vec<(usize, f64)> = curve.iter().map(|p| (p.batch, 1000.0 / p.ms)).collect();
     // Paper-style projection: linear continuation of the 8-stick point.
     let at8 = simulated.iter().find(|&&(b, _)| b == 8).expect("batch 8 present").1;
     let projected =

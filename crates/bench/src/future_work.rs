@@ -8,9 +8,9 @@
 
 use crate::report;
 use crate::scale::Scale;
-use ncs_platform::PEAK_POWER_W;
-use ncsw::multivpu::{MultiVpu, MultiVpuConfig};
-use ncsw::{HostConfig, HostTarget, ModelBundle, TargetDevice};
+use ncsw::runner::{throughput, Feed};
+use ncsw::{HostConfig, HostTarget, IntelVpu, ModelBundle, ServiceHook};
+use ncsw_obs::watts;
 use serde::{Deserialize, Serialize};
 use vpu_nn::googlenet::Variant;
 
@@ -36,8 +36,9 @@ pub fn future_work(scale: Scale) -> FutureWork {
     // rounds up to one), charged its own TDP.
     let host_row = |device: &str, cfg: HostConfig, batch: usize| {
         let mut target = HostTarget::new(model.clone(), cfg);
-        let r = target.run_throughput(images.max(batch).div_ceil(batch) * batch, batch);
-        let tdp_w = target.tdp_w(batch);
+        let whole = images.max(batch).div_ceil(batch) * batch;
+        let r = throughput(&mut target, device, Feed::Batches, whole, batch);
+        let tdp_w = watts(target.energy_profile().tdp_mw);
         FutureWorkRow {
             device: device.into(),
             batch,
@@ -55,10 +56,9 @@ pub fn future_work(scale: Scale) -> FutureWork {
     // 8 sticks (the paper's testbed) and a 32-stick "blade" thought
     // experiment at the V100's power class.
     for sticks in [8usize, 32] {
-        let cfg = MultiVpuConfig::paper_testbed(sticks);
-        let tdp = PEAK_POWER_W * sticks as f64;
-        let mut mv = MultiVpu::new(cfg, &model);
-        let run = mv.run_pipeline((images / 2).max(sticks * 3));
+        let mut vpu = IntelVpu::new(model.clone(), sticks);
+        let tdp = watts(vpu.energy_profile().tdp_mw);
+        let run = vpu.pipeline_mut().run_pipeline((images / 2).max(sticks * 3));
         rows.push(FutureWorkRow {
             device: format!("{sticks}x ncs"),
             batch: sticks,

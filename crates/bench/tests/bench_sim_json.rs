@@ -2,8 +2,8 @@
 //!
 //! A generated [`SimBench`] prints and parses back to itself. A mutated
 //! document is either read — and `sim_bench_diff` renders it — or
-//! refused; given to `repro bench-diff`, a refused one exits 2 with one
-//! stderr line, never a panic or a crash.
+//! refused; given to `repro bench-diff`, a refused one exits 1 (bad
+//! data) with one stderr line, never a panic or a crash.
 
 use proptest::TestRng;
 use std::path::Path;
@@ -183,7 +183,7 @@ fn mutated_documents_are_read_or_refused_in_one_line() {
             match read {
                 Ok(_) => assert!(matches!(code, Some(0 | 1)), "{doc}\nexit {code:?}: {stderr}"),
                 Err(_) => {
-                    assert_eq!(code, Some(2), "{doc}\n{stderr}");
+                    assert_eq!(code, Some(1), "{doc}\n{stderr}");
                     assert_eq!(stderr.lines().count(), 1, "{doc}\nwant one line, got {stderr}");
                 }
             }

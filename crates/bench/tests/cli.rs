@@ -180,3 +180,19 @@ fn validate_trace_json_writes_the_check() {
     let printed = repro(&[os("validate-trace"), trace.as_os_str(), os("--json")]);
     assert_eq!(printed, written);
 }
+
+#[test]
+fn bench_diff_refuses_a_json_file_that_is_not_a_bench_sim_as_bad_data() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let doc = dir.join("not_bench_sim.json");
+    std::fs::write(&doc, r#"{"cells": 3}"#).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("bench-diff")
+        .args([&doc, &doc])
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "want one line, got {stderr}");
+    assert!(stderr.contains("not a BENCH_sim.json"), "{stderr}");
+}

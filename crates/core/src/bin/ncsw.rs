@@ -16,9 +16,10 @@ use std::sync::Arc;
 
 use hostsim::MAX_BATCH;
 use ilsvrc_sim::{pseudo_train, DatasetConfig, ValidationSet};
-use ncsw::runner::{predictions_fp16, predictions_fp32};
+use ncsw::runner::{predictions_fp16, predictions_fp32, throughput, Feed};
 use ncsw::{print, println};
-use ncsw::{HostConfig, HostTarget, ImageFolder, IntelVpu, ModelBundle, TargetDevice, MAX_STICKS};
+use ncsw::{HostConfig, HostTarget, ImageFolder, IntelVpu, ModelBundle, ServiceHook, MAX_STICKS};
+use ncsw_obs::watts;
 use vpu_nn::googlenet::Variant;
 use vpu_num::simd::Width;
 
@@ -172,9 +173,9 @@ fn classify(args: &Args) {
 
 fn benchmark(args: &Args) -> Result<(), Refusal> {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
-    let host = |cfg: HostConfig| -> Result<Box<dyn TargetDevice>, Refusal> {
+    let host = |cfg: HostConfig| -> Result<Box<dyn ServiceHook>, Refusal> {
         let target = HostTarget::new(model.clone(), cfg);
-        match target.device().max_batch(target.cost()) {
+        match target.max_batch() {
             Some(max) if args.batch > max => Err(bad(
                 "--batch",
                 args.batch,
@@ -183,7 +184,7 @@ fn benchmark(args: &Args) -> Result<(), Refusal> {
             _ => Ok(Box::new(target)),
         }
     };
-    let mut target: Box<dyn TargetDevice> = match args.target.as_str() {
+    let mut target: Box<dyn ServiceHook> = match args.target.as_str() {
         "cpu" => host(HostConfig::xeon_e5())?,
         "gpu" => host(HostConfig::k4000())?,
         // The framework couples batch size to active sticks; --devices
@@ -194,18 +195,21 @@ fn benchmark(args: &Args) -> Result<(), Refusal> {
         }
         _ => Box::new(IntelVpu::new(model, args.batch)),
     };
-    let batch = if args.target == "vpu" && args.devices > 1 { args.devices } else { args.batch };
+    let (feed, batch) = match args.target.as_str() {
+        "vpu" => (Feed::Stream, target.preferred_batch()),
+        _ => (Feed::Batches, args.batch),
+    };
     // Whole batches of the batch actually run, at least one.
     let images = args.images.max(batch) / batch * batch;
-    let r = target.run_throughput(images, batch);
+    let r = throughput(target.as_mut(), &args.target, feed, images, batch);
     println!(
         "target {} | batch {} | {} images: {:.1} img/s ({:.2} ms/image, {:.2} img/W)",
-        target.name(),
+        r.target,
         batch,
         images,
         r.images_per_sec(),
         r.per_image_ms(),
-        r.images_per_watt(target.tdp_w(batch)),
+        r.images_per_watt(watts(target.energy_profile().tdp_mw)),
     );
     Ok(())
 }

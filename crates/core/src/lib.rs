@@ -7,9 +7,9 @@
 //! ```text
 //! Application ── SourceImage ──┬─ ImageFolder
 //!              │               └─ MpiStream
-//!              └─ TargetDevice ─┬─ HostTarget (HostConfig preset: Caffe-MKL
-//!                               │              CPU, Caffe-cuDNN GPU, V100, KNL)
-//!                               └─ IntelVpu   (NCAPI, multi-stick)
+//!              └─ ServiceHook ─┬─ HostTarget (HostConfig preset: Caffe-MKL
+//!                              │              CPU, Caffe-cuDNN GPU, V100, KNL)
+//!                              └─ IntelVpu   (NCAPI, multi-stick)
 //! ```
 //!
 //! The multi-VPU target implements the paper's Fig. 4 execution pipeline:
@@ -80,4 +80,4 @@ pub use service::{BatchRun, FailureKind, ScaleComponent, ScalePlan, ServeError, 
 pub use hostsim;
 pub use hostsim::HostConfig;
 pub use source::{ImageFolder, MpiStream, SourceImage};
-pub use target::{HostTarget, IntelVpu, TargetDevice, MAX_STICKS};
+pub use target::{HostTarget, IntelVpu, MAX_STICKS};

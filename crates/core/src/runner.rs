@@ -1,37 +1,112 @@
-//! Experiment runners: glue sources, targets and metrics into the
+//! Experiment runners: glue sources, devices and metrics into the
 //! figure-shaped measurements.
 
 use crate::metrics::{Prediction, ThroughputReport};
 use crate::model::ModelBundle;
+use crate::service::ServiceHook;
 use crate::source::SourceImage;
-use crate::target::TargetDevice;
+use desim::{Duration, SimTime};
+use ncsw_obs::{watts, BatchObs, NullRecorder};
 use rayon::prelude::*;
 use vpu_tensor::Element;
 
-/// Fig. 6a shape: throughput of one target over several subsets.
+/// How a throughput run submits its images to a device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feed {
+    /// One call per batch: a host runs each call as one batch.
+    Batches,
+    /// One call for the whole stream: the VPU fleet pipelines it one
+    /// image per stick per wave, so the paper couples the batch to the
+    /// number of sticks.
+    Stream,
+}
+
+/// Feed `images` to `hook` in batches of `batch` and report, under
+/// `name`, the throughput of each window of `batch` results (the
+/// per-window samples give the error bars; a partial last window is
+/// dropped).
+pub fn throughput(
+    hook: &mut dyn ServiceHook,
+    name: &str,
+    feed: Feed,
+    images: usize,
+    batch: usize,
+) -> ThroughputReport {
+    assert!(images >= batch, "need at least one full batch");
+    let calls = match feed {
+        Feed::Batches => vec![batch; images / batch],
+        Feed::Stream => {
+            assert_eq!(
+                batch,
+                hook.preferred_batch(),
+                "the paper couples batch size to the number of active VPUs"
+            );
+            vec![images]
+        }
+    };
+    let mut start = None;
+    let mut ready = SimTime::ZERO;
+    let mut done = Vec::with_capacity(images);
+    for n in calls {
+        let run = hook
+            .try_serve_obs(n, ready, &mut BatchObs::disabled(&mut NullRecorder))
+            .unwrap_or_else(|e| panic!("{name} failed a throughput call: {:?}", e.kind));
+        start.get_or_insert(run.start);
+        done.extend(run.done);
+        ready = run.end;
+    }
+    let mut window_start = start.expect("at least one call");
+    let windows: Vec<Duration> = done
+        .chunks_exact(batch)
+        .map(|window| {
+            let end = *window.iter().max().expect("non-empty window");
+            let span = end - window_start;
+            window_start = end;
+            span
+        })
+        .collect();
+    ThroughputReport::from_window_times(name, batch, batch, &windows)
+}
+
+/// Fig. 6a shape: throughput of one device over several subsets.
 pub fn throughput_per_subset(
-    target: &mut dyn TargetDevice,
+    hook: &mut dyn ServiceHook,
+    name: &str,
+    feed: Feed,
     subsets: usize,
     images_per_subset: usize,
     batch: usize,
 ) -> Vec<ThroughputReport> {
-    (0..subsets).map(|_| target.run_throughput(images_per_subset, batch)).collect()
+    (0..subsets).map(|_| throughput(hook, name, feed, images_per_subset, batch)).collect()
 }
 
-/// Fig. 6b shape: per-image latency (ms) at each batch size, normalized
-/// to the batch-1 latency by the caller.
+/// One point of a batch sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CurvePoint {
+    pub batch: usize,
+    /// Mean per-image latency (ms).
+    pub ms: f64,
+    /// The TDP Eq. (1) charges the device at this batch (W).
+    pub tdp_w: f64,
+}
+
+/// Fig. 6b/8 shape: per-image latency at each batch size, on a device
+/// made for that batch (the caller normalizes to the batch-1 latency).
 pub fn latency_curve(
-    mut make_target: impl FnMut(usize) -> Box<dyn TargetDevice>,
+    mut make: impl FnMut(usize) -> Box<dyn ServiceHook>,
+    feed: Feed,
     batches: &[usize],
     images_per_point: usize,
-) -> Vec<(usize, f64)> {
+) -> Vec<CurvePoint> {
     batches
         .iter()
-        .map(|&b| {
-            let mut t = make_target(b);
-            let images = images_per_point.max(b) / b * b;
-            let r = t.run_throughput(images, b);
-            (b, r.per_image_ms())
+        .map(|&batch| {
+            let mut hook = make(batch);
+            let images = images_per_point.max(batch) / batch * batch;
+            let label = hook.label();
+            let r = throughput(hook.as_mut(), &label, feed, images, batch);
+            let tdp_w = watts(hook.energy_profile().tdp_mw);
+            CurvePoint { batch, ms: r.per_image_ms(), tdp_w }
         })
         .collect()
 }
@@ -95,11 +170,37 @@ mod tests {
         (ModelBundle::deploy(spec, weights), set)
     }
 
+    fn full_model() -> ModelBundle {
+        ModelBundle::googlenet_untrained(Variant::Full, 1)
+    }
+
+    #[test]
+    fn host_and_vpu_throughput_match_the_anchors() {
+        // Paper: 44.0 / 74.2 img/s on the hosts at batch 8, 77.2 img/s on
+        // 8 sticks.
+        let mut cpu = HostTarget::new(full_model(), HostConfig::xeon_e5());
+        let r = throughput(&mut cpu, "cpu", Feed::Batches, 80, 8);
+        assert!((42.0..46.0).contains(&r.images_per_sec()), "CPU {}", r.images_per_sec());
+        assert!(r.samples.stddev > 0.0, "expected jittered error bars");
+        let mut gpu = HostTarget::new(full_model(), HostConfig::k4000());
+        let r = throughput(&mut gpu, "gpu", Feed::Batches, 80, 8);
+        assert!((71.0..78.0).contains(&r.images_per_sec()), "GPU {}", r.images_per_sec());
+        let mut vpu = IntelVpu::new(full_model(), 8);
+        let r = throughput(&mut vpu, "vpu", Feed::Stream, 64, 8);
+        assert!((71.0..84.0).contains(&r.images_per_sec()), "VPU {}", r.images_per_sec());
+        assert_eq!(r.target, "vpu");
+    }
+
+    #[test]
+    #[should_panic(expected = "couples batch size")]
+    fn a_streamed_batch_must_equal_the_sticks() {
+        throughput(&mut IntelVpu::new(full_model(), 4), "vpu", Feed::Stream, 16, 8);
+    }
+
     #[test]
     fn throughput_per_subset_gives_five_bars() {
-        let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
-        let mut cpu = HostTarget::new(model, HostConfig::xeon_e5());
-        let reports = throughput_per_subset(&mut cpu, 5, 40, 8);
+        let mut cpu = HostTarget::new(full_model(), HostConfig::xeon_e5());
+        let reports = throughput_per_subset(&mut cpu, "cpu", Feed::Batches, 5, 40, 8);
         assert_eq!(reports.len(), 5);
         for r in &reports {
             assert!((40.0..48.0).contains(&r.images_per_sec()), "{}", r.images_per_sec());
@@ -111,17 +212,26 @@ mod tests {
 
     #[test]
     fn latency_curve_shapes() {
-        let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
+        let model = full_model();
         let host = |cfg, batches: &[usize]| {
-            latency_curve(|_| Box::new(HostTarget::new(model.clone(), cfg)), batches, 16)
+            latency_curve(
+                |_| Box::new(HostTarget::new(model.clone(), cfg)),
+                Feed::Batches,
+                batches,
+                16,
+            )
         };
         let cpu_curve = host(HostConfig::xeon_e5(), &[1, 2, 4, 8]);
-        let t1 = cpu_curve[0].1;
-        let t8 = cpu_curve[3].1;
+        let t1 = cpu_curve[0].ms;
+        let t8 = cpu_curve[3].ms;
         assert!((1.05..1.25).contains(&(t1 / t8)), "CPU scaling {}", t1 / t8);
+        assert!(cpu_curve.iter().all(|p| p.tdp_w == 80.0));
         let gpu_curve = host(HostConfig::k4000(), &[1, 8]);
-        let g = gpu_curve[0].1 / gpu_curve[1].1;
+        let g = gpu_curve[0].ms / gpu_curve[1].ms;
         assert!((1.75..2.1).contains(&g), "GPU scaling {g}");
+        let vpu_curve =
+            latency_curve(|b| Box::new(IntelVpu::new(model.clone(), b)), Feed::Stream, &[1, 2], 4);
+        assert_eq!(vpu_curve.iter().map(|p| p.tdp_w).collect::<Vec<_>>(), [2.5, 5.0]);
     }
 
     #[test]
@@ -143,9 +253,8 @@ mod tests {
 
     #[test]
     fn vpu_throughput_runner_integration() {
-        let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
-        let mut vpu = IntelVpu::new(model, 2);
-        let reports = throughput_per_subset(&mut vpu, 2, 8, 2);
+        let mut vpu = IntelVpu::new(full_model(), 2);
+        let reports = throughput_per_subset(&mut vpu, "vpu", Feed::Stream, 2, 8, 2);
         assert_eq!(reports.len(), 2);
         for r in &reports {
             // 2 sticks: ~2x single-stick throughput (~19.8 img/s).

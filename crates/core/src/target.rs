@@ -1,27 +1,19 @@
-//! Target devices (paper Fig. 3, right side).
+//! Target devices (paper Fig. 3, right side). Each is driven through
+//! the one device interface, [`crate::ServiceHook`].
 
-use crate::metrics::ThroughputReport;
 use crate::model::ModelBundle;
 use crate::multivpu::{MultiVpu, MultiVpuConfig};
+use crate::service::{BatchRun, ServeError, ServiceHook};
 use desim::{Duration, SimTime};
 use hostsim::{HostConfig, HostDevice};
+use myriad2::power::PowerModel;
+use ncsw_obs::{BatchObs, Ctx, EnergyProfile, Event, Lane, Phase};
 use std::sync::Arc;
 use vpu_nn::cost::NetworkCost;
 
-/// Abstract inference target — `TargetDevice` in the paper's class
-/// diagram. A target simulates the time to chew through a stream of
-/// images at a given batch size. It does no arithmetic: classification
-/// runs the model's compiled networks directly ([`crate::runner`]).
-pub trait TargetDevice {
-    fn name(&self) -> &str;
-
-    /// TDP charged in Eq. (1) at a given batch size (the VPU's scales
-    /// with the number of active sticks).
-    fn tdp_w(&self, batch: usize) -> f64;
-
-    /// Process `images` inputs in batches of `batch`; returns the
-    /// throughput report with per-window samples for error bars.
-    fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport;
+/// Watts to the integer milliwatts the energy meter integrates with.
+fn mw(watts: f64) -> u64 {
+    (watts * 1e3).round() as u64
 }
 
 /// A host target — the Caffe-MKL CPU, the Caffe-cuDNN GPU or a §VII
@@ -36,41 +28,53 @@ impl HostTarget {
     pub fn new(model: ModelBundle, cfg: HostConfig) -> Self {
         HostTarget { dev: HostDevice::new(cfg), cost: model.cost32 }
     }
-
-    pub fn device(&self) -> &HostDevice {
-        &self.dev
-    }
-
-    pub fn device_mut(&mut self) -> &mut HostDevice {
-        &mut self.dev
-    }
-
-    pub fn cost(&self) -> &Arc<NetworkCost> {
-        &self.cost
-    }
 }
 
-impl TargetDevice for HostTarget {
-    fn name(&self) -> &str {
-        self.dev.config().name
+impl ServiceHook for HostTarget {
+    fn label(&self) -> String {
+        self.dev.config().name.to_string()
     }
 
-    fn tdp_w(&self, _batch: usize) -> f64 {
-        self.dev.config().tdp_w
-    }
-
-    /// Serial batches, window = batch.
-    fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport {
-        assert!(images >= batch, "need at least one full batch");
-        let full_batches = images / batch;
-        let mut windows: Vec<Duration> = Vec::with_capacity(full_batches);
-        let mut t = SimTime::ZERO;
-        for _ in 0..full_batches {
-            let run = self.dev.run_batch(&self.cost, batch, t);
-            windows.push(run.duration());
-            t = run.end;
+    fn try_serve_obs(
+        &mut self,
+        batch: usize,
+        ready: SimTime,
+        obs: &mut BatchObs<'_>,
+    ) -> Result<BatchRun, ServeError> {
+        let run = self.dev.run_batch(&self.cost, batch, ready);
+        if obs.enabled() {
+            let ctx =
+                Ctx { request_id: None, batch_id: Some(obs.batch_id), worker: Some(obs.worker) };
+            obs.rec.record(Event::span(
+                Phase::Exec,
+                Lane::Worker(obs.worker),
+                run.start,
+                run.end,
+                ctx,
+            ));
         }
-        ThroughputReport::from_window_times(self.dev.config().name, batch, batch, &windows)
+        Ok(BatchRun { start: run.start, end: run.end, done: vec![run.end; batch], wire: None })
+    }
+
+    fn estimate(&self, batch: usize) -> Duration {
+        self.dev.batch_duration(&self.cost, batch)
+    }
+
+    fn busy_until(&self) -> SimTime {
+        self.dev.now()
+    }
+
+    fn preferred_batch(&self) -> usize {
+        8
+    }
+
+    fn max_batch(&self) -> Option<usize> {
+        self.dev.max_batch(&self.cost)
+    }
+
+    fn energy_profile(&self) -> EnergyProfile {
+        let cfg = self.dev.config();
+        EnergyProfile::new(self.label(), mw(cfg.tdp_w), mw(cfg.idle_w), mw(cfg.tdp_w))
     }
 }
 
@@ -80,8 +84,9 @@ impl TargetDevice for HostTarget {
 pub const MAX_STICKS: usize = 1024;
 
 /// The multi-stick VPU target. The paper couples the number of active
-/// sticks to the batch size, so `run_throughput` requires
-/// `batch == devices`.
+/// sticks to the batch size: a throughput run streams it every image in
+/// one call and windows the results by `devices`
+/// ([`crate::runner::Feed::Stream`]).
 pub struct IntelVpu {
     mv: MultiVpu,
     /// Calibrated latency model for online dispatch: makespan of one
@@ -109,121 +114,171 @@ impl IntelVpu {
         IntelVpu { mv, svc_first_wave: one, svc_per_wave: per_wave }
     }
 
-    pub fn devices(&self) -> usize {
-        self.mv.devices()
-    }
-
     pub fn pipeline_mut(&mut self) -> &mut MultiVpu {
         &mut self.mv
     }
-
-    pub fn pipeline(&self) -> &MultiVpu {
-        &self.mv
-    }
-
-    /// `(first_wave, per_wave)` of the calibrated latency model.
-    pub fn service_latency_model(&self) -> (Duration, Duration) {
-        (self.svc_first_wave, self.svc_per_wave)
-    }
 }
 
-impl TargetDevice for IntelVpu {
-    fn name(&self) -> &str {
-        "vpu"
+impl ServiceHook for IntelVpu {
+    fn label(&self) -> String {
+        format!("vpu x{}", self.mv.devices())
     }
 
-    fn tdp_w(&self, batch: usize) -> f64 {
-        // One stick's peak TDP per active VPU (Fig. 8a's accounting).
-        ncs_platform::PEAK_POWER_W * batch as f64
+    fn try_serve_obs(
+        &mut self,
+        batch: usize,
+        ready: SimTime,
+        obs: &mut BatchObs<'_>,
+    ) -> Result<BatchRun, ServeError> {
+        let report = self.mv.run_pipeline_obs(batch, ready, obs);
+        Ok(BatchRun { start: report.start, end: report.end, done: report.result_times, wire: None })
     }
 
-    fn run_throughput(&mut self, images: usize, batch: usize) -> ThroughputReport {
-        assert_eq!(
-            batch,
-            self.mv.devices(),
-            "the paper couples batch size to the number of active VPUs"
-        );
-        let report = self.mv.run_pipeline(images);
-        // Windows of `batch` results give the per-window samples.
-        let mut windows = Vec::new();
-        let mut window_start = report.start;
-        let mut i = 0;
-        while i + batch <= images {
-            let end =
-                (i..i + batch).map(|k| report.result_times[k]).max().expect("non-empty window");
-            windows.push(end - window_start);
-            window_start = end;
-            i += batch;
-        }
-        if windows.is_empty() {
-            windows.push(report.end - report.start);
-        }
-        ThroughputReport::from_window_times("vpu", batch, batch, &windows)
+    fn estimate(&self, batch: usize) -> Duration {
+        let waves = batch.div_ceil(self.mv.devices()) as u64;
+        self.svc_first_wave + self.svc_per_wave * waves.saturating_sub(1)
+    }
+
+    fn busy_until(&self) -> SimTime {
+        self.mv.busy_until()
+    }
+
+    fn preferred_batch(&self) -> usize {
+        self.mv.devices()
+    }
+
+    /// A `vpu xN` worker draws N chips' worth: every SHAVE island plus
+    /// CMX/DDR active while a wave runs (900 mW/chip default), gated
+    /// islands between batches (172 mW/chip), whole-stick peak power as
+    /// the Eq. 1 TDP (2.5 W/stick, the paper's conservative framing).
+    fn energy_profile(&self) -> EnergyProfile {
+        let pm = PowerModel::of(&self.mv.config().ncs.chip);
+        let d = self.mv.devices() as u64;
+        EnergyProfile::new(
+            self.label(),
+            d * pm.busy_mw(),
+            d * pm.gated_mw(),
+            d * mw(ncs_platform::PEAK_POWER_W),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ModelBundle;
+    use hostsim::HostConfig;
     use vpu_nn::googlenet::Variant;
 
     fn model() -> ModelBundle {
         ModelBundle::googlenet_untrained(Variant::Full, 1)
     }
 
-    fn tiny_model() -> ModelBundle {
-        ModelBundle::googlenet_untrained(Variant::Tiny, 1)
-    }
-
     #[test]
-    fn cpu_throughput_matches_anchor() {
+    fn hosts_serialize_consecutive_batches() {
         let mut cpu = HostTarget::new(model(), HostConfig::xeon_e5());
-        let r = cpu.run_throughput(80, 8);
-        // Paper: 44.0 img/s at batch 8.
-        let ips = r.images_per_sec();
-        assert!((42.0..46.0).contains(&ips), "CPU {ips} img/s");
-        assert!(r.samples.stddev > 0.0, "expected jittered error bars");
+        let a = cpu.serve(4, SimTime::ZERO);
+        let b = cpu.serve(4, SimTime::ZERO);
+        assert!(b.start >= a.end, "second batch must queue behind the first");
+        assert_eq!(a.done.len(), 4);
+        assert_eq!(cpu.busy_until(), b.end);
     }
 
     #[test]
-    fn gpu_throughput_matches_anchor() {
-        let mut gpu = HostTarget::new(model(), HostConfig::k4000());
-        let r = gpu.run_throughput(80, 8);
-        // Paper: 74.2 img/s at batch 8.
-        let ips = r.images_per_sec();
-        assert!((71.0..78.0).contains(&ips), "GPU {ips} img/s");
+    fn host_estimate_matches_nominal_latency() {
+        let cpu = HostTarget::new(model(), HostConfig::xeon_e5());
+        // Paper anchor: 26.0 ms at batch 1.
+        let ms = ServiceHook::estimate(&cpu, 1).as_millis();
+        assert!((25.2..26.8).contains(&ms), "cpu estimate {ms} ms");
     }
 
     #[test]
-    fn vpu_throughput_matches_anchor() {
-        let mut vpu = IntelVpu::new(model(), 8);
-        let r = vpu.run_throughput(64, 8);
-        // Paper: 77.2 img/s at 8 sticks.
-        let ips = r.images_per_sec();
-        assert!((71.0..84.0).contains(&ips), "VPU {ips} img/s");
+    fn vpu_serves_incrementally_with_per_image_completions() {
+        let mut vpu = IntelVpu::new(model(), 4);
+        let boot = vpu.busy_until();
+        let late = boot + Duration::from_millis(500.0);
+        let run = vpu.serve(8, late);
+        assert!(run.start >= late, "batch must not start before dispatch");
+        assert_eq!(run.done.len(), 8);
+        assert!(run.done.iter().all(|&t| t > run.start && t <= run.end));
+        // Two waves on four sticks: completions are staggered, not
+        // all-at-end like the host devices.
+        assert!(run.done.iter().any(|&t| t < run.end));
     }
 
     #[test]
-    #[should_panic(expected = "couples batch size")]
-    fn vpu_batch_must_equal_devices() {
-        IntelVpu::new(model(), 4).run_throughput(16, 8);
+    fn vpu_estimate_tracks_wave_count() {
+        let vpu = IntelVpu::new(model(), 4);
+        let one = vpu.estimate(4);
+        let three = vpu.estimate(12);
+        // Paper anchor: one wave ~ a single-stick inference (~100.7 ms).
+        let ms = one.as_millis();
+        assert!((90.0..115.0).contains(&ms), "first wave {ms} ms");
+        assert!(three > one * 2, "extra waves must add cost");
+        // Steady state approaches the 8-stick per-image anchor shape:
+        // marginal wave cost well below two serial inferences.
+        assert!((three - one).as_millis() < 2.5 * ms);
     }
 
     #[test]
-    fn tdp_accounting() {
-        let cpu = HostTarget::new(tiny_model(), HostConfig::xeon_e5());
-        let gpu = HostTarget::new(tiny_model(), HostConfig::k4000());
-        let vpu = IntelVpu::new(tiny_model(), 2);
-        assert_eq!(cpu.tdp_w(8), 80.0);
-        assert_eq!(gpu.tdp_w(8), 80.0);
-        assert_eq!(vpu.tdp_w(1), 2.5);
-        assert_eq!(vpu.tdp_w(8), 20.0);
+    fn host_serve_obs_matches_plain_timing_and_emits_batch_span() {
+        let mut plain = HostTarget::new(model(), HostConfig::xeon_e5());
+        let mut observed = HostTarget::new(model(), HostConfig::xeon_e5());
+        let a = plain.serve(4, SimTime::ZERO);
+        let mut log = ncsw_obs::EventLog::new();
+        let ids = [10u64, 11, 12, 13];
+        let b = observed.serve_obs(
+            4,
+            SimTime::ZERO,
+            &mut BatchObs { rec: &mut log, batch_id: 3, worker: 2, ids: &ids },
+        );
+        assert_eq!(a.done, b.done, "instrumentation changed timing");
+        assert_eq!(log.len(), 1, "hosts emit one batch-level span");
+        let ev = log.events()[0];
+        assert_eq!(ev.phase, Phase::Exec);
+        assert_eq!(ev.lane, Lane::Worker(2));
+        assert_eq!(ev.ctx.batch_id, Some(3));
+        assert_eq!((ev.start, ev.end), (b.start, Some(b.end)));
     }
 
     #[test]
-    fn names() {
-        assert_eq!(HostTarget::new(tiny_model(), HostConfig::xeon_e5()).name(), "cpu");
-        assert_eq!(HostTarget::new(tiny_model(), HostConfig::k4000()).name(), "gpu");
-        assert_eq!(IntelVpu::new(tiny_model(), 1).name(), "vpu");
+    fn energy_profiles_derive_from_the_power_models() {
+        let cpu = HostTarget::new(model(), HostConfig::xeon_e5());
+        let p = cpu.energy_profile();
+        assert_eq!((p.busy_mw, p.idle_mw, p.tdp_mw), (80_000, 15_000, 80_000));
+        let gpu = HostTarget::new(model(), HostConfig::k4000());
+        let p = gpu.energy_profile();
+        assert_eq!((p.busy_mw, p.idle_mw, p.tdp_mw), (80_000, 13_000, 80_000));
+        // 4 sticks: 4 × (900 busy / 172 gated / 2500 peak) mW.
+        let vpu = IntelVpu::new(model(), 4);
+        let p = vpu.energy_profile();
+        assert_eq!(p.label, "vpu x4");
+        assert_eq!((p.busy_mw, p.idle_mw, p.tdp_mw), (3_600, 688, 10_000));
+    }
+
+    #[test]
+    fn the_energy_profile_is_the_one_tdp_source() {
+        // Eq. (1)'s TDP is read back as `watts(tdp_mw)`: it must be the
+        // configured figure bit for bit.
+        let tiny = ModelBundle::googlenet_untrained(Variant::Tiny, 1);
+        for cfg in
+            [HostConfig::xeon_e5(), HostConfig::k4000(), HostConfig::v100(), HostConfig::knl()]
+        {
+            let tdp = ncsw_obs::watts(HostTarget::new(tiny.clone(), cfg).energy_profile().tdp_mw);
+            assert_eq!(tdp.to_bits(), cfg.tdp_w.to_bits(), "{}", cfg.name);
+        }
+        for n in 1..=32 {
+            let tdp = ncsw_obs::watts(IntelVpu::new(tiny.clone(), n).energy_profile().tdp_mw);
+            let peak = ncs_platform::PEAK_POWER_W * n as f64;
+            assert_eq!(tdp.to_bits(), peak.to_bits(), "{n} sticks");
+        }
+    }
+
+    #[test]
+    fn gpu_max_batch_bounded_by_memory() {
+        let gpu = HostTarget::new(model(), HostConfig::k4000());
+        let cap = gpu.max_batch().expect("gpu reports a bound");
+        assert!(cap >= 8, "paper sweeps to batch 8, must fit: {cap}");
+        assert!(!gpu.dev.batch_fits(&gpu.cost, cap + 1));
     }
 }

@@ -6,8 +6,10 @@
 //! ```
 
 use vpu_coprocessor::experiments::timeline::timeline_with;
-use vpu_coprocessor::framework::{HostConfig, HostTarget, IntelVpu, ModelBundle, TargetDevice};
+use vpu_coprocessor::framework::runner::{throughput, Feed};
+use vpu_coprocessor::framework::{HostConfig, HostTarget, IntelVpu, ModelBundle, ServiceHook};
 use vpu_coprocessor::nn::googlenet::Variant;
+use vpu_coprocessor::obs::watts;
 
 fn main() {
     // Full-geometry GoogLeNet work profile (weights untrained — only the
@@ -17,29 +19,28 @@ fn main() {
     let batch = 8;
 
     println!("processing {images} images, batch {batch} (VPU count coupled to batch)\n");
-    let mut rows: Vec<(String, f64, f64, f64)> = Vec::new();
-    let mut cpu = HostTarget::new(model.clone(), HostConfig::xeon_e5());
-    let mut gpu = HostTarget::new(model.clone(), HostConfig::k4000());
-    let mut vpu = IntelVpu::new(model.clone(), batch);
-    for target in [&mut cpu as &mut dyn TargetDevice, &mut gpu, &mut vpu] {
-        let r = target.run_throughput(images, batch);
-        rows.push((
-            target.name().to_string(),
-            r.images_per_sec(),
-            r.per_image_ms(),
-            r.images_per_watt(target.tdp_w(batch)),
-        ));
+    // (target, img/s, ms/image, TDP W)
+    let mut rows: Vec<(&str, f64, f64, f64)> = Vec::new();
+    let targets: [(&str, Box<dyn ServiceHook>, Feed); 3] = [
+        ("cpu", Box::new(HostTarget::new(model.clone(), HostConfig::xeon_e5())), Feed::Batches),
+        ("gpu", Box::new(HostTarget::new(model.clone(), HostConfig::k4000())), Feed::Batches),
+        ("vpu", Box::new(IntelVpu::new(model.clone(), batch)), Feed::Stream),
+    ];
+    for (name, mut target, feed) in targets {
+        let r = throughput(target.as_mut(), name, feed, images, batch);
+        let tdp_w = watts(target.energy_profile().tdp_mw);
+        rows.push((name, r.images_per_sec(), r.per_image_ms(), tdp_w));
     }
     println!("{:<6} {:>9} {:>10} {:>8}", "target", "img/s", "ms/image", "img/W");
-    for (name, ips, ms, ipw) in &rows {
-        println!("{name:<6} {ips:>9.1} {ms:>10.2} {ipw:>8.2}");
+    for (name, ips, ms, tdp_w) in &rows {
+        println!("{name:<6} {ips:>9.1} {ms:>10.2} {:>8.2}", ips / tdp_w);
     }
     let vpu_row = &rows[2];
     let cpu_row = &rows[0];
     println!(
         "\n8 sticks deliver {:.1}x the CPU throughput at {:.0}% of its TDP budget",
         vpu_row.1 / cpu_row.1,
-        8.0 * 2.5 / 80.0 * 100.0
+        vpu_row.3 / cpu_row.3 * 100.0
     );
 
     // ---- Fig. 4 timeline on four sticks --------------------------------

@@ -10,21 +10,19 @@
 //! ```
 
 use vpu_coprocessor::framework::multivpu::{MultiVpu, MultiVpuConfig};
-use vpu_coprocessor::framework::{HostConfig, HostTarget, ModelBundle, TargetDevice};
+use vpu_coprocessor::framework::runner::{throughput, Feed};
+use vpu_coprocessor::framework::{HostConfig, HostTarget, ModelBundle};
 use vpu_coprocessor::nn::googlenet::Variant;
 
 fn main() {
     let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
 
     // Reference throughputs at their best batch size (16).
-    let cpu_ips = {
-        let mut t = HostTarget::new(model.clone(), HostConfig::xeon_e5());
-        t.run_throughput(64, 16).images_per_sec()
+    let reference = |cfg: HostConfig| {
+        let mut host = HostTarget::new(model.clone(), cfg);
+        throughput(&mut host, cfg.name, Feed::Batches, 64, 16).images_per_sec()
     };
-    let gpu_ips = {
-        let mut t = HostTarget::new(model.clone(), HostConfig::k4000());
-        t.run_throughput(64, 16).images_per_sec()
-    };
+    let (cpu_ips, gpu_ips) = (reference(HostConfig::xeon_e5()), reference(HostConfig::k4000()));
     println!(
         "references at batch 16:  CPU {cpu_ips:.1} img/s (80 W), GPU {gpu_ips:.1} img/s (80 W)\n"
     );

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 use vpu_coprocessor::data::{pseudo_train, DatasetConfig, ValidationSet};
 use vpu_coprocessor::framework::multivpu::{MultiVpu, MultiVpuConfig};
-use vpu_coprocessor::framework::runner::predictions_fp16;
-use vpu_coprocessor::framework::{HostConfig, HostTarget, ImageFolder, ModelBundle, TargetDevice};
+use vpu_coprocessor::framework::runner::{predictions_fp16, throughput, Feed};
+use vpu_coprocessor::framework::{HostConfig, HostTarget, ImageFolder, IntelVpu, ModelBundle};
 use vpu_coprocessor::nn::googlenet::Variant;
 
 #[test]
@@ -56,11 +56,17 @@ fn pipeline_timing_is_bit_identical_across_runs() {
 
 #[test]
 fn host_target_reports_are_bit_identical() {
+    // A host fed batch by batch and 8 sticks fed one stream, each
+    // through the throughput driver.
     let run = || {
         let model = ModelBundle::googlenet_untrained(Variant::Full, 3);
-        let mut cpu = HostTarget::new(model, HostConfig::xeon_e5());
-        let r = cpu.run_throughput(32, 8);
-        (r.wall, r.samples.mean.to_bits(), r.samples.stddev.to_bits())
+        let mut cpu = HostTarget::new(model.clone(), HostConfig::xeon_e5());
+        let mut vpu = IntelVpu::new(model, 8);
+        [
+            throughput(&mut cpu, "cpu", Feed::Batches, 32, 8),
+            throughput(&mut vpu, "vpu", Feed::Stream, 36, 8),
+        ]
+        .map(|r| (r.images, r.wall, r.samples.mean.to_bits(), r.samples.stddev.to_bits()))
     };
     assert_eq!(run(), run());
 }
